@@ -90,7 +90,7 @@ _CACHE_PROTOCOLS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
     ),
     "UserPairMatrix": (
         frozenset({"_invalidate"}),
-        frozenset({"_csr", "_lookup"}),
+        frozenset({"_csr"}),
     ),
 }
 

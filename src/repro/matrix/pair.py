@@ -40,6 +40,11 @@ class UserPairMatrix:
     *unobserved*; :meth:`support` and friends treat stored entries as
     present regardless of value.
 
+    Point reads (:meth:`get`, :meth:`contains`) binary-search the sorted
+    consolidated keys in O(log nnz).  No per-key index is kept, so a read
+    right after a write pays no O(nnz) rebuild and a write leaves no index
+    behind to free.
+
     A :class:`scipy.sparse.csr_matrix` view of the consolidated state is
     cached (:meth:`csr`) and invalidated by any write, so repeated sparse
     consumers (propagation, metrics) pay the conversion once.
@@ -60,7 +65,6 @@ class UserPairMatrix:
         # is empty (set-writes flush it, accumulate drains the queue first),
         # so consolidation can merge it as plain base-zero sums
         self._pending_accum: dict[int, float] = {}
-        self._lookup: dict[int, int] | None = None
         self._csr: sparse.csr_matrix | None = None
 
     # ------------------------------------------------------------------ writes
@@ -138,10 +142,9 @@ class UserPairMatrix:
         pos = self._find(key)
         if pos is None:
             self._pending_accum[key] = float(value)
-            self._invalidate()
         else:
             self._vals[pos] += float(value)
-            self._csr = None
+        self._invalidate()
 
     def discard(self, source_id: str, target_id: str) -> None:
         """Remove a stored pair (no-op when absent)."""
@@ -162,7 +165,7 @@ class UserPairMatrix:
         i = self.users.position(source_id)
         j = self.users.position(target_id)
         self._consolidate()
-        pos = self._ensure_lookup().get(i * self._n + j)
+        pos = self._find(i * self._n + j)
         return default if pos is None else float(self._vals[pos])
 
     def contains(self, source_id: str, target_id: str) -> bool:
@@ -170,7 +173,7 @@ class UserPairMatrix:
         i = self.users.position(source_id)
         j = self.users.position(target_id)
         self._consolidate()
-        return i * self._n + j in self._ensure_lookup()
+        return self._find(i * self._n + j) is not None
 
     def row(self, source_id: str) -> dict[str, float]:
         """All stored targets of ``source_id`` as ``{target_id: value}``."""
@@ -488,12 +491,13 @@ class UserPairMatrix:
     # ------------------------------------------------------------------ internals
 
     def _invalidate(self) -> None:
-        self._lookup = None
         self._csr = None
 
     def _find(self, key: int) -> int | None:
         """Position of ``key`` in the consolidated arrays (binary search)."""
-        pos = int(np.searchsorted(self._keys, key))
+        # the method form skips np.searchsorted's dispatch layer, which
+        # costs as much as the search itself on a point read
+        pos = int(self._keys.searchsorted(key))
         if pos < self._keys.size and self._keys[pos] == key:
             return pos
         return None
@@ -543,11 +547,6 @@ class UserPairMatrix:
         uniq, idx = np.unique(keys[::-1], return_index=True)
         self._keys = uniq
         self._vals = vals[::-1][idx]
-
-    def _ensure_lookup(self) -> dict[int, int]:
-        if self._lookup is None:
-            self._lookup = dict(zip(self._keys.tolist(), range(self._keys.size)))
-        return self._lookup
 
     def _row_bounds(self, i: int) -> tuple[int, int]:
         self._consolidate()

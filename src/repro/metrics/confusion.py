@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.errors import ValidationError
 from repro.matrix import UserPairMatrix
 
@@ -76,22 +78,25 @@ def validate_trust(
     if connections.users != ground_truth.users or connections.users != predicted.users:
         raise ValidationError("all matrices must share the same user axis")
 
-    trust_in_r = connections.intersect_support(ground_truth)
-    nontrust_in_r = connections.subtract_support(ground_truth)
+    r_keys = connections.support_keys()
+    trusted = np.isin(r_keys, ground_truth.support_keys(), assume_unique=True)
+    hits = np.isin(r_keys, predicted.support_keys(), assume_unique=True)
+    trust_in_r = int(np.count_nonzero(trusted))
+    nontrust_in_r = int(r_keys.size) - trust_in_r
 
-    true_positives = sum(1 for pair in trust_in_r if predicted.contains(*pair))
-    false_positives = sum(1 for pair in nontrust_in_r if predicted.contains(*pair))
+    true_positives = int(np.count_nonzero(hits & trusted))
+    false_positives = int(np.count_nonzero(hits & ~trusted))
     predicted_in_r = true_positives + false_positives
 
     return TrustValidationMetrics(
-        recall=_ratio(true_positives, len(trust_in_r)),
+        recall=_ratio(true_positives, trust_in_r),
         precision_in_r=_ratio(true_positives, predicted_in_r),
-        nontrust_as_trust_rate=_ratio(false_positives, len(nontrust_in_r)),
+        nontrust_as_trust_rate=_ratio(false_positives, nontrust_in_r),
         true_positives=true_positives,
         predicted_in_r=predicted_in_r,
         false_positives_in_r=false_positives,
-        trust_in_r=len(trust_in_r),
-        nontrust_in_r=len(nontrust_in_r),
+        trust_in_r=trust_in_r,
+        nontrust_in_r=nontrust_in_r,
     )
 
 

@@ -62,22 +62,24 @@ def score_gap_analysis(
         if derived.users != other.users:
             raise ValidationError("all matrices must share the same user axis")
 
-    trusted_scores: list[float] = []
-    untrusted_scores: list[float] = []
-    for source, target in connections.support():
-        if not predicted.contains(source, target):
-            continue
-        score = derived.get(source, target)
-        if ground_truth.contains(source, target):
-            trusted_scores.append(score)
-        else:
-            untrusted_scores.append(score)
+    # join on sorted flat keys so the scores are summed in row-major order:
+    # the means then do not depend on a set's hash order
+    r_keys = connections.support_keys()
+    analysed = r_keys[np.isin(r_keys, predicted.support_keys(), assume_unique=True)]
+    scores = np.zeros(analysed.size)
+    _, in_derived, in_analysed = np.intersect1d(
+        derived.support_keys(), analysed, assume_unique=True, return_indices=True
+    )
+    scores[in_analysed] = derived.values()[in_derived]
+    trusted = np.isin(analysed, ground_truth.support_keys(), assume_unique=True)
+    trusted_scores = scores[trusted]
+    untrusted_scores = scores[~trusted]
 
     return ScoreGapReport(
-        trusted_count=len(trusted_scores),
-        untrusted_count=len(untrusted_scores),
-        trusted_mean=float(np.mean(trusted_scores)) if trusted_scores else 0.0,
-        untrusted_mean=float(np.mean(untrusted_scores)) if untrusted_scores else 0.0,
-        trusted_min=float(np.min(trusted_scores)) if trusted_scores else 0.0,
-        untrusted_min=float(np.min(untrusted_scores)) if untrusted_scores else 0.0,
+        trusted_count=int(trusted_scores.size),
+        untrusted_count=int(untrusted_scores.size),
+        trusted_mean=float(np.mean(trusted_scores)) if trusted_scores.size else 0.0,
+        untrusted_mean=float(np.mean(untrusted_scores)) if untrusted_scores.size else 0.0,
+        trusted_min=float(np.min(trusted_scores)) if trusted_scores.size else 0.0,
+        untrusted_min=float(np.min(untrusted_scores)) if untrusted_scores.size else 0.0,
     )

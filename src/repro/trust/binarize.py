@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
+import numpy as np
+
 from repro.common.errors import ValidationError
 from repro.matrix import UserPairMatrix
 
@@ -35,14 +37,15 @@ def generousness(
     """
     if connections.users != ground_truth.users:
         raise ValidationError("connection and ground-truth matrices must share a user axis")
-    result: dict[str, float] = {}
-    for source in connections.source_ids():
-        row = connections.row(source)
-        if not row:
-            continue
-        trusted = sum(1 for target in row if ground_truth.contains(source, target))
-        result[source] = trusted / len(row)
-    return result
+    n = len(connections.users)
+    keys = connections.support_keys()
+    rows = keys // n
+    trusted = np.isin(keys, ground_truth.support_keys(), assume_unique=True)
+    sizes = np.bincount(rows, minlength=n)
+    sources = np.flatnonzero(sizes)
+    ratios = np.bincount(rows[trusted], minlength=n)[sources] / sizes[sources]
+    labels = connections.users.labels
+    return dict(zip([labels[i] for i in sources.tolist()], ratios.tolist()))
 
 
 def binarize_top_k(

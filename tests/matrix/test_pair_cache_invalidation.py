@@ -1,8 +1,8 @@
-"""Regression tests: every UserPairMatrix mutator invalidates the caches.
+"""Regression tests: every UserPairMatrix mutator invalidates the csr cache.
 
-The csr()/lookup caches are shared views of the consolidated state; a
-mutator that forgets to drop them would hand stale matrices to the
-propagation and metrics layers (the invariant the R1 lint rule encodes).
+The csr() cache is a shared view of the consolidated state; a mutator
+that forgets to drop it would hand stale matrices to the propagation and
+metrics layers (the invariant the R1 lint rule encodes).
 """
 
 import numpy as np
@@ -15,12 +15,11 @@ USERS = ["u0", "u1", "u2"]
 
 @pytest.fixture
 def warm_matrix():
-    """A consolidated matrix with both caches populated."""
+    """A consolidated matrix with its csr cache populated."""
     matrix = UserPairMatrix(USERS)
     matrix.set_block([0, 1], [1, 2], [0.5, 0.25])
     matrix.csr()
-    matrix.get("u0", "u1")  # builds the key lookup
-    assert matrix._csr is not None and matrix._lookup is not None
+    assert matrix._csr is not None
     return matrix
 
 
@@ -28,31 +27,25 @@ class TestMutatorInvalidation:
     def test_set_drops_both_caches(self, warm_matrix):
         warm_matrix.set("u2", "u0", 0.75)
         assert warm_matrix._csr is None
-        assert warm_matrix._lookup is None
 
     def test_set_block_drops_both_caches(self, warm_matrix):
         warm_matrix.set_block([2], [1], [0.75])
         assert warm_matrix._csr is None
-        assert warm_matrix._lookup is None
 
     def test_accumulate_new_pair_drops_both_caches(self, warm_matrix):
         warm_matrix.accumulate("u2", "u0", 0.1)
         assert warm_matrix._csr is None
-        assert warm_matrix._lookup is None
 
-    def test_accumulate_in_place_drops_csr_keeps_lookup(self, warm_matrix):
-        # the fast path updates the value array in place: key positions are
-        # unchanged, so the lookup stays valid but the csr data is stale
-        lookup = warm_matrix._lookup
+    def test_accumulate_in_place_drops_csr(self, warm_matrix):
+        # the fast path updates the value array in place, so the csr data
+        # is stale even though no key moved
         warm_matrix.accumulate("u0", "u1", 0.1)
         assert warm_matrix._csr is None
-        assert warm_matrix._lookup is lookup
         assert warm_matrix.get("u0", "u1") == pytest.approx(0.6)
 
     def test_discard_drops_both_caches(self, warm_matrix):
         warm_matrix.discard("u0", "u1")
         assert warm_matrix._csr is None
-        assert warm_matrix._lookup is None
 
     def test_discard_of_absent_pair_keeps_caches(self, warm_matrix):
         csr = warm_matrix._csr
@@ -61,7 +54,7 @@ class TestMutatorInvalidation:
 
 
 class TestRebuiltViewsAreFresh:
-    """The caches are not just dropped -- the rebuilt views see the write."""
+    """The cache is not just dropped -- the rebuilt views see the write."""
 
     @pytest.mark.parametrize(
         "mutate, expected",

@@ -1,10 +1,12 @@
 """Tests for the Table-4 metrics."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ValidationError
 from repro.matrix import UserPairMatrix
-from repro.metrics import validate_trust
+from repro.metrics import TrustValidationMetrics, validate_trust
 
 USERS = ["a", "b", "c", "d", "e"]
 
@@ -78,3 +80,37 @@ class TestValidateTrust:
         R, T = relations
         with pytest.raises(ValidationError):
             validate_trust(UserPairMatrix(["a", "b"]), R, T)
+
+
+def validate_trust_by_pair_scan(predicted, connections, ground_truth):
+    """The per-pair ``contains`` loop ``validate_trust`` replaced, as its oracle."""
+    trust_in_r = connections.intersect_support(ground_truth)
+    nontrust_in_r = connections.subtract_support(ground_truth)
+    true_positives = sum(1 for pair in trust_in_r if predicted.contains(*pair))
+    false_positives = sum(1 for pair in nontrust_in_r if predicted.contains(*pair))
+    predicted_in_r = true_positives + false_positives
+
+    def ratio(numerator, denominator):
+        return numerator / denominator if denominator else 0.0
+
+    return TrustValidationMetrics(
+        recall=ratio(true_positives, len(trust_in_r)),
+        precision_in_r=ratio(true_positives, predicted_in_r),
+        nontrust_as_trust_rate=ratio(false_positives, len(nontrust_in_r)),
+        true_positives=true_positives,
+        predicted_in_r=predicted_in_r,
+        false_positives_in_r=false_positives,
+        trust_in_r=len(trust_in_r),
+        nontrust_in_r=len(nontrust_in_r),
+    )
+
+
+pair_lists = st.lists(st.tuples(st.sampled_from(USERS), st.sampled_from(USERS)), max_size=20)
+
+
+class TestValidateTrustAgainstPairScan:
+    @given(pair_lists, pair_lists, pair_lists)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_pair_scan_exactly(self, predicted, r_pairs, t_pairs):
+        args = (matrix(predicted), matrix(r_pairs), matrix(t_pairs))
+        assert validate_trust(*args) == validate_trust_by_pair_scan(*args)

@@ -1,7 +1,13 @@
 """Tests for the §IV.C score-gap analysis."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.matrix import UserPairMatrix
 from repro.metrics import score_gap_analysis
 
@@ -64,3 +70,26 @@ class TestScoreGap:
         # untrusted (0.6) scores above trusted (0.2): positive gaps
         assert report.mean_gap == pytest.approx(0.4)
         assert report.min_gap == pytest.approx(0.4)
+
+    def test_report_does_not_depend_on_hash_seed(self):
+        # set iteration order follows PYTHONHASHSEED, so means summed in set
+        # order would differ in the last digit from one process to the next
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        code = (
+            "from repro.experiments import run_pipeline, run_score_gap\n"
+            "from repro.experiments.config import paper_profile\n"
+            "print(repr(run_score_gap(run_pipeline(paper_profile(400), seed=7))))\n"
+        )
+        reports = []
+        for hash_seed in ("1", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+            result = subprocess.run(
+                [sys.executable, "-c", code],
+                env=env,
+                capture_output=True,
+                text=True,
+                timeout=300,
+            )
+            assert result.returncode == 0, result.stderr
+            reports.append(result.stdout)
+        assert reports[0] == reports[1]

@@ -1,6 +1,8 @@
 """Tests for generousness and per-row top-k binarisation (§IV.C)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ValidationError
 from repro.matrix import UserPairMatrix
@@ -41,6 +43,48 @@ class TestGenerousness:
         R.set("a", "b", 1.0)
         T.set("a", "c", 1.0)  # trusted but never rated
         assert generousness(R, T)["a"] == 0.0
+
+
+def generousness_by_row_scan(connections, ground_truth):
+    """The per-row ``contains`` loop ``generousness`` replaced, as its oracle."""
+    result = {}
+    for source in connections.source_ids():
+        row = connections.row(source)
+        if not row:
+            continue
+        trusted = sum(1 for target in row if ground_truth.contains(source, target))
+        result[source] = trusted / len(row)
+    return result
+
+
+#: u8 and u9 only ever trust (empty rows in R, T pairs outside R); u10 and
+#: u11 are on the axis but absent from both matrices.
+AXIS = [f"u{i}" for i in range(12)]
+
+connection_entries = st.lists(
+    st.tuples(st.integers(0, 7), st.integers(0, 9), st.sampled_from([0.0, 0.5, 1.0])),
+    max_size=40,
+)
+trust_entries = st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=40)
+
+
+class TestGenerousnessAgainstRowScan:
+    @given(connection_entries, trust_entries)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_row_scan_exactly(self, r_entries, t_entries):
+        R = UserPairMatrix(AXIS)
+        for i, j, value in r_entries:
+            R.set(AXIS[i], AXIS[j], value)  # 0.0 stores an explicit zero
+        T = UserPairMatrix(AXIS)
+        for i, j in t_entries:
+            T.set(AXIS[i], AXIS[j], 1.0)
+
+        expected = generousness_by_row_scan(R, T)
+        actual = generousness(R, T)
+
+        assert list(actual.items()) == list(expected.items())
+        assert all(type(k) is float for k in actual.values())
+        assert not {"u8", "u9", "u10", "u11"} & set(actual)
 
 
 class TestBinarizeTopK:
