@@ -160,9 +160,9 @@ class Engine:
         When set, ``T-hat`` lives in a :class:`repro.shard.ShardedPairMatrix`
         backed by this config's store: cold builds stream shard by shard
         (:meth:`repro.trust.TrustDeriver.derive_sharded`), propagation
-        sweeps the shards out of core, and incremental updates patch only
-        the shards a delta's derive region touches -- in place, without
-        materialising the whole matrix.  Axis growth (new users or
+        reads each spilled shard once per call, and incremental updates
+        patch only the shards a delta's derive region touches -- in place,
+        without materialising the whole matrix.  Axis growth (new users or
         categories) falls back to a full sharded re-derive.
     compact_log:
         ``True`` (default): after each update the engine compacts the

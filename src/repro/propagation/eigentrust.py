@@ -18,19 +18,29 @@ The iteration runs on the sparse CSR view of the trust web -- pass a
 :class:`networkx.DiGraph` is accepted for compatibility and converted
 once.
 
-Out-of-core sweep
------------------
-A :class:`repro.shard.ShardedPairMatrix` input runs the same fixed point
-without ever materialising the whole spread operator: each row-block
-shard's transposed, scaled CSR is written to a temporary store once, and
-every iteration memory-maps the per-shard operators and accumulates them
-into one output vector via scipy's ``csr_matvec`` kernel.  That kernel
-adds into the running ``y[i]`` element-by-element in source-row order, so
-sweeping the shards in ascending row order reproduces the monolithic
-``spread_op @ t`` product **bitwise** -- the per-shard partial-sum
-formulation (``y += block.T @ t_block``) would not, because it changes
-the additions' parenthesisation.  Peak memory is one shard's operator
-plus the O(U) iteration vectors.
+Row-block sweep
+---------------
+Both backends run one sweep over CSR row blocks in ascending row order:
+an in-memory :class:`repro.matrix.UserPairMatrix` is a single block (its
+cached :meth:`~repro.matrix.UserPairMatrix.csr`), and a
+:class:`repro.shard.ShardedPairMatrix` gives one
+:meth:`~repro.shard.ShardedPairMatrix.shard_csr` block per shard.  Once
+per call each block's data is scaled by its inverse row sums, so a
+sharded input reads each spilled shard's keys and values at most once
+per call and writes nothing.  For the call the heap holds every scaled
+block (float64 data plus the block's own index arrays, at most 16 B per
+stored entry) and the O(U) iteration vectors; the shard payloads stay
+where the spill budget put them.
+
+Every sweep runs scipy's ``csc_matvec`` on the untransposed blocks: a
+row block's CSR arrays, read as CSC, describe its transpose, and the
+kernel adds each ``c_ij * t_i`` into the running ``y[j]`` source row by
+source row.  That is the order ``csr_matvec`` adds them in over the
+transposed CSR (``spread_op @ t``, whose rows list their sources in
+ascending order), so the scores are bitwise equal to the transposed
+formulation however the rows are split into blocks.  The per-block
+partial-sum formulation (``y += block.T @ t_block``) would not be,
+because it changes the additions' parenthesisation.
 """
 
 # repro: hot-path
@@ -38,14 +48,14 @@ plus the O(U) iteration vectors.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Callable, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
 from repro import obs
-from repro.common.arrays import BoolArray, FloatArray
+from repro.common.arrays import BoolArray, FloatArray, IntArray
 from repro.common.errors import ValidationError
 from repro.common.validation import require_fraction, require_positive
 from repro.matrix import LabelIndex, UserPairMatrix
@@ -73,8 +83,10 @@ def eigen_trust(
     Parameters
     ----------
     web:
-        The trust web: a :class:`repro.matrix.UserPairMatrix` (fast path)
-        or a weighted :class:`networkx.DiGraph`.
+        The trust web: a :class:`repro.matrix.UserPairMatrix` (fast path),
+        a :class:`repro.shard.ShardedPairMatrix` (swept shard by shard,
+        bitwise equal to the in-memory matrix) or a weighted
+        :class:`networkx.DiGraph`.
     pretrust:
         Prior trust distribution (defaults to uniform).  Values are
         normalised to sum 1; nodes absent from the mapping get 0.
@@ -106,29 +118,18 @@ def eigen_trust(
 
     from repro.shard.matrix import ShardedPairMatrix
 
+    source: "UserPairMatrix | ShardedPairMatrix"
     if isinstance(web, ShardedPairMatrix):
-        users = web.users
-        sharded: "ShardedPairMatrix | None" = web
-        matrix = None
+        source, shards = web, web.num_shards
     else:
-        matrix = as_pair_matrix(web, weight_key=weight_key)
-        users = matrix.users
-        sharded = None
+        source, shards = as_pair_matrix(web, weight_key=weight_key), 0
+    users = source.users
     n = len(users)
     if n == 0:
         return PropagationScores(LabelIndex(()), np.zeros(0))
 
-    with obs.span(
-        "propagation.eigentrust",
-        users=n,
-        shards=0 if sharded is None else sharded.num_shards,
-    ):
-        if sharded is not None:
-            apply_spread, dangling = _sharded_spread(sharded)
-        else:
-            assert matrix is not None
-            apply_spread, dangling = _dense_spread(matrix)
-
+    with obs.span("propagation.eigentrust", users=n, shards=shards):
+        blocks, dangling = _scaled_blocks(_row_blocks(source), n)
         p = _pretrust_vector(pretrust, users)
         t = _initial_vector(initial, users, p)
         converged = False
@@ -136,7 +137,7 @@ def eigen_trust(
         residual = float("inf")
         for iterations in range(1, max_iterations + 1):
             # dangling users are treated as trusting the pre-trusted peers
-            spread = apply_spread(t) + p * float(t[dangling].sum())
+            spread = _spread(blocks, t) + p * float(t[dangling].sum())
             new_t = (1.0 - alpha) * spread + alpha * p
             total = new_t.sum()
             if total > 0:
@@ -146,6 +147,8 @@ def eigen_trust(
             if residual < tolerance:
                 converged = True
                 break
+        if shards:
+            obs.add("propagation.eigentrust.shard_sweeps", iterations * len(blocks))
         obs.convergence(
             "propagation.eigentrust",
             iterations=iterations,
@@ -166,84 +169,65 @@ def eigen_trust(
         )
 
 
-def _dense_spread(
-    matrix: "UserPairMatrix",
-) -> tuple[Callable[[FloatArray], FloatArray], BoolArray]:
-    """The in-memory spread operator: one cached transposed CSR."""
-    adjacency = matrix.csr()
-    if adjacency.nnz and adjacency.data.size and float(adjacency.data.min()) < 0.0:
-        raise ValidationError("EigenTrust requires non-negative edge weights")
-    row_sums = np.asarray(adjacency.sum(axis=1)).ravel()
-    dangling: BoolArray = row_sums == 0.0
-    inverse = np.where(dangling, 0.0, 1.0 / np.where(dangling, 1.0, row_sums))
-    # column-oriented form of the row-normalised matrix, so each sweep is
-    # one sparse mat-vec; scaling the CSR data directly multiplies the
-    # same inverse[i] * a_ij products a diagonal matmul would, without
-    # paying a sparse-sparse product to do it
-    scale = np.repeat(inverse, np.diff(adjacency.indptr))
-    spread_op = sparse.csr_matrix(
-        (adjacency.data * scale, adjacency.indices, adjacency.indptr),
-        shape=adjacency.shape,
-    ).T.tocsr()
-
-    def apply(t: FloatArray) -> FloatArray:
-        result: FloatArray = spread_op @ t
-        return result
-
-    return apply, dangling
+#: One non-empty row block of the spread operator: its first row, its CSR
+#: row pointers and column indices, and its data scaled by the inverse
+#: row sums.
+_ScaledBlock = tuple[int, IntArray, IntArray, FloatArray]
 
 
-def _sharded_spread(
-    matrix: "ShardedPairMatrix",
-) -> tuple[Callable[[FloatArray], FloatArray], BoolArray]:
-    """The out-of-core spread operator: per-shard transposed CSRs on disk.
+def _row_blocks(
+    source: "UserPairMatrix | ShardedPairMatrix",
+) -> Iterator[sparse.csr_matrix]:
+    """``source``'s CSR row blocks in ascending row order, built on demand."""
+    if isinstance(source, UserPairMatrix):
+        yield source.csr()
+        return
+    for shard in range(source.num_shards):
+        yield source.shard_csr(shard)
 
-    Each shard's operator block (``U x rows_in_shard``) is written to a
-    temporary :class:`repro.shard.ShardStore` once; :func:`apply` then
-    memory-maps the blocks per iteration and accumulates them into one
-    output vector with ``csr_matvec``, whose per-element running sum in
-    ascending source-row order makes the sweep bitwise equal to the
-    monolithic product (see the module notes).
-    """
-    from repro.shard.store import ShardStore
 
-    n = len(matrix.users)
-    ops_store = ShardStore.temporary(prefix="repro-eigentrust-")
-    dangling = np.ones(n, dtype=bool)
-    shard_meta: list[tuple[int, int, int]] = []
-    for s, lo, hi in matrix.layout:
-        block = matrix.shard_csr(s)
+def _scaled_blocks(
+    blocks: Iterable[sparse.csr_matrix], n: int
+) -> tuple[list[_ScaledBlock], BoolArray]:
+    """Row-normalise every block once; returns the non-empty ones and the
+    dangling mask (rows with no outgoing weight)."""
+    dangling: BoolArray = np.ones(n, dtype=bool)
+    scaled: list[_ScaledBlock] = []
+    lo = 0
+    for block in blocks:
+        hi = lo + block.shape[0]
         if block.nnz and float(block.data.min()) < 0.0:
             raise ValidationError("EigenTrust requires non-negative edge weights")
-        local_sums = np.asarray(block.sum(axis=1)).ravel()
-        local_dangling = local_sums == 0.0
+        row_sums = np.asarray(block.sum(axis=1)).ravel()
+        local_dangling = row_sums == 0.0
         dangling[lo:hi] = local_dangling
-        inverse = np.where(
-            local_dangling, 0.0, 1.0 / np.where(local_dangling, 1.0, local_sums)
-        )
-        scale = np.repeat(inverse, np.diff(block.indptr))
-        op = sparse.csr_matrix(
-            (block.data * scale, block.indices, block.indptr), shape=block.shape
-        ).T.tocsr()
-        if op.nnz:
-            ops_store.write_array(f"op_{s:05d}.data.npy", op.data)
-            ops_store.write_array(f"op_{s:05d}.indices.npy", op.indices)
-            ops_store.write_array(f"op_{s:05d}.indptr.npy", op.indptr)
-            shard_meta.append((s, lo, hi))
+        if block.nnz:
+            inverse = np.where(
+                local_dangling, 0.0, 1.0 / np.where(local_dangling, 1.0, row_sums)
+            )
+            # the same inverse[i] * a_ij products a diagonal matmul would
+            # form, multiplied in place so only one data-sized array is new
+            data = np.repeat(inverse, np.diff(block.indptr))
+            data *= block.data
+            scaled.append((lo, block.indptr, block.indices, data))
+        lo = hi
+    return scaled, dangling
 
-    def apply(t: FloatArray) -> FloatArray:
-        y = np.zeros(n)
-        for s, lo, hi in shard_meta:
-            data = ops_store.read_array(f"op_{s:05d}.data.npy")
-            indices = ops_store.read_array(f"op_{s:05d}.indices.npy")
-            indptr = ops_store.read_array(f"op_{s:05d}.indptr.npy")
-            # accumulates into y element-by-element: sweeping shards in
-            # ascending row order reproduces the monolithic matvec bitwise
-            _sparsetools.csr_matvec(n, hi - lo, indptr, indices, data, t[lo:hi], y)
-        obs.add("propagation.eigentrust.shard_sweeps", len(shard_meta))
-        return y
 
-    return apply, dangling
+def _spread(blocks: list[_ScaledBlock], t: FloatArray) -> FloatArray:
+    """``C^T t`` over the scaled row blocks, added in source-row order.
+
+    ``csc_matvec`` reads a row block as the CSC form of its transpose and
+    adds into ``y`` element by element, so sweeping the blocks in
+    ascending row order adds every product in the order ``csr_matvec``
+    would over the whole transposed operator (see the module notes).
+    """
+    n = t.shape[0]
+    y: FloatArray = np.zeros(n)
+    for lo, indptr, indices, data in blocks:
+        rows = indptr.shape[0] - 1
+        _sparsetools.csc_matvec(n, rows, indptr, indices, data, t[lo : lo + rows], y)
+    return y
 
 
 def _initial_vector(

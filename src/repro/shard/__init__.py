@@ -1,8 +1,9 @@
 """repro.shard -- sharded, out-of-core storage for the trust artifacts.
 
 The paper's ``T-hat`` web of trust is the one quadratically-growing
-artifact; this package keeps it on disk in row-block shards so derive,
-propagation and incremental patching all run with bounded peak memory:
+artifact; this package keeps it on disk in row-block shards so derive
+and incremental patching run with bounded peak memory, and propagation
+reads each spilled shard once per call:
 
 - :class:`ShardLayout` -- contiguous row-block boundaries;
 - :class:`ShardStore` -- a directory of memory-mappable ``.npy`` payloads
@@ -13,9 +14,9 @@ propagation and incremental patching all run with bounded peak memory:
 - :class:`ArtifactStore` -- save/load facade for whole pipeline outputs.
 
 The shard-aware compute paths live with their kernels:
-:meth:`repro.trust.TrustDeriver.derive_sharded`, the out-of-core sweep in
-:func:`repro.propagation.eigen_trust`, and the per-shard patching mode of
-:class:`repro.engine.Engine`.
+:meth:`repro.trust.TrustDeriver.derive_sharded`, the row-block sweep in
+:func:`repro.propagation.eigen_trust` (one block per shard), and the
+per-shard patching mode of :class:`repro.engine.Engine`.
 """
 
 from repro.shard.artifacts import ArtifactStore, StoredArtifacts

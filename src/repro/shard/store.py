@@ -47,9 +47,9 @@ class ShardStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     @classmethod
-    def temporary(cls, prefix: str = "repro-shard-") -> "ShardStore":
+    def temporary(cls) -> "ShardStore":
         """A store in a fresh temp directory, removed when unreferenced."""
-        root = tempfile.mkdtemp(prefix=prefix)
+        root = tempfile.mkdtemp(prefix="repro-shard-")
         store = cls(root)
         weakref.finalize(store, shutil.rmtree, root, True)
         return store

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.common.errors import ValidationError
 from repro.matrix import UserPairMatrix
 from repro.matrix.labels import LabelIndex
@@ -97,3 +98,28 @@ class TestValidation:
         scores = eigen_trust(ShardedPairMatrix(users, num_shards=2))
         assert scores.scores_array().shape == (2,)
         assert float(scores.scores_array().sum()) == pytest.approx(1.0)
+
+
+class TestShardIO:
+    def test_spilled_payloads_read_once_and_nothing_written(self):
+        """One call reads each spilled shard's keys and values at most once."""
+        _, sharded = matching_webs(num_users=40, num_shards=4, spill_bytes=ENTRY_BYTES)
+        spilled = sharded.num_shards
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            scores = eigen_trust(sharded)
+        counters = recorder.counters
+        assert scores.iterations > 2
+        assert counters.get("shard.write.files", 0) == 0
+        assert 0 < counters["shard.read.files"] <= 2 * spilled
+        assert (
+            counters["propagation.eigentrust.shard_sweeps"]
+            == scores.iterations * spilled
+        )
+
+    def test_in_memory_input_counts_no_shard_sweeps(self):
+        flat, _ = matching_webs()
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            eigen_trust(flat)
+        assert "propagation.eigentrust.shard_sweeps" not in recorder.counters
