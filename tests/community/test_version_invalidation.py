@@ -10,18 +10,22 @@ columnar view does not encode them.  Bulk loads that insert through
 caught by the row-count part of the cache key.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.errors import IntegrityError
+from repro.common.errors import IntegrityError, ValidationError
 from repro.community import (
+    HELPFULNESS_SCALE,
     Community,
+    CommunityColumns,
     Review,
     ReviewRating,
     ReviewedObject,
     TrustStatement,
 )
+from repro.engine import clone_community
 
 MUTATIONS = [
     ("add_user", lambda c: c.add_user("frank")),
@@ -30,6 +34,79 @@ MUTATIONS = [
     ("add_review", lambda c: c.add_review(Review("rb2", "bob", "m2"))),
     ("add_rating", lambda c: c.add_rating(ReviewRating("carol", "ra1", 0.8))),
     ("add_trust", lambda c: c.add_trust(TrustStatement("carol", "bob"))),
+]
+
+# Every add the community rejects: (id, call, exception class).  The
+# fixture is ``two_category_community`` (see conftest.py).
+REJECTED = [
+    ("duplicate-user", lambda c: c.add_user("alice"), IntegrityError),
+    ("duplicate-category", lambda c: c.add_category("movies"), IntegrityError),
+    (
+        "duplicate-object",
+        lambda c: c.add_object(ReviewedObject("m1", "movies")),
+        IntegrityError,
+    ),
+    (
+        "duplicate-review-id",
+        lambda c: c.add_review(Review("ra1", "eve", "b1")),
+        IntegrityError,
+    ),
+    (
+        "duplicate-rating",
+        lambda c: c.add_rating(ReviewRating("bob", "ra1", 0.2)),
+        IntegrityError,
+    ),
+    (
+        "duplicate-trust",
+        lambda c: c.add_trust(TrustStatement("bob", "alice")),
+        IntegrityError,
+    ),
+    (
+        "object-unknown-category",
+        lambda c: c.add_object(ReviewedObject("x1", "ghost")),
+        IntegrityError,
+    ),
+    (
+        "review-unknown-object",
+        lambda c: c.add_review(Review("rx", "eve", "ghost")),
+        IntegrityError,
+    ),
+    (
+        "review-unknown-writer",
+        lambda c: c.add_review(Review("rx", "ghost", "b1")),
+        IntegrityError,
+    ),
+    (
+        "second-review-of-object",
+        lambda c: c.add_review(Review("rx", "alice", "m1")),
+        IntegrityError,
+    ),
+    (
+        "rating-unknown-review",
+        lambda c: c.add_rating(ReviewRating("eve", "ghost", 0.2)),
+        IntegrityError,
+    ),
+    (
+        "rating-unknown-rater",
+        lambda c: c.add_rating(ReviewRating("ghost", "ra1", 0.2)),
+        IntegrityError,
+    ),
+    (
+        "self-rating",
+        lambda c: c.add_rating(ReviewRating("alice", "ra1", 1.0)),
+        IntegrityError,
+    ),
+    (
+        "trust-unknown-truster",
+        lambda c: c.add_trust(TrustStatement("ghost", "alice")),
+        IntegrityError,
+    ),
+    (
+        "trust-unknown-trustee",
+        lambda c: c.add_trust(TrustStatement("alice", "ghost")),
+        IntegrityError,
+    ),
+    ("touch-unknown-category", lambda c: c.touch("ghost"), ValidationError),
 ]
 
 
@@ -56,21 +133,25 @@ class TestSingleMutators:
             assert rebuilt is cached
         assert two_category_community.columns() is rebuilt
 
-    def test_failed_add_review_leaves_state_alone(self, two_category_community):
-        cached = two_category_community.columns()
-        before = two_category_community.version
-        with pytest.raises(IntegrityError):
-            two_category_community.add_review(Review("rx", "bob", "no-such-object"))
-        assert two_category_community.version == before
-        assert two_category_community.columns() is cached
+    @pytest.mark.parametrize(
+        "mutate,error", [(m, e) for _, m, e in REJECTED], ids=[n for n, _, _ in REJECTED]
+    )
+    def test_rejected_add_leaves_state_alone(self, two_category_community, mutate, error):
+        community = two_category_community
+        cached = community.columns()
+        version = community.version
+        epoch = community.change_log.epoch
+        summary = community.summary()
+        with pytest.raises(error):
+            mutate(community)
+        assert community.version == version
+        assert community.change_log.epoch == epoch
+        assert community.summary() == summary
+        assert community.columns() is cached
 
-    def test_failed_self_rating_leaves_state_alone(self, two_category_community):
-        cached = two_category_community.columns()
-        before = two_category_community.version
-        with pytest.raises(IntegrityError):
-            two_category_community.add_rating(ReviewRating("alice", "ra1", 1.0))
-        assert two_category_community.version == before
-        assert two_category_community.columns() is cached
+    def test_name_must_be_an_identifier(self):
+        with pytest.raises(ValidationError):
+            Community("not an identifier")
 
 
 class TestDirectDatabaseInserts:
@@ -105,71 +186,121 @@ class TestDirectDatabaseInserts:
 
 # ----------------------------------------------------------------- property test
 
-OPS = ("user", "category", "object", "review", "rating", "trust")
+# ratings are the common mutation; listing them thrice lets several land
+# between two reads, which the ratings-only refresh must splice in order
+OPS = (
+    "user",
+    "category",
+    "object",
+    "review",
+    "rating",
+    "rating",
+    "rating",
+    "trust",
+    "read",
+    "compact",
+)
 
 
 class MutationDriver:
-    """Applies self-contained mutations, counting the add_* calls made."""
+    """Applies valid mutations, counting the add_* calls made.
+
+    ``pick`` chooses among the records already present, so reviews and
+    ratings land on existing writers, raters, objects, reviews and
+    categories as well as on fresh ones.
+    """
 
     def __init__(self):
         self.community = Community("prop")
         self.counters = dict.fromkeys(("user", "category", "object", "review"), 0)
+        self.users = []
+        self.categories = []
+        self.objects = []
+        self.writers = {}  # review id -> writer
+        self.reviewed = set()  # (writer, object)
+        self.rated = set()  # (rater, review)
 
     def _fresh(self, kind):
         self.counters[kind] += 1
         return f"{kind}{self.counters[kind]}"
 
-    def _fresh_user(self):
+    def _user(self, pick=None):
+        if pick is not None and self.users:
+            return self.users[pick // 3 % len(self.users)], 0
         user_id = self._fresh("user")
         self.community.add_user(user_id)
+        self.users.append(user_id)
         return user_id, 1
 
-    def _fresh_review(self):
-        adds = 0
-        if not self.counters["category"]:
-            self.community.add_category(self._fresh("category"))
-            adds += 1
-        writer, n = self._fresh_user()
-        adds += n
+    def _category(self, pick=None):
+        if pick is not None and self.categories:
+            return self.categories[pick // 7 % len(self.categories)], 0
+        category_id = self._fresh("category")
+        self.community.add_category(category_id)
+        self.categories.append(category_id)
+        return category_id, 1
+
+    def _object(self, pick):
+        category_id, adds = self._category(pick)
         object_id = self._fresh("object")
-        self.community.add_object(
-            ReviewedObject(object_id, f"category{self.counters['category']}")
-        )
+        self.community.add_object(ReviewedObject(object_id, category_id))
+        self.objects.append(object_id)
+        return object_id, adds + 1
+
+    def _review(self, pick):
+        writer, adds = self._user(pick)
+        open_objects = [o for o in self.objects if (writer, o) not in self.reviewed]
+        if open_objects and pick % 2:
+            object_id = open_objects[pick % len(open_objects)]
+        else:
+            object_id, n = self._object(pick)
+            adds += n
         review_id = self._fresh("review")
         self.community.add_review(Review(review_id, writer, object_id))
-        return review_id, adds + 2
+        self.writers[review_id] = writer
+        self.reviewed.add((writer, object_id))
+        return review_id, adds + 1
 
-    def apply(self, op):
+    def apply(self, op, pick):
         """Run one operation; returns the number of add_* calls it made."""
         community = self.community
         if op == "user":
-            return self._fresh_user()[1]
+            return self._user()[1]
         if op == "category":
-            community.add_category(self._fresh("category"))
-            return 1
+            return self._category()[1]
         if op == "object":
-            adds = 0
-            if not self.counters["category"]:
-                community.add_category(self._fresh("category"))
-                adds += 1
-            community.add_object(
-                ReviewedObject(
-                    self._fresh("object"), f"category{self.counters['category']}"
-                )
-            )
-            return adds + 1
+            return self._object(pick)[1]
         if op == "review":
-            return self._fresh_review()[1]
+            return self._review(pick)[1]
         if op == "rating":
-            review_id, adds = self._fresh_review()
-            rater, n = self._fresh_user()  # fresh id, never the writer
-            community.add_rating(ReviewRating(rater, review_id, 0.6))
-            return adds + n + 1
+            open_pairs = [
+                (rater, review_id)
+                for review_id, writer in self.writers.items()
+                for rater in self.users
+                if rater != writer and (rater, review_id) not in self.rated
+            ]
+            adds = 0
+            if open_pairs and pick % 4:
+                rater, review_id = open_pairs[pick % len(open_pairs)]
+            else:
+                review_id, adds = self._review(pick)
+                rater, n = self._user()  # fresh id, never the writer
+                adds += n
+            value = HELPFULNESS_SCALE[pick % len(HELPFULNESS_SCALE)]
+            community.add_rating(ReviewRating(rater, review_id, value))
+            self.rated.add((rater, review_id))
+            return adds + 1
         if op == "trust":
-            truster, n1 = self._fresh_user()
-            trustee, n2 = self._fresh_user()
+            truster, n1 = self._user(pick)
+            trustee, n2 = self._user()
             community.add_trust(TrustStatement(truster, trustee))
             return n1 + n2 + 1
+        if op == "read":
+            community.columns()
+            return 0
+        if op == "compact":
+            community.change_log.compact()
+            return 0
         raise AssertionError(op)
 
 
@@ -182,24 +313,64 @@ def _encoded_counts(community):
     )
 
 
-@given(ops=st.lists(st.sampled_from(OPS), max_size=12))
-@settings(max_examples=25, deadline=None)
+def _column_arrays(columns):
+    return {
+        name: getattr(columns, name)
+        for name in CommunityColumns.__slots__
+        if isinstance(getattr(columns, name, None), np.ndarray)
+    }
+
+
+def assert_same_columns(got, want):
+    """Every array of ``got`` equals ``want``'s in values and dtype."""
+    assert got.users == want.users
+    assert got.categories == want.categories
+    assert got.review_ids == want.review_ids
+    got_arrays, want_arrays = _column_arrays(got), _column_arrays(want)
+    assert got_arrays.keys() == want_arrays.keys()
+    for name, array in want_arrays.items():
+        assert got_arrays[name].dtype == array.dtype, name
+        assert np.array_equal(got_arrays[name], array), name
+
+
+@given(
+    ops=st.lists(
+        st.tuples(st.sampled_from(OPS), st.integers(min_value=0, max_value=1000)),
+        max_size=24,
+    )
+)
+@settings(max_examples=200, deadline=None)
 def test_version_counts_successful_adds_and_columns_never_stale(ops):
     driver = MutationDriver()
-    for op in ops:
-        cached = driver.community.columns()
-        before = driver.community.version
-        counts = _encoded_counts(driver.community)
-        adds = driver.apply(op)
-        assert adds >= 1
-        assert driver.community.version == before + adds
-        rebuilt = driver.community.columns()
-        if _encoded_counts(driver.community) != counts:
-            assert rebuilt is not cached
-        else:
+    community = driver.community
+    read = community.columns()
+    read_counts = _encoded_counts(community)
+    compacted = False
+    snapshots = []
+    for op, pick in ops:
+        before = community.version
+        adds = driver.apply(op, pick)
+        assert community.version == before + adds
+        if op == "compact":
+            compacted = True
+        if op != "read":
+            continue
+        current = community.columns()
+        if _encoded_counts(community) != read_counts:
+            assert current is not read
+        elif not compacted:
             # pure object/trust growth: announced deltas, cache hit
-            assert rebuilt is cached
-        assert len(rebuilt.users) == driver.community.num_users()
-        assert rebuilt.num_reviews == driver.community.num_reviews()
-        assert rebuilt.num_ratings == driver.community.num_ratings()
-        assert driver.community.columns() is rebuilt
+            assert current is read
+        assert len(current.users) == community.num_users()
+        assert current.num_reviews == community.num_reviews()
+        assert current.num_ratings == community.num_ratings()
+        assert community.columns() is current
+        snapshots.append((current, {k: v.copy() for k, v in _column_arrays(current).items()}))
+        read, read_counts, compacted = current, _encoded_counts(community), False
+    # the refreshed view equals a cold build of the same records
+    cold = CommunityColumns.from_community(clone_community(community))
+    assert_same_columns(community.columns(), cold)
+    # and no snapshot handed out earlier changed under its holder
+    for snapshot, arrays in snapshots:
+        for name, array in arrays.items():
+            assert np.array_equal(getattr(snapshot, name), array), name
