@@ -48,15 +48,15 @@ def main() -> None:
     full = dataset.community
 
     # --- the site's reality: reviews + ratings, zero trust statements ----
-    from repro.community import Review, ReviewRating, ReviewedObject
+    from repro.community import Review, ReviewRating
 
     site = Community("ecommerce")
     for user in full.user_ids():
         site.add_user(user)
-    for row in full.database.table("categories").rows():
-        site.add_category(row["category_id"], row["name"])
-    for row in full.database.table("objects").rows():
-        site.add_object(ReviewedObject(row["object_id"], row["category_id"]))
+    for category in full.iter_categories():
+        site.add_category(category)
+    for obj in full.iter_objects():
+        site.add_object(obj)
     for review in full.iter_reviews():
         site.add_review(Review(review.review_id, review.writer_id, review.object_id))
     for rating in full.iter_ratings():
@@ -74,10 +74,7 @@ def main() -> None:
           f"({trust.density():.1%} of all user pairs) without any trust ratings\n")
 
     # --- recommend reviewers for a few shoppers --------------------------
-    names = {
-        row["category_id"]: row["name"]
-        for row in site.database.table("categories").rows()
-    }
+    names = {category.category_id: category.name for category in site.iter_categories()}
     shoppers = [u for u in site.user_ids() if trust.row_size(u) >= 5][:3]
     for shopper in shoppers:
         row = trust.row(shopper)

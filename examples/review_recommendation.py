@@ -42,10 +42,7 @@ def main() -> None:
     recommender = TrustAwareRecommender(artifacts)
 
     # --- personalised recommendations ------------------------------------
-    names = {
-        row["category_id"]: row["name"]
-        for row in train.database.table("categories").rows()
-    }
+    names = {category.category_id: category.name for category in train.iter_categories()}
     readers = [u for u in train.user_ids() if len(train.ratings_by_rater(u)) >= 10][:2]
     for reader in readers:
         print(f"top reviews for {reader}:")

@@ -11,10 +11,9 @@ review-rating data alone, in three steps: per-category expertise from
 Riggs' reputation model (:mod:`repro.reputation`), per-category affinity
 from activity counts (:mod:`repro.affinity`), and their affinity-weighted
 combination (:mod:`repro.trust`).  Supporting subsystems provide the data
-substrate (:mod:`repro.community`, :mod:`repro.store`,
-:mod:`repro.datasets`), the paper's evaluation (:mod:`repro.metrics`,
-:mod:`repro.experiments`) and the cited propagation models
-(:mod:`repro.propagation`).
+substrate (:mod:`repro.community`, :mod:`repro.datasets`), the paper's
+evaluation (:mod:`repro.metrics`, :mod:`repro.experiments`) and the cited
+propagation models (:mod:`repro.propagation`).
 
 Quickstart
 ----------

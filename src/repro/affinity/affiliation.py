@@ -50,7 +50,7 @@ class AffinityEstimator:
         (the paper's max-normalisation is 0/0 there; zero is the only value
         consistent with "no affinity evidence").
 
-        Counts come from the community's columnar snapshot, so a delta-aware
+        Counts come from the community's columnar snapshot, so an incremental
         ``columns()`` refresh makes repeated fits after small mutations
         cheap; the float arithmetic on the full count matrices is unchanged,
         keeping the result bitwise independent of the cache state.

@@ -37,7 +37,7 @@ R7  Every public ``Community`` mutator (a method that writes backing
     state) must publish a structured delta: call ``self._record(...)``
     so the change log sees the mutation.  Invalidation alone
     (``self._mutated()``) is not enough -- a silent version bump starves
-    every change-log subscriber (delta-aware columns, the incremental
+    every change-log subscriber (the incremental Step-1 tracker and
     engine) into conservative full rebuilds.
 
 A finding can be waived with a trailing ``repro: allow(<rule>)`` comment
@@ -86,7 +86,7 @@ _HOT_PATH_RE = re.compile(r"#\s*repro:\s*hot-path\b")
 _CACHE_PROTOCOLS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
     "Community": (
         frozenset({"_mutated", "_record"}),
-        frozenset({"_version", "_columns", "_columns_key"}),
+        frozenset({"_version", "_columns"}),
     ),
     "UserPairMatrix": (
         frozenset({"_invalidate"}),

@@ -2,8 +2,8 @@
 
 This package deliberately contains nothing domain specific: error types,
 deterministic random-number helpers, validation helpers and identifier
-conventions.  Higher layers (:mod:`repro.store`, :mod:`repro.community`,
-:mod:`repro.reputation`, ...) build on top of it.
+conventions.  Higher layers (:mod:`repro.community`, :mod:`repro.reputation`,
+...) build on top of it.
 """
 
 from repro.common.arrays import AnyArray, BoolArray, FloatArray, IntArray
@@ -20,7 +20,6 @@ from repro.common.errors import (
     DatasetError,
     IntegrityError,
     ReproError,
-    SchemaError,
     ValidationError,
 )
 from repro.common.identifiers import (
@@ -52,7 +51,6 @@ __all__ = [
     "contracts_enabled",
     "ReproError",
     "ValidationError",
-    "SchemaError",
     "IntegrityError",
     "ConvergenceError",
     "DatasetError",

@@ -5,10 +5,9 @@ Every exception raised deliberately by this library derives from
 *which layer* failed:
 
 - :class:`ValidationError` -- a caller passed an out-of-contract argument.
-- :class:`SchemaError` -- a table schema was violated (wrong column set or
-  column type) in :mod:`repro.store`.
-- :class:`IntegrityError` -- a store-level integrity constraint failed
-  (duplicate primary key, dangling foreign key, unique-index collision).
+- :class:`IntegrityError` -- a community record broke an integrity rule
+  (duplicate key, reference to an unknown record, a second review of one
+  object by one writer, a self-rating).
 - :class:`ConvergenceError` -- an iterative solver exhausted its iteration
   budget without reaching its tolerance.
 - :class:`DatasetError` -- a dataset file or generator configuration was
@@ -28,12 +27,8 @@ class ValidationError(ReproError, ValueError):
     """An argument violated the documented contract of a public API."""
 
 
-class SchemaError(ReproError):
-    """A row does not match the declared schema of a table."""
-
-
 class IntegrityError(ReproError):
-    """A store integrity constraint (PK / FK / unique index) was violated."""
+    """A community record broke a key, reference or domain rule."""
 
 
 class ConvergenceError(ReproError):

@@ -10,8 +10,9 @@ integrity rules of an Epinions-style site enforced:
 - a user may rate a given review at most once, and never their own review;
 - every review belongs to an object, every object to a category.
 
-The community is backed by :class:`repro.store.Database`, so all referential
-integrity is checked at insert time.
+The community is the system of record for its data: it keeps every record
+as append-only integer-coded columns and checks every key and reference
+in its ``add_*`` methods, before anything is stored.
 """
 
 from repro.community.columnar import CommunityColumns

@@ -3,9 +3,9 @@
 The paper's hot paths (eqs. 1-4, the relation ``R``) consume ratings over
 and over; materialising them as per-row Python dicts on every call is what
 kept the Step-1 fit slow after the kernel layer landed.  This module holds
-the remedy: one pass over the store encodes every review and rating into
-integer-coded numpy columns, and every consumer afterwards works on those
-arrays.
+the remedy: the community's own integer-coded record columns are copied
+into numpy arrays once, reordered category-major, and every consumer
+afterwards works on those arrays.
 
 Layout
 ------
@@ -18,14 +18,14 @@ category both views preserve insertion order, which keeps every accumulation
 bitwise identical to the row-scan code it replaces.
 
 The view is immutable; :meth:`repro.community.Community.columns` caches one
-per community version and rebuilds it after any mutation.
+per record count and refreshes it from the appended records when the
+community grows.
 """
 
 # repro: hot-path
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -87,7 +87,6 @@ class CommunityColumns:
         "_writing_counts",
         "_rating_counts",
         "_pair_groups",
-        "_review_pos",
     )
 
     users: LabelIndex
@@ -107,7 +106,6 @@ class CommunityColumns:
     _writing_counts: IntArray | None
     _rating_counts: IntArray | None
     _pair_groups: _PairGroups | None
-    _review_pos: dict[str, int] | None
 
     @checked_arrays(
         review_writer_idx=array_spec(ndim=1, kind="i", non_negative=True, length_of="reviews"),
@@ -195,199 +193,63 @@ class CommunityColumns:
         self._writing_counts = None
         self._rating_counts = None
         self._pair_groups = None
-        self._review_pos = None
 
     # ------------------------------------------------------------------ build
 
     @classmethod
     def from_community(cls, community: "Community") -> "CommunityColumns":
-        """Encode ``community`` into columns (one pass per table)."""
-        users = LabelIndex(community.user_ids())
-        categories = LabelIndex(community.category_ids())
-        upos = users._positions  # bulk dict lookups, avoids per-call method cost
-        cpos = categories._positions
+        """Encode ``community`` into a standalone snapshot.
 
-        review_rows = list(community.database.table("reviews")._rows.values())
-        num_reviews = len(review_rows)
-        writer_idx = np.fromiter(
-            (upos[row["writer_id"]] for row in review_rows),
-            dtype=np.int64,
-            count=num_reviews,
-        )
-        category_idx = np.fromiter(
-            (cpos[row["category_id"]] for row in review_rows),
-            dtype=np.int64,
-            count=num_reviews,
-        )
-        order = np.argsort(category_idx, kind="stable")
-        review_ids = tuple(review_rows[int(i)]["review_id"] for i in order)
-        new_pos = {rid: pos for pos, rid in enumerate(review_ids)}
-
-        rating_rows = list(community.database.table("ratings")._rows.values())
-        num_ratings = len(rating_rows)
-        rater_idx = np.fromiter(
-            (upos[row["rater_id"]] for row in rating_rows),
-            dtype=np.int64,
-            count=num_ratings,
-        )
-        rating_review_idx = np.fromiter(
-            (new_pos[row["review_id"]] for row in rating_rows),
-            dtype=np.int64,
-            count=num_ratings,
-        )
-        values = np.fromiter(
-            (row["value"] for row in rating_rows), dtype=np.float64, count=num_ratings
-        )
-        out = cls(
-            users=users,
-            categories=categories,
-            review_ids=review_ids,
+        The community already holds its records as integer positions, so
+        this is a category-major reordering of the review axis; no id is
+        looked up.
+        """
+        ids, writer_idx, category_idx = community.encoded_reviews()
+        rater_idx, review_idx, values = community.encoded_ratings()
+        order, rank = _review_axis(category_idx)
+        return cls(
+            users=LabelIndex(community.user_ids()),
+            categories=LabelIndex(community.category_ids()),
+            review_ids=tuple(ids[i] for i in order.tolist()),
             review_writer_idx=writer_idx[order],
             review_category_idx=category_idx[order],
             rater_idx=rater_idx,
-            rating_review_idx=rating_review_idx,
+            rating_review_idx=rank[review_idx],
             rating_values=values,
         )
-        out._review_pos = new_pos
-        return out
 
     @classmethod
-    def refreshed(
-        cls,
-        old: "CommunityColumns",
-        community: "Community",
-        old_counts: tuple[int, int, int, int],
-    ) -> "CommunityColumns":
-        """Rebuild a snapshot from ``old`` plus the rows appended since.
+    def refreshed(cls, old: "CommunityColumns", community: "Community") -> "CommunityColumns":
+        """``old`` plus the records ``community`` appended since it was built.
 
-        ``old_counts`` is the ``(users, categories, reviews, ratings)``
-        row-count tuple at the time ``old`` was built; every table is
-        append-only, so the rows beyond those counts are exactly the new
-        ones.  New reviews are merged into their category segments with one
-        stable sort over the category column -- old rows keep their
-        relative order, new rows land behind them -- so the result is
-        **bitwise identical** to a cold :meth:`from_community` build, while
-        only the appended rows pay the per-row Python encoding cost.
+        Records are append-only, so the entries beyond ``old``'s
+        :attr:`counts` are exactly the new ones.  When only ratings (and
+        possibly users) were appended, the review axis carries over and
+        each new rating is spliced into the end of its category's ``srt_*``
+        segment, which is exactly where the stable category sort of
+        :meth:`from_community` would land it.  New reviews or categories
+        reorder the review axis, so the snapshot is re-encoded from the
+        community's integer columns.  Either way the result is **bitwise
+        identical** to a cold :meth:`from_community` build.
         """
-        old_users, old_categories, old_reviews, old_ratings = old_counts
+        if (
+            community.num_reviews() != old.num_reviews
+            or community.num_categories() != len(old.categories)
+        ):
+            return cls.from_community(community)
         users = (
             LabelIndex(community.user_ids())
-            if community.num_users() > old_users
+            if community.num_users() > len(old.users)
             else old.users
         )
-        categories = (
-            LabelIndex(community.category_ids())
-            if community.num_categories() > old_categories
-            else old.categories
+        _ids, _writers, category_idx = community.encoded_reviews()
+        _order, review_rank = _review_axis(category_idx)
+        new_rater_idx, new_review_pos, new_values = community.encoded_ratings(
+            old.num_ratings
         )
-        if (
-            community.num_reviews() == old_reviews
-            and categories is old.categories
-        ):
-            # the dominant steady-state delta -- new ratings on the existing
-            # review axis -- skips the review re-encode entirely
-            return cls._refreshed_ratings_only(old, community, users, old_ratings)
-        upos = users._positions
-        cpos = categories._positions
-
-        review_rows = list(
-            islice(community.database.table("reviews")._rows.values(), old_reviews, None)
-        )
-        new_writer_idx = np.fromiter(
-            (upos[row["writer_id"]] for row in review_rows),
-            dtype=np.int64,
-            count=len(review_rows),
-        )
-        new_category_idx = np.fromiter(
-            (cpos[row["category_id"]] for row in review_rows),
-            dtype=np.int64,
-            count=len(review_rows),
-        )
-        # old axis (already category-major, insertion order within each
-        # category) followed by the appended reviews (insertion order):
-        # a stable sort by category is the category-major order of the
-        # full insertion sequence
-        writer_idx = np.concatenate([old.review_writer_idx, new_writer_idx])
-        category_idx = np.concatenate([old.review_category_idx, new_category_idx])
-        order = np.argsort(category_idx, kind="stable")
-        concat_ids = old.review_ids + tuple(row["review_id"] for row in review_rows)
-        review_ids = tuple(concat_ids[int(i)] for i in order)
-        # where each pre-refresh global review position landed
-        moved = np.empty(len(order), dtype=np.int64)
-        moved[order] = np.arange(len(order))
-
-        rating_rows = list(
-            islice(community.database.table("ratings")._rows.values(), old_ratings, None)
-        )
-        review_pos = {review_id: pos for pos, review_id in enumerate(review_ids)}
-        new_rater_idx = np.fromiter(
-            (upos[row["rater_id"]] for row in rating_rows),
-            dtype=np.int64,
-            count=len(rating_rows),
-        )
-        new_rating_review_idx = np.fromiter(
-            (review_pos[row["review_id"]] for row in rating_rows),
-            dtype=np.int64,
-            count=len(rating_rows),
-        )
-        new_values = np.fromiter(
-            (row["value"] for row in rating_rows),
-            dtype=np.float64,
-            count=len(rating_rows),
-        )
-        out = cls(
-            users=users,
-            categories=categories,
-            review_ids=review_ids,
-            review_writer_idx=writer_idx[order],
-            review_category_idx=category_idx[order],
-            rater_idx=np.concatenate([old.rater_idx, new_rater_idx]),
-            rating_review_idx=np.concatenate(
-                [moved[old.rating_review_idx], new_rating_review_idx]
-            ),
-            rating_values=np.concatenate([old.rating_values, new_values]),
-        )
-        out._review_pos = review_pos
-        return out
-
-    @classmethod
-    def _refreshed_ratings_only(
-        cls,
-        old: "CommunityColumns",
-        community: "Community",
-        users: LabelIndex,
-        old_ratings: int,
-    ) -> "CommunityColumns":
-        """Refresh when only ratings (and possibly inert rows) were appended.
-
-        The review axis is untouched, so every review-side column carries
-        over; the appended ratings splice into the ends of their categories'
-        ``srt_*`` segments, which is exactly where the stable category sort
-        of :meth:`from_community` would land them.  The result is bitwise
-        identical to a cold build.
-        """
-        upos = users._positions
-        rating_rows = list(
-            islice(community.database.table("ratings")._rows.values(), old_ratings, None)
-        )
-        num_new = len(rating_rows)
-        review_pos = old.review_positions()
-        new_rater_idx = np.fromiter(
-            (upos[row["rater_id"]] for row in rating_rows), dtype=np.int64, count=num_new
-        )
-        new_review_idx = np.fromiter(
-            (review_pos[row["review_id"]] for row in rating_rows),
-            dtype=np.int64,
-            count=num_new,
-        )
-        new_values = np.fromiter(
-            (row["value"] for row in rating_rows), dtype=np.float64, count=num_new
-        )
-        new_cat_idx = (
-            old.review_category_idx[new_review_idx]
-            if num_new
-            else np.empty(0, dtype=np.int64)
-        )
+        new_review_idx = review_rank[new_review_pos]
+        num_new = new_values.size
+        new_cat_idx = old.review_category_idx[new_review_idx]
 
         num_categories = len(old.categories)
         counts = np.bincount(new_cat_idx, minlength=num_categories)
@@ -412,7 +274,7 @@ class CommunityColumns:
         srt_review_idx[positions] = new_review_idx[order]
         srt_values[positions] = new_values[order]
 
-        out = cls(
+        return cls(
             users=users,
             categories=old.categories,
             review_ids=old.review_ids,
@@ -429,10 +291,13 @@ class CommunityColumns:
                 starts,
             ),
         )
-        out._review_pos = review_pos
-        return out
 
     # ------------------------------------------------------------------ shape
+
+    @property
+    def counts(self) -> tuple[int, int, int, int]:
+        """``(users, categories, reviews, ratings)`` this snapshot encodes."""
+        return len(self.users), len(self.categories), self.num_reviews, self.num_ratings
 
     @property
     def num_reviews(self) -> int:
@@ -455,18 +320,6 @@ class CommunityColumns:
         return slice(int(self.rating_cat_starts[c]), int(self.rating_cat_starts[c + 1]))
 
     # ------------------------------------------------------------------ readers
-
-    def review_positions(self) -> dict[str, int]:
-        """``{review_id: global position}`` over the review axis (cached).
-
-        Built lazily and shared across ratings-only refreshes (the review
-        axis is identical there), so steady-state updates never rebuild it.
-        """
-        if self._review_pos is None:
-            self._review_pos = {
-                review_id: pos for pos, review_id in enumerate(self.review_ids)
-            }
-        return self._review_pos
 
     def rating_triples(self, category_id: str) -> list[tuple[str, str, float]]:
         """``(rater_id, review_id, value)`` triples, insertion order."""
@@ -621,6 +474,19 @@ class CommunityColumns:
             f"categories={len(self.categories)}, reviews={self.num_reviews}, "
             f"ratings={self.num_ratings})"
         )
+
+
+def _review_axis(category_idx: IntArray) -> tuple[AnyArray, IntArray]:
+    """``(order, rank)`` of the category-major review axis.
+
+    ``order`` lists review insertion positions category by category
+    (insertion order within a category); ``rank`` is its inverse, mapping
+    an insertion position to its place on the axis.
+    """
+    order = np.argsort(category_idx, kind="stable")
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size, dtype=np.int64)
+    return order, rank
 
 
 def require_known_category(columns: CommunityColumns, category_id: str) -> None:

@@ -2,11 +2,10 @@
 
 Every successful :class:`repro.community.Community` mutator appends one
 :class:`Delta` to the community's :class:`ChangeLog` (lint rule R7 enforces
-this).  Downstream consumers -- the delta-aware ``Community.columns()``
-cache, :class:`repro.reputation.IncrementalExpertise`, the staged
-:class:`repro.engine.Engine` -- subscribe by remembering the log's
-``epoch`` and asking for :meth:`ChangeLog.since` their cursor, instead of
-reacting to a blind version bump with a full rebuild.
+this).  Downstream consumers -- :class:`repro.reputation.IncrementalExpertise`
+and the staged :class:`repro.engine.Engine` -- subscribe by remembering the
+log's ``epoch`` and asking for :meth:`ChangeLog.since` their cursor, instead
+of reacting to a blind version bump with a full rebuild.
 
 Epochs are monotonically increasing, starting at 1 for the first delta; a
 freshly created community sits at epoch 0.  The log is append-only and
@@ -39,11 +38,6 @@ DeltaKind = Literal["user", "category", "object", "review", "rating", "trust", "
 _KINDS: frozenset[str] = frozenset(
     {"user", "category", "object", "review", "rating", "trust", "touch"}
 )
-
-#: Delta kinds that grow the (users, categories, reviews, ratings) counts
-#: the columnar snapshot encodes; "object"/"trust"/"touch" do not.
-_COUNTED_KINDS: tuple[str, ...] = ("user", "category", "review", "rating")
-
 
 @dataclass(frozen=True, slots=True)
 class Delta:
@@ -155,19 +149,6 @@ class ChangeLog:
         del self._deltas[:dropped]
         self._floor = upto
         return dropped
-
-    def count_growth(self, epoch: int) -> tuple[int, int, int, int]:
-        """Rows the deltas after ``epoch`` added, as
-        ``(users, categories, reviews, ratings)`` -- the counts the columnar
-        snapshot is keyed on.  Object/trust/touch deltas contribute zeros.
-        """
-        deltas = self.since(epoch)
-        return (
-            sum(1 for d in deltas if d.kind == "user"),
-            sum(1 for d in deltas if d.kind == "category"),
-            sum(1 for d in deltas if d.kind == "review"),
-            sum(1 for d in deltas if d.kind == "rating"),
-        )
 
     def __len__(self) -> int:
         return len(self._deltas)

@@ -42,15 +42,21 @@ def _require_id(name: str, value: str) -> None:
         raise ValidationError(f"{name} must be a non-empty string, got {value!r}")
 
 
+def _require_text(name: str, value: str | None) -> None:
+    if value is not None and not isinstance(value, str):
+        raise ValidationError(f"{name} must be a string or None, got {value!r}")
+
+
 @dataclass(frozen=True)
 class User:
     """A community member (may act as review writer, rater, or both)."""
 
     user_id: str
-    name: str = ""
+    name: str | None = ""
 
     def __post_init__(self) -> None:
         _require_id("user_id", self.user_id)
+        _require_text("name", self.name)
 
 
 @dataclass(frozen=True)
@@ -58,10 +64,11 @@ class Category:
     """A review category (the paper's *context*), e.g. a movie genre."""
 
     category_id: str
-    name: str = ""
+    name: str | None = ""
 
     def __post_init__(self) -> None:
         _require_id("category_id", self.category_id)
+        _require_text("name", self.name)
 
 
 @dataclass(frozen=True)
@@ -70,11 +77,12 @@ class ReviewedObject:
 
     object_id: str
     category_id: str
-    title: str = ""
+    title: str | None = ""
 
     def __post_init__(self) -> None:
         _require_id("object_id", self.object_id)
         _require_id("category_id", self.category_id)
+        _require_text("title", self.title)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from repro.common.errors import ValidationError
 from repro.common.rng import spawn_rng
-from repro.community import (
-    Community,
-    Review,
-    ReviewRating,
-    ReviewedObject,
-    TrustStatement,
-)
+from repro.community import Community, ReviewRating, TrustStatement
 
 __all__ = ["holdout_ratings"]
 
@@ -44,9 +38,10 @@ def holdout_ratings(
     -------
     (train, held_out):
         ``train`` is a new community with the held-out ratings removed;
-        ``held_out`` lists the removed ratings.  Reviews, objects and
-        users are all preserved, so every held-out rating refers to a
-        review that still exists in ``train``.
+        ``held_out`` lists the removed ratings.  Users, categories,
+        objects and reviews are copied record for record, names and
+        titles included, so every held-out rating refers to a review that
+        still exists in ``train``.
     """
     if not 0.0 < fraction < 1.0:
         raise ValidationError(f"fraction must be in (0, 1), got {fraction!r}")
@@ -61,24 +56,17 @@ def holdout_ratings(
     held_out = [rating for i, rating in enumerate(ratings) if i in held_idx]
     kept = [rating for i, rating in enumerate(ratings) if i not in held_idx]
 
-    categories = [
-        (row["category_id"], row["name"] or "")
-        for row in community.database.table("categories").rows()
-    ]
-    train = Community(community.name + "_train")
-    for user_id in community.user_ids():
-        train.add_user(user_id)
-    for category_id, name in categories:
-        train.add_category(category_id, name)
-    for row in community.database.table("objects").rows():
-        train.add_object(
-            ReviewedObject(row["object_id"], row["category_id"], row["title"] or "")
-        )
-    for review in community.iter_reviews():
-        train.add_review(Review(review.review_id, review.writer_id, review.object_id))
-    for rating in kept:
-        train.add_rating(rating)
-    if keep_trust:
-        for source, target in community.trust_edges():
-            train.add_trust(TrustStatement(source, target))
+    train = Community.from_records(
+        name=community.name + "_train",
+        users=community.iter_users(),
+        categories=community.iter_categories(),
+        objects=community.iter_objects(),
+        reviews=community.iter_reviews(),
+        ratings=kept,
+        trust=(
+            [TrustStatement(source, target) for source, target in community.trust_edges()]
+            if keep_trust
+            else ()
+        ),
+    )
     return train, held_out

@@ -78,8 +78,8 @@ def dataset_stats(community: Community) -> DatasetStats:
 
     per_category = []
     names = {
-        row["category_id"]: (row["name"] or row["category_id"])
-        for row in community.database.table("categories").rows()
+        category.category_id: (category.name or category.category_id)
+        for category in community.iter_categories()
     }
     for cid in community.category_ids():
         writing = community.writing_counts(cid)

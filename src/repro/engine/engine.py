@@ -5,8 +5,8 @@ sync with a mutating :class:`repro.community.Community` by consuming its
 :class:`repro.community.ChangeLog`.  Each :meth:`Engine.update` advances a
 cursor over the log and recomputes only what the new deltas invalidate:
 
-- **columns** -- the community's own delta-aware cache refreshes appended
-  segments in place;
+- **columns** -- the community's own count-keyed cache splices appended
+  ratings into its category segments;
 - **E** (Step 1) -- :class:`repro.reputation.IncrementalExpertise`
   re-solves only the categories the deltas touched;
 - **A** (Step 2) -- rebuilt from the columnar counts (cheap, array-only);
@@ -239,7 +239,7 @@ class Engine:
             obs.add("engine.deltas_applied", deltas_applied)
             self._cursor = epoch
 
-            self._community.columns()  # delta-aware refresh
+            self._community.columns()  # refreshed from the appended records
             expertise_result = self._tracker.refresh()
             resolved = len(self._tracker.last_resolved)
             skipped = len(expertise_result.expertise.categories) - resolved

@@ -42,43 +42,15 @@ class CommunityRecords:
 
 def extract_records(community: Community) -> CommunityRecords:
     """Dump a community back into typed records (insertion order)."""
-    db = community.database
     return CommunityRecords(
-        users=tuple(
-            User(user_id=row["user_id"], name=row["name"])
-            for row in db.table("users").rows()
-        ),
-        categories=tuple(
-            Category(category_id=row["category_id"], name=row["name"])
-            for row in db.table("categories").rows()
-        ),
-        objects=tuple(
-            ReviewedObject(
-                object_id=row["object_id"],
-                category_id=row["category_id"],
-                title=row["title"],
-            )
-            for row in db.table("objects").rows()
-        ),
-        reviews=tuple(
-            Review(
-                review_id=row["review_id"],
-                writer_id=row["writer_id"],
-                object_id=row["object_id"],
-            )
-            for row in db.table("reviews").rows()
-        ),
-        ratings=tuple(
-            ReviewRating(
-                rater_id=row["rater_id"],
-                review_id=row["review_id"],
-                value=row["value"],
-            )
-            for row in db.table("ratings").rows()
-        ),
+        users=tuple(community.iter_users()),
+        categories=tuple(community.iter_categories()),
+        objects=tuple(community.iter_objects()),
+        reviews=tuple(community.iter_reviews()),
+        ratings=tuple(community.iter_ratings()),
         trust=tuple(
-            TrustStatement(truster_id=row["truster_id"], trustee_id=row["trustee_id"])
-            for row in db.table("trust").rows()
+            TrustStatement(truster_id=truster, trustee_id=trustee)
+            for truster, trustee in community.trust_edges()
         ),
     )
 

@@ -79,8 +79,8 @@ class PipelineArtifacts:
     def category_names(self) -> dict[str, str]:
         """``{category_id: display name}`` from the community."""
         return {
-            row["category_id"]: (row["name"] or row["category_id"])
-            for row in self.community.database.table("categories").rows()
+            category.category_id: (category.name or category.category_id)
+            for category in self.community.iter_categories()
         }
 
 

@@ -8,7 +8,6 @@ from repro.common.errors import (
     DatasetError,
     IntegrityError,
     ReproError,
-    SchemaError,
     ValidationError,
 )
 
@@ -17,7 +16,6 @@ class TestHierarchy:
     def test_all_errors_derive_from_repro_error(self):
         for exc_type in (
             ValidationError,
-            SchemaError,
             IntegrityError,
             ConvergenceError,
             DatasetError,
@@ -31,7 +29,7 @@ class TestHierarchy:
 
     def test_catching_base_class_catches_subclass(self):
         with pytest.raises(ReproError):
-            raise SchemaError("boom")
+            raise IntegrityError("boom")
 
 
 class TestConvergenceError:

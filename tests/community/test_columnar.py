@@ -13,15 +13,12 @@ from repro.community import (
 
 
 def scan_direct_connections(community):
-    """Row-scan oracle for the relation R (first-seen order, insertion values)."""
-    writers = {
-        row["review_id"]: row["writer_id"]
-        for row in community.database.table("reviews").rows()
-    }
+    """Record-scan oracle for the relation R (first-seen order, insertion values)."""
+    writers = {review.review_id: review.writer_id for review in community.iter_reviews()}
     pairs = {}
-    for row in community.database.table("ratings").rows():
-        pairs.setdefault((row["rater_id"], writers[row["review_id"]]), []).append(
-            row["value"]
+    for rating in community.iter_ratings():
+        pairs.setdefault((rating.rater_id, writers[rating.review_id]), []).append(
+            rating.value
         )
     return pairs
 
@@ -96,18 +93,21 @@ class TestReaders:
         assert list(got) == list(expected)  # first-seen key order too
 
     def test_direct_connection_arrays_drop_self_pairs(self, two_category_community):
-        # add_rating forbids self-ratings, so plant one through the raw
-        # store (as a bulk import could) -- the pair layer must drop it
-        two_category_community.database.insert(
-            "ratings",
-            {
-                "rater_id": "alice",
-                "review_id": "ra1",
-                "category_id": "movies",
-                "value": 0.8,
-            },
+        # add_rating forbids self-ratings, so plant one in a snapshot built
+        # from arrays (as a bulk import could) -- the pair layer must drop it
+        base = two_category_community.columns()
+        alice = base.users.position("alice")
+        ra1 = base.review_ids.index("ra1")
+        columns = CommunityColumns(
+            users=base.users,
+            categories=base.categories,
+            review_ids=base.review_ids,
+            review_writer_idx=base.review_writer_idx,
+            review_category_idx=base.review_category_idx,
+            rater_idx=np.append(base.rater_idx, alice),
+            rating_review_idx=np.append(base.rating_review_idx, ra1),
+            rating_values=np.append(base.rating_values, 0.8),
         )
-        columns = two_category_community.columns()
         rater, writer, counts, means = columns.direct_connection_arrays()
         labels = columns.users.labels
         pairs = {
@@ -159,14 +159,6 @@ class TestCaching:
         two_category_community.columns()
         two_category_community.add_rating(ReviewRating("carol", "ra1", 0.2))
         assert two_category_community.columns().rating_counts("movies")["carol"] == 1
-
-    def test_direct_database_insert_is_caught(self, two_category_community):
-        before = two_category_community.columns()
-        # bypass the add_* API entirely; the row-count cache key still trips
-        two_category_community.database.insert("users", {"user_id": "zoe", "name": ""})
-        after = two_category_community.columns()
-        assert after is not before
-        assert "zoe" in after.users
 
     def test_from_community_standalone_snapshot(self, two_category_community):
         snapshot = CommunityColumns.from_community(two_category_community)

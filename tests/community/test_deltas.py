@@ -49,18 +49,6 @@ class TestChangeLog:
         with pytest.raises(ValidationError):
             log.since(cursor)
 
-    def test_count_growth_ignores_unencoded_kinds(self):
-        log = ChangeLog()
-        log.record("user", user_id="a")
-        log.record("category", category_id="c")
-        log.record("object", target_id="o1", category_id="c")
-        log.record("review", user_id="a", category_id="c", target_id="r1")
-        log.record("rating", user_id="b", category_id="c", target_id="r1")
-        log.record("trust", user_id="a", target_id="b")
-        log.record("touch")
-        assert log.count_growth(0) == (1, 1, 1, 1)
-        assert log.count_growth(log.epoch) == (0, 0, 0, 0)
-
     def test_deltas_are_immutable(self):
         delta = ChangeLog().record("user", user_id="a")
         with pytest.raises(AttributeError):

@@ -68,3 +68,19 @@ class TestEntityValidation:
 
     def test_entities_are_hashable(self):
         assert len({User("u1"), User("u1"), User("u2")}) == 2
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda text: User("u1", name=text),
+            lambda text: Category("c1", name=text),
+            lambda text: ReviewedObject("o1", "c1", title=text),
+        ],
+        ids=["user-name", "category-name", "object-title"],
+    )
+    def test_name_and_title_must_be_text_or_none(self, make):
+        for bad in (7, 0.5, b"bytes", ["x"]):
+            with pytest.raises(ValidationError, match="string or None"):
+                make(bad)
+        assert make(None) is not None
+        assert make("Alien") is not None

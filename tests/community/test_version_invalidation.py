@@ -4,15 +4,14 @@ Invariant (satellite of the R1 lint rule): every successful ``add_*`` call
 bumps ``Community.version`` exactly once and the next ``columns()`` call
 reflects it; failed adds leave both untouched.  Mutations the snapshot
 encodes (users, categories, reviews, ratings) produce a new snapshot
-object; object/trust deltas are announced cache hits, because the
-columnar view does not encode them.  Bulk loads that insert through
-``community.database`` directly do not bump the version but are still
-caught by the row-count part of the cache key.
+object; object/trust deltas are cache hits, because the columnar view
+does not encode them.  A refreshed snapshot always equals a cold build of
+the same records.
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import IntegrityError, ValidationError
@@ -39,55 +38,55 @@ MUTATIONS = [
 # Every add the community rejects: (id, call, exception class).  The
 # fixture is ``two_category_community`` (see conftest.py).
 REJECTED = [
-    ("duplicate-user", lambda c: c.add_user("alice"), IntegrityError),
-    ("duplicate-category", lambda c: c.add_category("movies"), IntegrityError),
+    ("dup-user", lambda c: c.add_user("alice"), IntegrityError),
+    ("dup-category", lambda c: c.add_category("movies"), IntegrityError),
     (
-        "duplicate-object",
+        "dup-object",
         lambda c: c.add_object(ReviewedObject("m1", "movies")),
         IntegrityError,
     ),
     (
-        "duplicate-review-id",
+        "dup-review",
         lambda c: c.add_review(Review("ra1", "eve", "b1")),
         IntegrityError,
     ),
     (
-        "duplicate-rating",
+        "dup-rating",
         lambda c: c.add_rating(ReviewRating("bob", "ra1", 0.2)),
         IntegrityError,
     ),
     (
-        "duplicate-trust",
+        "dup-trust",
         lambda c: c.add_trust(TrustStatement("bob", "alice")),
         IntegrityError,
     ),
     (
-        "object-unknown-category",
+        "object-no-category",
         lambda c: c.add_object(ReviewedObject("x1", "ghost")),
         IntegrityError,
     ),
     (
-        "review-unknown-object",
+        "review-no-object",
         lambda c: c.add_review(Review("rx", "eve", "ghost")),
         IntegrityError,
     ),
     (
-        "review-unknown-writer",
+        "review-no-writer",
         lambda c: c.add_review(Review("rx", "ghost", "b1")),
         IntegrityError,
     ),
     (
-        "second-review-of-object",
+        "second-review",
         lambda c: c.add_review(Review("rx", "alice", "m1")),
         IntegrityError,
     ),
     (
-        "rating-unknown-review",
+        "rating-no-review",
         lambda c: c.add_rating(ReviewRating("eve", "ghost", 0.2)),
         IntegrityError,
     ),
     (
-        "rating-unknown-rater",
+        "rating-no-rater",
         lambda c: c.add_rating(ReviewRating("ghost", "ra1", 0.2)),
         IntegrityError,
     ),
@@ -97,16 +96,16 @@ REJECTED = [
         IntegrityError,
     ),
     (
-        "trust-unknown-truster",
+        "trust-no-truster",
         lambda c: c.add_trust(TrustStatement("ghost", "alice")),
         IntegrityError,
     ),
     (
-        "trust-unknown-trustee",
+        "trust-no-trustee",
         lambda c: c.add_trust(TrustStatement("alice", "ghost")),
         IntegrityError,
     ),
-    ("touch-unknown-category", lambda c: c.touch("ghost"), ValidationError),
+    ("touch-no-category", lambda c: c.touch("ghost"), ValidationError),
 ]
 
 
@@ -136,7 +135,8 @@ class TestSingleMutators:
     @pytest.mark.parametrize(
         "mutate,error", [(m, e) for _, m, e in REJECTED], ids=[n for n, _, _ in REJECTED]
     )
-    def test_rejected_add_leaves_state_alone(self, two_category_community, mutate, error):
+    def test_rejected_add(self, two_category_community, mutate, error):
+        """A rejected add leaves version, log, records and snapshot alone."""
         community = two_category_community
         cached = community.columns()
         version = community.version
@@ -152,36 +152,6 @@ class TestSingleMutators:
     def test_name_must_be_an_identifier(self):
         with pytest.raises(ValidationError):
             Community("not an identifier")
-
-
-class TestDirectDatabaseInserts:
-    """Bulk loads bypassing add_* must still invalidate the columnar view."""
-
-    def test_user_insert_is_caught_by_row_counts(self, two_category_community):
-        community = two_category_community
-        cached = community.columns()
-        version = community.version
-        community.database.insert("users", {"user_id": "zed", "name": ""})
-        assert community.version == version  # no bump: this is the raw store
-        rebuilt = community.columns()
-        assert rebuilt is not cached
-        assert "zed" in rebuilt.users
-
-    def test_rating_insert_is_caught_by_row_counts(self, two_category_community):
-        community = two_category_community
-        cached = community.columns()
-        community.database.insert(
-            "ratings",
-            {
-                "rater_id": "eve",
-                "review_id": "ra1",
-                "category_id": "movies",
-                "value": 0.7,
-            },
-        )
-        rebuilt = community.columns()
-        assert rebuilt is not cached
-        assert rebuilt.num_ratings == cached.num_ratings + 1
 
 
 # ----------------------------------------------------------------- property test
@@ -202,6 +172,19 @@ OPS = (
 )
 
 
+# two categories, then a review in the second before one in the first, so
+# the category-major review axis is not the insertion order; two more users
+# can rate both reviews
+INTERLEAVED = (
+    ("category", 0),
+    ("category", 0),
+    ("review", 7),
+    ("review", 14),
+    ("user", 0),
+    ("user", 0),
+)
+
+
 class MutationDriver:
     """Applies valid mutations, counting the add_* calls made.
 
@@ -210,7 +193,7 @@ class MutationDriver:
     categories as well as on fresh ones.
     """
 
-    def __init__(self):
+    def __init__(self, start=()):
         self.community = Community("prop")
         self.counters = dict.fromkeys(("user", "category", "object", "review"), 0)
         self.users = []
@@ -219,6 +202,8 @@ class MutationDriver:
         self.writers = {}  # review id -> writer
         self.reviewed = set()  # (writer, object)
         self.rated = set()  # (rater, review)
+        for op, pick in start:
+            self.apply(op, pick)
 
     def _fresh(self, kind):
         self.counters[kind] += 1
@@ -241,7 +226,9 @@ class MutationDriver:
         return category_id, 1
 
     def _object(self, pick):
-        category_id, adds = self._category(pick)
+        # a third of the new objects open a fresh category, so reviews of
+        # several categories interleave and the review axis reorders
+        category_id, adds = self._category(pick if pick % 3 else None)
         object_id = self._fresh("object")
         self.community.add_object(ReviewedObject(object_id, category_id))
         self.objects.append(object_id)
@@ -317,8 +304,30 @@ def _column_arrays(columns):
     return {
         name: getattr(columns, name)
         for name in CommunityColumns.__slots__
-        if isinstance(getattr(columns, name, None), np.ndarray)
+        if not name.startswith("_") and isinstance(getattr(columns, name), np.ndarray)
     }
+
+
+def assert_encodes(columns, community):
+    """``columns`` holds exactly the community's records (a record scan)."""
+    category_of = {obj.object_id: obj.category_id for obj in community.iter_objects()}
+    order = {category_id: c for c, category_id in enumerate(community.category_ids())}
+    axis = sorted(community.iter_reviews(), key=lambda r: order[category_of[r.object_id]])
+    labels = columns.users.labels
+    assert list(labels) == community.user_ids()
+    assert columns.review_ids == tuple(review.review_id for review in axis)
+    assert [labels[i] for i in columns.review_writer_idx.tolist()] == [
+        review.writer_id for review in axis
+    ]
+    encoded = zip(
+        columns.rater_idx.tolist(),
+        columns.rating_review_idx.tolist(),
+        columns.rating_values.tolist(),
+    )
+    assert [(labels[i], columns.review_ids[j], v) for i, j, v in encoded] == [
+        (rating.rater_id, rating.review_id, rating.value)
+        for rating in community.iter_ratings()
+    ]
 
 
 def assert_same_columns(got, want):
@@ -334,41 +343,47 @@ def assert_same_columns(got, want):
 
 
 @given(
+    start=st.sampled_from([(), INTERLEAVED]),
     ops=st.lists(
         st.tuples(st.sampled_from(OPS), st.integers(min_value=0, max_value=1000)),
         max_size=24,
-    )
+    ),
 )
 @settings(max_examples=200, deadline=None)
-def test_version_counts_successful_adds_and_columns_never_stale(ops):
-    driver = MutationDriver()
+# three ratings of existing reviews between two reads, two of them in one
+# category: the ratings-only refresh splices them on a reordered axis
+@example(
+    start=INTERLEAVED,
+    ops=[("read", 0), ("rating", 1), ("rating", 1), ("rating", 1), ("read", 0)],
+)
+def test_version_counts_successful_adds_and_columns_never_stale(start, ops):
+    driver = MutationDriver(start)
     community = driver.community
     read = community.columns()
     read_counts = _encoded_counts(community)
-    compacted = False
     snapshots = []
     for op, pick in ops:
         before = community.version
         adds = driver.apply(op, pick)
         assert community.version == before + adds
-        if op == "compact":
-            compacted = True
         if op != "read":
             continue
         current = community.columns()
         if _encoded_counts(community) != read_counts:
             assert current is not read
-        elif not compacted:
-            # pure object/trust growth: announced deltas, cache hit
+        else:
+            # pure object/trust growth or a compaction: cache hit
             assert current is read
         assert len(current.users) == community.num_users()
         assert current.num_reviews == community.num_reviews()
         assert current.num_ratings == community.num_ratings()
         assert community.columns() is current
+        assert_encodes(current, community)
         snapshots.append((current, {k: v.copy() for k, v in _column_arrays(current).items()}))
-        read, read_counts, compacted = current, _encoded_counts(community), False
+        read, read_counts = current, _encoded_counts(community)
     # the refreshed view equals a cold build of the same records
     cold = CommunityColumns.from_community(clone_community(community))
+    assert_encodes(cold, community)
     assert_same_columns(community.columns(), cold)
     # and no snapshot handed out earlier changed under its holder
     for snapshot, arrays in snapshots:

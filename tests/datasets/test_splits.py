@@ -3,8 +3,18 @@
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.community import (
+    Category,
+    Community,
+    Review,
+    ReviewRating,
+    ReviewedObject,
+    TrustStatement,
+    User,
+)
 from repro.datasets import CommunityProfile, generate_community
 from repro.datasets.splits import holdout_ratings
+from repro.engine import clone_community
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +43,8 @@ class TestHoldoutRatings:
         assert train.num_users() == dataset.community.num_users()
         assert train.num_reviews() == dataset.community.num_reviews()
         assert train.num_trust_edges() == dataset.community.num_trust_edges()
-        assert train.database.verify_integrity() == []
+        # replaying every record re-checks each key and reference in add_*
+        assert clone_community(train).summary() == train.summary()
 
     def test_held_out_reviews_exist_in_train(self, dataset):
         train, held = holdout_ratings(dataset.community, 0.25, seed=2)
@@ -60,7 +71,40 @@ class TestHoldoutRatings:
             holdout_ratings(dataset.community, fraction)
 
     def test_too_few_ratings(self):
-        from repro.community import Community
-
         with pytest.raises(ValidationError, match="at least 2"):
             holdout_ratings(Community("empty"), 0.5)
+
+
+class TestHoldoutRecords:
+    @pytest.fixture
+    def named(self):
+        return Community.from_records(
+            name="named",
+            users=[User("alice", "Alice"), User("bob", "Bob"), User("dan", "Dan")],
+            categories=[Category("c1", "Movies"), Category("c2", None)],
+            objects=[
+                ReviewedObject("o1", "c1", "Alien"),
+                ReviewedObject("o2", "c2", None),
+            ],
+            reviews=[Review("r1", "alice", "o1"), Review("r2", "bob", "o2")],
+            ratings=[
+                ReviewRating("bob", "r1", 0.8),
+                ReviewRating("dan", "r1", 0.4),
+                ReviewRating("alice", "r2", 1.0),
+                ReviewRating("dan", "r2", 0.6),
+            ],
+            trust=[TrustStatement("bob", "alice"), TrustStatement("dan", "bob")],
+        )
+
+    @pytest.mark.parametrize("keep_trust", [True, False])
+    def test_train_keeps_every_record_but_held_out_ratings(self, named, keep_trust):
+        train, held = holdout_ratings(named, 0.5, seed=1, keep_trust=keep_trust)
+        assert list(train.iter_users()) == list(named.iter_users())
+        assert [u.name for u in train.iter_users()] == ["Alice", "Bob", "Dan"]
+        assert list(train.iter_categories()) == list(named.iter_categories())
+        assert list(train.iter_objects()) == list(named.iter_objects())
+        assert list(train.iter_reviews()) == list(named.iter_reviews())
+        kept = list(train.iter_ratings())
+        assert held and not set(held) & set(kept)
+        assert sorted(kept + held, key=repr) == sorted(named.iter_ratings(), key=repr)
+        assert train.trust_edges() == (named.trust_edges() if keep_trust else [])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import CommunityProfile, generate_community
+from repro.engine import clone_community
 
 SMALL = CommunityProfile(
     num_users=120,
@@ -49,10 +50,7 @@ class TestStructure:
         assert len(dataset.community.object_ids()) == 4 * 25
 
     def test_category_names_applied(self, dataset):
-        names = {
-            row["name"]
-            for row in dataset.community.database.table("categories").rows()
-        }
+        names = {category.name for category in dataset.community.iter_categories()}
         assert names == {"movies", "books", "music", "games"}
 
     def test_reviews_and_ratings_exist(self, dataset):
@@ -63,7 +61,9 @@ class TestStructure:
         assert dataset.community.num_trust_edges() > 0
 
     def test_integrity_holds(self, dataset):
-        assert dataset.community.database.verify_integrity() == []
+        # replaying every record re-checks each key and reference in add_*
+        replica = clone_community(dataset.community)
+        assert replica.summary() == dataset.community.summary()
 
     def test_designations_sized_and_distinct(self, dataset):
         assert len(dataset.advisors) == SMALL.num_advisors
@@ -161,7 +161,7 @@ class TestSmallPopulations:
         )
         ds = generate_community(profile, seed=3)
         assert ds.community.num_users() == 2
-        assert ds.community.database.verify_integrity() == []
+        assert clone_community(ds.community).summary() == ds.community.summary()
 
     def test_designations_capped_by_active_users(self):
         profile = CommunityProfile(
