@@ -50,7 +50,6 @@ from repro.reputation import (
     ExpertiseResult,
     IncrementalExpertise,
     RiggsConfig,
-    solve_category,
 )
 from repro.trust import (
     TrustDeriver,
@@ -88,7 +87,6 @@ __all__ = [
     "UserPairMatrix",
     # step 1
     "RiggsConfig",
-    "solve_category",
     "ExpertiseEstimator",
     "ExpertiseResult",
     "IncrementalExpertise",

@@ -465,8 +465,9 @@ class Community:
     def rating_triples(self, category_id: str) -> list[tuple[str, str, float]]:
         """``(rater_id, review_id, value)`` triples given in ``category_id``.
 
-        This is exactly the input :func:`repro.reputation.solve_category`
-        consumes (paper eqs. 1-2 operate per category).
+        This is exactly the input the reference Step-1 oracle
+        :func:`repro.perf.reference.solve_category` consumes (paper eqs.
+        1-2 operate per category).
         """
         self._require_category(category_id)
         return self.columns().rating_triples(category_id)

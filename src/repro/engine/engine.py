@@ -8,7 +8,8 @@ cursor over the log and recomputes only what the new deltas invalidate:
 - **columns** -- the community's own count-keyed cache splices appended
   ratings into its category segments;
 - **E** (Step 1) -- :class:`repro.reputation.IncrementalExpertise`
-  re-solves only the categories the deltas touched;
+  re-solves only the categories the deltas touched, in one call of the
+  same batched kernel a cold fit runs;
 - **A** (Step 2) -- rebuilt from the columnar counts (cheap, array-only);
 - **T-hat** (Step 3) -- re-derived only on the changed region
   ``(changed A rows x all) | (all x changed E rows)`` and patched into the
@@ -20,8 +21,9 @@ The contract, property-tested in ``tests/engine``: in the default exact
 mode every update's artifacts are **bitwise equal** to a cold build on a
 fresh replica of the same records.  That works because eq. 5 reads exactly
 ``A[i, :]`` and ``E[j, :]`` per entry, the derive kernel's per-element
-reduction order is shape-independent, and the per-category Step-1 solves
-are deterministic -- see ``repro/trust/derive.py`` for the kernel notes.
+reduction order is shape-independent, and the Step-1 kernel gives every
+category the same bits whichever subset of categories it solves -- see
+``repro/trust/derive.py`` for the kernel notes.
 """
 
 from __future__ import annotations
@@ -190,6 +192,12 @@ class Engine:
         compact_log: bool = True,
     ) -> None:
         self._community = community
+        self._tracker = IncrementalExpertise(
+            community,
+            riggs_config,
+            unrated_policy=unrated_policy,
+            warm_start=not exact,
+        )
         self._affinity = AffinityEstimator(affinity_config)
         self._deriver = deriver or TrustDeriver()
         self._alpha = alpha
@@ -202,12 +210,6 @@ class Engine:
             shard_config.make_store() if shard_config is not None else None
         )
         self._compact_log = compact_log
-        self._tracker = IncrementalExpertise(
-            community,
-            riggs_config,
-            unrated_policy=unrated_policy,
-            warm_start=not exact,
-        )
         self._cursor = 0
         self._artifacts: EngineArtifacts | None = None
         self._last_stats: UpdateStats | None = None
@@ -487,8 +489,8 @@ def cold_artifacts(
 
     Deliberately built from the batch estimators rather than the engine's
     own machinery, so a bitwise comparison against :meth:`Engine.update`
-    also re-proves the per-category/batched Step-1 equivalence on the
-    community at hand.
+    also re-proves, on the community at hand, that re-solving a subset of
+    categories gives the same Step-1 bits as solving all of them.
     """
     expertise_result = ExpertiseEstimator(
         riggs_config, unrated_policy=unrated_policy

@@ -16,7 +16,7 @@ and renders it afterwards with ``python -m repro.obs.report trace.json``.
 
 Instrumentation idioms
 ----------------------
-- ``with obs.span("step1.solve", category=c):`` -- hierarchical timing;
+- ``with obs.span("step1.refresh", users=n):`` -- hierarchical timing;
   spans must be entered via the context manager (lint rule R6).
 - ``obs.add("community.columns.hit")`` -- monotonic counters.
 - ``obs.observe("step1.sweeps", n)`` -- value histograms.

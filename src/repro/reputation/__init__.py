@@ -9,39 +9,36 @@ Per category, the package computes three mutually-dependent quantities:
 - **writer reputation / expertise** -- the mean quality of a writer's
   reviews in the category, discounted for low writing activity (eq. 3).
 
-Qualities and rater reputations are solved together as a fixed point
-(:func:`solve_category`); writer reputations follow in one pass
-(:func:`writer_reputations`); :class:`ExpertiseEstimator` orchestrates all
-categories of a :class:`repro.community.Community` into the paper's
-Users_Category Expertise matrix ``E``.
+Qualities and rater reputations are solved together as a fixed point by
+one kernel, :func:`solve_all_categories`, which sweeps any set of
+categories at once; writer reputations follow in one pass
+(:func:`writer_reputation_matrix`).  :class:`ExpertiseEstimator` runs both
+over every category of a :class:`repro.community.Community` into the
+paper's Users_Category Expertise matrix ``E``, and
+:class:`IncrementalExpertise` re-runs them on the categories that changed.
+The dict-based per-category solver survives only as the test oracle
+:func:`repro.perf.reference.solve_category`.
 """
 
 from repro.reputation.estimator import ExpertiseEstimator, ExpertiseResult
 from repro.reputation.incremental import IncrementalExpertise
 from repro.reputation.riggs import (
-    ArrayFixedPoint,
     BatchedFixedPoints,
     CategoryFixedPoint,
     LazyFixedPoints,
     RiggsConfig,
     experience_discount,
     solve_all_categories,
-    solve_category,
-    solve_category_arrays,
 )
-from repro.reputation.writer import writer_reputation_matrix, writer_reputations
+from repro.reputation.writer import writer_reputation_matrix
 
 __all__ = [
     "RiggsConfig",
     "CategoryFixedPoint",
-    "ArrayFixedPoint",
     "BatchedFixedPoints",
     "LazyFixedPoints",
-    "solve_category",
-    "solve_category_arrays",
     "solve_all_categories",
     "experience_discount",
-    "writer_reputations",
     "writer_reputation_matrix",
     "ExpertiseEstimator",
     "ExpertiseResult",

@@ -1,7 +1,7 @@
 """Orchestration of Step 1 over a whole community.
 
-:class:`ExpertiseEstimator` runs the per-category fixed point and the
-writer aggregation for every category of a community and assembles:
+:class:`ExpertiseEstimator` solves every category's fixed point and the
+writer aggregation of a community and assembles:
 
 - the paper's **Users_Category Expertise matrix** ``E`` (writer reputation
   per category, eq. 3) -- the direct input to Step 3;
@@ -9,40 +9,38 @@ writer aggregation for every category of a community and assembles:
   Table 2 evaluates;
 - per-category review qualities and convergence diagnostics.
 
-By default the whole Step 1 runs on the community's columnar view: one
-:func:`repro.reputation.riggs.solve_all_categories` call sweeps every
-category's fixed point simultaneously and both matrices are scattered
-straight from the slot arrays -- no per-category Python materialisation.
-The per-category fixed points stay independent, so a thread pool
-(``n_jobs > 1``) remains available for very large communities, as does
-serial warm-start chaining (``reuse_warm_start=True``); both fall back to
-per-category :func:`repro.reputation.riggs.solve_category` calls.
+Step 1 runs on the community's columnar view in two calls: one
+:func:`repro.reputation.riggs.solve_all_categories` sweeps every
+category's fixed point simultaneously, and :func:`scatter_fixed_points`
+writes both matrices straight from the slot arrays -- no per-category
+Python materialisation.  :class:`repro.reputation.IncrementalExpertise`
+makes the same two calls for the categories that changed.
 """
 
 # repro: hot-path
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from repro import obs
-from repro.common.validation import require_positive
+from repro.common.arrays import FloatArray, concat_ranges
 from repro.community import Community
-from repro.matrix import LabelIndex, UserCategoryMatrix
+from repro.community.columnar import CommunityColumns
+from repro.matrix import UserCategoryMatrix
 from repro.reputation.riggs import (
+    BatchedFixedPoints,
     CategoryFixedPoint,
     LazyFixedPoints,
     RiggsConfig,
     solve_all_categories,
-    solve_category,
 )
-from repro.reputation.writer import writer_reputation_matrix, writer_reputations
+from repro.reputation.writer import require_unrated_policy, writer_reputation_matrix
 
-__all__ = ["ExpertiseEstimator", "ExpertiseResult"]
+__all__ = ["ExpertiseEstimator", "ExpertiseResult", "scatter_fixed_points"]
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,7 @@ class ExpertiseResult:
         nothing in the category.
     fixed_points:
         The raw per-category solver output (qualities, reputations,
-        iteration counts).  A mapping; the batched path supplies a lazy
+        iteration counts).  A mapping; the batched solver supplies a lazy
         view that materialises each category's dicts on first access.
     """
 
@@ -76,6 +74,45 @@ class ExpertiseResult:
         return {c: fp.iterations for c, fp in self.fixed_points.items()}
 
 
+def scatter_fixed_points(
+    columns: CommunityColumns,
+    batch: BatchedFixedPoints,
+    expertise: FloatArray,
+    rater_reputation: FloatArray,
+    *,
+    experience_discount_enabled: bool,
+    unrated_policy: str,
+) -> None:
+    """Write the categories ``batch`` solved into ``E`` and the rater matrix.
+
+    ``expertise`` and ``rater_reputation`` are dense ``(users, categories)``
+    arrays on ``columns``' axes.  Each solved category's column is
+    overwritten in both (eq. 3 over the category's reviews, and the rater
+    slots); every other column is left as it is.  A cell accumulates its
+    category's reviews in axis order whichever subset was solved, so a
+    column is bitwise the same as in a cold fit of every category.
+    """
+    solved = batch.solved_categories
+    bounds = columns.review_cat_starts
+    lengths = bounds[solved + 1] - bounds[solved]
+    # the solved categories' reviews, rated or not, category-major
+    reviews = concat_ranges(bounds[solved], lengths)
+    expertise[:, solved] = writer_reputation_matrix(
+        columns.review_writer_idx[reviews],
+        np.repeat(np.arange(len(solved), dtype=np.int64), lengths),
+        len(columns.users),
+        len(solved),
+        np.searchsorted(reviews, batch.rated_review_idx),
+        batch.quality,
+        experience_discount_enabled=experience_discount_enabled,
+        unrated_policy=unrated_policy,
+    )
+    rater_reputation[:, solved] = 0.0
+    rater_reputation[batch.rater_slot_user, batch.rater_slot_category_idx] = (
+        batch.reputation
+    )
+
+
 class ExpertiseEstimator:
     """Computes Step 1 (eqs. 1-3) for every category of a community.
 
@@ -84,17 +121,8 @@ class ExpertiseEstimator:
     config:
         Fixed-point configuration shared by all categories.
     unrated_policy:
-        Passed to :func:`repro.reputation.writer.writer_reputations`.
-    n_jobs:
-        Number of worker threads for the per-category solves.  The default
-        ``1`` uses the batched multi-category solver (fastest); categories
-        are independent fixed points, so any value is numerically safe.
-    reuse_warm_start:
-        When ``True`` (serial mode only), each category's solve is seeded
-        with the rater reputations converged so far -- raters active in
-        several categories start near their typical reputation, cutting
-        sweeps on overlapping communities.  The fixed point is the same up
-        to solver tolerance.
+        ``"exclude"``, ``"zero"`` or ``"strict"``: how eq. 3 treats unrated
+        reviews (see :func:`repro.reputation.writer.writer_reputation_matrix`).
 
     Example
     -------
@@ -109,177 +137,31 @@ class ExpertiseEstimator:
         config: RiggsConfig | None = None,
         *,
         unrated_policy: str = "exclude",
-        n_jobs: int = 1,
-        reuse_warm_start: bool = False,
     ) -> None:
-        require_positive("n_jobs", n_jobs)
+        require_unrated_policy(unrated_policy)
         self.config = config or RiggsConfig()
         self.unrated_policy = unrated_policy
-        self.n_jobs = n_jobs
-        self.reuse_warm_start = reuse_warm_start
 
-    def fit(
-        self,
-        community: Community,
-        *,
-        warm_start: Mapping[str, float] | None = None,
-    ) -> ExpertiseResult:
-        """Run Step 1 on ``community`` and return all reputation artefacts.
-
-        Parameters
-        ----------
-        warm_start:
-            Optional ``{rater_id: reputation}`` seed for every category's
-            solve (e.g. a previous fit on a slightly older community).
-        """
-        if self.n_jobs == 1 and not self.reuse_warm_start:
-            with obs.span("step1.fit", mode="batched", users=community.num_users()):
-                return self._fit_batched(community, warm_start)
-
-        with obs.span(
-            "step1.fit",
-            mode="per-category",
-            users=community.num_users(),
-            n_jobs=self.n_jobs,
-        ):
-            return self._fit_per_category(community, warm_start)
-
-    def _fit_per_category(
-        self,
-        community: Community,
-        warm_start: Mapping[str, float] | None,
-    ) -> ExpertiseResult:
-        """Step 1 via per-category solves (thread pool / warm-start modes)."""
-        users = LabelIndex(community.user_ids())
-        categories = LabelIndex(community.category_ids())
-        expertise = UserCategoryMatrix(users, categories)
-        rater_rep = UserCategoryMatrix(users, categories)
-
-        fixed_points = self._solve_all(community, categories, warm_start)
-
-        for category_id, fixed_point in fixed_points.items():
-            if fixed_point.rater_reputation:
-                rater_rep.set_column(
-                    category_id,
-                    fixed_point.rater_reputation.keys(),
-                    np.fromiter(
-                        fixed_point.rater_reputation.values(),
-                        dtype=np.float64,
-                        count=len(fixed_point.rater_reputation),
-                    ),
-                )
-
-            review_writers = {
-                review.review_id: review.writer_id
-                for review in community.reviews_in_category(category_id)
-            }
-            writers = writer_reputations(
-                review_writers,
-                fixed_point.review_quality,
+    def fit(self, community: Community) -> ExpertiseResult:
+        """Run Step 1 on ``community`` and return all reputation artefacts."""
+        with obs.span("step1.fit", users=community.num_users()):
+            columns = community.columns()
+            batch = solve_all_categories(columns, self.config)
+            shape = (len(columns.users), len(columns.categories))
+            expertise = np.zeros(shape)
+            rater_reputation = np.zeros(shape)
+            scatter_fixed_points(
+                columns,
+                batch,
+                expertise,
+                rater_reputation,
                 experience_discount_enabled=self.config.experience_discount_enabled,
                 unrated_policy=self.unrated_policy,
             )
-            if writers:
-                expertise.set_column(
-                    category_id,
-                    writers.keys(),
-                    np.fromiter(writers.values(), dtype=np.float64, count=len(writers)),
-                )
-
-        return ExpertiseResult(
-            expertise=expertise, rater_reputation=rater_rep, fixed_points=fixed_points
-        )
-
-    def _fit_batched(
-        self,
-        community: Community,
-        warm_start: Mapping[str, float] | None,
-    ) -> ExpertiseResult:
-        """Step 1 on the columnar plane: one batched solve, array assembly.
-
-        Numerically identical to the per-category path -- the batched
-        solver's sweeps are bitwise equivalent to :func:`solve_category`
-        and both matrices are scattered from the same slot arrays.
-        """
-        columns = community.columns()
-        users = columns.users
-        categories = columns.categories
-        batch = solve_all_categories(columns, self.config, warm_start=warm_start)
-
-        rater_rep = UserCategoryMatrix(users, categories)
-        rater_rep.set_entries(
-            batch.rater_slot_user, batch.rater_slot_category_idx, batch.reputation
-        )
-        expertise = UserCategoryMatrix(
-            users,
-            categories,
-            writer_reputation_matrix(
-                columns.review_writer_idx,
-                columns.review_category_idx,
-                len(users),
-                len(categories),
-                batch.rated_review_idx,
-                batch.quality,
-                experience_discount_enabled=self.config.experience_discount_enabled,
-                unrated_policy=self.unrated_policy,
-            ),
-        )
-        return ExpertiseResult(
-            expertise=expertise,
-            rater_reputation=rater_rep,
-            fixed_points=LazyFixedPoints(batch),
-        )
-
-    def _solve_all(
-        self,
-        community: Community,
-        categories: LabelIndex,
-        warm_start: Mapping[str, float] | None,
-    ) -> dict[str, CategoryFixedPoint]:
-        category_ids = list(categories)
-        if self.n_jobs > 1 and len(category_ids) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self.n_jobs, len(category_ids))
-            ) as pool:
-                solved = pool.map(
-                    lambda category_id: self._solve_one(
-                        community, category_id, warm_start
-                    ),
-                    category_ids,
-                )
-                return dict(zip(category_ids, solved))
-
-        fixed_points: dict[str, CategoryFixedPoint] = {}
-        running: dict[str, float] = dict(warm_start or {})
-        for category_id in category_ids:
-            seed = running if (self.reuse_warm_start and running) else warm_start
-            fixed_point = self._solve_one(community, category_id, seed)
-            fixed_points[category_id] = fixed_point
-            if self.reuse_warm_start:
-                running.update(fixed_point.rater_reputation)
-        return fixed_points
-
-    def _solve_one(
-        self,
-        community: Community,
-        category_id: str,
-        warm_start: Mapping[str, float] | None = None,
-    ) -> CategoryFixedPoint:
-        with obs.span("step1.solve", category=category_id):
-            fixed_point = solve_category(
-                # repro: allow(R2): legacy per-category path (thread pool / warm-start)
-                community.rating_triples(category_id),
-                self.config,
-                warm_start=warm_start,
+            return ExpertiseResult(
+                expertise=UserCategoryMatrix(columns.users, columns.categories, expertise),
+                rater_reputation=UserCategoryMatrix(
+                    columns.users, columns.categories, rater_reputation
+                ),
+                fixed_points=LazyFixedPoints(dict.fromkeys(columns.categories, batch)),
             )
-        if obs.tracing_active():
-            obs.convergence(
-                "step1.riggs",
-                iterations=fixed_point.iterations,
-                residual=fixed_point.residual,
-                tolerance=self.config.tolerance,
-                converged=True,
-                category=category_id,
-            )
-            obs.observe("step1.sweeps", float(fixed_point.iterations))
-        return fixed_point

@@ -2,9 +2,14 @@
 
 A production deployment does not re-run the whole framework on every new
 rating.  Because eqs. 1-3 are computed *per category* and categories are
-independent, only the category that received new data needs re-solving --
+independent, only the categories that received new data need re-solving --
 and re-solving can warm-start from the previous fixed point, which after
-a handful of new ratings is already very close to the new one.
+a handful of new ratings is already very close to the new one.  A refresh
+makes the same two calls as a cold :class:`ExpertiseEstimator` fit, on the
+stale categories only: one
+:func:`repro.reputation.riggs.solve_all_categories` over all of them and
+one :func:`repro.reputation.estimator.scatter_fixed_points` into the cached
+matrices.
 
 :class:`IncrementalExpertise` subscribes to the community's
 :class:`repro.community.ChangeLog`: every mutator emits a structured
@@ -23,15 +28,15 @@ from repro import obs
 from repro.common.arrays import FloatArray
 from repro.common.errors import ValidationError
 from repro.community import Community, Delta
-from repro.community.columnar import CommunityColumns
 from repro.matrix import LabelIndex, UserCategoryMatrix
-from repro.reputation.estimator import ExpertiseResult
+from repro.reputation.estimator import ExpertiseResult, scatter_fixed_points
 from repro.reputation.riggs import (
-    CategoryFixedPoint,
+    BatchedFixedPoints,
+    LazyFixedPoints,
     RiggsConfig,
-    solve_category_arrays,
+    solve_all_categories,
 )
-from repro.reputation.writer import writer_reputation_matrix
+from repro.reputation.writer import require_unrated_policy
 
 __all__ = ["IncrementalExpertise"]
 
@@ -56,10 +61,15 @@ class IncrementalExpertise:
     community state to solver tolerance (warm starting moves where inside
     the tolerance ball the iteration stops, not the fixed point).  Pass
     ``warm_start=False`` for bitwise equality with a cold fit -- the
-    incremental engine's exact mode does.
+    incremental engine's exact mode does.  With ``warm_start=True`` a
+    re-solved category's raters start from their previous reputation in it,
+    and its new raters from ``config.initial_reputation``.
 
     New users and categories are handled by index growth: both axes are
-    append-only, so previously computed columns keep their positions.
+    append-only, so previously computed columns keep their positions.  A
+    returned result never changes afterwards: its matrices are copies of
+    the caches, and its ``fixed_points`` map each category to the batch
+    that had last solved it, which no later refresh writes to.
     """
 
     def __init__(
@@ -70,13 +80,15 @@ class IncrementalExpertise:
         unrated_policy: str = "exclude",
         warm_start: bool = True,
     ) -> None:
+        require_unrated_policy(unrated_policy)
         self._community = community
         self._config = config or RiggsConfig()
         self._unrated_policy = unrated_policy
         self._warm_start = warm_start
         self._users = LabelIndex(community.user_ids())
         self._categories = LabelIndex(community.category_ids())
-        self._fixed_points: dict[str, CategoryFixedPoint] = {}
+        # the batch that last solved each category, in category-axis order
+        self._solved_by: dict[str, BatchedFixedPoints] = {}
         # dense column caches of E and the rater-reputation matrix; a
         # refresh rewrites only the re-solved categories' columns
         self._e_values = np.zeros((len(self._users), len(self._categories)))
@@ -84,7 +96,6 @@ class IncrementalExpertise:
         self._dirty: set[str] = set(self._categories)
         self._cursor = community.change_log.epoch
         self._last_resolved: tuple[str, ...] = ()
-        self._fitted = False
 
     # ------------------------------------------------------------------ status
 
@@ -105,19 +116,21 @@ class IncrementalExpertise:
         """Initial full solve (equivalent to ``ExpertiseEstimator.fit``)."""
         self._absorb()
         self._dirty = set(self._categories)
-        return self._refresh_resolved()
+        return self.refresh()
 
     def refresh(self) -> ExpertiseResult:
         """Absorb new deltas, re-solve affected categories, return the result."""
-        self._absorb()
-        return self._refresh_resolved()
+        with obs.span("step1.refresh", users=self._community.num_users()):
+            self._absorb()
+            return self._resolve_dirty()
 
     def last_iterations(self, category_id: str) -> int:
         """Solver sweeps used at the last refresh of ``category_id``."""
-        fixed_point = self._fixed_points.get(category_id)
-        if fixed_point is None:
+        batch = self._solved_by.get(category_id)
+        if batch is None:
             raise ValidationError(f"category {category_id!r} has not been solved yet")
-        return fixed_point.iterations
+        k, _reviews, _raters = batch.slots(category_id)
+        return int(batch.iterations[k])
 
     # ------------------------------------------------------------------ deltas
 
@@ -164,103 +177,57 @@ class IncrementalExpertise:
 
     # ------------------------------------------------------------------ refresh
 
-    def _refresh_resolved(self) -> ExpertiseResult:
-        resolved = sorted(self._dirty)
-        skipped = len(self._categories) - len(resolved)
+    def _resolve_dirty(self) -> ExpertiseResult:
+        """One kernel call for every dirty category, scattered into the caches."""
         columns = self._community.columns()
         self._sync_shapes()
-        for category_id in resolved:
-            fixed_point, e_col, r_col = self._solve_columnar(columns, category_id)
-            self._fixed_points[category_id] = fixed_point
-            c = self._categories.position(category_id)
-            self._e_values[:, c] = e_col
-            self._r_values[:, c] = r_col
-        self._dirty.clear()
-        self._last_resolved = tuple(resolved)
-        self._fitted = True
-        obs.add("step1.incremental.categories_resolved", len(resolved))
-        obs.add("step1.incremental.categories_skipped", skipped)
-        return self._assemble()
-
-    def _solve_columnar(
-        self, columns: CommunityColumns, category_id: str
-    ) -> tuple[CategoryFixedPoint, FloatArray, FloatArray]:
-        """Re-solve one category on the columnar plane.
-
-        Returns the dict-form fixed point plus the category's expertise and
-        rater-reputation columns, bitwise identical to what a cold
-        :func:`repro.reputation.riggs.solve_category` /
-        :func:`repro.reputation.writer.writer_reputations` pass produces:
-        the slot arrays preserve rating insertion order, so every bincount
-        accumulates in the same sequence as the dict scans it replaces.
-        """
-        num_users = len(columns.users)
-        reviews = columns.reviews_slice(category_id)
-        ratings = columns.ratings_slice(category_id)
-        review_local = columns.srt_review_idx[ratings] - reviews.start
-        num_reviews = reviews.stop - reviews.start
-        solved = solve_category_arrays(
-            columns.srt_rater_idx[ratings],
-            review_local,
-            columns.srt_values[ratings],
-            num_raters=num_users,
-            num_reviews=num_reviews,
-            config=self._config,
-            warm_start=self._warm_array(category_id, num_users),
+        dirty = [c for c in self._categories if c in self._dirty]
+        batch = solve_all_categories(
+            columns,
+            self._config,
+            categories=self._categories.positions(dirty),
+            warm_start=self._warm_start_values(dirty),
         )
-        counts = solved.rating_counts
-        active = np.flatnonzero(counts > 0)
-        rated_local = (
-            np.flatnonzero(np.bincount(review_local, minlength=num_reviews) > 0)
-            if review_local.size
-            else np.empty(0, dtype=np.int64)
-        )
-        labels = columns.users.labels
-        review_ids = columns.review_ids
-        fixed_point = CategoryFixedPoint(
-            review_quality={
-                review_ids[reviews.start + j]: float(solved.quality[j])
-                for j in rated_local.tolist()
-            },
-            rater_reputation={
-                labels[u]: float(solved.reputation[u]) for u in active.tolist()
-            },
-            iterations=solved.iterations,
-            residual=solved.residual,
-            rating_counts={labels[u]: int(counts[u]) for u in active.tolist()},
-        )
-        e_col = writer_reputation_matrix(
-            columns.review_writer_idx[reviews],
-            np.zeros(num_reviews, dtype=np.int64),
-            num_users,
-            1,
-            rated_local,
-            solved.quality[rated_local],
+        scatter_fixed_points(
+            columns,
+            batch,
+            self._e_values,
+            self._r_values,
             experience_discount_enabled=self._config.experience_discount_enabled,
             unrated_policy=self._unrated_policy,
-        )[:, 0]
-        r_col = np.where(counts > 0, solved.reputation, 0.0)
-        return fixed_point, e_col, r_col
+        )
+        self._solved_by.update(dict.fromkeys(dirty, batch))
+        self._dirty.clear()
+        self._last_resolved = tuple(sorted(dirty))
+        obs.add("step1.incremental.categories_resolved", len(dirty))
+        obs.add("step1.incremental.categories_skipped", len(self._categories) - len(dirty))
+        return ExpertiseResult(
+            expertise=UserCategoryMatrix(self._users, self._categories, self._e_values),
+            rater_reputation=UserCategoryMatrix(
+                self._users, self._categories, self._r_values
+            ),
+            fixed_points=LazyFixedPoints(self._solved_by),
+        )
 
-    def _warm_array(self, category_id: str, num_users: int) -> FloatArray | None:
-        """Per-user warm-start reputations from the previous fixed point."""
+    def _warm_start_values(self, dirty: list[str]) -> FloatArray | None:
+        """Dense warm start: each dirty category's previous rater reputations.
+
+        Every other cell holds ``initial_reputation``, so a category solved
+        for the first time starts cold.
+        """
         if not self._warm_start:
             return None
-        previous = self._fixed_points.get(category_id)
-        if previous is None or not previous.rater_reputation:
-            return None
-        warm = np.full(num_users, self._config.initial_reputation, dtype=np.float64)
-        positions = self._users.positions(previous.rater_reputation.keys())
-        warm[positions] = np.clip(
-            np.fromiter(
-                previous.rater_reputation.values(),
-                dtype=np.float64,
-                count=len(previous.rater_reputation),
-            ),
-            0.0,
-            1.0,
-        )
-        obs.add("step1.warm_start_hits", positions.size)
+        warm = np.full(self._r_values.shape, self._config.initial_reputation)
+        hits = 0
+        for category_id in dirty:
+            previous = self._solved_by.get(category_id)
+            if previous is None:
+                continue
+            _k, _reviews, raters = previous.slots(category_id)
+            c = self._categories.position(category_id)
+            warm[previous.rater_slot_user[raters], c] = previous.reputation[raters]
+            hits += raters.stop - raters.start
+        obs.add("step1.warm_start_hits", hits)
         return warm
 
     # ------------------------------------------------------------------ assembly
@@ -274,12 +241,3 @@ class IncrementalExpertise:
                 grown = np.zeros(shape)
                 grown[: old.shape[0], : old.shape[1]] = old
                 setattr(self, name, grown)
-
-    def _assemble(self) -> ExpertiseResult:
-        return ExpertiseResult(
-            expertise=UserCategoryMatrix(self._users, self._categories, self._e_values),
-            rater_reputation=UserCategoryMatrix(
-                self._users, self._categories, self._r_values
-            ),
-            fixed_points=dict(self._fixed_points),
-        )

@@ -15,8 +15,11 @@ where ``n_i`` is the number of reviews rater *i* rated in the category.  We
 iterate the pair of updates from ``rep = 1`` until the largest change in any
 quality or reputation value falls below ``tolerance``.
 
-The iteration operates on flat numpy arrays indexed by (rater, review)
-incidence, so each sweep is O(number of ratings).
+:func:`solve_all_categories` is the one solver: it sweeps any set of
+categories at once on flat numpy arrays indexed by (rater, review)
+incidence, so each sweep is O(number of ratings in the set).  The
+dict-based :func:`repro.perf.reference.solve_category` is kept only as the
+test oracle it is compared against bitwise.
 """
 
 # repro: hot-path
@@ -25,18 +28,19 @@ from __future__ import annotations
 
 from collections.abc import Mapping as _Mapping
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Protocol, Sequence, overload
+from typing import TYPE_CHECKING, Iterator, Mapping, Protocol, Sequence, overload
 
 import numpy as np
 
 from repro import obs
-from repro.common.arrays import FloatArray, IntArray
+from repro.common.arrays import FloatArray, IntArray, concat_ranges
 from repro.common.contracts import array_spec, checked_arrays
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.common.validation import (
     require_fraction,
     require_in_range,
     require_positive,
+    require_type,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -45,12 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "RiggsConfig",
     "CategoryFixedPoint",
-    "ArrayFixedPoint",
     "BatchedFixedPoints",
     "ColumnarRatings",
     "LazyFixedPoints",
-    "solve_category",
-    "solve_category_arrays",
     "solve_all_categories",
     "experience_discount",
 ]
@@ -105,7 +106,8 @@ class RiggsConfig:
         Convergence threshold on the L-infinity change of qualities and
         reputations between sweeps.
     max_iterations:
-        Iteration budget; exceeding it raises :class:`ConvergenceError`.
+        Iteration budget (an ``int``); exceeding it raises
+        :class:`ConvergenceError`.
     damping:
         Fraction of the *previous* reputation kept each sweep
         (``0`` = plain iteration).  Rarely needed; exposed for adversarial
@@ -131,6 +133,7 @@ class RiggsConfig:
 
     def __post_init__(self) -> None:
         require_positive("tolerance", self.tolerance)
+        require_type("max_iterations", self.max_iterations, int)
         require_positive("max_iterations", self.max_iterations)
         require_in_range("damping", self.damping, 0.0, 1.0)
         require_fraction("initial_reputation", self.initial_reputation)
@@ -161,225 +164,24 @@ class CategoryFixedPoint:
     rating_counts: dict[str, int] = field(default_factory=dict)
 
 
-def solve_category(
-    ratings: Iterable[tuple[str, str, float]],
-    config: RiggsConfig | None = None,
-    *,
-    warm_start: Mapping[str, float] | None = None,
-) -> CategoryFixedPoint:
-    """Solve eqs. 1-2 for one category.
-
-    Parameters
-    ----------
-    ratings:
-        ``(rater_id, review_id, value)`` triples -- every helpfulness rating
-        given in the category.  Values must lie in ``[0, 1]``; a
-        ``(rater, review)`` pair may appear at most once.
-    config:
-        Solver configuration (defaults to :class:`RiggsConfig`).
-    warm_start:
-        Optional ``{rater_id: reputation}`` starting point (e.g. the
-        previous fixed point, for incremental recomputation after a few
-        new ratings).  Raters absent from the mapping start at
-        ``config.initial_reputation``; values are clipped to ``[0, 1]``.
-
-    Returns
-    -------
-    CategoryFixedPoint
-        Converged qualities (one per rated review) and reputations (one per
-        active rater).
-
-    Raises
-    ------
-    ConvergenceError
-        If ``config.max_iterations`` sweeps do not reach ``tolerance``.
-    ValidationError
-        On malformed input (duplicate pairs, out-of-range values).
-    """
-    cfg = config or RiggsConfig()
-    triples = list(ratings)
-    if not triples:
-        return CategoryFixedPoint(
-            review_quality={}, rater_reputation={}, iterations=0, residual=0.0
-        )
-
-    rater_ids, review_ids, rater_idx, review_idx, values = _index_triples(triples)
-    num_raters = len(rater_ids)
-    num_reviews = len(review_ids)
-
-    counts = np.bincount(rater_idx, minlength=num_raters).astype(np.float64)
-    if cfg.experience_discount_enabled:
-        discount = experience_discount(counts)
-    else:
-        discount = np.ones(num_raters, dtype=np.float64)
-
-    reputation = np.full(num_raters, cfg.initial_reputation, dtype=np.float64)
-    if warm_start:
-        warm_hits = 0
-        for i, rater_id in enumerate(rater_ids):
-            previous = warm_start.get(rater_id)
-            if previous is not None:
-                reputation[i] = min(1.0, max(0.0, float(previous)))
-                warm_hits += 1
-        obs.add("step1.warm_start_hits", warm_hits)
-    quality = np.zeros(num_reviews, dtype=np.float64)
-
-    iterations = 0
-    residual = np.inf
-    for iterations in range(1, cfg.max_iterations + 1):
-        new_quality = _quality_update(
-            reputation, rater_idx, review_idx, values, num_reviews, cfg
-        )
-        new_reputation = _reputation_update(
-            new_quality, rater_idx, review_idx, values, counts, discount
-        )
-        if cfg.damping > 0.0:
-            new_reputation = (
-                cfg.damping * reputation + (1.0 - cfg.damping) * new_reputation
-            )
-        residual = max(
-            float(np.max(np.abs(new_quality - quality))),
-            float(np.max(np.abs(new_reputation - reputation))),
-        )
-        quality = new_quality
-        reputation = new_reputation
-        if residual < cfg.tolerance:
-            break
-    else:
-        raise ConvergenceError(
-            f"Riggs fixed point did not converge in {cfg.max_iterations} sweeps "
-            f"(residual {residual:.3e} > tolerance {cfg.tolerance:.3e})",
-            iterations=cfg.max_iterations,
-            residual=float(residual),
-            tolerance=cfg.tolerance,
-        )
-
-    return CategoryFixedPoint(
-        review_quality={review_ids[j]: float(quality[j]) for j in range(num_reviews)},
-        rater_reputation={rater_ids[i]: float(reputation[i]) for i in range(num_raters)},
-        iterations=iterations,
-        residual=float(residual),
-        rating_counts={rater_ids[i]: int(counts[i]) for i in range(num_raters)},
-    )
-
-
-# --------------------------------------------------------------------------- internals
-
-
-def _index_triples(
-    triples: Sequence[tuple[str, str, float]],
-) -> tuple[list[str], list[str], IntArray, IntArray, FloatArray]:
-    rater_pos: dict[str, int] = {}
-    review_pos: dict[str, int] = {}
-    seen_pairs: set[tuple[str, str]] = set()
-    rater_idx = np.empty(len(triples), dtype=np.int64)
-    review_idx = np.empty(len(triples), dtype=np.int64)
-    values = np.empty(len(triples), dtype=np.float64)
-    for k, (rater, review, value) in enumerate(triples):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"rating value must be a number, got {value!r}")
-        if not 0.0 <= float(value) <= 1.0:
-            raise ValidationError(f"rating value must lie in [0, 1], got {value!r}")
-        pair = (rater, review)
-        if pair in seen_pairs:
-            raise ValidationError(f"duplicate rating for pair {pair!r}")
-        seen_pairs.add(pair)
-        rater_idx[k] = rater_pos.setdefault(rater, len(rater_pos))
-        review_idx[k] = review_pos.setdefault(review, len(review_pos))
-        values[k] = float(value)
-    return (
-        list(rater_pos),
-        list(review_pos),
-        rater_idx,
-        review_idx,
-        values,
-    )
-
-
-def _quality_update(
-    reputation: FloatArray,
-    rater_idx: IntArray,
-    review_idx: IntArray,
-    values: FloatArray,
-    num_reviews: int,
-    cfg: RiggsConfig,
-) -> FloatArray:
-    """Eq. 1: reputation-weighted mean rating per review."""
-    if cfg.weight_by_rater_reputation:
-        weights = reputation[rater_idx]
-    else:
-        weights = np.ones_like(values)
-    weighted_sum = np.bincount(review_idx, weights=weights * values, minlength=num_reviews)
-    weight_sum = np.bincount(review_idx, weights=weights, minlength=num_reviews)
-    plain_sum = np.bincount(review_idx, weights=values, minlength=num_reviews)
-    plain_count = np.bincount(review_idx, minlength=num_reviews).astype(np.float64)
-    # A review whose raters all have reputation 0 falls back to the plain
-    # mean -- eq. 1 is 0/0 there and the paper leaves it undefined.
-    safe = weight_sum > 0.0
-    quality = np.where(
-        safe,
-        np.divide(weighted_sum, np.where(safe, weight_sum, 1.0)),
-        plain_sum / np.maximum(plain_count, 1.0),
-    )
-    return np.clip(quality, 0.0, 1.0)
-
-
-def _reputation_update(
-    quality: FloatArray,
-    rater_idx: IntArray,
-    review_idx: IntArray,
-    values: FloatArray,
-    counts: FloatArray,
-    discount: FloatArray,
-) -> FloatArray:
-    """Eq. 2: activity-discounted (1 - mean absolute deviation)."""
-    deviations = np.abs(quality[review_idx] - values)
-    total_dev = np.bincount(rater_idx, weights=deviations, minlength=len(counts))
-    mad = total_dev / counts
-    return np.clip(discount * (1.0 - mad), 0.0, 1.0)
-
-
-# ----------------------------------------------------------------- batched solver
-
-
-@dataclass(frozen=True)
-class ArrayFixedPoint:
-    """Arrays-native result of one category's fixed point.
-
-    Attributes
-    ----------
-    quality:
-        Per review slot; slots that received no ratings stay at 0.
-    reputation:
-        Per rater slot; slots with no ratings hold their stationary value
-        (0 with the experience discount, 1 without).
-    rating_counts:
-        Ratings given per rater slot.
-    iterations, residual:
-        As on :class:`CategoryFixedPoint`.
-    """
-
-    quality: FloatArray
-    reputation: FloatArray
-    rating_counts: IntArray
-    iterations: int
-    residual: float
-
-
 @dataclass(frozen=True)
 class BatchedFixedPoints:
-    """All categories' fixed points on shared flat arrays.
+    """The fixed points of a set of categories on shared flat arrays.
 
-    Slots are grouped by category: ``review_slot_cat`` / ``rater_slot_cat``
-    are nondecreasing *compact* segment indices (one per category that has
-    ratings; ``nonempty_categories`` maps them back to positions on the
-    category axis).  :meth:`fixed_point` materialises the dict form of one
-    category on demand; the arrays are the fast path for matrix assembly.
+    ``solved_categories`` lists the category-axis positions the batch
+    solved (ascending); ``iterations`` / ``residuals`` are aligned with it,
+    and no other category has a fixed point here.  Slots are grouped by
+    category: ``review_slot_cat`` / ``rater_slot_cat`` are nondecreasing
+    *compact* segment indices, one per solved category that has ratings;
+    ``nonempty_categories`` maps them back to category-axis positions.
+    :meth:`fixed_point` materialises the dict form of one category on
+    demand; the arrays are the fast path for matrix assembly.
     """
 
     categories: tuple[str, ...]
     users: LabelIndex
     review_ids: tuple[str, ...]
+    solved_categories: IntArray
     nonempty_categories: IntArray
     rated_review_idx: IntArray
     quality: FloatArray
@@ -396,59 +198,62 @@ class BatchedFixedPoints:
         """Category-axis position of every rater slot."""
         return self.nonempty_categories[self.rater_slot_cat]
 
-    @property
-    def review_slot_category_idx(self) -> IntArray:
-        """Category-axis position of every review slot."""
-        return self.nonempty_categories[self.review_slot_cat]
+    def slots(self, category_id: str) -> tuple[int, slice, slice]:
+        """Where one solved category lives: ``(k, review slots, rater slots)``.
 
-    def fixed_point(self, category_id: str) -> CategoryFixedPoint:
-        """The dict-form :class:`CategoryFixedPoint` of one category."""
+        ``k`` indexes :attr:`solved_categories`, :attr:`iterations` and
+        :attr:`residuals`; the slices cut the category's segment out of the
+        review-slot and rater-slot arrays (empty for a category without
+        ratings).
+
+        Raises
+        ------
+        ValidationError
+            If ``category_id`` is not on the category axis, or this batch
+            did not solve it.
+        """
         try:
             c = self.categories.index(category_id)
         except ValueError:
             raise ValidationError(f"unknown category {category_id!r}") from None
-        compact = np.flatnonzero(self.nonempty_categories == c)
-        if not len(compact):
-            return CategoryFixedPoint(
-                review_quality={}, rater_reputation={}, iterations=0, residual=0.0
-            )
-        k = int(compact[0])
-        a, b = np.searchsorted(self.review_slot_cat, [k, k + 1])
-        ua, ub = np.searchsorted(self.rater_slot_cat, [k, k + 1])
+        k = int(np.searchsorted(self.solved_categories, c))
+        if k == len(self.solved_categories) or self.solved_categories[k] != c:
+            raise ValidationError(f"category {category_id!r} was not solved in this batch")
+        s = int(np.searchsorted(self.nonempty_categories, c))
+        if s == len(self.nonempty_categories) or self.nonempty_categories[s] != c:
+            return k, slice(0, 0), slice(0, 0)
+        a, b = np.searchsorted(self.review_slot_cat, [s, s + 1])
+        ua, ub = np.searchsorted(self.rater_slot_cat, [s, s + 1])
+        return k, slice(int(a), int(b)), slice(int(ua), int(ub))
+
+    def fixed_point(self, category_id: str) -> CategoryFixedPoint:
+        """The dict-form :class:`CategoryFixedPoint` of one solved category."""
+        k, reviews, raters = self.slots(category_id)
         labels = self.users.labels
+        rater_users = self.rater_slot_user[raters].tolist()
         return CategoryFixedPoint(
             review_quality={
                 self.review_ids[g]: q
                 for g, q in zip(
-                    self.rated_review_idx[a:b].tolist(), self.quality[a:b].tolist()
+                    self.rated_review_idx[reviews].tolist(), self.quality[reviews].tolist()
                 )
             },
             rater_reputation={
-                labels[u]: r
-                for u, r in zip(
-                    self.rater_slot_user[ua:ub].tolist(),
-                    self.reputation[ua:ub].tolist(),
-                )
+                labels[u]: r for u, r in zip(rater_users, self.reputation[raters].tolist())
             },
-            iterations=int(self.iterations[c]),
-            residual=float(self.residuals[c]),
+            iterations=int(self.iterations[k]),
+            residual=float(self.residuals[k]),
             rating_counts={
-                labels[u]: int(n)
-                for u, n in zip(
-                    self.rater_slot_user[ua:ub].tolist(),
-                    self.rater_counts[ua:ub].tolist(),
-                )
+                labels[u]: n for u, n in zip(rater_users, self.rater_counts[raters].tolist())
             },
         )
 
-    def to_dict(self) -> dict[str, CategoryFixedPoint]:
-        """Materialise every category (the estimator's ``fixed_points``)."""
-        return {category_id: self.fixed_point(category_id) for category_id in self.categories}
-
 
 class LazyFixedPoints(_Mapping[str, CategoryFixedPoint]):
-    """``{category_id: CategoryFixedPoint}`` view over a batched solve.
+    """``{category_id: CategoryFixedPoint}`` view over batched solves.
 
+    Each category maps to the batch that solved it (one batch for a cold
+    fit; the batch of its latest re-solve for an incremental refresh).
     Building every category's dicts up front costs more than the batched
     sweeps themselves on large communities, and most callers only touch
     the matrices.  This mapping materialises a category on first access
@@ -456,114 +261,39 @@ class LazyFixedPoints(_Mapping[str, CategoryFixedPoint]):
     like the eager dict while unaccessed categories stay as arrays.
     """
 
-    __slots__ = ("_batch", "_cache")
+    __slots__ = ("_batches", "_cache")
 
-    def __init__(self, batch: BatchedFixedPoints) -> None:
-        self._batch = batch
+    def __init__(self, batches: Mapping[str, BatchedFixedPoints]) -> None:
+        self._batches = dict(batches)
         self._cache: dict[str, CategoryFixedPoint] = {}
 
     def __getitem__(self, category_id: str) -> CategoryFixedPoint:
         if category_id not in self._cache:
-            if category_id not in self._batch.categories:
+            batch = self._batches.get(category_id)
+            if batch is None:
                 raise KeyError(category_id)
-            self._cache[category_id] = self._batch.fixed_point(category_id)
+            self._cache[category_id] = batch.fixed_point(category_id)
         return self._cache[category_id]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._batch.categories)
+        return iter(self._batches)
 
     def __len__(self) -> int:
-        return len(self._batch.categories)
+        return len(self._batches)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LazyFixedPoints({len(self)} categories)"
 
 
-@checked_arrays(
-    rater_idx=array_spec(ndim=1, kind="iu", non_negative=True, length_of="ratings"),
-    review_idx=array_spec(ndim=1, kind="iu", non_negative=True, length_of="ratings"),
-    values=array_spec(ndim=1, kind="if", finite=True, length_of="ratings"),
-    warm_start=array_spec(ndim=1, kind="if", finite=True, optional=True),
-)
-def solve_category_arrays(
-    rater_idx: IntArray,
-    review_idx: IntArray,
-    values: FloatArray,
-    *,
-    num_raters: int | None = None,
-    num_reviews: int | None = None,
-    config: RiggsConfig | None = None,
-    warm_start: FloatArray | None = None,
-) -> ArrayFixedPoint:
-    """Arrays-native :func:`solve_category`: integer slots in, arrays out.
-
-    ``rater_idx`` / ``review_idx`` are dense slot positions (``int64``) and
-    ``values`` the ratings, one entry per rating.  ``num_raters`` /
-    ``num_reviews`` widen the slot spaces beyond the maximum seen index
-    (extra slots converge to their stationary values without costing
-    sweeps).  ``warm_start`` is a per-rater-slot reputation array.
-
-    The fixed point is bitwise identical to :func:`solve_category` on the
-    label-equivalent triples.
-    """
-    cfg = config or RiggsConfig()
-    rater_idx = np.ascontiguousarray(rater_idx, dtype=np.int64)
-    review_idx = np.ascontiguousarray(review_idx, dtype=np.int64)
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    if not (len(rater_idx) == len(review_idx) == len(values)):
-        raise ValidationError("rater_idx, review_idx and values must be equal length")
-    if num_raters is None:
-        num_raters = int(rater_idx.max()) + 1 if len(rater_idx) else 0
-    if num_reviews is None:
-        num_reviews = int(review_idx.max()) + 1 if len(review_idx) else 0
-    if len(values) == 0:
-        return ArrayFixedPoint(
-            quality=np.zeros(num_reviews),
-            reputation=np.zeros(num_raters),
-            rating_counts=np.zeros(num_raters, dtype=np.int64),
-            iterations=0,
-            residual=0.0,
-        )
-    _validate_rating_arrays(rater_idx, review_idx, values, num_reviews)
-
-    reputation = np.full(num_raters, cfg.initial_reputation, dtype=np.float64)
-    if warm_start is not None:
-        warm_start = np.asarray(warm_start, dtype=np.float64)
-        if warm_start.shape != reputation.shape:
-            raise ValidationError(
-                f"warm_start shape {warm_start.shape} does not match {num_raters} raters"
-            )
-        reputation = np.clip(warm_start, 0.0, 1.0)
-
-    quality, reputation, counts, iterations, residuals = _segmented_solve(
-        rater_idx,
-        review_idx,
-        values,
-        num_rater_slots=num_raters,
-        num_review_slots=num_reviews,
-        row_cat=np.zeros(len(values), dtype=np.int64),
-        rater_slot_cat=np.zeros(num_raters, dtype=np.int64),
-        review_slot_cat=np.zeros(num_reviews, dtype=np.int64),
-        num_segments=1,
-        cfg=cfg,
-        reputation=reputation,
-    )
-    return ArrayFixedPoint(
-        quality=quality,
-        reputation=reputation,
-        rating_counts=counts,
-        iterations=int(iterations[0]),
-        residual=float(residuals[0]),
-    )
-
-
+@checked_arrays(warm_start=array_spec(ndim=2, kind="if", finite=True, optional=True))
 def solve_all_categories(
     columns: ColumnarRatings,
     config: RiggsConfig | None = None,
     *,
-    warm_start: Mapping[str, float] | None = None,
+    categories: IntArray | Sequence[int] | None = None,
+    warm_start: FloatArray | None = None,
 ) -> BatchedFixedPoints:
-    """Solve eqs. 1-2 for *every* category in shared batched sweeps.
+    """Solve eqs. 1-2 for a set of categories in shared batched sweeps.
 
     Parameters
     ----------
@@ -574,41 +304,68 @@ def solve_all_categories(
         (``review_ids``, ``review_category_idx``) and category-major rating
         columns (``srt_rater_idx``, ``srt_review_idx``, ``srt_values``,
         ``rating_cat_starts``).
+    categories:
+        Positions on ``columns.categories`` to solve (any order; repeats
+        are ignored).  ``None`` solves every category.  Only these
+        categories' rating rows are read, validated and swept.
     warm_start:
-        Optional ``{rater_id: reputation}`` seed applied to every
-        category's slots, exactly like :func:`solve_category`'s.
+        Optional dense ``(users, categories)`` array of starting
+        reputations on ``columns``' axes.  Each rater slot starts from its
+        ``(rater, category)`` cell, clipped to ``[0, 1]``; without it every
+        slot starts at ``config.initial_reputation``.
 
     Returns
     -------
     BatchedFixedPoints
-        Per-slot arrays plus per-category iteration counts and residuals.
-        Every category's fixed point is bitwise identical to a standalone
-        :func:`solve_category` run: the sweeps reduce over globally
+        Per-slot arrays plus per-category iteration counts and residuals,
+        for the solved categories only.  Every category's fixed point is
+        bitwise identical to a standalone solve of it -- whichever subset
+        it is solved in, and equal to the reference oracle
+        :func:`repro.perf.reference.solve_category`: the sweeps reduce over
         flattened incidence arrays whose per-category segments preserve
         rating insertion order, and converged categories are masked out of
         later sweeps so their values (and iteration counts) freeze exactly
-        where the standalone solver would stop.
+        where a standalone solve would stop.
 
     Raises
     ------
     ConvergenceError
         If any category fails to reach ``tolerance`` within
         ``config.max_iterations`` sweeps.
+    ValidationError
+        On a category position off the axis, a ``warm_start`` of the wrong
+        shape, or malformed ratings (duplicate pairs, out-of-range values).
     """
     cfg = config or RiggsConfig()
-    categories = tuple(columns.categories)
-    starts = np.asarray(columns.rating_cat_starts, dtype=np.int64)
-    rows_per_cat = np.diff(starts)
-    nonempty = np.asarray(np.flatnonzero(rows_per_cat > 0), dtype=np.int64)
+    labels = tuple(columns.categories)
     num_users = len(columns.users)
-    iterations = np.zeros(len(categories), dtype=np.int64)
-    residuals = np.zeros(len(categories), dtype=np.float64)
+    solved = np.unique(
+        np.arange(len(labels), dtype=np.int64)
+        if categories is None
+        else np.asarray(categories, dtype=np.int64)
+    )
+    if solved.size and (solved[0] < 0 or solved[-1] >= len(labels)):
+        raise ValidationError(f"category positions must lie in [0, {len(labels)})")
+    if warm_start is not None:
+        warm_start = np.asarray(warm_start, dtype=np.float64)
+        if warm_start.shape != (num_users, len(labels)):
+            raise ValidationError(
+                f"warm_start shape {warm_start.shape} does not match "
+                f"{(num_users, len(labels))} users x categories"
+            )
+    starts = np.asarray(columns.rating_cat_starts, dtype=np.int64)
+    rows_per_cat = starts[solved + 1] - starts[solved]
+    has_rows = rows_per_cat > 0
+    nonempty = solved[has_rows]
+    iterations = np.zeros(len(solved), dtype=np.int64)
+    residuals = np.zeros(len(solved), dtype=np.float64)
 
     if len(nonempty) == 0:
         return BatchedFixedPoints(
-            categories=categories,
+            categories=labels,
             users=columns.users,
             review_ids=tuple(columns.review_ids),
+            solved_categories=solved,
             nonempty_categories=nonempty,
             rated_review_idx=np.empty(0, dtype=np.int64),
             quality=np.empty(0),
@@ -621,15 +378,23 @@ def solve_all_categories(
             residuals=residuals,
         )
 
-    rater_pos = np.ascontiguousarray(columns.srt_rater_idx, dtype=np.int64)
-    review_pos = np.ascontiguousarray(columns.srt_review_idx, dtype=np.int64)
-    values = np.ascontiguousarray(columns.srt_values, dtype=np.float64)
+    # the solved categories' rating rows, category-major: views when they
+    # form one run (a full solve, or one category), gathered otherwise
+    lo, hi = starts[nonempty], starts[nonempty + 1]
+    rows: slice | IntArray = (
+        slice(int(lo[0]), int(hi[-1]))
+        if bool((lo[1:] == hi[:-1]).all())
+        else concat_ranges(lo, hi - lo)
+    )
+    rater_pos = np.asarray(columns.srt_rater_idx[rows], dtype=np.int64)
+    review_pos = np.asarray(columns.srt_review_idx[rows], dtype=np.int64)
+    values = np.asarray(columns.srt_values[rows], dtype=np.float64)
     _validate_rating_arrays(rater_pos, review_pos, values, len(columns.review_ids))
 
-    # compact segment index per category (nonempty categories only)
-    compact_of_cat = np.full(len(categories), -1, dtype=np.int64)
+    # compact segment index per category (nonempty solved categories only)
+    compact_of_cat = np.full(len(labels), -1, dtype=np.int64)
     compact_of_cat[nonempty] = np.arange(len(nonempty))
-    row_cat = compact_of_cat[np.repeat(np.arange(len(categories)), rows_per_cat)]
+    row_cat = np.repeat(np.arange(len(nonempty), dtype=np.int64), hi - lo)
 
     # review slots: the rated subset of the (category-major) review axis
     # (sorted-dedup instead of np.unique -- the hash-based unique kernel is
@@ -651,16 +416,12 @@ def solve_all_categories(
     rater_slot_cat = uniq_keys // num_users
     rater_slot_user = uniq_keys % num_users
 
-    reputation = np.full(len(uniq_keys), cfg.initial_reputation, dtype=np.float64)
-    if warm_start:
-        labels = columns.users.labels
-        warm_hits = 0
-        for slot, user in enumerate(rater_slot_user.tolist()):
-            previous = warm_start.get(labels[user])
-            if previous is not None:
-                reputation[slot] = min(1.0, max(0.0, float(previous)))
-                warm_hits += 1
-        obs.add("step1.warm_start_hits", warm_hits)
+    if warm_start is None:
+        reputation = np.full(len(uniq_keys), cfg.initial_reputation, dtype=np.float64)
+    else:
+        reputation = np.clip(
+            warm_start[rater_slot_user, nonempty[rater_slot_cat]], 0.0, 1.0
+        )
 
     with obs.span(
         "step1.solve_all", categories=len(nonempty), ratings=len(values)
@@ -678,25 +439,28 @@ def solve_all_categories(
             cfg=cfg,
             reputation=reputation,
         )
-    iterations[nonempty] = seg_iterations
-    residuals[nonempty] = seg_residuals
+    iterations[has_rows] = seg_iterations
+    residuals[has_rows] = seg_residuals
     if obs.tracing_active():
         # per-category convergence telemetry (the batched solver converges
         # or raises, so these records always carry converged=True)
-        for c in nonempty.tolist():
+        for c, sweeps, residual in zip(
+            nonempty.tolist(), seg_iterations.tolist(), seg_residuals.tolist()
+        ):
             obs.convergence(
                 "step1.riggs",
-                iterations=int(iterations[c]),
-                residual=float(residuals[c]),
+                iterations=sweeps,
+                residual=residual,
                 tolerance=cfg.tolerance,
                 converged=True,
-                category=categories[c],
+                category=labels[c],
             )
-            obs.observe("step1.sweeps", float(iterations[c]))
+            obs.observe("step1.sweeps", float(sweeps))
     return BatchedFixedPoints(
-        categories=categories,
+        categories=labels,
         users=columns.users,
         review_ids=tuple(columns.review_ids),
+        solved_categories=solved,
         nonempty_categories=nonempty,
         rated_review_idx=rated,
         quality=quality,
@@ -744,7 +508,8 @@ def _segmented_solve(
     Every segment (category) is an independent fixed point; the sweeps run
     them simultaneously on the flat arrays and mask converged segments out
     so they stop updating.  Segment membership arrays must be nondecreasing
-    and each segment must own at least one rating row.
+    and each segment, rater slot and review slot must own at least one
+    rating row.
     """
     counts = np.bincount(rater_slot, minlength=num_rater_slots).astype(np.float64)
     if cfg.experience_discount_enabled:
@@ -753,15 +518,7 @@ def _segmented_solve(
         discount = np.ones(num_rater_slots, dtype=np.float64)
     plain_sum = np.bincount(review_slot, weights=values, minlength=num_review_slots)
     plain_count = np.bincount(review_slot, minlength=num_review_slots).astype(np.float64)
-    plain_mean = plain_sum / np.maximum(plain_count, 1.0)
-
-    # rater slots with no ratings (possible via explicit num_raters) start at
-    # their stationary value so they never delay convergence
-    empty_raters = counts == 0.0
-    if empty_raters.any():
-        reputation = np.where(
-            empty_raters, np.clip(discount, 0.0, 1.0), reputation
-        )
+    plain_mean = plain_sum / plain_count
 
     seg_starts_r = np.searchsorted(review_slot_cat, np.arange(num_segments))
     seg_starts_u = np.searchsorted(rater_slot_cat, np.arange(num_segments))
@@ -798,7 +555,7 @@ def _segmented_solve(
         total_dev = np.bincount(
             rows_rater, weights=deviations, minlength=num_rater_slots
         )
-        mad = total_dev / np.maximum(counts, 1.0)
+        mad = total_dev / counts
         new_reputation = np.clip(discount * (1.0 - mad), 0.0, 1.0)
         if cfg.damping > 0.0:
             new_reputation = (
@@ -806,8 +563,6 @@ def _segmented_solve(
             )
         if not all_active:
             new_reputation = np.where(slot_active_u, new_reputation, reputation)
-        elif empty_raters.any():
-            new_reputation = np.where(empty_raters, reputation, new_reputation)
 
         q_delta = np.abs(new_quality - quality)
         r_delta = np.abs(new_reputation - reputation)

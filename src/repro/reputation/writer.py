@@ -13,8 +13,6 @@ where ``R(u^w)`` is the set of the writer's reviews in the category and
 
 from __future__ import annotations
 
-from typing import Mapping
-
 import numpy as np
 
 from repro.common.arrays import FloatArray, IntArray
@@ -22,74 +20,15 @@ from repro.common.contracts import array_spec, checked_arrays
 from repro.common.errors import ValidationError
 from repro.reputation.riggs import experience_discount
 
-__all__ = ["writer_reputations", "writer_reputation_matrix"]
+__all__ = ["require_unrated_policy", "writer_reputation_matrix"]
 
 
-def writer_reputations(
-    review_writers: Mapping[str, str],
-    review_quality: Mapping[str, float],
-    *,
-    experience_discount_enabled: bool = True,
-    unrated_policy: str = "exclude",
-) -> dict[str, float]:
-    """Aggregate review qualities into per-writer reputation (eq. 3).
-
-    Parameters
-    ----------
-    review_writers:
-        ``{review_id: writer_id}`` for every review the writer has written
-        in the category (rated or not).
-    review_quality:
-        ``{review_id: quality}`` from the category fixed point.  Reviews
-        missing here received no ratings.
-    experience_discount_enabled:
-        Ablation A2: drop the ``1 - 1/(n+1)`` factor when ``False``.
-    unrated_policy:
-        How to treat reviews that received no ratings:
-
-        - ``"exclude"`` (default): they contribute to neither the quality
-          sum nor ``n_w`` -- reputation reflects only observed evidence;
-        - ``"zero"``: they count in ``n_w`` with quality 0 -- unrated output
-          drags reputation down;
-        - ``"strict"``: raise if any review is unrated.
-
-    Returns
-    -------
-    dict
-        ``{writer_id: reputation in [0, 1]}``.  Writers none of whose
-        reviews were rated get reputation ``0.0`` under ``"exclude"``.
-    """
+def require_unrated_policy(unrated_policy: str) -> None:
+    """Raise :class:`ValidationError` unless ``unrated_policy`` is a known policy."""
     if unrated_policy not in ("exclude", "zero", "strict"):
         raise ValidationError(
             f"unrated_policy must be 'exclude', 'zero' or 'strict', got {unrated_policy!r}"
         )
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for review_id, writer_id in review_writers.items():
-        quality = review_quality.get(review_id)
-        if quality is None:
-            if unrated_policy == "strict":
-                raise ValidationError(f"review {review_id!r} has no quality (unrated)")
-            if unrated_policy == "exclude":
-                sums.setdefault(writer_id, 0.0)
-                counts.setdefault(writer_id, 0)
-                continue
-            quality = 0.0
-        sums[writer_id] = sums.get(writer_id, 0.0) + float(quality)
-        counts[writer_id] = counts.get(writer_id, 0) + 1
-
-    reputations: dict[str, float] = {}
-    for writer_id, n in counts.items():
-        if n == 0:
-            reputations[writer_id] = 0.0
-            continue
-        mean_quality = sums[writer_id] / n
-        if experience_discount_enabled:
-            factor = float(experience_discount(n))
-        else:
-            factor = 1.0
-        reputations[writer_id] = float(np.clip(factor * mean_quality, 0.0, 1.0))
-    return reputations
 
 
 @checked_arrays(
@@ -119,22 +58,30 @@ def writer_reputation_matrix(
         Writer / category position per review on the global review axis
         (see :class:`repro.community.CommunityColumns`).
     rated_review_idx, rated_quality:
-        Global positions of the rated reviews and their converged
-        qualities (``BatchedFixedPoints.rated_review_idx`` / ``.quality``).
+        Positions of the rated reviews on that axis and their converged
+        qualities (ascending positions, as in
+        ``BatchedFixedPoints.rated_review_idx`` / ``.quality``).
+    experience_discount_enabled:
+        Ablation A2: drop the ``1 - 1/(n+1)`` factor when ``False``.
     unrated_policy:
-        As on :func:`writer_reputations`.
+        How to treat reviews that received no ratings:
+
+        - ``"exclude"`` (default): they contribute to neither the quality
+          sum nor ``n_w`` -- reputation reflects only observed evidence;
+          a writer none of whose reviews were rated gets ``0.0``;
+        - ``"zero"``: they count in ``n_w`` with quality 0 -- unrated output
+          drags reputation down;
+        - ``"strict"``: raise if any review is unrated.
 
     Returns
     -------
     numpy.ndarray
-        Dense ``(num_users, num_categories)`` writer reputations -- the
-        values of the paper's Expertise matrix ``E``, bitwise identical to
-        the per-category dict aggregation.
+        Dense ``(num_users, num_categories)`` writer reputations in
+        ``[0, 1]`` -- the values of the paper's Expertise matrix ``E``,
+        bitwise identical to the reference per-category dict aggregation
+        (:func:`repro.perf.reference.writer_reputations`).
     """
-    if unrated_policy not in ("exclude", "zero", "strict"):
-        raise ValidationError(
-            f"unrated_policy must be 'exclude', 'zero' or 'strict', got {unrated_policy!r}"
-        )
+    require_unrated_policy(unrated_policy)
     if unrated_policy == "strict" and len(rated_review_idx) != len(review_writer_idx):
         raise ValidationError(
             f"{len(review_writer_idx) - len(rated_review_idx)} reviews have no "

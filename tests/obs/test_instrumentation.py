@@ -4,8 +4,8 @@ The central invariants:
 
 - tracing never changes the numerics -- a run under a :class:`Recorder`
   produces matrices identical to a run under the :class:`NullRecorder`;
-- the counter/telemetry semantics are the same whichever Step-1 path
-  executes (batched vs per-category);
+- an engine update traces the Step-1 work it does: one convergence record
+  per re-solved category, under the update's span;
 - propagation kernels that hit their iteration cap surface it instead of
   silently returning (``RuntimeWarning`` + ``converged=False``).
 """
@@ -15,10 +15,12 @@ import warnings
 import pytest
 
 from repro import obs
+from repro.community import ReviewRating
+from repro.engine import Engine
 from repro.matrix import UserPairMatrix
 from repro.obs.recorder import Recorder, convergence_failures
+from repro.perf.reference import solve_category
 from repro.propagation import appleseed, eigen_trust
-from repro.reputation import ExpertiseEstimator
 from repro.experiments.pipeline import run_pipeline
 
 
@@ -116,50 +118,29 @@ class TestTracingNeverChangesResults:
         assert traced.to_dict() == plain.to_dict()
 
 
-class TestStep1PathParity:
-    """Batched and per-category Step 1 report the same counter semantics."""
+class TestEngineStep1Trace:
+    def test_update_traces_the_resolved_category(self, two_category_community):
+        engine = Engine(two_category_community)
+        engine.update()
+        two_category_community.add_rating(ReviewRating("carol", "ra1", 0.6))
+        recorder = Recorder()
+        with obs.use_recorder(recorder):
+            engine.update()
 
-    def test_warm_start_hits_identical_across_paths(self, two_category_community):
-        warm = {u: 0.5 for u in two_category_community.user_ids()}
+        oracle = solve_category(two_category_community.rating_triples("movies"))
+        riggs = [
+            (r.attributes["category"], r.iterations, r.converged)
+            for r in recorder.convergence_records
+            if r.kernel == "step1.riggs"
+        ]
+        assert riggs == [("movies", oracle.iterations, True)]
+        assert recorder.histograms["step1.sweeps"] == [float(oracle.iterations)]
 
-        batched_rec = Recorder()
-        with obs.use_recorder(batched_rec):
-            batched = ExpertiseEstimator().fit(
-                two_category_community, warm_start=warm
-            )
-
-        per_cat_rec = Recorder()
-        with obs.use_recorder(per_cat_rec):
-            per_cat = ExpertiseEstimator(n_jobs=2).fit(
-                two_category_community, warm_start=warm
-            )
-
-        assert (
-            batched_rec.counters["step1.warm_start_hits"]
-            == per_cat_rec.counters["step1.warm_start_hits"]
-        )
-        assert batched.expertise == per_cat.expertise
-
-    def test_sweep_telemetry_identical_across_paths(self, two_category_community):
-        batched_rec = Recorder()
-        with obs.use_recorder(batched_rec):
-            ExpertiseEstimator().fit(two_category_community)
-
-        per_cat_rec = Recorder()
-        with obs.use_recorder(per_cat_rec):
-            ExpertiseEstimator(n_jobs=2).fit(two_category_community)
-
-        def sweeps_by_category(recorder):
-            return {
-                r.attributes["category"]: r.iterations
-                for r in recorder.convergence_records
-                if r.kernel == "step1.riggs"
-            }
-
-        assert sweeps_by_category(batched_rec) == sweeps_by_category(per_cat_rec)
-        assert sorted(batched_rec.histograms["step1.sweeps"]) == sorted(
-            per_cat_rec.histograms["step1.sweeps"]
-        )
+        # the kernel's span nests under the update through the refresh span
+        [update] = recorder.roots
+        assert update.name == "engine.update"
+        [refresh] = [child for child in update.children if child.name == "step1.refresh"]
+        assert [child.name for child in refresh.children] == ["step1.solve_all"]
 
 
 class TestConvergenceSurfacing:

@@ -1,8 +1,17 @@
 """Tests for ExpertiseEstimator over a whole community."""
 
+import numpy as np
 import pytest
 
-from repro.reputation import ExpertiseEstimator, RiggsConfig
+from repro.common.errors import ValidationError
+from repro.engine import Engine
+from repro.reputation import (
+    ExpertiseEstimator,
+    IncrementalExpertise,
+    RiggsConfig,
+    solve_all_categories,
+)
+from repro.reputation.estimator import scatter_fixed_points
 
 
 @pytest.fixture
@@ -85,3 +94,45 @@ class TestEstimatorConfig:
         exclude = ExpertiseEstimator(unrated_policy="exclude").fit(two_category_community)
         zero = ExpertiseEstimator(unrated_policy="zero").fit(two_category_community)
         assert zero.expertise.get("bob", "movies") < exclude.expertise.get("bob", "movies")
+
+
+class TestScatterFixedPoints:
+    def test_overwrites_exactly_the_solved_columns(self, two_category_community):
+        columns = two_category_community.columns()
+        cold = ExpertiseEstimator().fit(two_category_community)
+        movies = columns.categories.position("movies")
+        books = columns.categories.position("books")
+        batch = solve_all_categories(columns, categories=[movies])
+        expertise = np.full((len(columns.users), len(columns.categories)), 0.5)
+        rater_reputation = expertise.copy()
+        scatter_fixed_points(
+            columns,
+            batch,
+            expertise,
+            rater_reputation,
+            experience_discount_enabled=True,
+            unrated_policy="exclude",
+        )
+        assert np.array_equal(expertise[:, movies], cold.expertise.category_column("movies"))
+        assert np.array_equal(
+            rater_reputation[:, movies], cold.rater_reputation.category_column("movies")
+        )
+        assert (expertise[:, books] == 0.5).all()
+        assert (rater_reputation[:, books] == 0.5).all()
+
+
+class TestConstructorValidation:
+    """Bad Step-1 settings fail where they are given, not at the first fit."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda community: ExpertiseEstimator(unrated_policy="bogus"),
+            lambda community: IncrementalExpertise(community, unrated_policy="bogus"),
+            lambda community: Engine(community, unrated_policy="bogus"),
+        ],
+        ids=["estimator", "incremental", "engine"],
+    )
+    def test_unknown_unrated_policy_rejected(self, two_category_community, build):
+        with pytest.raises(ValidationError, match="unrated_policy"):
+            build(two_category_community)

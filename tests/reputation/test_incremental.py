@@ -5,11 +5,8 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.community import Review, ReviewRating, ReviewedObject
-from repro.reputation import (
-    ExpertiseEstimator,
-    IncrementalExpertise,
-    solve_category,
-)
+from repro.perf.reference import solve_category
+from repro.reputation import ExpertiseEstimator, IncrementalExpertise, LazyFixedPoints
 
 
 def results_equal(a, b, tol=1e-9):
@@ -76,6 +73,51 @@ class TestIncrementalExpertise:
         assert tracker.last_iterations("books") == before_books
         assert tracker.last_resolved == ("movies",)
         assert tracker.dirty_categories == set()
+
+    def test_earlier_results_never_change(self, two_category_community):
+        community = two_category_community
+        tracker = IncrementalExpertise(community, warm_start=False)
+        tracker.fit()
+        community.add_rating(ReviewRating("carol", "ra1", 0.6))
+        kept = tracker.refresh()  # re-solves movies
+        cold = ExpertiseEstimator().fit(community)
+
+        # re-solve the same category; `kept` must not notice
+        community.add_rating(ReviewRating("carol", "ra2", 0.2))
+        later = tracker.refresh()
+        assert tracker.last_resolved == ("movies",)
+        assert later.expertise != kept.expertise
+
+        assert kept.expertise == cold.expertise
+        assert kept.rater_reputation == cold.rater_reputation
+        # first access of kept's fixed points happens only now
+        for category_id in ("movies", "books"):
+            assert kept.fixed_points[category_id] == cold.fixed_points[category_id]
+
+    def test_warm_refresh_starts_from_the_previous_fixed_point(
+        self, two_category_community
+    ):
+        # movies' raters start from their previous reputation there and
+        # carol, new to movies, from initial_reputation -- which is what the
+        # oracle does with the previous fixed point as its warm start
+        tracker = IncrementalExpertise(two_category_community, warm_start=True)
+        previous = tracker.fit().fixed_points["movies"]
+        two_category_community.add_rating(ReviewRating("carol", "ra1", 0.6))
+        result = tracker.refresh()
+        oracle = solve_category(
+            two_category_community.rating_triples("movies"),
+            warm_start=previous.rater_reputation,
+        )
+        assert result.fixed_points["movies"] == oracle
+
+    def test_fixed_points_are_a_lazy_view_in_axis_order(self, two_category_community):
+        tracker = IncrementalExpertise(two_category_community)
+        tracker.fit()
+        two_category_community.add_rating(ReviewRating("carol", "ra1", 0.6))
+        result = tracker.refresh()
+        assert isinstance(result.fixed_points, LazyFixedPoints)
+        assert list(result.fixed_points) == ["movies", "books"]
+        assert tracker.last_iterations("movies") == result.fixed_points["movies"].iterations
 
     def test_new_review_refresh(self, two_category_community):
         tracker = IncrementalExpertise(two_category_community)

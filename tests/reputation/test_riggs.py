@@ -1,4 +1,8 @@
-"""Tests for the review-quality / rater-reputation fixed point (eqs. 1-2)."""
+"""Tests for the review-quality / rater-reputation fixed point (eqs. 1-2).
+
+Most cases run the dict-based reference oracle; the property tests also
+drive the batched kernel and require it to match the oracle bitwise.
+"""
 
 import numpy as np
 import pytest
@@ -6,9 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ConvergenceError, ValidationError
-from repro.reputation import RiggsConfig, experience_discount, solve_category
+from repro.community import Community, Review, ReviewedObject, ReviewRating
+from repro.perf.reference import solve_category
+from repro.reputation import RiggsConfig, experience_discount, solve_all_categories
 
 SCALE = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+CONFIGS = {
+    "default": RiggsConfig(),
+    "unweighted": RiggsConfig(weight_by_rater_reputation=False),
+    "no_discount": RiggsConfig(experience_discount_enabled=False),
+    "damped": RiggsConfig(damping=0.3),
+}
 
 
 class TestExperienceDiscount:
@@ -39,6 +52,9 @@ class TestRiggsConfig:
             {"damping": 1.5},
             {"damping": -0.1},
             {"initial_reputation": 2.0},
+            {"max_iterations": 2.5},
+            {"max_iterations": 3.0},
+            {"max_iterations": True},
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -165,7 +181,37 @@ def rating_datasets(draw):
     ]
 
 
+def one_category_community(triples):
+    """The triples as the ratings of a one-category community.
+
+    A separate writer ``w`` writes every review (nobody may rate their own),
+    each about its own object; ratings keep the triples' order.
+    """
+    raters = list(dict.fromkeys(rater for rater, _, _ in triples))
+    reviews = list(dict.fromkeys(review for _, review, _ in triples))
+    return Community.from_records(
+        users=["w", *raters],
+        categories=["c"],
+        objects=[ReviewedObject(f"o_{review}", "c") for review in reviews],
+        reviews=[Review(review, "w", f"o_{review}") for review in reviews],
+        ratings=[ReviewRating(rater, review, value) for rater, review, value in triples],
+    )
+
+
 class TestFixedPointProperties:
+    @given(rating_datasets(), st.sampled_from(sorted(CONFIGS)))
+    @settings(max_examples=60, deadline=None)
+    def test_kernel_matches_oracle_bitwise(self, triples, config_name):
+        config = CONFIGS[config_name]
+        batch = solve_all_categories(one_category_community(triples).columns(), config)
+        oracle = solve_category(triples, config)
+        result = batch.fixed_point("c")
+        assert result.review_quality == oracle.review_quality
+        assert result.rater_reputation == oracle.rater_reputation
+        assert result.rating_counts == oracle.rating_counts
+        assert result.iterations == oracle.iterations
+        assert result.residual == oracle.residual
+
     @given(rating_datasets())
     @settings(max_examples=60, deadline=None)
     def test_converges_and_stays_in_unit_interval(self, triples):

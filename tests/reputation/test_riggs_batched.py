@@ -1,22 +1,23 @@
-"""Equivalence of the batched multi-category solver with `solve_category`.
+"""Equivalence of the batched Step-1 kernel with the `solve_category` oracle.
 
-`solve_all_categories` must reproduce the per-category oracle *bitwise*:
-the category-major columnar layout preserves each category's scan order,
-so every bincount accumulation sums the same floats in the same order.
+`solve_all_categories` must reproduce the per-category oracle *bitwise*,
+whichever subset of categories it solves: the category-major columnar
+layout preserves each category's scan order, so every bincount
+accumulation sums the same floats in the same order.
 """
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConvergenceError, ValidationError
+from repro.community import CommunityColumns
 from repro.datasets import CommunityProfile, generate_community
-from repro.matrix import LabelIndex
-from repro.reputation import (
-    RiggsConfig,
-    solve_all_categories,
-    solve_category,
-    solve_category_arrays,
-)
+from repro.perf.reference import solve_category
+from repro.reputation import RiggsConfig, solve_all_categories
 
 CONFIGS = {
     "default": RiggsConfig(),
@@ -28,6 +29,19 @@ CONFIGS = {
 
 def random_community(seed, num_users=80):
     return generate_community(CommunityProfile(num_users=num_users), seed=seed).community
+
+
+@functools.lru_cache(maxsize=None)
+def columns_with_empty_category(seed):
+    """A random community's columns plus one category nobody reviewed in."""
+    community = random_community(seed)
+    community.add_category("empty")
+    return community.columns()
+
+
+@functools.lru_cache(maxsize=None)
+def full_solve(seed, config_name):
+    return solve_all_categories(columns_with_empty_category(seed), CONFIGS[config_name])
 
 
 def assert_fixed_points_identical(batch_fp, oracle_fp):
@@ -50,18 +64,38 @@ class TestBatchedEquivalence:
             assert_fixed_points_identical(batch.fixed_point(category_id), oracle)
 
     def test_warm_start_matches_oracle(self):
+        # the dense array built from per-category mappings: mapped raters
+        # start from their (user, category) value -- some outside [0, 1],
+        # so both sides clip -- and everyone else cold
         community = random_community(5)
-        warm = {user_id: 0.5 for user_id in community.user_ids()[::2]}
-        batch = solve_all_categories(community.columns(), warm_start=warm)
-        for category_id in community.category_ids():
-            oracle = solve_category(
-                community.rating_triples(category_id), warm_start=warm
+        columns = community.columns()
+        mapped = columns.users.positions(community.user_ids()[::2])
+        values = np.full(
+            (len(columns.users), len(columns.categories)),
+            RiggsConfig().initial_reputation,
+        )
+        rng = np.random.default_rng(5)
+        values[mapped] = rng.uniform(-0.5, 1.5, size=(len(mapped), len(columns.categories)))
+        labels = columns.users.labels
+        # every category, then a subset whose segments are not the positions
+        for categories in (None, np.arange(len(columns.categories))[1::2]):
+            batch = solve_all_categories(
+                columns, categories=categories, warm_start=values
             )
-            assert_fixed_points_identical(batch.fixed_point(category_id), oracle)
+            for c in batch.solved_categories.tolist():
+                category_id = columns.categories.label(c)
+                warm = {labels[u]: float(values[u, c]) for u in mapped.tolist()}
+                oracle = solve_category(
+                    community.rating_triples(category_id), warm_start=warm
+                )
+                assert_fixed_points_identical(batch.fixed_point(category_id), oracle)
 
-    def test_to_dict_covers_every_category(self, two_category_community):
-        batch = solve_all_categories(two_category_community.columns())
-        assert list(batch.to_dict()) == ["movies", "books"]
+    def test_warm_start_shape_checked(self, two_category_community):
+        columns = two_category_community.columns()
+        with pytest.raises(ValidationError, match="warm_start"):
+            solve_all_categories(
+                columns, warm_start=np.full((len(columns.users), 1), 0.5)
+            )
 
     def test_slot_arrays_align_with_dict_view(self, two_category_community):
         batch = solve_all_categories(two_category_community.columns())
@@ -83,6 +117,73 @@ class TestBatchedEquivalence:
         batch = solve_all_categories(two_category_community.columns())
         with pytest.raises(ValidationError):
             batch.fixed_point("gardening")
+
+
+class TestSubsetSolve:
+    @pytest.mark.parametrize("config_name", sorted(CONFIGS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_subset_matches_full_solve(self, seed, config_name, data):
+        columns = columns_with_empty_category(seed)
+        labels = columns.categories.labels
+        positions = data.draw(
+            st.lists(st.integers(0, len(labels) - 1), max_size=2 * len(labels)),
+            label="categories",
+        )
+        batch = solve_all_categories(
+            columns, CONFIGS[config_name], categories=positions
+        )
+        full = full_solve(seed, config_name)
+        assert batch.solved_categories.tolist() == sorted(set(positions))
+        for c, category_id in enumerate(labels):
+            if c in positions:
+                assert_fixed_points_identical(
+                    batch.fixed_point(category_id), full.fixed_point(category_id)
+                )
+            else:
+                # a batch answers only for what it solved
+                with pytest.raises(ValidationError, match="not solved"):
+                    batch.fixed_point(category_id)
+
+    def test_empty_subset(self, two_category_community):
+        batch = solve_all_categories(two_category_community.columns(), categories=[])
+        assert batch.solved_categories.size == 0
+        assert batch.iterations.size == 0 and batch.reputation.size == 0
+        with pytest.raises(ValidationError, match="not solved"):
+            batch.fixed_point("movies")
+
+    @pytest.mark.parametrize("positions", [[-1], [2], [0, 5]])
+    def test_off_axis_positions_rejected(self, two_category_community, positions):
+        with pytest.raises(ValidationError, match="category positions"):
+            solve_all_categories(two_category_community.columns(), categories=positions)
+
+    def test_duplicate_pair_rejected_in_solved_rows_only(self, two_category_community):
+        # add_rating forbids a second (rater, review) rating, so plant one in
+        # a snapshot built from arrays (as a bulk import could)
+        base = two_category_community.columns()
+        bob = base.users.position("bob")
+        ra1 = base.review_ids.index("ra1")
+        columns = CommunityColumns(
+            users=base.users,
+            categories=base.categories,
+            review_ids=base.review_ids,
+            review_writer_idx=base.review_writer_idx,
+            review_category_idx=base.review_category_idx,
+            rater_idx=np.append(base.rater_idx, bob),
+            rating_review_idx=np.append(base.rating_review_idx, ra1),
+            rating_values=np.append(base.rating_values, 0.4),
+        )
+        movies = base.categories.position("movies")
+        books = base.categories.position("books")
+        with pytest.raises(ValidationError, match="duplicate"):
+            solve_all_categories(columns, categories=[movies])
+        # the rows of other categories are not read, let alone validated
+        batch = solve_all_categories(columns, categories=[books])
+        assert_fixed_points_identical(
+            batch.fixed_point("books"),
+            solve_category(two_category_community.rating_triples("books")),
+        )
 
 
 class TestDegenerateCategories:
@@ -129,54 +230,3 @@ class TestConvergenceFailure:
         with pytest.raises(ConvergenceError):
             for category_id in community.category_ids():
                 solve_category(community.rating_triples(category_id), strict)
-
-
-class TestSolveCategoryArrays:
-    @staticmethod
-    def triples_to_arrays(triples):
-        raters = LabelIndex(dict.fromkeys(r for r, _, _ in triples))
-        reviews = LabelIndex(dict.fromkeys(j for _, j, _ in triples))
-        rater_idx = raters.positions([r for r, _, _ in triples])
-        review_idx = reviews.positions([j for _, j, _ in triples])
-        values = np.array([v for _, _, v in triples])
-        return raters, reviews, rater_idx, review_idx, values
-
-    def test_matches_dict_solver(self):
-        community = random_community(6)
-        for category_id in community.category_ids():
-            triples = community.rating_triples(category_id)
-            if not triples:
-                continue
-            raters, reviews, rater_idx, review_idx, values = self.triples_to_arrays(triples)
-            result = solve_category_arrays(rater_idx, review_idx, values)
-            oracle = solve_category(triples)
-            assert {
-                label: q for label, q in zip(reviews.labels, result.quality.tolist())
-            } == oracle.review_quality
-            assert {
-                label: r for label, r in zip(raters.labels, result.reputation.tolist())
-            } == oracle.rater_reputation
-            assert result.iterations == oracle.iterations
-            assert result.residual == oracle.residual
-
-    def test_empty_input(self):
-        result = solve_category_arrays(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0)
-        )
-        assert result.iterations == 0
-        assert len(result.quality) == 0 and len(result.reputation) == 0
-
-    def test_duplicate_pair_rejected(self):
-        with pytest.raises(ValidationError):
-            solve_category_arrays(
-                np.array([0, 0]), np.array([1, 1]), np.array([0.4, 0.8])
-            )
-
-    def test_warm_start_shape_checked(self):
-        with pytest.raises(ValidationError):
-            solve_category_arrays(
-                np.array([0]),
-                np.array([0]),
-                np.array([0.8]),
-                warm_start=np.array([0.5, 0.5]),
-            )

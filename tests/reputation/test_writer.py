@@ -3,7 +3,7 @@
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.reputation import writer_reputations
+from repro.perf.reference import writer_reputations
 
 
 class TestWriterReputation:
