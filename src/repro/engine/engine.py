@@ -12,8 +12,9 @@ cursor over the log and recomputes only what the new deltas invalidate:
   same batched kernel a cold fit runs;
 - **A** (Step 2) -- rebuilt from the columnar counts (cheap, array-only);
 - **T-hat** (Step 3) -- re-derived only on the changed region
-  ``(changed A rows x all) | (all x changed E rows)`` and patched into the
-  cached matrix (:meth:`repro.trust.TrustDeriver.derive_region`);
+  ``(changed A rows x all) | (all x changed E rows)``
+  (:meth:`repro.trust.TrustDeriver.derive_region`) and patched into a new
+  version of the cached matrix, which stays as it was;
 - **propagation** -- reused outright when ``T-hat`` did not move, rerun
   otherwise (optionally warm-started in approximate mode).
 
@@ -163,8 +164,11 @@ class Engine:
         backed by this config's store: cold builds stream shard by shard
         (:meth:`repro.trust.TrustDeriver.derive_sharded`), propagation
         reads each spilled shard once per call, and incremental updates
-        patch only the shards a delta's derive region touches -- in place,
-        without materialising the whole matrix.  Axis growth (new users or
+        patch only the shards a delta's derive region touches, without
+        materialising the whole matrix.  Each patch returns a new matrix
+        version that shares the untouched shards with the previous one;
+        the previous version stays readable, so artifacts an earlier
+        update returned never change.  Axis growth (new users or
         categories) falls back to a full sharded re-derive.
     compact_log:
         ``True`` (default): after each update the engine compacts the
@@ -318,11 +322,11 @@ class Engine:
         sharded = self._shard_config is not None
         if grew_categories or (sharded and grew_users):
             # a new category extends every reduction in eq. 5 (and the
-            # sharded backend's in-place patch cannot grow its axis);
+            # sharded patch cannot grow its axis);
             # re-derive in full rather than reason about padded
             # accumulation orders
             derived: UserPairMatrix | ShardedPairMatrix = self._derive_full(
-                affiliation, expertise
+                affiliation, expertise, previous=previous.derived
             )
             derived_changed = True
             pairs_rederived = derived.num_entries()
@@ -341,7 +345,9 @@ class Engine:
             elif (rows.size + cols.size) * 2 >= n:
                 # the changed region covers most of the matrix: a plain full
                 # derive is cheaper than region + patch and equally bitwise
-                derived = self._derive_full(affiliation, expertise)
+                derived = self._derive_full(
+                    affiliation, expertise, previous=previous.derived
+                )
                 derived_changed = True
                 pairs_rederived = derived.num_entries()
                 pairs_reused = 0
@@ -406,12 +412,14 @@ class Engine:
         rows: IntArray,
         cols: IntArray,
     ) -> tuple[UserPairMatrix, int]:
-        """Recompute the changed region and merge it into the cached entries.
+        """Recompute the changed region and patch it into a new ``T-hat``.
 
-        Delegates the merge to :meth:`repro.matrix.UserPairMatrix.patched`,
-        which assembles the result with one O(nnz) masked scatter instead of
-        the O(nnz log nnz) consolidation sort.  Returns the patched matrix
-        and the number of kept (reused) entries.
+        Delegates to :meth:`repro.matrix.UserPairMatrix.patched`: when the
+        region kept the support (almost every arriving rating) the new
+        matrix shares the previous one's keys and CSR structure and only
+        its values are copied; otherwise one O(nnz) masked merge rebuilds
+        them.  ``previous_derived`` is left unchanged.  Returns the patched
+        matrix and the number of kept (reused) entries.
         """
         region = self._deriver.derive_region(
             affiliation, expertise, rows=rows, cols=cols
@@ -429,29 +437,44 @@ class Engine:
         rows: IntArray,
         cols: IntArray,
     ) -> tuple[ShardedPairMatrix, int]:
-        """Recompute the changed region and patch it into the shards in place.
+        """Recompute the changed region and patch it into a new sharded version.
 
-        Only the shards the region touches are rewritten (each through the
-        same O(nnz) masked scatter as the in-memory path, so the result
-        stays bitwise); untouched shards -- possibly still on disk -- are
-        not read at all.
+        :meth:`repro.shard.ShardedPairMatrix.patch_with` rewrites only the
+        shards the region touches, each through the same routine as the
+        in-memory path, so the result stays bitwise; untouched shards are
+        shared with the new version without IO.  ``previous_derived``
+        keeps its content and becomes read-only.  Returns the new matrix
+        and the number of kept (reused) entries.
         """
         region = self._deriver.derive_region(
             affiliation, expertise, rows=rows, cols=cols
         )
-        kept, touched = previous_derived.patch_with(region, rows=rows, cols=cols)
+        derived, kept, touched = previous_derived.patch_with(
+            region, rows=rows, cols=cols
+        )
         obs.add("engine.shard.shards_patched", touched)
         obs.add(
             "engine.shard.shards_untouched", previous_derived.num_shards - touched
         )
-        return previous_derived, kept
+        return derived, kept
 
     def _derive_full(
-        self, affiliation: UserCategoryMatrix, expertise: UserCategoryMatrix
+        self,
+        affiliation: UserCategoryMatrix,
+        expertise: UserCategoryMatrix,
+        *,
+        previous: UserPairMatrix | ShardedPairMatrix | None = None,
     ) -> UserPairMatrix | ShardedPairMatrix:
-        """A full ``T-hat`` build on the configured backend."""
+        """A full ``T-hat`` build on the configured backend.
+
+        A sharded ``previous`` version is superseded first: the new build
+        rewrites payloads in the same store, and ``previous`` must keep
+        serving the bytes it was built from.
+        """
         if self._shard_config is None:
             return self._deriver.derive(affiliation, expertise)
+        if isinstance(previous, ShardedPairMatrix):
+            previous.supersede()
         return self._deriver.derive_sharded(
             affiliation,
             expertise,

@@ -10,16 +10,117 @@ original dict-of-dicts implementation stays off the critical path.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.common.arrays import FloatArray, IntArray
+from repro import obs
+from repro.common.arrays import FloatArray, IntArray, concat_ranges
 from repro.common.errors import ValidationError
 from repro.matrix.labels import LabelIndex
 
-__all__ = ["UserPairMatrix"]
+__all__ = ["UserPairMatrix", "RegionPatch", "patch_entries"]
+
+
+class RegionPatch(NamedTuple):
+    """The entries :func:`patch_entries` assembled."""
+
+    keys: IntArray
+    vals: FloatArray
+    #: base entries outside the region, carried over unchanged
+    kept: int
+    #: the support held: ``keys`` is the base key array itself
+    values_only: bool
+
+
+def patch_entries(
+    keys: IntArray,
+    vals: FloatArray,
+    region_keys: IntArray,
+    region_vals: FloatArray,
+    *,
+    rows: IntArray,
+    cols: IntArray,
+    n_old: int,
+    n: int,
+    columns: IntArray | None = None,
+) -> RegionPatch:
+    """Merge a recomputed region's entries over consolidated base entries.
+
+    ``keys`` / ``vals`` are sorted, unique flat keys on an ``n_old``-user
+    axis and their values; ``columns``, when given, holds each key's column
+    (``keys % n_old``), e.g. a cached CSR's ``indices``.  The region holds
+    every stored entry of ``(rows x all) | (all x cols)`` on the ``n``-user
+    axis (``n >= n_old``, append-only growth), as sorted unique keys.
+
+    The base keys inside the region are found from their columns plus one
+    binary search per changed row.  When they equal the region's keys --
+    the support held, which proves every region key lies in the region --
+    the result shares ``keys`` and copies ``vals`` with the region's values
+    scattered in at those positions (``values_only``).  Otherwise (a
+    support change or a grown axis) the base entries outside the region
+    and the region's entries merge in one masked scatter; a region key
+    outside the region raises :class:`ValidationError` there, because it
+    would collide with a kept key.
+    """
+    keys = np.asarray(keys)
+    col_changed = np.zeros(n, dtype=bool)
+    col_changed[cols] = True
+    if cols.size:
+        inside = col_changed.take(columns if columns is not None else keys % n_old)
+    else:
+        inside = np.zeros(keys.shape[0], dtype=bool)
+    old_rows = rows[rows < n_old]
+    starts = keys.searchsorted(old_rows * n_old)
+    ends = keys.searchsorted((old_rows + 1) * n_old)
+    inside[concat_ranges(starts, ends - starts)] = True
+    positions = np.flatnonzero(inside)
+    if (
+        n == n_old
+        and positions.size == region_keys.size
+        and np.array_equal(keys[positions], region_keys)
+    ):
+        new_vals = np.array(vals, dtype=np.float64)
+        new_vals[positions] = region_vals
+        return RegionPatch(keys, new_vals, keys.shape[0] - positions.size, True)
+
+    row_changed = np.zeros(n, dtype=bool)
+    row_changed[rows] = True
+    region_rows, region_cols = np.divmod(region_keys, n)
+    if not bool(np.all(row_changed[region_rows] | col_changed[region_cols])):
+        raise ValidationError("region entries must lie in the changed rows or columns")
+    keep = ~inside
+    kept_keys = keys[keep]
+    if n != n_old:
+        kept_rows, kept_cols = np.divmod(kept_keys, n_old)
+        kept_keys = kept_rows * n + kept_cols
+    kept_vals = np.asarray(vals)[keep]
+    slots = np.searchsorted(kept_keys, region_keys) + np.arange(
+        region_keys.size, dtype=np.int64
+    )
+    total = kept_keys.size + region_keys.size
+    merged_keys = np.empty(total, dtype=np.int64)
+    merged_vals = np.empty(total, dtype=np.float64)
+    merged_keys[slots] = region_keys
+    merged_vals[slots] = region_vals
+    mask = np.ones(total, dtype=bool)
+    mask[slots] = False
+    merged_keys[mask] = kept_keys
+    merged_vals[mask] = kept_vals
+    return RegionPatch(merged_keys, merged_vals, int(kept_keys.size), False)
+
+
+def _read_only_csr(
+    data: FloatArray, indices: IntArray, indptr: IntArray, n: int
+) -> sparse.csr_matrix:
+    """A canonical ``n x n`` CSR over the given arrays, all made read-only."""
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    matrix.has_sorted_indices = True
+    matrix.has_canonical_format = True
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.setflags(write=False)
+    return matrix
 
 
 class UserPairMatrix:
@@ -250,9 +351,11 @@ class UserPairMatrix:
     def csr(self) -> sparse.csr_matrix:
         """Cached :class:`scipy.sparse.csr_matrix` view (explicit zeros kept).
 
-        The returned matrix is shared and must be treated as read-only; it
-        is rebuilt only after a write.  Use :meth:`to_csr` for a private
-        mutable copy.
+        The returned matrix is shared: its ``data``, ``indices`` and
+        ``indptr`` arrays are read-only, and a :meth:`patched` version that
+        kept this matrix's support shares the ``indices`` and ``indptr``
+        arrays with it.  It is rebuilt only after a write.  Use
+        :meth:`to_csr` for a private mutable copy.
         """
         self._consolidate()
         if self._csr is None:
@@ -267,11 +370,7 @@ class UserPairMatrix:
                 indices = np.empty(0, dtype=np.int64)
                 indptr = np.zeros(n + 1, dtype=np.int64)
                 data = np.empty(0, dtype=np.float64)
-            matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
-            matrix.has_sorted_indices = True
-            matrix.has_canonical_format = True
-            matrix.data.setflags(write=False)
-            self._csr = matrix
+            self._csr = _read_only_csr(data, indices, indptr, n)
         return self._csr
 
     def to_csr(self) -> sparse.csr_matrix:
@@ -301,8 +400,8 @@ class UserPairMatrix:
         """Build from already-consolidated flat keys ``i * U + j`` in O(nnz).
 
         The fast-path constructor for callers that hold a row-major-sorted,
-        duplicate-free entry list -- e.g. patching a consolidated matrix
-        with a recomputed region.  It skips the O(nnz log nnz) sort/dedup
+        duplicate-free entry list -- e.g. the concatenated shards of a
+        sharded matrix.  It skips the O(nnz log nnz) sort/dedup
         pass of :meth:`set_block`; ``keys`` must be strictly increasing and
         lie in ``[0, U*U)``.
         """
@@ -378,16 +477,23 @@ class UserPairMatrix:
         rows: IntArray,
         cols: IntArray,
     ) -> tuple["UserPairMatrix", int]:
-        """Merge a recomputed ``region`` over this matrix in O(nnz).
+        """A new version of this matrix with a recomputed ``region`` merged in.
 
         ``region`` holds every stored entry of ``(rows x all) | (all x
         cols)`` on the (possibly grown) ``users`` axis; this matrix's
-        entries outside that region are carried over unchanged.  Both
-        consolidated key sets are sorted and provably disjoint -- every
-        region key has its row in ``rows`` or its column in ``cols``,
-        every kept key has neither -- so the patched matrix assembles with
-        one masked scatter instead of the O(nnz log nnz) consolidation
-        sort.  Returns ``(patched, kept_entries)``.
+        entries outside that region are carried over unchanged, and this
+        matrix itself is left as it is.  Returns ``(patched,
+        kept_entries)``.
+
+        When the region's keys are exactly this matrix's keys inside the
+        region -- the support held, as it does for almost every arriving
+        rating -- only values change: the new version shares this
+        matrix's (read-only) key array, copies its values with the
+        region's scattered in, and gets a CSR that shares :meth:`csr`'s
+        ``indices`` / ``indptr`` with the new data, so propagation does not
+        rebuild it.  A support change or a grown axis takes one O(nnz)
+        masked merge instead (see :func:`patch_entries`); a region entry
+        outside the region raises :class:`ValidationError` there.
 
         This axis must be a prefix of ``users`` (append-only growth keeps
         flat keys in row-major order: ``j < n_old <= n``).
@@ -398,36 +504,34 @@ class UserPairMatrix:
         n_old = self._n
         if n_old > n or self.users.labels != users.labels[:n_old]:
             raise ValidationError("patched axis must extend this matrix's user axis")
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
         for name, positions in (("rows", rows), ("cols", cols)):
             if positions.size and (positions.min() < 0 or positions.max() >= n):
                 raise ValidationError(f"{name} positions must lie in [0, {n})")
-        self._consolidate()
+        base = self.csr()  # consolidates; the engine's EigenTrust cached it
         region._consolidate()
-        r, c = np.divmod(self._keys, n_old)
-        row_changed = np.zeros(n, dtype=bool)
-        row_changed[rows] = True
-        col_changed = np.zeros(n, dtype=bool)
-        col_changed[cols] = True
-        keep = ~(row_changed[r] | col_changed[c])
-        kept_keys = self._keys[keep] if n == n_old else r[keep] * n + c[keep]
-        kept_vals = self._vals[keep]
-        region_keys = region._keys
-        positions = np.searchsorted(kept_keys, region_keys) + np.arange(
-            region_keys.size, dtype=np.int64
+        self._keys.setflags(write=False)
+        patch = patch_entries(
+            self._keys,
+            self._vals,
+            region._keys,
+            region._vals,
+            rows=rows,
+            cols=cols,
+            n_old=n_old,
+            n=n,
+            columns=base.indices,
         )
-        total = kept_keys.size + region_keys.size
-        merged_keys = np.empty(total, dtype=np.int64)
-        merged_vals = np.empty(total, dtype=np.float64)
-        merged_keys[positions] = region_keys
-        merged_vals[positions] = region._vals
-        mask = np.ones(total, dtype=bool)
-        mask[positions] = False
-        merged_keys[mask] = kept_keys
-        merged_vals[mask] = kept_vals
         out = UserPairMatrix(users)
-        out._keys = merged_keys
-        out._vals = merged_vals
-        return out, int(kept_keys.size)
+        out._keys = patch.keys
+        out._vals = patch.vals
+        if patch.values_only:
+            obs.add("matrix.patch.values_only")
+            out._csr = _read_only_csr(patch.vals.copy(), base.indices, base.indptr, n)
+        else:
+            obs.add("matrix.patch.merged")
+        return out, patch.kept
 
     # ------------------------------------------------------------------ set ops
 

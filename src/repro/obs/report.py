@@ -146,6 +146,13 @@ _ENGINE_RATIOS: tuple[tuple[str, str, str], ...] = (
     ),
 )
 
+#: The same rows for the ``T-hat`` patch paths, shown when a patch ran: a
+#: merged patch rebuilt the key structure, a values-only one reused it.
+_PATCH_RATIOS: tuple[tuple[str, str, str], ...] = (
+    ("T-hat patch structure", "matrix.patch.merged", "matrix.patch.values_only"),
+    ("shard patch structure", "shard.patch.merged", "shard.patch.values_only"),
+)
+
 
 def _engine_table(counters: Mapping[str, Any]) -> str | None:
     """The incremental-engine counter summary, or ``None`` when absent."""
@@ -154,7 +161,10 @@ def _engine_table(counters: Mapping[str, Any]) -> str | None:
     rows: list[list[object]] = [
         ["deltas applied", int(counters.get("engine.deltas_applied", 0)), "-", "-"]
     ]
-    for label, done_key, avoided_key in _ENGINE_RATIOS:
+    patch_ratios = tuple(
+        ratio for ratio in _PATCH_RATIOS if ratio[1] in counters or ratio[2] in counters
+    )
+    for label, done_key, avoided_key in _ENGINE_RATIOS + patch_ratios:
         done = int(counters.get(done_key, 0))
         avoided = int(counters.get(avoided_key, 0))
         total = done + avoided

@@ -34,7 +34,9 @@ class ShardConfig:
     spill_bytes:
         Per-shard heap budget in bytes; a shard whose buffered entries
         exceed it is written to the store immediately.  ``None`` keeps
-        shards in memory until an explicit flush.
+        shards in memory until an explicit flush.  The budget covers a
+        shard until it has a file: a shard rewritten after that (an engine
+        patch) stays on the heap until the next flush.
     root:
         Store directory.  ``None`` uses a fresh temporary directory that
         is removed when the store is garbage-collected.

@@ -35,7 +35,7 @@ from repro import obs
 from repro.common.arrays import FloatArray, IntArray
 from repro.common.errors import ValidationError
 from repro.matrix.labels import LabelIndex
-from repro.matrix.pair import UserPairMatrix
+from repro.matrix.pair import UserPairMatrix, patch_entries
 from repro.shard.layout import ShardLayout
 from repro.shard.store import FORMAT, USERS_NAME, ShardStore
 
@@ -53,7 +53,20 @@ def _shard_files(shard: int) -> tuple[str, str]:
 
 
 class ShardedPairMatrix:
-    """A sparse ``U x U`` pair matrix stored as row-block shards."""
+    """A sparse ``U x U`` pair matrix stored as row-block shards.
+
+    The spill budget (``spill_bytes``) covers a shard's consolidated
+    entries only until the shard has a file in the store: a shard
+    rewritten after that, e.g. by a patch, stays on the heap until the next
+    :meth:`flush` rewrites its file.
+
+    :meth:`patch_with` returns a new version instead of rewriting this
+    one.  The versions share the store, the untouched shards' arrays and,
+    where a patch kept a shard's support, its key array.  Only the newest
+    version may write: an older one stays readable but rejects
+    :meth:`set`, :meth:`set_block`, :meth:`set_shard_entries`,
+    :meth:`patch_with` and :meth:`flush` (see :meth:`supersede`).
+    """
 
     def __init__(
         self,
@@ -90,6 +103,7 @@ class ShardedPairMatrix:
         ]
         self._pending_entries = [0] * shards
         self._checksums: dict[str, str] = {}
+        self._superseded = False
 
     # ------------------------------------------------------------------ basics
 
@@ -125,6 +139,7 @@ class ShardedPairMatrix:
         row shard; a shard whose buffered entries exceed the byte budget
         spills to its store immediately.
         """
+        self._require_newest()
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.ndim != 1 or cols.ndim != 1 or rows.shape != cols.shape:
@@ -179,6 +194,7 @@ class ShardedPairMatrix:
         be strictly increasing flat keys inside the shard's row range.
         Pending buffered writes for the shard are discarded.
         """
+        self._require_newest()
         lo_key, hi_key = self.layout.key_range(shard, self._n)
         keys = np.ascontiguousarray(keys, dtype=np.int64)
         vals = np.ascontiguousarray(vals, dtype=np.float64)
@@ -199,14 +215,9 @@ class ShardedPairMatrix:
                 )
             if not np.isfinite(vals).all():
                 raise ValidationError("pair values must be finite")
-        keys.setflags(write=False)
-        vals.setflags(write=False)
-        self._keys[shard] = keys
-        self._vals[shard] = vals
         self._pending[shard] = []
         self._pending_entries[shard] = 0
-        self._dirty[shard] = True
-        self._maybe_spill(shard)
+        self._replace_shard(shard, keys, vals)
 
     @classmethod
     def from_arrays(
@@ -240,17 +251,24 @@ class ShardedPairMatrix:
         *,
         rows: IntArray,
         cols: IntArray,
-    ) -> tuple[int, int]:
-        """Merge a recomputed ``region`` over this matrix, shard by shard.
+    ) -> tuple["ShardedPairMatrix", int, int]:
+        """A new version with a recomputed ``region`` merged in, shard by shard.
 
         ``region`` holds every stored entry of ``(rows x all) | (all x
         cols)`` on the **same** user axis (sharded patching does not grow
-        axes; axis growth re-derives from scratch).  Only the shards the
-        region touches are rewritten -- each via the O(nnz) masked
-        scatter of :meth:`repro.matrix.UserPairMatrix.patched` -- and
-        untouched shards keep their (possibly on-disk) entries without
-        any IO.  Returns ``(kept_entries, shards_patched)``.
+        axes; axis growth re-derives from scratch).  Each shard the region
+        touches goes through :func:`repro.matrix.pair.patch_entries`, the
+        routine :meth:`repro.matrix.UserPairMatrix.patched` runs: where
+        the shard's support held, its key array is shared and only its
+        values are copied and rewritten; otherwise its entries are merged.
+        Untouched shards are shared with the new version without any IO,
+        and every shard keeps its on-disk flag, so a rewritten shard that
+        already has a file stays on the heap until the next :meth:`flush`.
+
+        This matrix is left unchanged and superseded (:meth:`supersede`).
+        Returns ``(patched, kept_entries, shards_patched)``.
         """
+        self._require_newest()
         if region.users != self.users:
             raise ValidationError("region must be indexed by this matrix's user axis")
         rows = np.unique(np.asarray(rows, dtype=np.int64))
@@ -273,26 +291,47 @@ class ShardedPairMatrix:
             shards=len(touched_set),
             region_entries=int(region_keys.size),
         ):
+            self.supersede()
+            out = self._successor()
             for s in range(self.num_shards):
+                keys, vals = self._keys[s], self._vals[s]
                 if s not in touched_set:
-                    kept_total += self.shard_nnz(s)
+                    kept_total += int(keys.shape[0])
                     continue
-                keys, vals = self._shard_arrays(s)
-                shard_matrix = UserPairMatrix.from_flat_sorted(
-                    self.users, np.asarray(keys), np.asarray(vals)
-                )
                 lo_key, hi_key = self.layout.key_range(s, n)
                 r_lo, r_hi = np.searchsorted(region_keys, [lo_key, hi_key])
-                shard_region = UserPairMatrix.from_flat_sorted(
-                    self.users, region_keys[r_lo:r_hi], region_vals[r_lo:r_hi]
+                patch = patch_entries(
+                    keys,
+                    vals,
+                    region_keys[r_lo:r_hi],
+                    region_vals[r_lo:r_hi],
+                    rows=rows,
+                    cols=cols,
+                    n_old=n,
+                    n=n,
                 )
-                patched, kept = shard_matrix.patched(
-                    self.users, shard_region, rows=rows, cols=cols
+                obs.add(
+                    "shard.patch.values_only" if patch.values_only else "shard.patch.merged"
                 )
-                kept_total += kept
-                self.set_shard_entries(s, patched.support_keys(), patched.values())
+                kept_total += patch.kept
+                out._replace_shard(s, patch.keys, patch.vals)
             obs.add("shard.patched_shards", len(touched_set))
-        return kept_total, len(touched_set)
+        return out, kept_total, len(touched_set)
+
+    def supersede(self) -> None:
+        """Map every shard and make this version read-only.
+
+        Called before a newer version of this matrix takes over the store
+        (:meth:`patch_with`, or a full re-derive into the same store).
+        Every shard this version has on disk is memory-mapped first, so
+        when the newer version later replaces a payload file this version
+        keeps reading the bytes it was built from.  Afterwards the writers
+        and :meth:`flush` raise :class:`ValidationError`: a flush from here
+        would replace payloads the newer version has not mapped yet.
+        """
+        for s in range(self.num_shards):
+            self._shard_arrays(s)
+        self._superseded = True
 
     # ------------------------------------------------------------------- reads
 
@@ -417,6 +456,7 @@ class ShardedPairMatrix:
         :meth:`open`; in-memory shard state is dropped so subsequent
         reads are memory-mapped.
         """
+        self._require_newest()
         store = self._require_store()
         with obs.span("shard.store.flush", shards=self.num_shards):
             shard_docs = []
@@ -483,6 +523,34 @@ class ShardedPairMatrix:
                 "spill_bytes=) at construction to enable persistence"
             )
         return self._store
+
+    def _require_newest(self) -> None:
+        if self._superseded:
+            raise ValidationError(
+                "this ShardedPairMatrix version was superseded by a newer one "
+                "sharing its store; it is read-only"
+            )
+
+    def _successor(self) -> "ShardedPairMatrix":
+        """A new version sharing every shard, on-disk flag and checksum."""
+        out = ShardedPairMatrix(
+            self.users, self.layout, store=self._store, spill_bytes=self._spill_bytes
+        )
+        out._keys = list(self._keys)
+        out._vals = list(self._vals)
+        out._on_disk = list(self._on_disk)
+        out._dirty = list(self._dirty)
+        out._checksums = dict(self._checksums)
+        return out
+
+    def _replace_shard(self, shard: int, keys: IntArray, vals: FloatArray) -> None:
+        """Install consolidated arrays as the shard's content (no pending)."""
+        keys.setflags(write=False)
+        vals.setflags(write=False)
+        self._keys[shard] = keys
+        self._vals[shard] = vals
+        self._dirty[shard] = True
+        self._maybe_spill(shard)
 
     def _estimated_bytes(self, shard: int) -> int:
         consolidated = 0

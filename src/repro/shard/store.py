@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import tempfile
 import weakref
@@ -63,11 +64,20 @@ class ShardStore:
     # ------------------------------------------------------------------ arrays
 
     def write_array(self, name: str, values: IntArray | FloatArray) -> int:
-        """Persist one array as ``<name>.npy``; returns the bytes written."""
+        """Persist one array as the ``.npy`` file ``name``; returns the bytes written.
+
+        The payload goes to a staging file in the store directory first and
+        is then renamed onto ``name`` (``os.replace``).  The rename swaps
+        the directory entry, not the bytes: a matrix version that
+        memory-mapped the old payload keeps reading the old bytes, so a
+        newer version can rewrite a shard that an older one still serves.
+        """
         target = self.path(name)
-        with open(target, "wb") as handle:
+        staging = target.with_name(target.name + ".staging")
+        with open(staging, "wb") as handle:
             np.save(handle, np.ascontiguousarray(values))
-        size = target.stat().st_size
+        size = staging.stat().st_size
+        os.replace(staging, target)
         obs.add("shard.write.bytes", size)
         obs.add("shard.write.files")
         return int(size)

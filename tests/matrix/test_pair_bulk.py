@@ -328,6 +328,38 @@ class TestPatched:
         with pytest.raises(ValidationError, match="rows positions"):
             old.patched(users, region, rows=np.array([9]), cols=np.array([], dtype=np.int64))
 
+    def test_values_only_version_shares_structure_not_values(self, users):
+        old = UserPairMatrix.from_arrays(users, [0, 1, 2], [1, 2, 3], [0.5, 0.4, 0.25])
+        region = UserPairMatrix.from_arrays(users, [1], [2], [0.9])
+        patched, kept = old.patched(
+            users, region, rows=np.array([1]), cols=np.empty(0, dtype=np.int64)
+        )
+        assert kept == 2
+        held = patched.csr()
+        assert np.shares_memory(held.indptr, old.csr().indptr)
+        assert np.shares_memory(held.indices, old.csr().indices)
+        assert not np.shares_memory(held.data, old.csr().data)
+        # an in-place write to the new version reaches neither the CSR it
+        # handed out nor the old version
+        patched.accumulate("u1", "u2", 1.0)
+        assert patched.get("u1", "u2") == 1.9
+        assert held[1, 2] == 0.9
+        assert old.get("u1", "u2") == 0.4 and old.csr()[1, 2] == 0.4
+
+    def test_region_entry_outside_region_rejected(self, users):
+        """A region key with neither its row nor its column changed would
+        collide with a kept key and break the sorted-unique keys."""
+        old = UserPairMatrix.from_arrays(users, [0, 1, 2], [1, 2, 3], [0.5, 0.4, 0.25])
+        no_cols = np.empty(0, dtype=np.int64)
+        # one stray entry beside the changed row's: the merge path
+        region = UserPairMatrix.from_arrays(users, [1, 2], [2, 3], [0.9, 0.8])
+        with pytest.raises(ValidationError, match="changed rows or columns"):
+            old.patched(users, region, rows=np.array([1]), cols=no_cols)
+        # as many entries as the changed row holds, one of them stray
+        region = UserPairMatrix.from_arrays(users, [2], [3], [0.8])
+        with pytest.raises(ValidationError, match="changed rows or columns"):
+            old.patched(users, region, rows=np.array([1]), cols=no_cols)
+
 
 class TestPatchedEdgeCases:
     def _dense(self, m, n):

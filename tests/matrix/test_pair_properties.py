@@ -137,3 +137,128 @@ class TestPointReadsAfterWrites:
                 expected = stored.get((source, target), sentinel)
                 assert matrix.get(source, target, sentinel) == expected
                 assert matrix.contains(source, target) == ((source, target) in stored)
+
+
+#: A 6-user axis for the patch properties; the dense oracle is 6 x 6.
+PATCH_AXIS = LabelIndex([f"u{i}" for i in range(6)])
+
+patch_values = st.one_of(
+    st.just(0.0), st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32)
+)
+cells = st.lists(
+    st.tuples(st.integers(0, 5), st.integers(0, 5), patch_values), max_size=24
+)
+patch_positions = st.lists(st.integers(0, 5), max_size=3, unique=True)
+version_writes = st.lists(
+    st.tuples(
+        st.sampled_from(["set", "set_block", "accumulate", "discard"]),
+        st.integers(0, 5),
+        st.integers(0, 5),
+        patch_values,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def dense_state(matrix):
+    """``(stored mask, values)`` of ``matrix`` as dense 6 x 6 arrays."""
+    rows, cols, vals = matrix.entries_arrays()
+    stored = np.zeros((6, 6), dtype=bool)
+    values = np.zeros((6, 6))
+    stored[rows, cols] = True
+    values[rows, cols] = vals
+    return stored, values
+
+
+def snapshot(matrix):
+    """Everything a holder of ``matrix`` can read, copied."""
+    return matrix.support_keys(), matrix.values(), matrix.csr().toarray()
+
+
+def assert_snapshot(matrix, expected):
+    for got, want in zip(snapshot(matrix), expected):
+        assert np.array_equal(got, want)
+
+
+class TestPatchedVersions:
+    @given(
+        cells,
+        patch_positions,
+        patch_positions,
+        st.booleans(),
+        cells,
+        st.booleans(),
+        version_writes,
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_patch_matches_dense_oracle_and_versions_stay_apart(
+        self, base_cells, rows, cols, keep_support, changes, write_base, writes
+    ):
+        n = len(PATCH_AXIS)
+        base = UserPairMatrix.from_arrays(
+            PATCH_AXIS,
+            [i for i, _, _ in base_cells],
+            [j for _, j, _ in base_cells],
+            [v for _, _, v in base_cells],
+        )
+        stored, values = dense_state(base)
+        in_region = np.zeros((n, n), dtype=bool)
+        in_region[rows, :] = True
+        in_region[:, cols] = True
+
+        # the recomputed region: new values at the base's in-region keys,
+        # and, for a support change, in-region cells added or dropped
+        new_stored = stored.copy()
+        new_values = values.copy()
+        for k, (i, j, v) in enumerate(changes):
+            if not in_region[i, j]:
+                continue
+            if keep_support:
+                if stored[i, j]:
+                    new_values[i, j] = v
+            else:
+                new_stored[i, j] = not new_stored[i, j] if k % 2 else True
+                new_values[i, j] = v
+        new_values[~new_stored] = 0.0
+        r, c = np.nonzero(new_stored & in_region)
+        region = UserPairMatrix.from_arrays(PATCH_AXIS, r, c, new_values[r, c])
+
+        before = snapshot(base)
+        patched, kept = base.patched(
+            PATCH_AXIS,
+            region,
+            rows=np.asarray(rows, dtype=np.int64),
+            cols=np.asarray(cols, dtype=np.int64),
+        )
+
+        # the dense scatter oracle, bitwise
+        got_stored, got_values = dense_state(patched)
+        assert np.array_equal(got_stored, new_stored)
+        assert np.array_equal(got_values, new_values)
+        assert kept == int((stored & ~in_region).sum())
+        assert_snapshot(base, before)
+
+        # the key array (and the CSR structure) is shared exactly when the
+        # support held, and whatever is shared is read-only
+        support_kept = bool(np.array_equal(new_stored, stored))
+        assert (patched._keys is base._keys) == support_kept
+        if support_kept:
+            assert not base._keys.flags.writeable
+            for name in ("indices", "indptr"):
+                shared = getattr(patched.csr(), name)
+                # an empty array shares no memory with anything
+                assert np.shares_memory(shared, getattr(base.csr(), name)) or not shared.size
+                assert not shared.flags.writeable
+            assert not patched.csr().data.flags.writeable
+
+        # a write to either version leaves the other as it was, and leaves
+        # the CSR the written version handed out before
+        target, other = (base, patched) if write_base else (patched, base)
+        other.csr()
+        held = snapshot(other)
+        handed_out = target.csr()
+        handed_out_dense = handed_out.toarray()
+        apply_writes(target, writes)
+        assert_snapshot(other, held)
+        assert np.array_equal(handed_out.toarray(), handed_out_dense)

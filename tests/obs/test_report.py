@@ -88,6 +88,18 @@ class TestRenderTraceReport:
         assert "80.0%" in categories
         pairs = next(l for l in lines if l.startswith("derive pairs"))
         assert "120" in pairs and "880" in pairs and "88.0%" in pairs
+        assert not any(l.startswith(("T-hat patch", "shard patch")) for l in lines)
+
+    def test_engine_section_summarises_patch_paths(self):
+        recorder = Recorder()
+        with obs.use_recorder(recorder):
+            obs.add("engine.deltas_applied", 4)
+            obs.add("matrix.patch.values_only", 3)
+            obs.add("matrix.patch.merged", 1)
+        lines = render_trace_report(recorder.to_dict()).splitlines()
+        patches = next(l for l in lines if l.startswith("T-hat patch structure"))
+        assert "75.0%" in patches
+        assert not any(l.startswith("shard patch") for l in lines)
 
 
 class TestReportCli:

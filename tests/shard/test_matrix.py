@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.common.errors import ValidationError
 from repro.matrix import UserPairMatrix
 from repro.matrix.labels import LabelIndex
+from repro.obs.recorder import Recorder
 from repro.shard import ShardLayout, ShardStore
 from repro.shard.matrix import ENTRY_BYTES, ShardedPairMatrix
 
@@ -241,10 +243,10 @@ class TestPatchWith:
         region.set_block([1, 6, 0, 1], [3, 2, 2, 2], [0.9, 0.8, 0.7, 0.6])
 
         expected, expected_kept = flat.patched(users, region, rows=rows, cols=cols)
-        kept, patched_shards = sharded.patch_with(region, rows=rows, cols=cols)
+        patched, kept, patched_shards = sharded.patch_with(region, rows=rows, cols=cols)
         assert kept == expected_kept
         assert patched_shards == sharded.num_shards  # cols touch every shard
-        assert sharded == expected
+        assert patched == expected
 
     def test_rows_only_patch_touches_owning_shards_only(self, users):
         n = len(users)
@@ -254,12 +256,74 @@ class TestPatchWith:
         )
         region = UserPairMatrix(users)
         region.set("u1", "u3", 0.9)
-        kept, patched_shards = sharded.patch_with(
+        patched, kept, patched_shards = sharded.patch_with(
             region, rows=np.asarray([1]), cols=np.empty(0, dtype=np.int64)
         )
         assert patched_shards == 1
         assert kept == 2  # both old entries outside the changed row survive
-        assert sharded.get("u1", "u3") == 0.9
+        assert patched.get("u1", "u3") == 0.9
+
+    @pytest.mark.parametrize("spill_bytes", [None, ENTRY_BYTES])
+    @pytest.mark.parametrize("keep_support", [True, False])
+    def test_both_paths_match_in_memory_and_leave_the_base(
+        self, users, tmp_path, spill_bytes, keep_support
+    ):
+        n = len(users)
+        rng = np.random.default_rng(13)
+        old_dense = (rng.random((n, n)) * (rng.random((n, n)) < 0.5)).round(3)
+        rows_idx, cols_idx = np.nonzero(old_dense)
+        old_vals = old_dense[rows_idx, cols_idx]
+        flat = UserPairMatrix.from_arrays(users, rows_idx, cols_idx, old_vals)
+        sharded = ShardedPairMatrix.from_arrays(
+            users,
+            rows_idx,
+            cols_idx,
+            old_vals,
+            num_shards=3,
+            store=ShardStore(tmp_path / "store"),
+            spill_bytes=spill_bytes,
+        )
+        rows, cols = np.asarray([2]), np.asarray([5])
+        in_region = np.zeros((n, n), dtype=bool)
+        in_region[rows, :] = True
+        in_region[:, cols] = True
+        new_dense = np.where(in_region, (old_dense * 2.0 + 0.5) * (old_dense > 0), old_dense)
+        if not keep_support:
+            new_dense[2, 2] = 0.0 if old_dense[2, 2] else 0.75  # one key in or out
+        r, c = np.nonzero(new_dense * in_region)
+        region = UserPairMatrix.from_arrays(users, r, c, new_dense[r, c])
+
+        expected, expected_kept = flat.patched(users, region, rows=rows, cols=cols)
+        recorder = Recorder()
+        with obs.use_recorder(recorder):
+            patched, kept, touched = sharded.patch_with(region, rows=rows, cols=cols)
+        assert patched is not sharded
+        assert patched == expected
+        assert kept == expected_kept
+        assert sharded == flat  # the base is unchanged
+        counters = recorder.counters
+        assert counters.get("shard.patch.values_only", 0) == touched - (not keep_support)
+        assert counters.get("shard.patch.merged", 0) == (not keep_support)
+        # a shard that has a file keeps it: the patch spills nothing
+        assert "shard.spill" not in counters
+
+        # the new version owns the store now; the base keeps its bytes
+        patched.flush(epoch=1)
+        assert patched.store.verify() == []
+        assert sharded == flat
+        assert ShardedPairMatrix.open(patched.store) == expected
+        with pytest.raises(ValidationError, match="superseded"):
+            sharded.flush()
+
+    def test_patch_rejects_region_entry_outside_region(self, users):
+        sharded = ShardedPairMatrix.from_arrays(
+            users, [0, 1, 5], [1, 2, 6], [0.5, 0.4, 0.25], num_shards=2
+        )
+        region = UserPairMatrix.from_arrays(users, [1, 0], [2, 3], [0.9, 0.8])
+        with pytest.raises(ValidationError, match="changed rows or columns"):
+            sharded.patch_with(
+                region, rows=np.asarray([1]), cols=np.empty(0, dtype=np.int64)
+            )
 
     def test_patch_rejects_foreign_axis(self, users):
         sharded = ShardedPairMatrix(users, num_shards=2)
