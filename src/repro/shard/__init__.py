@@ -8,8 +8,10 @@ reads each spilled shard once per call:
 - :class:`ShardLayout` -- contiguous row-block boundaries;
 - :class:`ShardStore` -- a directory of memory-mappable ``.npy`` payloads
   with a checksummed JSON manifest;
-- :class:`ShardedPairMatrix` -- the drop-in, bitwise-identical sharded
-  backend for :class:`repro.matrix.UserPairMatrix`;
+- :class:`ShardedPairMatrix` -- the bitwise-identical sharded backend
+  for :class:`repro.matrix.UserPairMatrix`, read through the same API;
+  each shard's content is written whole (``set_shard_entries``,
+  ``from_pair_matrix``, ``patch_with``);
 - :class:`ShardConfig` -- shard count / spill budget / store location;
 - :class:`ArtifactStore` -- save/load facade for whole pipeline outputs.
 

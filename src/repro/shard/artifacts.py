@@ -25,7 +25,6 @@ from repro.matrix.labels import LabelIndex
 from repro.matrix.pair import UserPairMatrix
 from repro.matrix.user_category import UserCategoryMatrix
 from repro.propagation.scores import PropagationScores
-from repro.shard.layout import ShardLayout
 from repro.shard.matrix import ShardedPairMatrix
 from repro.shard.store import ShardStore
 
@@ -38,6 +37,7 @@ _EXPERTISE_NAME = "expertise.npy"
 _AFFILIATION_NAME = "affiliation.npy"
 _SCORES_NAME = "scores.npy"
 _CATEGORIES_NAME = "categories.txt"
+_FORMAT = "repro.artifacts/v1"
 
 
 @dataclass(frozen=True)
@@ -92,10 +92,10 @@ class ArtifactStore:
             ):
                 self._flat.write_array(name, np.ascontiguousarray(values))
                 checksums[name] = self._flat.checksum(name)
-            self._write_categories(expertise.categories)
+            self._flat.write_labels(expertise.categories.labels, _CATEGORIES_NAME)
             checksums[_CATEGORIES_NAME] = self._flat.checksum(_CATEGORIES_NAME)
             manifest: dict[str, Any] = {
-                "format": "repro.artifacts/v1",
+                "format": _FORMAT,
                 "epoch": int(epoch),
                 "n_users": len(derived.users),
                 "n_categories": len(expertise.categories),
@@ -111,9 +111,9 @@ class ArtifactStore:
                 },
                 "checksums": checksums,
             }
-            with open(self.root / ARTIFACTS_NAME, "w", encoding="utf-8") as handle:
-                json.dump(manifest, handle, indent=2, sort_keys=True)
-                handle.write("\n")
+            self._flat.write_text(
+                ARTIFACTS_NAME, json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+            )
         return manifest
 
     # -------------------------------------------------------------------- load
@@ -145,14 +145,7 @@ class ArtifactStore:
             )
 
     def read_manifest(self) -> dict[str, Any]:
-        target = self.root / ARTIFACTS_NAME
-        if not target.exists():
-            raise ValidationError(f"no artifact manifest at {target}")
-        with open(target, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        if not isinstance(manifest, dict) or manifest.get("format") != "repro.artifacts/v1":
-            raise ValidationError(f"{target} is not a repro.artifacts/v1 manifest")
-        return manifest
+        return self._flat.read_json(ARTIFACTS_NAME, _FORMAT)
 
     # --------------------------------------------------------------- integrity
 
@@ -178,38 +171,17 @@ class ArtifactStore:
     def _as_sharded(
         self, derived: UserPairMatrix | ShardedPairMatrix, num_shards: int
     ) -> ShardedPairMatrix:
-        if isinstance(derived, ShardedPairMatrix):
-            if derived.store is not None and derived.store.root == self.derived_store.root:
-                return derived
-            copy = ShardedPairMatrix(
-                derived.users, derived.layout, store=self.derived_store
+        if isinstance(derived, UserPairMatrix):
+            return ShardedPairMatrix.from_pair_matrix(
+                derived, num_shards=num_shards, store=self.derived_store
             )
-            for s in range(derived.num_shards):
-                keys, vals = derived.shard_entries(s)
-                copy.set_shard_entries(s, np.asarray(keys), np.asarray(vals))
-            return copy
-        out = ShardedPairMatrix(
-            derived.users,
-            ShardLayout.even(len(derived.users), num_shards),
-            store=self.derived_store,
-        )
-        n = len(derived.users)
-        keys = derived.support_keys()
-        vals = derived.values()
-        for s, lo, hi in out.layout:
-            k_lo, k_hi = np.searchsorted(keys, [lo * n, hi * n])
-            out.set_shard_entries(s, keys[k_lo:k_hi], vals[k_lo:k_hi])
-        return out
-
-    def _write_categories(self, categories: LabelIndex) -> None:
-        with open(self.root / _CATEGORIES_NAME, "w", encoding="utf-8") as handle:
-            for label in categories.labels:
-                if "\n" in label:
-                    raise ValidationError(
-                        f"labels may not contain newlines, got {label!r}"
-                    )
-                handle.write(label)
-                handle.write("\n")
+        if derived.store is not None and derived.store.root == self.derived_store.root:
+            return derived
+        copy = ShardedPairMatrix(derived.users, derived.layout, store=self.derived_store)
+        for s in range(derived.num_shards):
+            keys, vals = derived.shard_entries(s)
+            copy.set_shard_entries(s, np.asarray(keys), np.asarray(vals))
+        return copy
 
     def _read_categories(self) -> tuple[str, ...]:
         target = self.root / _CATEGORIES_NAME

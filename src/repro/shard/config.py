@@ -10,15 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.common.errors import ValidationError
-from repro.matrix.labels import LabelIndex
 from repro.shard.layout import ShardLayout
 from repro.shard.store import ShardStore
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.shard.matrix import ShardedPairMatrix
 
 __all__ = ["ShardConfig"]
 
@@ -32,11 +27,11 @@ class ShardConfig:
     num_shards:
         Row blocks to split the ``U x U`` matrix into.
     spill_bytes:
-        Per-shard heap budget in bytes; a shard whose buffered entries
-        exceed it is written to the store immediately.  ``None`` keeps
-        shards in memory until an explicit flush.  The budget covers a
-        shard until it has a file: a shard rewritten after that (an engine
-        patch) stays on the heap until the next flush.
+        Per-shard heap budget in bytes; a shard whose entries exceed it is
+        written to the store as soon as its content is set.  ``None``
+        keeps shards in memory until an explicit flush.  The budget covers
+        a shard until it has a file: a shard rewritten after that (an
+        engine patch) stays on the heap until the next flush.
     root:
         Store directory.  ``None`` uses a fresh temporary directory that
         is removed when the store is garbage-collected.
@@ -68,16 +63,3 @@ class ShardConfig:
     def layout_for(self, n_rows: int) -> ShardLayout:
         """The even row-block layout this config implies for ``n_rows``."""
         return ShardLayout.even(n_rows, self.num_shards)
-
-    def matrix_for(
-        self, users: LabelIndex, *, store: ShardStore | None = None
-    ) -> "ShardedPairMatrix":
-        """An empty sharded matrix over ``users`` per this config."""
-        from repro.shard.matrix import ShardedPairMatrix
-
-        return ShardedPairMatrix(
-            users,
-            self.layout_for(len(users)),
-            store=store if store is not None else self.make_store(),
-            spill_bytes=self.spill_bytes,
-        )

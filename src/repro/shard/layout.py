@@ -62,18 +62,6 @@ class ShardLayout:
         edges = np.linspace(0, n_rows, shards + 1).astype(np.int64)
         return cls(n_rows=n_rows, bounds=tuple(int(e) for e in edges))
 
-    @classmethod
-    def for_rows_per_shard(cls, n_rows: int, rows_per_shard: int) -> "ShardLayout":
-        """Fixed-height blocks of at most ``rows_per_shard`` rows."""
-        if rows_per_shard < 1:
-            raise ValidationError(
-                f"rows_per_shard must be >= 1, got {rows_per_shard}"
-            )
-        edges = list(range(0, n_rows, rows_per_shard)) + [n_rows]
-        if len(edges) < 2:
-            edges = [0, n_rows]
-        return cls(n_rows=n_rows, bounds=tuple(edges))
-
     # ------------------------------------------------------------------ queries
 
     @property

@@ -5,10 +5,12 @@
 arrays of :class:`repro.matrix.UserPairMatrix` are split into contiguous
 row blocks (:class:`repro.shard.layout.ShardLayout`), each block living
 either in memory or as a pair of memory-mapped ``.npy`` files inside a
-:class:`repro.shard.store.ShardStore`.  Writers (:meth:`set_block`,
-:meth:`set_shard_entries`) spill a shard to disk as soon as its entries
-exceed a configurable byte budget, so peak heap usage during a build is
-one shard, not the whole matrix.
+:class:`repro.shard.store.ShardStore`.  A shard's content is only ever
+replaced whole, with consolidated entries: by :meth:`set_shard_entries`
+(which :meth:`from_pair_matrix` and the sharded deriver call once per
+shard) or by :meth:`patch_with`.  A shard whose entries exceed a
+configurable byte budget spills to disk at once, so peak heap usage during
+a build is one shard, not the whole matrix.
 
 The read contract mirrors ``UserPairMatrix`` where consumers need it --
 :meth:`entries_arrays`, :meth:`support_keys`, :meth:`values`,
@@ -64,8 +66,8 @@ class ShardedPairMatrix:
     one.  The versions share the store, the untouched shards' arrays and,
     where a patch kept a shard's support, its key array.  Only the newest
     version may write: an older one stays readable but rejects
-    :meth:`set`, :meth:`set_block`, :meth:`set_shard_entries`,
-    :meth:`patch_with` and :meth:`flush` (see :meth:`supersede`).
+    :meth:`set_shard_entries`, :meth:`patch_with` and :meth:`flush` (see
+    :meth:`supersede`).
     """
 
     def __init__(
@@ -98,10 +100,6 @@ class ShardedPairMatrix:
         self._vals: list[Any] = [_EMPTY_VALS] * shards
         self._on_disk = [False] * shards
         self._dirty = [False] * shards
-        self._pending: list[list[tuple[IntArray, FloatArray]]] = [
-            [] for _ in range(shards)
-        ]
-        self._pending_entries = [0] * shards
         self._checksums: dict[str, str] = {}
         self._superseded = False
 
@@ -126,73 +124,13 @@ class ShardedPairMatrix:
 
     # ------------------------------------------------------------------ writes
 
-    def set_block(
-        self,
-        rows: IntArray | Iterable[int],
-        cols: IntArray | Iterable[int],
-        values: FloatArray | Iterable[float] | float,
-    ) -> None:
-        """Bulk-store ``values`` at positions ``(rows, cols)``.
-
-        Same contract as :meth:`repro.matrix.UserPairMatrix.set_block`:
-        later writes win over earlier ones.  Entries are routed to their
-        row shard; a shard whose buffered entries exceed the byte budget
-        spills to its store immediately.
-        """
-        self._require_newest()
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.ndim != 1 or cols.ndim != 1 or rows.shape != cols.shape:
-            raise ValidationError(
-                f"rows and cols must be equal-length 1-D arrays, got shapes "
-                f"{rows.shape} and {cols.shape}"
-            )
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim == 0:
-            values = np.full(rows.shape, float(values))
-        elif values.shape != rows.shape:
-            raise ValidationError(
-                f"values shape {values.shape} does not match {rows.size} pairs"
-            )
-        else:
-            values = values.copy()
-        if values.size and not np.isfinite(values).all():
-            raise ValidationError("pair values must be finite")
-        n = self._n
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
-                raise ValidationError(
-                    f"positions must lie in [0, {n}); got rows in "
-                    f"[{rows.min()}, {rows.max()}], cols in [{cols.min()}, {cols.max()}]"
-                )
-        if not rows.size:
-            return
-        keys = rows * n + cols
-        shard_idx = self.layout.shard_of_rows(rows)
-        for s in np.unique(shard_idx).tolist():
-            mask = shard_idx == s
-            self._pending[s].append((keys[mask], values[mask]))
-            self._pending_entries[s] += int(np.count_nonzero(mask))
-            self._dirty[s] = True
-            self._maybe_spill(s)
-
-    def set(self, source_id: str, target_id: str, value: float) -> None:
-        """Store one pair (buffered like a one-entry :meth:`set_block`)."""
-        i = self.users.position(source_id)
-        j = self.users.position(target_id)
-        self.set_block(
-            np.asarray([i], dtype=np.int64),
-            np.asarray([j], dtype=np.int64),
-            np.asarray([float(value)], dtype=np.float64),
-        )
-
     def set_shard_entries(self, shard: int, keys: IntArray, vals: FloatArray) -> None:
         """Replace one shard's content with consolidated entries in O(nnz).
 
-        The fast-path writer for streaming builders
-        (:meth:`repro.trust.TrustDeriver.derive_sharded`): ``keys`` must
-        be strictly increasing flat keys inside the shard's row range.
-        Pending buffered writes for the shard are discarded.
+        The writer every build goes through
+        (:meth:`repro.trust.TrustDeriver.derive_sharded`,
+        :meth:`from_pair_matrix`): ``keys`` must be strictly increasing
+        flat keys inside the shard's row range.
         """
         self._require_newest()
         lo_key, hi_key = self.layout.key_range(shard, self._n)
@@ -215,32 +153,37 @@ class ShardedPairMatrix:
                 )
             if not np.isfinite(vals).all():
                 raise ValidationError("pair values must be finite")
-        self._pending[shard] = []
-        self._pending_entries[shard] = 0
         self._replace_shard(shard, keys, vals)
 
     @classmethod
-    def from_arrays(
+    def from_pair_matrix(
         cls,
-        users: LabelIndex | Iterable[str],
-        rows: IntArray | Iterable[int],
-        cols: IntArray | Iterable[int],
-        values: FloatArray | Iterable[float] | float,
-        *,
+        matrix: UserPairMatrix,
         layout: ShardLayout | None = None,
+        *,
         num_shards: int = 4,
         store: ShardStore | None = None,
         spill_bytes: int | None = None,
     ) -> "ShardedPairMatrix":
-        """Build from position arrays in one bulk write."""
+        """Shard an in-memory matrix: each row block's entries, written whole.
+
+        The result has ``matrix``'s user axis and stored entries (explicit
+        zeros included); each shard goes through :meth:`set_shard_entries`,
+        so one over the spill budget is written to the store at once.
+        """
         out = cls(
-            users,
+            matrix.users,
             layout,
             num_shards=num_shards,
             store=store,
             spill_bytes=spill_bytes,
         )
-        out.set_block(rows, cols, values)
+        n = out._n
+        keys = matrix.support_keys()
+        vals = matrix.values()
+        for shard, lo, hi in out.layout:
+            k_lo, k_hi = np.searchsorted(keys, [lo * n, hi * n])
+            out.set_shard_entries(shard, keys[k_lo:k_hi], vals[k_lo:k_hi])
         return out
 
     # ---------------------------------------------------------------- patching
@@ -424,19 +367,13 @@ class ShardedPairMatrix:
         )
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, ShardedPairMatrix):
-            if self.users != other.users:
-                return False
-            return np.array_equal(
-                self.support_keys(), other.support_keys()
-            ) and np.array_equal(self.values(), other.values())
-        if isinstance(other, UserPairMatrix):
-            if self.users != other.users:
-                return False
-            return np.array_equal(
-                self.support_keys(), other.support_keys()
-            ) and np.array_equal(self.values(), other.values())
-        return NotImplemented
+        if not isinstance(other, (ShardedPairMatrix, UserPairMatrix)):
+            return NotImplemented
+        return (
+            self.users == other.users
+            and np.array_equal(self.support_keys(), other.support_keys())
+            and np.array_equal(self.values(), other.values())
+        )
 
     def __hash__(self) -> None:  # type: ignore[override]
         raise TypeError("ShardedPairMatrix is mutable and unhashable")
@@ -544,7 +481,7 @@ class ShardedPairMatrix:
         return out
 
     def _replace_shard(self, shard: int, keys: IntArray, vals: FloatArray) -> None:
-        """Install consolidated arrays as the shard's content (no pending)."""
+        """Install consolidated arrays as the shard's whole content."""
         keys.setflags(write=False)
         vals.setflags(write=False)
         self._keys[shard] = keys
@@ -553,10 +490,9 @@ class ShardedPairMatrix:
         self._maybe_spill(shard)
 
     def _estimated_bytes(self, shard: int) -> int:
-        consolidated = 0
-        if self._keys[shard] is not None and not self._on_disk[shard]:
-            consolidated = int(self._keys[shard].shape[0])
-        return ENTRY_BYTES * (consolidated + self._pending_entries[shard])
+        if self._keys[shard] is None or self._on_disk[shard]:
+            return 0
+        return ENTRY_BYTES * int(self._keys[shard].shape[0])
 
     def _maybe_spill(self, shard: int) -> None:
         if self._spill_bytes is None or self._store is None:
@@ -566,11 +502,11 @@ class ShardedPairMatrix:
             self._flush_shard(shard)
 
     def _flush_shard(self, shard: int) -> None:
+        """Write a shard held on the heap to its files and drop the heap copy."""
         store = self._require_store()
-        keys, vals = self._consolidate(shard)
         keys_name, vals_name = _shard_files(shard)
-        store.write_array(keys_name, np.asarray(keys))
-        store.write_array(vals_name, np.asarray(vals, dtype=np.float64))
+        store.write_array(keys_name, np.asarray(self._keys[shard]))
+        store.write_array(vals_name, np.asarray(self._vals[shard], dtype=np.float64))
         self._checksums[keys_name] = store.checksum(keys_name)
         self._checksums[vals_name] = store.checksum(vals_name)
         self._on_disk[shard] = True
@@ -581,8 +517,6 @@ class ShardedPairMatrix:
 
     def _shard_arrays(self, shard: int) -> tuple[IntArray, FloatArray]:
         self.layout._require_shard(shard)
-        if self._pending[shard]:
-            return self._consolidate(shard)
         if self._keys[shard] is None:
             store = self._require_store()
             keys_name, vals_name = _shard_files(shard)
@@ -592,34 +526,3 @@ class ShardedPairMatrix:
         else:
             obs.add("shard.hit")
         return self._keys[shard], self._vals[shard]
-
-    def _consolidate(self, shard: int) -> tuple[IntArray, FloatArray]:
-        """Merge pending blocks into the shard (last write per key wins)."""
-        if not self._pending[shard]:
-            if self._keys[shard] is None:
-                return self._shard_arrays(shard)
-            return self._keys[shard], self._vals[shard]
-        if self._keys[shard] is None:
-            # shard was spilled with writes still arriving: materialise
-            # the on-disk entries to merge against
-            store = self._require_store()
-            keys_name, vals_name = _shard_files(shard)
-            obs.add("shard.miss")
-            base_keys = np.asarray(store.read_array(keys_name))
-            base_vals = np.asarray(store.read_array(vals_name))
-        else:
-            base_keys = np.asarray(self._keys[shard])
-            base_vals = np.asarray(self._vals[shard])
-        keys = np.concatenate([base_keys] + [k for k, _ in self._pending[shard]])
-        vals = np.concatenate([base_vals] + [v for _, v in self._pending[shard]])
-        self._pending[shard] = []
-        self._pending_entries[shard] = 0
-        # keep the LAST write per key: unique over the reversed array picks
-        # the first occurrence there, i.e. the most recent write
-        uniq, idx = np.unique(keys[::-1], return_index=True)
-        merged_vals = vals[::-1][idx]
-        uniq.setflags(write=False)
-        merged_vals.setflags(write=False)
-        self._keys[shard] = uniq
-        self._vals[shard] = merged_vals
-        return uniq, merged_vals

@@ -7,7 +7,9 @@ document records the shard boundaries, dtypes, entry counts, the
 community epoch the artifact corresponds to, and a SHA-256 checksum per
 payload file.  :meth:`ShardStore.verify` re-hashes every payload against
 the manifest -- the integrity gate behind ``repro shard verify`` and the
-CI perf smoke.
+CI perf smoke.  Every file is replaced whole: it is written to a staging
+name and renamed onto its own, so a write that fails leaves the previous
+file readable.
 
 All IO is surfaced through :mod:`repro.obs`: ``shard.write.bytes`` /
 ``shard.read.bytes`` counters and ``shard.store.flush`` /
@@ -93,41 +95,71 @@ class ShardStore:
             return np.load(target, mmap_mode="r")
         return np.load(target)
 
-    # ---------------------------------------------------------------- manifest
+    # -------------------------------------------------------------------- text
 
-    def write_manifest(self, document: dict[str, Any]) -> None:
-        with open(self.path(MANIFEST_NAME), "w", encoding="utf-8") as handle:
-            json.dump(document, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    def write_text(self, name: str, text: str) -> None:
+        """Replace the text file ``name`` whole, as :meth:`write_array` does.
 
-    def read_manifest(self) -> dict[str, Any]:
-        target = self.path(MANIFEST_NAME)
+        The text goes to a staging file that is then renamed onto ``name``
+        (``os.replace``), so a failure leaves the previous file as it was.
+        The metadata writers below all go through here; unlike
+        :meth:`write_array` it counts no ``shard.write.*`` IO.
+        """
+        target = self.path(name)
+        staging = target.with_name(target.name + ".staging")
+        staging.write_text(text, encoding="utf-8")
+        os.replace(staging, target)
+
+    def read_json(self, name: str, format_tag: str) -> dict[str, Any]:
+        """Load the JSON object ``name`` whose ``format`` is ``format_tag``.
+
+        Raises :class:`ValidationError` naming the file when it is missing,
+        not valid JSON (e.g. truncated), not a JSON object, or of another
+        format.
+        """
+        target = self.path(name)
         if not target.exists():
             raise ValidationError(f"no manifest at {target}")
-        with open(target, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-        if not isinstance(document, dict) or document.get("format") != FORMAT:
+        try:
+            document = json.loads(target.read_text(encoding="utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+            raise ValidationError(f"{target} is not valid JSON: {exc}") from exc
+        if not isinstance(document, dict):
             raise ValidationError(
-                f"{target} is not a {FORMAT} manifest "
+                f"{target} is not a {format_tag} manifest "
+                f"(a JSON {type(document).__name__}, not an object)"
+            )
+        if document.get("format") != format_tag:
+            raise ValidationError(
+                f"{target} is not a {format_tag} manifest "
                 f"(format={document.get('format')!r})"
             )
         return document
+
+    # ---------------------------------------------------------------- manifest
+
+    def write_manifest(self, document: dict[str, Any]) -> None:
+        self.write_text(
+            MANIFEST_NAME, json.dumps(document, indent=2, sort_keys=True) + "\n"
+        )
+
+    def read_manifest(self) -> dict[str, Any]:
+        return self.read_json(MANIFEST_NAME, FORMAT)
 
     def has_manifest(self) -> bool:
         return self.path(MANIFEST_NAME).exists()
 
     # ------------------------------------------------------------------ labels
 
-    def write_labels(self, labels: tuple[str, ...]) -> None:
-        """Persist the user axis, one label per line (order is the axis)."""
-        with open(self.path(USERS_NAME), "w", encoding="utf-8") as handle:
-            for label in labels:
-                if "\n" in label:
-                    raise ValidationError(
-                        f"labels may not contain newlines, got {label!r}"
-                    )
-                handle.write(label)
-                handle.write("\n")
+    def write_labels(self, labels: tuple[str, ...], name: str = USERS_NAME) -> None:
+        """Persist an axis, one label per line (order is the axis).
+
+        ``name`` defaults to the user axis file.
+        """
+        for label in labels:
+            if "\n" in label:
+                raise ValidationError(f"labels may not contain newlines, got {label!r}")
+        self.write_text(name, "".join(f"{label}\n" for label in labels))
 
     def read_labels(self) -> tuple[str, ...]:
         target = self.path(USERS_NAME)

@@ -12,10 +12,13 @@ cares about and the categories *j* is expert in do not overlap.
 Implementation notes
 --------------------
 The full matrix is the product ``W @ E.T`` where ``W`` is ``A`` with rows
-normalised to sum 1 (zero-affinity rows stay zero).  For large communities
-the product is computed in row blocks and only entries above ``min_value``
-are stored, keeping memory proportional to the stored result rather than
-``U^2``.
+normalised to sum 1 (zero-affinity rows stay zero).  One row-range kernel,
+:meth:`TrustDeriver._row_entries`, computes it in row blocks and keeps
+only entries above ``min_value``, as strictly increasing flat keys
+``i * U + j`` with their values, so memory stays proportional to the
+stored result rather than ``U^2``.  :meth:`TrustDeriver.derive` runs it
+over every active row, :meth:`TrustDeriver.derive_sharded` once per
+shard, and :meth:`TrustDeriver.derive_region` over the changed rows.
 
 Every block product goes through :func:`_block_product`, a non-BLAS einsum
 whose reduction order per output element is the fixed category sweep
@@ -108,30 +111,14 @@ class TrustDeriver:
             categories=len(affiliation.categories),
             block_size=self.block_size,
         ):
-            a_values = affiliation.values_view()
-            e_transposed = expertise.values_view().T.copy()  # C x U, contiguous
-
-            row_sums = a_values.sum(axis=1)
+            a_values, row_sums, e_transposed = _operands(affiliation, expertise)
             active_rows = np.nonzero(row_sums > 0.0)[0]
-
-            result = UserPairMatrix(users)
-            stored = 0
-            blocks = 0
-            for start in range(0, len(active_rows), self.block_size):
-                blocks += 1
-                block_rows = active_rows[start : start + self.block_size]
-                weights = a_values[block_rows, :] / row_sums[block_rows, None]
-                block = _block_product(weights, e_transposed)  # block x U
-                mask = block > self.min_value
-                if not self.include_self:
-                    mask[np.arange(block_rows.size), block_rows] = False
-                local, cols = np.nonzero(mask)
-                if local.size:
-                    result.set_block(block_rows[local], cols, block[local, cols])
-                    stored += int(local.size)
-            obs.add("derive.blocks", blocks)
-            obs.add("derive.entries_stored", stored)
-            return result
+            keys, vals = self._row_entries(
+                a_values, row_sums, e_transposed, active_rows, self.block_size
+            )
+            obs.add("derive.blocks", -(-active_rows.size // self.block_size))
+            obs.add("derive.entries_stored", int(keys.size))
+            return UserPairMatrix.from_flat_sorted(users, keys, vals)
 
     def derive_sharded(
         self,
@@ -145,8 +132,8 @@ class TrustDeriver:
     ) -> "ShardedPairMatrix":
         """Compute ``T-hat`` one row-block shard at a time (eq. 5).
 
-        The streaming counterpart of :meth:`derive`: rows are processed
-        shard by shard and each finished shard is handed to the
+        The streaming counterpart of :meth:`derive`: the row-range kernel
+        runs once per shard and each finished shard is handed whole to the
         :class:`repro.shard.ShardedPairMatrix` (which spills it to its
         store once over budget), so peak memory is one shard's entries
         plus one dense block -- never the whole matrix.  Dense blocks do
@@ -179,9 +166,7 @@ class TrustDeriver:
             shards=layout.num_shards,
             block_size=block_size,
         ):
-            a_values = affiliation.values_view()
-            e_transposed = expertise.values_view().T.copy()  # C x U, contiguous
-            row_sums = a_values.sum(axis=1)
+            a_values, row_sums, e_transposed = _operands(affiliation, expertise)
             active_rows = np.nonzero(row_sums > 0.0)[0]
 
             stored = 0
@@ -190,34 +175,15 @@ class TrustDeriver:
                 shard_rows = active_rows[
                     np.searchsorted(active_rows, lo) : np.searchsorted(active_rows, hi)
                 ]
-                key_parts: list[IntArray] = []
-                val_parts: list[FloatArray] = []
-                for start in range(0, len(shard_rows), block_size):
-                    blocks += 1
-                    block_rows = shard_rows[start : start + block_size]
-                    weights = a_values[block_rows, :] / row_sums[block_rows, None]
-                    block = _block_product(weights, e_transposed)  # block x U
-                    mask = block > self.min_value
-                    if not self.include_self:
-                        mask[np.arange(block_rows.size), block_rows] = False
-                    local, cols = np.nonzero(mask)
-                    if local.size:
-                        # np.nonzero is row-major, so keys come out strictly
-                        # increasing: the set_shard_entries fast path applies
-                        key_parts.append(block_rows[local] * n + cols)
-                        val_parts.append(block[local, cols])
-                        stored += int(local.size)
-                keys = (
-                    np.concatenate(key_parts)
-                    if key_parts
-                    else np.empty(0, dtype=np.int64)
+                keys, vals = self._row_entries(
+                    a_values, row_sums, e_transposed, shard_rows, block_size
                 )
-                vals = (
-                    np.concatenate(val_parts)
-                    if val_parts
-                    else np.empty(0, dtype=np.float64)
-                )
+                blocks += -(-shard_rows.size // block_size)
+                stored += int(keys.size)
                 result.set_shard_entries(shard, keys, vals)
+                # drop this frame's references, so a spilled shard leaves
+                # the heap before the next shard is built
+                del keys, vals
             obs.add("derive.blocks", blocks)
             obs.add("derive.entries_stored", stored)
             return result
@@ -253,29 +219,16 @@ class TrustDeriver:
                     f"[{positions[0]}, {positions[-1]}]"
                 )
         with obs.span("derive.region", users=n, rows=rows.size, cols=cols.size):
-            a_values = affiliation.values_view()
-            e_transposed = expertise.values_view().T.copy()  # C x U, contiguous
-            row_sums = a_values.sum(axis=1)
+            a_values, row_sums, e_transposed = _operands(affiliation, expertise)
             active = row_sums > 0.0
 
-            result = UserPairMatrix(users)
-            stored = 0
             # pass 1: changed source rows, full width (inactive rows store
             # nothing in a full derive either)
             source_rows = rows[active[rows]]
-            for start in range(0, len(source_rows), self.block_size):
-                block_rows = source_rows[start : start + self.block_size]
-                weights = a_values[block_rows, :] / row_sums[block_rows, None]
-                block = _block_product(weights, e_transposed)
-                mask = block > self.min_value
-                if not self.include_self:
-                    mask[np.arange(block_rows.size), block_rows] = False
-                local, col_idx = np.nonzero(mask)
-                if local.size:
-                    result.set_block(
-                        block_rows[local], col_idx, block[local, col_idx]
-                    )
-                    stored += int(local.size)
+            keys, vals = self._row_entries(
+                a_values, row_sums, e_transposed, source_rows, self.block_size
+            )
+            key_parts, val_parts = [keys], [vals]
             # pass 2: changed target columns, on the active rows pass 1
             # did not already cover
             if cols.size:
@@ -303,54 +256,53 @@ class TrustDeriver:
                     if not self.include_self:
                         mask &= block_rows[:, None] != cols[None, :]
                     local, col_idx = np.nonzero(mask)
-                    if local.size:
-                        result.set_block(
-                            block_rows[local], cols[col_idx], block[local, col_idx]
-                        )
-                        stored += int(local.size)
-            obs.add("derive.entries_stored", stored)
-            return result
+                    key_parts.append(block_rows[local] * n + cols[col_idx])
+                    val_parts.append(block[local, col_idx])
+            keys = np.concatenate(key_parts)
+            vals = np.concatenate(val_parts)
+            # each pass yields increasing keys on rows the other pass skips,
+            # so a stable sort merges the two runs; every intermediate is
+            # dropped once consumed, to keep the transient heap small
+            del key_parts, val_parts
+            order = np.argsort(keys, kind="stable")
+            keys, vals = keys[order], vals[order]
+            del order
+            obs.add("derive.entries_stored", int(keys.size))
+            return UserPairMatrix.from_flat_sorted(users, keys, vals)
 
-    def derive_for_pairs(
+    def _row_entries(
         self,
-        affiliation: UserCategoryMatrix,
-        expertise: UserCategoryMatrix,
-        pairs: set[tuple[str, str]],
-    ) -> UserPairMatrix:
-        """Compute ``T-hat`` only on a given support set of pairs.
+        a_values: FloatArray,
+        row_sums: FloatArray,
+        e_transposed: FloatArray,
+        rows: IntArray,
+        block_size: int,
+    ) -> tuple[IntArray, FloatArray]:
+        """Eq. 5 on the full width of ``rows``, one dense block at a time.
 
-        Useful for evaluating eq. 5 against relations that are only defined
-        on observed pairs (e.g. the direct-connection relation ``R``).
-        Entries are stored even when zero, so the support is preserved.
+        ``rows`` are sorted, unique, active (positive affinity sum) source
+        positions; each block of at most ``block_size`` of them goes
+        through :func:`_block_product`.  Returns the stored entries as
+        strictly increasing flat keys ``i * U + j`` and their values.
         """
-        _require_aligned(affiliation, expertise)
-        users = affiliation.users
-        with obs.span("derive.pairs", users=len(users), pairs=len(pairs)):
-            a_values = affiliation.values_view()
-            e_values = expertise.values_view()
-            row_sums = a_values.sum(axis=1)
-
-            result = UserPairMatrix(users)
-            pair_list = list(pairs)
-            if not pair_list:
-                return result
-            sources = users.positions(s for s, _ in pair_list)
-            targets = users.positions(t for _, t in pair_list)
+        n = e_transposed.shape[1]
+        key_parts: list[IntArray] = [np.empty(0, dtype=np.int64)]
+        val_parts: list[FloatArray] = [np.empty(0, dtype=np.float64)]
+        for start in range(0, rows.size, block_size):
+            block_rows = rows[start : start + block_size]
+            weights = a_values[block_rows, :] / row_sums[block_rows, None]
+            block = _block_product(weights, e_transposed)  # block x U
+            mask = block > self.min_value
             if not self.include_self:
-                off_diagonal = sources != targets
-                sources, targets = sources[off_diagonal], targets[off_diagonal]
-            if not sources.size:
-                return result
-            # gathered-row dot products: one einsum over the whole support set
-            numerators = np.einsum("kc,kc->k", a_values[sources], e_values[targets])
-            denominators = row_sums[sources]
-            active = denominators > 0.0
-            values = np.where(
-                active, numerators / np.where(active, denominators, 1.0), 0.0
-            )
-            result.set_block(sources, targets, values)
-            obs.add("derive.entries_stored", int(sources.size))
-            return result
+                mask[np.arange(block_rows.size), block_rows] = False
+            # np.nonzero is row-major, so keys come out strictly increasing
+            local, cols = np.nonzero(mask)
+            key_parts.append(block_rows[local] * n + cols)
+            val_parts.append(block[local, cols])
+            # free this block's scratch before the next block (or the
+            # concatenation below) allocates its own
+            del block, mask, local, cols
+        return np.concatenate(key_parts), np.concatenate(val_parts)
 
 
 def derive_trust(
@@ -363,6 +315,14 @@ def derive_trust(
     """Functional shorthand for :meth:`TrustDeriver.derive`."""
     deriver = TrustDeriver(min_value=min_value, include_self=include_self)
     return deriver.derive(affiliation, expertise)
+
+
+def _operands(
+    affiliation: UserCategoryMatrix, expertise: UserCategoryMatrix
+) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """``A``, its row sums, and ``E`` transposed to a contiguous C x U array."""
+    a_values = affiliation.values_view()
+    return a_values, a_values.sum(axis=1), expertise.values_view().T.copy()
 
 
 def _require_aligned(affiliation: UserCategoryMatrix, expertise: UserCategoryMatrix) -> None:

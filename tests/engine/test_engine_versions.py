@@ -98,8 +98,6 @@ class TestSupersededShardedVersion:
         assert second.derived is not first.derived
         for write in (
             lambda m: m.flush(),
-            lambda m: m.set_block([0], [1], [0.5]),
-            lambda m: m.set(m.users.label(0), m.users.label(1), 0.5),
             lambda m: m.set_shard_entries(0, *m.shard_entries(0)),
         ):
             with pytest.raises(ValidationError, match="superseded"):

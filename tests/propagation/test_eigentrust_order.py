@@ -138,13 +138,8 @@ def build_web(backend, seed, users, rows, cols, values):
         "shards5": (5, None),
         "spilled": (4, ENTRY_BYTES),
     }[backend]
-    sharded = ShardedPairMatrix.from_arrays(
-        users,
-        rows,
-        cols,
-        values,
-        layout=random_layout(rng, len(users), num_shards),
-        spill_bytes=spill_bytes,
+    sharded = ShardedPairMatrix.from_pair_matrix(
+        flat, random_layout(rng, len(users), num_shards), spill_bytes=spill_bytes
     )
     blocks = [sharded.shard_csr(s) for s in range(sharded.num_shards)]
     return sharded, blocks

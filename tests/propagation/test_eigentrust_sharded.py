@@ -21,13 +21,8 @@ def matching_webs(num_users=24, seed=2, density=0.3, num_shards=3, spill_bytes=N
     np.fill_diagonal(dense, 0.0)
     rows, cols = np.nonzero(dense)
     flat = UserPairMatrix.from_arrays(users, rows, cols, dense[rows, cols])
-    sharded = ShardedPairMatrix.from_arrays(
-        users,
-        rows,
-        cols,
-        dense[rows, cols],
-        num_shards=num_shards,
-        spill_bytes=spill_bytes,
+    sharded = ShardedPairMatrix.from_pair_matrix(
+        flat, num_shards=num_shards, spill_bytes=spill_bytes
     )
     return flat, sharded
 
@@ -57,9 +52,7 @@ class TestParity:
         flat = UserPairMatrix(users)
         flat.set("a", "b", 1.0)
         flat.set("b", "c", 0.5)  # c and d dangle
-        sharded = ShardedPairMatrix.from_arrays(
-            users, *flat.entries_arrays(), num_shards=2
-        )
+        sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=2)
         reference = eigen_trust(flat)
         assert_scores_identical(reference, eigen_trust(sharded))
         assert reference.converged
@@ -70,9 +63,7 @@ class TestParity:
         flat = UserPairMatrix(users)
         flat.set("u0", "u8", 1.0)
         flat.set("u8", "u0", 1.0)  # middle shard is empty at 3 shards
-        sharded = ShardedPairMatrix.from_arrays(
-            users, *flat.entries_arrays(), num_shards=3
-        )
+        sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3)
         assert_scores_identical(eigen_trust(flat), eigen_trust(sharded))
 
     def test_warm_start_and_pretrust_identical(self):
@@ -88,8 +79,9 @@ class TestParity:
 class TestValidation:
     def test_negative_weights_rejected(self):
         users = LabelIndex(["a", "b", "c", "d"])
-        sharded = ShardedPairMatrix(users, num_shards=2)
-        sharded.set("c", "d", -0.5)  # negative entry in the second shard
+        flat = UserPairMatrix(users)
+        flat.set("c", "d", -0.5)  # negative entry in the second shard
+        sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=2)
         with pytest.raises(ValidationError, match="non-negative"):
             eigen_trust(sharded)
 

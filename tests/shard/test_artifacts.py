@@ -8,6 +8,7 @@ from repro.engine import cold_artifacts
 from repro.matrix import UserCategoryMatrix, UserPairMatrix
 from repro.propagation.scores import PropagationScores
 from repro.shard import ArtifactStore, ShardStore
+from repro.shard.artifacts import ARTIFACTS_NAME
 from repro.shard.matrix import ShardedPairMatrix
 
 
@@ -63,11 +64,8 @@ class TestSaveLoad:
         self, tmp_path, pipeline_artifacts
     ):
         foreign = ShardStore(tmp_path / "foreign")
-        sharded = ShardedPairMatrix.from_arrays(
-            pipeline_artifacts.derived.users,
-            *pipeline_artifacts.derived.entries_arrays(),
-            num_shards=2,
-            store=foreign,
+        sharded = ShardedPairMatrix.from_pair_matrix(
+            pipeline_artifacts.derived, num_shards=2, store=foreign
         )
         store = ArtifactStore(tmp_path / "a")
         store.save(
@@ -103,6 +101,64 @@ class TestSaveLoad:
     def test_load_without_manifest_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="manifest"):
             ArtifactStore(tmp_path / "empty").load()
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"format": "repro.artifacts/v1", "ep', "not valid JSON"),
+            ('["repro.artifacts/v1"]', "not an object"),
+            ('{"format": "repro.shard/v1"}', "format='repro.shard/v1'"),
+        ],
+        ids=["truncated", "json-list", "wrong-format"],
+    )
+    def test_malformed_manifest_rejected_naming_the_file(self, tmp_path, text, match):
+        store = ArtifactStore(tmp_path / "a")
+        (tmp_path / "a" / ARTIFACTS_NAME).write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=match) as info:
+            store.read_manifest()
+        assert ARTIFACTS_NAME in str(info.value)
+
+
+class TestFailedSave:
+    """A save that fails mid-way leaves the previous metadata files whole."""
+
+    @pytest.mark.parametrize("failure", ["categories", "manifest"])
+    def test_previous_store_stays_readable(self, tmp_path, pipeline_artifacts, failure):
+        store = ArtifactStore(tmp_path / "a")
+        save_all(store, pipeline_artifacts, epoch=4)
+        expertise = pipeline_artifacts.expertise
+        scores = pipeline_artifacts.scores
+        if failure == "categories":
+            labels = [*expertise.categories.labels[:-1], "bad\nlabel"]
+            expertise = UserCategoryMatrix(
+                expertise.users, labels, expertise.values_view()
+            )
+            expected: type[Exception] = ValidationError
+        else:
+            # a numpy float32 is not JSON serialisable
+            scores = PropagationScores(
+                scores.users,
+                scores.scores_array(),
+                converged=scores.converged,
+                iterations=scores.iterations,
+                residual=np.float32(1e-9),
+            )
+            expected = TypeError
+        with pytest.raises(expected):
+            store.save(
+                expertise=expertise,
+                affiliation=pipeline_artifacts.affiliation,
+                derived=pipeline_artifacts.derived,
+                scores=scores,
+                epoch=4,
+                num_shards=2,
+            )
+        assert store.verify() == []
+        loaded = store.load()
+        assert loaded.epoch == 4
+        assert loaded.expertise.categories == pipeline_artifacts.expertise.categories
+        assert loaded.derived == pipeline_artifacts.derived
+        assert not list((tmp_path / "a").glob("*.staging"))
 
 
 class TestVerify:

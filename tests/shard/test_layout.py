@@ -34,18 +34,6 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             ShardLayout.even(10, 0)
 
-    def test_for_rows_per_shard(self):
-        layout = ShardLayout.for_rows_per_shard(10, 4)
-        assert layout.bounds == (0, 4, 8, 10)
-
-    def test_for_rows_per_shard_exact_multiple(self):
-        layout = ShardLayout.for_rows_per_shard(8, 4)
-        assert layout.bounds == (0, 4, 8)
-
-    def test_for_rows_per_shard_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            ShardLayout.for_rows_per_shard(10, 0)
-
     def test_bounds_must_start_at_zero(self):
         with pytest.raises(ValidationError):
             ShardLayout(n_rows=5, bounds=(1, 5))

@@ -24,35 +24,11 @@ def random_pair(users, seed=3, density=0.4):
     dense = rng.random((n, n)) * (rng.random((n, n)) < density)
     rows, cols = np.nonzero(dense)
     flat = UserPairMatrix.from_arrays(users, rows, cols, dense[rows, cols])
-    sharded = ShardedPairMatrix.from_arrays(
-        users, rows, cols, dense[rows, cols], num_shards=3
-    )
+    sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3)
     return flat, sharded
 
 
 class TestWrites:
-    def test_set_block_round_trip(self, users):
-        m = ShardedPairMatrix(users, num_shards=3)
-        m.set_block([0, 3, 7], [1, 2, 0], [0.5, 0.25, 0.75])
-        assert m.get("u0", "u1") == 0.5
-        assert m.get("u3", "u2") == 0.25
-        assert m.get("u7", "u0") == 0.75
-        assert m.num_entries() == 3
-
-    def test_point_set(self, users):
-        m = ShardedPairMatrix(users, num_shards=2)
-        m.set("u2", "u5", 0.125)
-        assert m.get("u2", "u5") == 0.125
-        assert m.contains("u2", "u5")
-        assert not m.contains("u5", "u2")
-
-    def test_later_writes_win(self, users):
-        m = ShardedPairMatrix(users, num_shards=2)
-        m.set_block([1, 1], [2, 2], [0.1, 0.9])
-        assert m.get("u1", "u2") == 0.9
-        m.set("u1", "u2", 0.3)
-        assert m.get("u1", "u2") == 0.3
-
     def test_matches_user_pair_matrix_semantics(self, users):
         flat, sharded = random_pair(users)
         assert sharded == flat
@@ -60,26 +36,6 @@ class TestWrites:
         np.testing.assert_array_equal(sharded.values(), flat.values())
         for a, b in zip(sharded.entries_arrays(), flat.entries_arrays()):
             np.testing.assert_array_equal(a, b)
-
-    def test_set_block_validates_shapes(self, users):
-        m = ShardedPairMatrix(users, num_shards=2)
-        with pytest.raises(ValidationError, match="equal-length"):
-            m.set_block([0, 1], [1], [0.5])
-        with pytest.raises(ValidationError, match="values shape"):
-            m.set_block([0, 1], [1, 2], [0.5, 0.6, 0.7])
-
-    def test_set_block_validates_bounds_and_finiteness(self, users):
-        m = ShardedPairMatrix(users, num_shards=2)
-        with pytest.raises(ValidationError, match="positions"):
-            m.set_block([0], [99], [0.5])
-        with pytest.raises(ValidationError, match="finite"):
-            m.set_block([0], [1], [float("nan")])
-
-    def test_scalar_value_broadcast(self, users):
-        m = ShardedPairMatrix(users, num_shards=2)
-        m.set_block([0, 4], [1, 5], 0.5)
-        assert m.get("u0", "u1") == 0.5
-        assert m.get("u4", "u5") == 0.5
 
     def test_layout_must_match_axis(self, users):
         with pytest.raises(ValidationError, match="layout"):
@@ -89,13 +45,15 @@ class TestWrites:
 class TestSetShardEntries:
     def test_replaces_shard_content(self, users):
         n = len(users)
-        m = ShardedPairMatrix(users, ShardLayout(n_rows=n, bounds=(0, 4, 8)))
-        m.set("u1", "u1", 0.9)
+        m = ShardedPairMatrix.from_pair_matrix(
+            UserPairMatrix.from_arrays(users, [1], [1], [0.9]),
+            ShardLayout(n_rows=n, bounds=(0, 4, 8)),
+        )
         keys = np.asarray([0 * n + 1, 2 * n + 3], dtype=np.int64)
         m.set_shard_entries(0, keys, np.asarray([0.5, 0.25]))
         assert m.get("u0", "u1") == 0.5
         assert m.get("u2", "u3") == 0.25
-        assert not m.contains("u1", "u1")  # pending write discarded
+        assert not m.contains("u1", "u1")  # the earlier content is replaced
 
     def test_rejects_keys_outside_shard(self, users):
         n = len(users)
@@ -145,6 +103,14 @@ class TestShardViews:
         assert sharded == flat
         assert flat == sharded  # UserPairMatrix.__eq__ returns NotImplemented
 
+    def test_equality_requires_the_same_user_axis(self, users):
+        flat, sharded = random_pair(users)
+        renamed = UserPairMatrix.from_flat_sorted(
+            [f"v{i}" for i in range(len(users))], flat.support_keys(), flat.values()
+        )
+        assert sharded != renamed
+        assert sharded != ShardedPairMatrix.from_pair_matrix(renamed, num_shards=3)
+
     def test_unhashable(self, users):
         _, sharded = random_pair(users)
         with pytest.raises(TypeError, match="unhashable"):
@@ -155,9 +121,7 @@ class TestPersistence:
     def test_flush_open_round_trip(self, users, tmp_path):
         flat, _ = random_pair(users)
         store = ShardStore(tmp_path / "m")
-        sharded = ShardedPairMatrix.from_arrays(
-            users, *flat.entries_arrays(), num_shards=3, store=store
-        )
+        sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3, store=store)
         manifest = sharded.flush(epoch=7)
         assert manifest["epoch"] == 7
         assert manifest["entries"] == flat.num_entries()
@@ -168,9 +132,7 @@ class TestPersistence:
     def test_open_reads_are_memory_mapped(self, users, tmp_path):
         flat, _ = random_pair(users)
         store = ShardStore(tmp_path / "m")
-        ShardedPairMatrix.from_arrays(
-            users, *flat.entries_arrays(), num_shards=2, store=store
-        ).flush()
+        ShardedPairMatrix.from_pair_matrix(flat, num_shards=2, store=store).flush()
         reopened = ShardedPairMatrix.open(store)
         keys, _vals = reopened.shard_entries(0)
         assert isinstance(keys, np.memmap)
@@ -183,17 +145,13 @@ class TestPersistence:
     def test_flushed_store_verifies(self, users, tmp_path):
         flat, _ = random_pair(users)
         store = ShardStore(tmp_path / "m")
-        ShardedPairMatrix.from_arrays(
-            users, *flat.entries_arrays(), num_shards=2, store=store
-        ).flush()
+        ShardedPairMatrix.from_pair_matrix(flat, num_shards=2, store=store).flush()
         assert store.verify() == []
 
     def test_corruption_fails_verification(self, users, tmp_path):
         flat, _ = random_pair(users)
         store = ShardStore(tmp_path / "m")
-        ShardedPairMatrix.from_arrays(
-            users, *flat.entries_arrays(), num_shards=2, store=store
-        ).flush()
+        ShardedPairMatrix.from_pair_matrix(flat, num_shards=2, store=store).flush()
         with open(store.path("shard_00000.vals.npy"), "r+b") as handle:
             handle.seek(-1, 2)
             handle.write(b"\x13")
@@ -201,8 +159,8 @@ class TestPersistence:
 
     def test_spill_keeps_result_identical(self, users):
         flat, _ = random_pair(users)
-        spilled = ShardedPairMatrix.from_arrays(
-            users, *flat.entries_arrays(), num_shards=3, spill_bytes=ENTRY_BYTES
+        spilled = ShardedPairMatrix.from_pair_matrix(
+            flat, num_shards=3, spill_bytes=ENTRY_BYTES
         )
         assert spilled == flat
         assert spilled.store is not None  # auto temp store
@@ -210,13 +168,6 @@ class TestPersistence:
     def test_spill_budget_must_be_positive(self, users):
         with pytest.raises(ValidationError, match="spill_bytes"):
             ShardedPairMatrix(users, num_shards=2, spill_bytes=0)
-
-    def test_writes_after_spill_merge_with_disk(self, users):
-        m = ShardedPairMatrix(users, num_shards=2, spill_bytes=ENTRY_BYTES)
-        m.set_block([0, 1], [1, 2], [0.5, 0.25])  # spills shard 0
-        m.set("u0", "u1", 0.75)  # overwrite lands on the spilled shard
-        assert m.get("u0", "u1") == 0.75
-        assert m.get("u1", "u2") == 0.25
 
 
 class TestPatchWith:
@@ -235,9 +186,7 @@ class TestPatchWith:
         flat = UserPairMatrix.from_arrays(
             users, rows_idx, cols_idx, old_dense[rows_idx, cols_idx]
         )
-        sharded = ShardedPairMatrix.from_arrays(
-            users, rows_idx, cols_idx, old_dense[rows_idx, cols_idx], num_shards=3
-        )
+        sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3)
         rows, cols = np.asarray([1, 6]), np.asarray([2])
         region = UserPairMatrix(users)
         region.set_block([1, 6, 0, 1], [3, 2, 2, 2], [0.9, 0.8, 0.7, 0.6])
@@ -251,8 +200,8 @@ class TestPatchWith:
     def test_rows_only_patch_touches_owning_shards_only(self, users):
         n = len(users)
         layout = ShardLayout(n_rows=n, bounds=(0, 4, 8))
-        sharded = ShardedPairMatrix.from_arrays(
-            users, [0, 5], [1, 6], [0.5, 0.25], layout=layout
+        sharded = ShardedPairMatrix.from_pair_matrix(
+            UserPairMatrix.from_arrays(users, [0, 5], [1, 6], [0.5, 0.25]), layout
         )
         region = UserPairMatrix(users)
         region.set("u1", "u3", 0.9)
@@ -274,11 +223,8 @@ class TestPatchWith:
         rows_idx, cols_idx = np.nonzero(old_dense)
         old_vals = old_dense[rows_idx, cols_idx]
         flat = UserPairMatrix.from_arrays(users, rows_idx, cols_idx, old_vals)
-        sharded = ShardedPairMatrix.from_arrays(
-            users,
-            rows_idx,
-            cols_idx,
-            old_vals,
+        sharded = ShardedPairMatrix.from_pair_matrix(
+            flat,
             num_shards=3,
             store=ShardStore(tmp_path / "store"),
             spill_bytes=spill_bytes,
@@ -316,8 +262,9 @@ class TestPatchWith:
             sharded.flush()
 
     def test_patch_rejects_region_entry_outside_region(self, users):
-        sharded = ShardedPairMatrix.from_arrays(
-            users, [0, 1, 5], [1, 2, 6], [0.5, 0.4, 0.25], num_shards=2
+        sharded = ShardedPairMatrix.from_pair_matrix(
+            UserPairMatrix.from_arrays(users, [0, 1, 5], [1, 2, 6], [0.5, 0.4, 0.25]),
+            num_shards=2,
         )
         region = UserPairMatrix.from_arrays(users, [1, 0], [2, 3], [0.9, 0.8])
         with pytest.raises(ValidationError, match="changed rows or columns"):

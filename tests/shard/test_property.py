@@ -2,15 +2,16 @@
 
 Random communities (affiliation/expertise pairs), random shard layouts
 and random spill budgets -- ``derive_sharded`` must equal ``derive``
-entry for entry, and eigentrust over the sharded matrix must reproduce
-the dense scores and iteration count exactly.
+entry for entry, eigentrust over the sharded matrix must reproduce the
+dense scores and iteration count exactly, and ``from_pair_matrix`` must
+hold exactly the source matrix's entries.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matrix import UserCategoryMatrix
+from repro.matrix import UserCategoryMatrix, UserPairMatrix
 from repro.propagation import eigen_trust
 from repro.shard import ShardLayout, ShardStore
 from repro.shard.matrix import ENTRY_BYTES, ShardedPairMatrix
@@ -37,12 +38,27 @@ def communities(draw):
 
 
 @st.composite
+def pair_matrices(draw):
+    """A random pair matrix whose stored entries include explicit zeros."""
+    num_users = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31)))
+    stored = rng.random((num_users, num_users)) < draw(st.floats(0.0, 1.0))
+    values = rng.random((num_users, num_users))
+    values[rng.random((num_users, num_users)) < 0.3] = 0.0
+    rows, cols = np.nonzero(stored)
+    users = [f"u{i}" for i in range(num_users)]
+    return UserPairMatrix.from_arrays(users, rows, cols, values[rows, cols])
+
+
+def spill_budgets():
+    return st.one_of(st.none(), st.just(ENTRY_BYTES), st.integers(1, 10_000))
+
+
+@st.composite
 def sharding(draw):
     """A (num_shards, spill_bytes | None) configuration."""
     num_shards = draw(st.integers(1, 6))
-    spill = draw(
-        st.one_of(st.none(), st.just(ENTRY_BYTES), st.integers(1, 10_000))
-    )
+    spill = draw(spill_budgets())
     return num_shards, spill
 
 
@@ -107,3 +123,34 @@ class TestEigentrustSharded:
         )
         assert streamed.iterations == reference.iterations
         assert streamed.converged == reference.converged
+
+
+class TestFromPairMatrix:
+    @given(pair_matrices(), st.data(), spill_budgets())
+    @settings(max_examples=60, deadline=None)
+    def test_holds_the_source_and_round_trips_bitwise(
+        self, tmp_path_factory, matrix, data, spill
+    ):
+        n = len(matrix.users)
+        # repeated cuts give row-less shards
+        cuts = data.draw(
+            st.lists(st.integers(0, n), max_size=4).map(sorted), label="cuts"
+        )
+        layout = ShardLayout(n_rows=n, bounds=(0, *cuts, n))
+        store = ShardStore(tmp_path_factory.mktemp("from_pair") / "s")
+        sharded = ShardedPairMatrix.from_pair_matrix(
+            matrix, layout, store=store, spill_bytes=spill
+        )
+        assert sharded == matrix
+        for shard in range(sharded.num_shards):
+            keys, _ = sharded.shard_entries(shard)
+            lo, hi = layout.key_range(shard, n)
+            assert np.all((np.asarray(keys) >= lo) & (np.asarray(keys) < hi))
+
+        sharded.flush()
+        assert store.verify() == []
+        reopened = ShardedPairMatrix.open(store)
+        assert reopened.users == matrix.users
+        assert reopened.layout == layout
+        assert reopened.support_keys().tobytes() == matrix.support_keys().tobytes()
+        assert reopened.values().tobytes() == matrix.values().tobytes()

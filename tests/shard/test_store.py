@@ -1,10 +1,14 @@
 """Tests for the directory-backed shard store."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.matrix import UserPairMatrix
 from repro.shard import ShardStore
+from repro.shard.matrix import ShardedPairMatrix
 from repro.shard.store import FORMAT, MANIFEST_NAME
 
 
@@ -57,6 +61,21 @@ class TestManifest:
         with pytest.raises(ValidationError, match="format"):
             store.read_manifest()
 
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ('{"format": "repro.shard/v1", "n_us', "not valid JSON"),
+            ('["repro.shard/v1"]', "not an object"),
+            ('{"format": "something/else"}', "format='something/else'"),
+        ],
+        ids=["truncated", "json-list", "wrong-format"],
+    )
+    def test_malformed_manifest_rejected_naming_the_file(self, store, text, match):
+        store.path(MANIFEST_NAME).write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=match) as info:
+            store.read_manifest()
+        assert MANIFEST_NAME in str(info.value)
+
 
 class TestLabels:
     def test_round_trip_preserves_order(self, store):
@@ -70,6 +89,48 @@ class TestLabels:
     def test_missing_labels_file_rejected(self, store):
         with pytest.raises(ValidationError, match="user axis"):
             store.read_labels()
+
+
+class TestAtomicMetadata:
+    """A metadata write that fails leaves the previous file whole."""
+
+    @pytest.fixture
+    def flushed(self, store):
+        matrix = UserPairMatrix.from_arrays(["u0", "u1", "u2"], [0, 2], [1, 0], [0.5, 0.25])
+        ShardedPairMatrix.from_pair_matrix(matrix, num_shards=2, store=store).flush(
+            epoch=3
+        )
+        return store
+
+    def test_failed_manifest_write_keeps_previous(self, flushed):
+        before = flushed.read_manifest()
+        with pytest.raises(TypeError, match="JSON serializable"):
+            flushed.write_manifest({**before, "zz": object()})
+        assert flushed.read_manifest() == before
+        assert flushed.verify() == []
+        assert not list(flushed.root.glob("*.staging"))
+
+    def test_write_interrupted_before_the_rename_keeps_previous(
+        self, flushed, monkeypatch
+    ):
+        before = flushed.path(MANIFEST_NAME).read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr(os, "replace", interrupted)
+        with pytest.raises(OSError, match="interrupted"):
+            flushed.write_manifest({"format": FORMAT, "n_users": 1})
+        monkeypatch.undo()
+        assert flushed.path(MANIFEST_NAME).read_bytes() == before
+        assert flushed.verify() == []
+
+    def test_failed_label_write_keeps_previous(self, flushed):
+        with pytest.raises(ValidationError, match="newline"):
+            flushed.write_labels(("u0", "bad\nlabel", "u2"))
+        assert flushed.read_labels() == ("u0", "u1", "u2")
+        assert flushed.verify() == []
+        assert not list(flushed.root.glob("*.staging"))
 
 
 class TestIntegrity:

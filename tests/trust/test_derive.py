@@ -95,39 +95,6 @@ class TestBlockedComputation:
             TrustDeriver(min_value=-0.1)
 
 
-class TestDeriveForPairs:
-    def test_matches_full_derivation_on_support(self):
-        rng = np.random.default_rng(11)
-        n, c = 12, 3
-        users = [f"u{i}" for i in range(n)]
-        cats = [f"c{j}" for j in range(c)]
-        A = UserCategoryMatrix(users, cats, rng.random((n, c)))
-        E = UserCategoryMatrix(users, cats, rng.random((n, c)))
-        full = derive_trust(A, E)
-        pairs = set(list(full.support())[:20])
-        partial = TrustDeriver().derive_for_pairs(A, E, pairs)
-        for source, target in pairs:
-            assert partial.get(source, target) == pytest.approx(full.get(source, target))
-
-    def test_stores_zero_entries_to_preserve_support(self):
-        A, E = make_matrices([[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.9]])
-        partial = TrustDeriver().derive_for_pairs(A, E, {("u0", "u1")})
-        assert partial.contains("u0", "u1")
-        assert partial.get("u0", "u1") == 0.0
-
-    def test_zero_affinity_source_gets_zero(self):
-        A, E = make_matrices([[0.0]], [[0.9]], users=["u0"])
-        E2 = UserCategoryMatrix(["u0", "u1"], ["c0"], np.array([[0.0], [0.9]]))
-        A2 = UserCategoryMatrix(["u0", "u1"], ["c0"], np.array([[0.0], [1.0]]))
-        partial = TrustDeriver().derive_for_pairs(A2, E2, {("u0", "u1")})
-        assert partial.get("u0", "u1") == 0.0
-
-    def test_skips_diagonal_pairs(self):
-        A, E = make_matrices([[1.0]], [[0.9]])
-        partial = TrustDeriver().derive_for_pairs(A, E, {("u0", "u0")})
-        assert partial.num_entries() == 0
-
-
 unit_matrix = st.tuples(st.integers(2, 6), st.integers(1, 4)).flatmap(
     lambda shape: st.lists(
         st.lists(

@@ -111,30 +111,6 @@ class TestDeriveEquivalence:
             assert derived.get(source, target) == pytest.approx(value)
 
 
-class TestDeriveForPairsEquivalence:
-    @pytest.mark.parametrize("seed", range(3))
-    def test_matches_naive_dot_products(self, seed):
-        rng = np.random.default_rng(seed)
-        affiliation, expertise = random_matrices(rng, n=25, c=4)
-        users = list(affiliation.users)
-        pairs = {
-            (users[int(rng.integers(25))], users[int(rng.integers(25))])
-            for _ in range(60)
-        }
-        partial = TrustDeriver().derive_for_pairs(affiliation, expertise, pairs)
-        a = affiliation.values_view()
-        e = expertise.values_view()
-        for source, target in pairs:
-            i, j = users.index(source), users.index(target)
-            if i == j:
-                assert not partial.contains(source, target)
-                continue
-            denominator = a[i].sum()
-            expected = float(a[i] @ e[j] / denominator) if denominator > 0 else 0.0
-            assert partial.contains(source, target)  # zeros preserved on support
-            assert partial.get(source, target) == pytest.approx(expected)
-
-
 class TestStepOneEquivalence:
     @pytest.mark.parametrize("seed", [0, 11, 42])
     def test_fit_matches_seed_assembly(self, seed):
