@@ -4,8 +4,9 @@ Run with::
 
     python examples/trust_propagation.py
 
-Derives a web of trust from rating data, exports it as a weighted graph,
-and runs all four propagation models the paper cites on it:
+Derives a web of trust from rating data and runs all four propagation
+models the paper cites on it.  Each takes the trust matrix itself (a
+``UserPairMatrix``):
 
 - TidalTrust: infer source->sink trust for pairs with *no* derived edge;
 - EigenTrust: a global trust ranking of the community;
@@ -16,7 +17,6 @@ and runs all four propagation models the paper cites on it:
 from repro.datasets import CommunityProfile, generate_community
 from repro.experiments import run_pipeline
 from repro.propagation import appleseed, eigen_trust, guha_propagation, tidal_trust
-from repro.trust import to_digraph
 
 PROFILE = CommunityProfile(num_users=300, num_advisors=10, num_top_reviewers=12)
 
@@ -25,9 +25,8 @@ def main() -> None:
     dataset = generate_community(PROFILE, seed=11)
     artifacts = run_pipeline(dataset=dataset)
     derived_web = artifacts.derived_binary
-    graph = to_digraph(derived_web)
-    print(f"derived web of trust: {graph.number_of_nodes()} nodes, "
-          f"{graph.number_of_edges()} edges\n")
+    print(f"derived web of trust: {len(derived_web.users)} users, "
+          f"{derived_web.num_entries()} edges\n")
 
     # --- TidalTrust: local inference across the derived web ----------------
     sources = [u for u in derived_web.source_ids() if derived_web.row_size(u) >= 3]
@@ -37,7 +36,7 @@ def main() -> None:
         for target in sources[:30]:
             if source == target or derived_web.contains(source, target):
                 continue
-            value = tidal_trust(graph, source, target)
+            value = tidal_trust(derived_web, source, target)
             if value is not None:
                 inferred += 1
                 if len(examples) < 3:
@@ -47,7 +46,7 @@ def main() -> None:
         print(f"  t({source} -> {target}) = {value:.3f}")
 
     # --- EigenTrust: global ranking ----------------------------------------
-    scores = eigen_trust(graph)
+    scores = eigen_trust(derived_web)
     top = sorted(scores.items(), key=lambda item: -item[1])[:5]
     print("\nEigenTrust global top-5 over the derived web:")
     for user, score in top:
@@ -62,7 +61,7 @@ def main() -> None:
 
     # --- Appleseed: personalised ranking ------------------------------------
     source = max(sources, key=derived_web.row_size)
-    ranks = appleseed(graph, source)
+    ranks = appleseed(derived_web, source)
     personal_top = sorted(
         ((u, r) for u, r in ranks.items() if u != source), key=lambda item: -item[1]
     )[:5]

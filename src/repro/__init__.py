@@ -59,7 +59,6 @@ from repro.trust import (
     direct_connection_matrix,
     generousness,
     ground_truth_matrix,
-    to_digraph,
 )
 
 __version__ = "1.0.0"
@@ -102,5 +101,4 @@ __all__ = [
     "ground_truth_matrix",
     "generousness",
     "binarize_top_k",
-    "to_digraph",
 ]

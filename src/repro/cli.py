@@ -4,8 +4,9 @@ Subcommands
 -----------
 - ``generate`` -- write a synthetic community to extended-Epinions files;
 - ``stats`` -- describe a dataset (synthetic or loaded from files);
-- ``derive`` -- run the framework on an Epinions-format directory and
-  write the derived web of trust as ``source|target|value`` lines;
+- ``derive`` -- run Steps 1-3 on an Epinions-format directory (or a
+  synthetic community) and write the derived web of trust ``T-hat`` as
+  ``source|target|value`` lines; it computes nothing else;
 - ``update`` -- demonstrate the delta-driven incremental engine: withhold
   a suffix of ratings, replay them in batches through
   :class:`repro.engine.Engine`, print what each update recomputed vs
@@ -15,44 +16,28 @@ Subcommands
 - ``table2`` / ``table3`` / ``fig3`` / ``table4`` / ``score-gap`` /
   ``ablations`` / ``propagation`` -- reproduce one experiment;
 - ``all`` -- run every experiment and print the full report.
+
+Each subcommand imports the modules it needs when it runs, so starting
+the CLI -- and a whole ``derive`` -- loads neither scipy nor the
+experiment, engine and shard packages.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro import obs
 from repro.datasets import (
+    EXPERIMENT_SEED,
     dataset_stats,
     generate_community,
     load_epinions_community,
+    paper_profile,
     write_epinions_files,
 )
-from repro.experiments import (
-    EXPERIMENT_SEED,
-    paper_profile,
-    render_coverage,
-    render_fig3,
-    render_future_trust,
-    render_propagation_comparison,
-    render_score_gap,
-    render_table2,
-    render_table3,
-    render_table4,
-    run_coverage,
-    run_fig3,
-    run_future_trust,
-    run_pipeline,
-    run_propagation_comparison,
-    run_score_gap,
-    run_table2,
-    run_table3,
-    run_table4,
-)
-from repro.experiments.ablations import render_ablations, run_ablations
-from repro.reporting import render_table
-from repro.shard.cli import add_shard_parser, run_shard
+from repro.trust import derive_web
 
 __all__ = ["main", "build_parser"]
 
@@ -89,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(derive)
     derive.add_argument("--out", required=True, help="output file (source|target|value)")
     derive.add_argument(
-        "--min-trust", type=float, default=0.0, help="drop derived values <= this"
+        "--min-trust", type=_finite_float, default=0.0, help="drop derived values <= this"
     )
 
     update = sub.add_parser(
@@ -108,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the final bitwise comparison against a cold build",
     )
 
-    add_shard_parser(sub)
+    _add_shard_parser(sub)
 
     for name in _EXPERIMENT_NAMES:
         experiment = sub.add_parser(name, help=f"reproduce {name}")
@@ -118,6 +103,32 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(report)
     report.add_argument("--out", required=True, help="output markdown file")
     return parser
+
+
+def _add_shard_parser(
+    sub: "argparse._SubParsersAction[argparse.ArgumentParser]",
+) -> None:
+    """Register ``shard`` here, so building the parser imports no shard code."""
+    shard = sub.add_parser(
+        "shard", help="build / inspect / verify a sharded artifact store"
+    )
+    actions = shard.add_subparsers(dest="shard_command", required=True)
+
+    build = actions.add_parser(
+        "build", help="run the pipeline and persist the outputs as shards"
+    )
+    build.add_argument("--store", required=True, help="artifact store directory")
+    _add_source_args(build)
+    build.add_argument(
+        "--shards", type=int, default=4, help="row blocks for the pair matrix"
+    )
+
+    for name, help_text in (
+        ("inspect", "print a store's manifest"),
+        ("verify", "re-hash every payload against the manifest checksums"),
+    ):
+        action = actions.add_parser(name, help=help_text)
+        action.add_argument("--store", required=True, help="artifact store directory")
 
 
 def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
@@ -136,6 +147,17 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
     _add_dataset_args(parser)
 
 
+def _finite_float(text: str) -> float:
+    """An argparse type: a number that is neither NaN nor infinite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -152,6 +174,7 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(args: argparse.Namespace) -> int:
+    """Run one subcommand, importing only the modules it needs."""
     out = sys.stdout
 
     if args.command == "generate":
@@ -163,6 +186,8 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "stats":
+        from repro.reporting import render_table
+
         community = _load_community(args)
         stats = dataset_stats(community)
         rows = [
@@ -180,21 +205,29 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "derive":
-        community = _load_community(args)
-        artifacts = run_pipeline(community=community)
-        count = 0
-        with open(args.out, "w", encoding="utf-8") as f:
-            for source, target, value in artifacts.derived.entries():
-                if value > args.min_trust:
-                    f.write(f"{source}|{target}|{value:.6f}\n")
-                    count += 1
-        print(f"wrote {count} derived trust edges to {args.out}", file=out)
+        # Steps 1-3 only: T-hat is all this command writes
+        _, _, derived = derive_web(_load_community(args))
+        with obs.span("cli.write"):
+            # one formatted pass over the entry arrays, streamed to the file
+            rows, cols, values = derived.entries_arrays()
+            keep = values > args.min_trust
+            labels = derived.users.labels
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.writelines(
+                    f"{labels[i]}|{labels[j]}|{value:.6f}\n"
+                    for i, j, value in zip(
+                        rows[keep].tolist(), cols[keep].tolist(), values[keep].tolist()
+                    )
+                )
+        print(f"wrote {int(keep.sum())} derived trust edges to {args.out}", file=out)
         return 0
 
     if args.command == "update":
         return _run_update(args, out)
 
     if args.command == "shard":
+        from repro.shard.cli import run_shard
+
         return run_shard(args, out)
 
     if args.command == "report":
@@ -211,6 +244,26 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     # experiment commands share one pipeline
+    from repro.experiments import (
+        render_coverage,
+        render_fig3,
+        render_future_trust,
+        render_propagation_comparison,
+        render_score_gap,
+        render_table2,
+        render_table3,
+        render_table4,
+        run_coverage,
+        run_fig3,
+        run_future_trust,
+        run_propagation_comparison,
+        run_score_gap,
+        run_table2,
+        run_table3,
+        run_table4,
+    )
+    from repro.experiments.ablations import render_ablations, run_ablations
+
     artifacts = run_pipeline(paper_profile(args.users), args.seed)
     sections: list[str] = []
     if args.command in ("table2", "all"):
@@ -237,8 +290,21 @@ def _run(args: argparse.Namespace) -> int:
     return 0
 
 
+def run_pipeline(*args, **kwargs):
+    """:func:`repro.experiments.run_pipeline`, imported on the first call.
+
+    The report and experiment commands call it by this module-level name,
+    which perfbench's tracer wraps, while importing the CLI still imports
+    no experiment code.
+    """
+    from repro.experiments import run_pipeline as run
+
+    return run(*args, **kwargs)
+
+
 def _run_update(args: argparse.Namespace, out) -> int:
     from repro.engine import Engine, clone_community, cold_artifacts, split_rating_stream
+    from repro.reporting import render_table
 
     community = _load_community(args)
     base, stream = split_rating_stream(community, args.stream)
@@ -289,9 +355,10 @@ def _run_update(args: argparse.Namespace, out) -> int:
 
 
 def _load_community(args: argparse.Namespace):
-    if args.dir:
-        return load_epinions_community(args.dir)
-    return generate_community(paper_profile(args.users), args.seed).community
+    with obs.span("cli.load", source="dir" if args.dir else "synthetic"):
+        if args.dir:
+            return load_epinions_community(args.dir)
+        return generate_community(paper_profile(args.users), args.seed).community
 
 
 if __name__ == "__main__":  # pragma: no cover

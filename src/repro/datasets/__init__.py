@@ -19,7 +19,12 @@ from repro.datasets.epinions import (
     write_epinions_files,
 )
 from repro.datasets.latents import LatentTraits
-from repro.datasets.profile import VIDEO_DVD_SUBCATEGORIES, CommunityProfile
+from repro.datasets.profile import (
+    EXPERIMENT_SEED,
+    VIDEO_DVD_SUBCATEGORIES,
+    CommunityProfile,
+    paper_profile,
+)
 from repro.datasets.splits import holdout_ratings
 from repro.datasets.stats import DatasetStats, dataset_stats
 from repro.datasets.synthetic import SyntheticDataset, generate_community
@@ -27,6 +32,8 @@ from repro.datasets.synthetic import SyntheticDataset, generate_community
 __all__ = [
     "CommunityProfile",
     "VIDEO_DVD_SUBCATEGORIES",
+    "EXPERIMENT_SEED",
+    "paper_profile",
     "LatentTraits",
     "SyntheticDataset",
     "generate_community",

@@ -13,7 +13,12 @@ crawled its data from) ships pipe-separated text files:
   (mapped onto the paper's ``0.2 .. 1.0`` scale).
 - ``user_rating.txt`` -- the explicit web of trust:
   ``my_id|other_id|value`` with value ``1`` (trust) or ``-1`` (distrust;
-  dropped, as the paper's framework models trust only).
+  dropped, as the paper's framework models trust only); any other value
+  is an error.
+
+A subject listed under two categories in ``mc.txt`` is an error too: each
+reviewed object belongs to one category.  A malformed line raises
+:class:`DatasetError` naming its file and line.
 
 :func:`load_epinions_community` assembles a
 :class:`repro.community.Community` from these files;
@@ -171,6 +176,8 @@ def write_epinions_files(
 
 
 def _parse_content(path: str, separator: str) -> Iterable[tuple[str, str, str, str]]:
+    # a subject belongs to one category: {subject: (category, line_no)}
+    first_seen: dict[str, tuple[str, int]] = {}
     for line_no, fields in _iter_fields(path, separator):
         if len(fields) == 3:
             review_id, author_id, subject_id = fields
@@ -180,6 +187,12 @@ def _parse_content(path: str, separator: str) -> Iterable[tuple[str, str, str, s
         else:
             raise DatasetError(
                 f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}"
+            )
+        known, known_line = first_seen.setdefault(subject_id, (category, line_no))
+        if known != category:
+            raise DatasetError(
+                f"{path}:{line_no}: subject {subject_id!r} listed under category "
+                f"{category!r}, but line {known_line} lists it under {known!r}"
             )
         yield review_id, author_id, subject_id, category
 
@@ -197,9 +210,13 @@ def _parse_trust(path: str, separator: str) -> Iterable[tuple[str, str]]:
         if len(fields) < 2:
             raise DatasetError(f"{path}:{line_no}: expected >=2 fields, got {len(fields)}")
         source, target = fields[:2]
-        value = fields[2].strip() if len(fields) >= 3 else "1"
+        value = fields[2] if len(fields) >= 3 else "1"
         if value == "-1":
             continue  # distrust: outside the paper's model
+        if value != "1":
+            raise DatasetError(
+                f"{path}:{line_no}: trust value must be 1 or -1, got {value!r}"
+            )
         yield source, target
 
 

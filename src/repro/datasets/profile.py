@@ -12,7 +12,7 @@ from repro.common.validation import (
     require_positive,
 )
 
-__all__ = ["CommunityProfile", "VIDEO_DVD_SUBCATEGORIES"]
+__all__ = ["CommunityProfile", "VIDEO_DVD_SUBCATEGORIES", "EXPERIMENT_SEED", "paper_profile"]
 
 #: The 12 sub-categories of Epinions' Video & DVD category (paper §IV.A).
 VIDEO_DVD_SUBCATEGORIES: tuple[str, ...] = (
@@ -209,3 +209,19 @@ class CommunityProfile:
                 "objects_per_category": max(1, int(self.objects_per_category * factor)),
             }
         )
+
+
+#: Seed of every headline experiment number (EXPERIMENTS.md) and the
+#: CLI's ``--seed`` default.
+EXPERIMENT_SEED = 7
+
+
+def paper_profile(num_users: int = 1200) -> CommunityProfile:
+    """The default experiment profile (scaled-down Video & DVD stand-in).
+
+    The paper's 12 sub-categories, Advisors / Top-Reviewer list sizes and
+    heavy-tailed activity, scaled to 1,200 users so every experiment runs
+    in seconds on a laptop (the paper's 44,197 users would work too, just
+    slower).
+    """
+    return CommunityProfile(num_users=num_users)

@@ -22,8 +22,8 @@ Table 4   trust prediction vs baseline                 :func:`run_table4`
 ========  ===========================================  =======================
 """
 
+from repro.datasets.profile import EXPERIMENT_SEED, paper_profile
 from repro.experiments.ablations import AblationResult, run_ablations
-from repro.experiments.config import EXPERIMENT_SEED, paper_profile
 from repro.experiments.coverage import render_coverage, run_coverage
 from repro.experiments.fig3 import render_fig3, run_fig3
 from repro.experiments.future_trust import (

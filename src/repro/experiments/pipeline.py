@@ -1,9 +1,10 @@
 """The shared three-step pipeline every experiment consumes.
 
 ``run_pipeline`` executes the whole framework once -- Step 1 (expertise),
-Step 2 (affiliation), Step 3 (derivation) -- plus the §IV evaluation
-scaffolding (``R``, ``B``, ``T``, generousness, binarised matrices), and
-returns everything in one immutable bundle.
+Step 2 (affiliation), Step 3 (derivation), through
+:func:`repro.trust.derive_web` -- plus the §IV evaluation scaffolding
+(``R``, ``B``, ``T``, generousness, binarised matrices), and returns
+everything in one immutable bundle.
 """
 
 from __future__ import annotations
@@ -11,16 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro import obs
-from repro.affinity import AffinityConfig, AffinityEstimator
+from repro.affinity import AffinityConfig
 from repro.community import Community
 from repro.engine import EngineArtifacts
 from repro.datasets import CommunityProfile, SyntheticDataset, generate_community
 from repro.matrix import UserCategoryMatrix, UserPairMatrix
-from repro.reputation import ExpertiseEstimator, ExpertiseResult, RiggsConfig
+from repro.reputation import ExpertiseResult, RiggsConfig
 from repro.trust import (
     TrustDeriver,
     baseline_matrix,
     binarize_top_k,
+    derive_web,
     direct_connection_matrix,
     generousness,
     ground_truth_matrix,
@@ -107,13 +109,12 @@ def run_pipeline(
                     dataset = generate_community(profile or CommunityProfile(), seed)
             community = dataset.community
 
-        with obs.span("pipeline.step1.expertise"):
-            expertise_result = ExpertiseEstimator(riggs_config).fit(community)
-        with obs.span("pipeline.step2.affinity"):
-            affiliation = AffinityEstimator(affinity_config).fit(community)
-        with obs.span("pipeline.step3.derive"):
-            deriver = deriver or TrustDeriver()
-            derived = deriver.derive(affiliation, expertise_result.expertise)
+        expertise_result, affiliation, derived = derive_web(
+            community,
+            riggs_config=riggs_config,
+            affinity_config=affinity_config,
+            deriver=deriver,
+        )
 
         with obs.span("pipeline.relations"):
             connections = direct_connection_matrix(community)

@@ -64,8 +64,7 @@ def run_propagation_comparison(
     require_positive("top_k", top_k)
     require_positive("num_sources", num_sources)
 
-    # the propagation models consume the matrices' cached CSR directly --
-    # no digraph round-trip
+    # the propagation models consume the matrices' cached CSR directly
     explicit_web = artifacts.ground_truth
     derived_web = artifacts.derived_binary
     if explicit_web.users != derived_web.users:

@@ -10,15 +10,17 @@ original dict-of-dicts implementation stays off the critical path.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from repro import obs
 from repro.common.arrays import FloatArray, IntArray, concat_ranges
 from repro.common.errors import ValidationError
 from repro.matrix.labels import LabelIndex
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
 
 __all__ = ["UserPairMatrix", "RegionPatch", "patch_entries"]
 
@@ -115,6 +117,8 @@ def _read_only_csr(
     data: FloatArray, indices: IntArray, indptr: IntArray, n: int
 ) -> sparse.csr_matrix:
     """A canonical ``n x n`` CSR over the given arrays, all made read-only."""
+    from scipy import sparse  # here, so a program that builds no CSR never loads scipy
+
     matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
     matrix.has_sorted_indices = True
     matrix.has_canonical_format = True

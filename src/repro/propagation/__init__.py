@@ -13,8 +13,9 @@ implements the propagation models the paper cites:
 - :func:`appleseed` -- Ziegler & Lausen's spreading-activation model
   [ref. 9].
 
-All operate on weighted :class:`networkx.DiGraph` webs of trust (see
-:func:`repro.trust.to_digraph`).
+All take the web of trust as a :class:`repro.matrix.UserPairMatrix` --
+any trust matrix the pipeline produces, e.g. ``T-hat`` -- and read its
+cached CSR view.
 """
 
 from repro.propagation.appleseed import appleseed

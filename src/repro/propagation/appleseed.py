@@ -10,9 +10,8 @@ cites for trust propagation.
 
 Each sweep is vectorised over the whole energy front: the per-edge shares
 are one scaled gather over the CSR adjacency and one ``bincount`` scatter,
-instead of Python loops over successor lists.  Pass a
-:class:`repro.matrix.UserPairMatrix` to reuse its cached CSR; a
-:class:`networkx.DiGraph` is accepted for compatibility.
+instead of Python loops over successor lists.  The web is a
+:class:`repro.matrix.UserPairMatrix`, whose cached CSR is used directly.
 """
 
 # repro: hot-path
@@ -26,17 +25,16 @@ import numpy as np
 from repro import obs
 from repro.common.errors import ValidationError
 from repro.common.validation import require_in_range, require_positive
-from repro.propagation._adjacency import TrustWeb, as_pair_matrix
+from repro.matrix import UserPairMatrix
 from repro.propagation.scores import PropagationScores
 
 __all__ = ["appleseed"]
 
 
 def appleseed(
-    web: TrustWeb,
+    web: UserPairMatrix,
     source: str,
     *,
-    weight_key: str = "trust",
     energy: float = 200.0,
     spreading_factor: float = 0.85,
     tolerance: float = 1e-4,
@@ -47,8 +45,7 @@ def appleseed(
     Parameters
     ----------
     web:
-        The trust web: a :class:`repro.matrix.UserPairMatrix` (fast path)
-        or a weighted :class:`networkx.DiGraph`.
+        The trust web.
     energy:
         Energy injected at the source (``in_0``); ranks scale linearly
         with it.
@@ -67,8 +64,7 @@ def appleseed(
         emits a :class:`RuntimeWarning` and returns the unconverged ranks
         with ``converged=False`` instead of raising.
     """
-    matrix = as_pair_matrix(web, weight_key=weight_key)
-    users = matrix.users
+    users = web.users
     if source not in users:
         raise ValidationError(f"source {source!r} is not a graph node")
     require_positive("energy", energy)
@@ -80,7 +76,7 @@ def appleseed(
 
     with obs.span("propagation.appleseed", users=n, source=source):
         # positive-weight edge arrays (zero/negative edges carry no energy)
-        adjacency = matrix.csr()
+        adjacency = web.csr()
         edge_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(adjacency.indptr))
         positive = adjacency.data > 0.0
         edge_rows = edge_rows[positive]

@@ -13,10 +13,8 @@ distribution and ``a`` the mixing weight.  The result ranks every node by
 community-wide trust (the paper's §II: global models "rank all nodes with
 a universal trust value").
 
-The iteration runs on the sparse CSR view of the trust web -- pass a
-:class:`repro.matrix.UserPairMatrix` to reuse its cached CSR directly; a
-:class:`networkx.DiGraph` is accepted for compatibility and converted
-once.
+The iteration runs on the sparse CSR view of the trust web: a
+:class:`repro.matrix.UserPairMatrix`'s cached CSR is used directly.
 
 Row-block sweep
 ---------------
@@ -59,7 +57,6 @@ from repro.common.arrays import BoolArray, FloatArray, IntArray
 from repro.common.errors import ValidationError
 from repro.common.validation import require_fraction, require_positive
 from repro.matrix import LabelIndex, UserPairMatrix
-from repro.propagation._adjacency import TrustWeb, as_pair_matrix
 from repro.propagation.scores import PropagationScores
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,9 +66,8 @@ __all__ = ["eigen_trust"]
 
 
 def eigen_trust(
-    web: "TrustWeb | ShardedPairMatrix",
+    web: "UserPairMatrix | ShardedPairMatrix",
     *,
-    weight_key: str = "trust",
     pretrust: dict[str, float] | None = None,
     alpha: float = 0.15,
     tolerance: float = 1e-10,
@@ -83,10 +79,9 @@ def eigen_trust(
     Parameters
     ----------
     web:
-        The trust web: a :class:`repro.matrix.UserPairMatrix` (fast path),
-        a :class:`repro.shard.ShardedPairMatrix` (swept shard by shard,
-        bitwise equal to the in-memory matrix) or a weighted
-        :class:`networkx.DiGraph`.
+        The trust web: a :class:`repro.matrix.UserPairMatrix`, or a
+        :class:`repro.shard.ShardedPairMatrix` (swept shard by shard,
+        bitwise equal to the in-memory matrix).
     pretrust:
         Prior trust distribution (defaults to uniform).  Values are
         normalised to sum 1; nodes absent from the mapping get 0.
@@ -116,20 +111,14 @@ def eigen_trust(
     require_positive("tolerance", tolerance)
     require_positive("max_iterations", max_iterations)
 
-    from repro.shard.matrix import ShardedPairMatrix
-
-    source: "UserPairMatrix | ShardedPairMatrix"
-    if isinstance(web, ShardedPairMatrix):
-        source, shards = web, web.num_shards
-    else:
-        source, shards = as_pair_matrix(web, weight_key=weight_key), 0
-    users = source.users
+    shards = 0 if isinstance(web, UserPairMatrix) else web.num_shards
+    users = web.users
     n = len(users)
     if n == 0:
         return PropagationScores(LabelIndex(()), np.zeros(0))
 
     with obs.span("propagation.eigentrust", users=n, shards=shards):
-        blocks, dangling = _scaled_blocks(_row_blocks(source), n)
+        blocks, dangling = _scaled_blocks(_row_blocks(web), n)
         p = _pretrust_vector(pretrust, users)
         t = _initial_vector(initial, users, p)
         converged = False

@@ -15,9 +15,8 @@ neighbours and closer neighbours are more accurate".
 
 All three phases run level-synchronously on the CSR adjacency: each BFS
 level, strength sweep and back-propagation step gathers the whole level's
-edges at once instead of looping per node.  Pass a
-:class:`repro.matrix.UserPairMatrix` to reuse its cached CSR; a
-:class:`networkx.DiGraph` is accepted for compatibility.
+edges at once instead of looping per node.  The web is a
+:class:`repro.matrix.UserPairMatrix`, whose cached CSR is used directly.
 """
 
 # repro: hot-path
@@ -30,17 +29,14 @@ from repro import obs
 from repro.common.arrays import AnyArray
 from repro.common.errors import ValidationError
 from repro.matrix import LabelIndex, UserPairMatrix
-from repro.propagation._adjacency import TrustWeb, as_pair_matrix
 
 __all__ = ["tidal_trust"]
 
 
 def tidal_trust(
-    web: TrustWeb,
+    web: UserPairMatrix,
     source: str,
     sink: str,
-    *,
-    weight_key: str = "trust",
 ) -> float | None:
     """Infer ``source``'s trust in ``sink`` through the web of trust.
 
@@ -48,12 +44,11 @@ def tidal_trust(
     paper attributes to sparse webs of trust).  A direct edge returns its
     own weight.  Edge weights must lie in ``[0, 1]``.
     """
-    matrix = as_pair_matrix(web, weight_key=weight_key)
-    users = matrix.users
+    users = web.users
     if source not in users or sink not in users:
         raise ValidationError(f"source {source!r} and sink {sink!r} must be graph nodes")
     with obs.span("propagation.tidaltrust", users=len(users), source=source, sink=sink):
-        value, depth = _infer(matrix, users, source, sink)
+        value, depth = _infer(web, users, source, sink)
         # TidalTrust is not iterative: the "iterations" of its telemetry
         # record is the shortest-path depth it back-propagated over.
         obs.convergence(

@@ -10,8 +10,8 @@
   store (``artifacts.json``) or a bare pair-matrix shard store
   (``manifest.json``, e.g. the perf bench's ``--shard-dir`` output).
 
-Kept separate from :mod:`repro.cli` so the heavyweight pipeline imports
-only load for ``build``; the top-level CLI registers these parsers.
+:mod:`repro.cli` registers the parsers and imports this module only when
+a ``shard`` command runs.
 """
 
 from __future__ import annotations
@@ -21,41 +21,7 @@ from typing import IO
 
 from repro.shard.artifacts import ArtifactStore
 
-__all__ = ["add_shard_parser", "run_shard"]
-
-
-def add_shard_parser(
-    sub: "argparse._SubParsersAction[argparse.ArgumentParser]",
-) -> None:
-    """Register the ``shard`` subcommand on a subparsers action."""
-    shard = sub.add_parser(
-        "shard", help="build / inspect / verify a sharded artifact store"
-    )
-    actions = shard.add_subparsers(dest="shard_command", required=True)
-
-    build = actions.add_parser(
-        "build", help="run the pipeline and persist the outputs as shards"
-    )
-    build.add_argument("--store", required=True, help="artifact store directory")
-    build.add_argument("--dir", help="load an Epinions-format directory instead")
-    build.add_argument("--users", type=int, default=1200, help="community size")
-    build.add_argument("--seed", type=int, default=7, help="random seed")
-    build.add_argument(
-        "--shards", type=int, default=4, help="row blocks for the pair matrix"
-    )
-    build.add_argument(
-        "--trace",
-        metavar="PATH",
-        help="record a repro.obs trace of the run and write it as JSON",
-    )
-
-    inspect = actions.add_parser("inspect", help="print a store's manifest")
-    inspect.add_argument("--store", required=True, help="artifact store directory")
-
-    verify = actions.add_parser(
-        "verify", help="re-hash every payload against the manifest checksums"
-    )
-    verify.add_argument("--store", required=True, help="artifact store directory")
+__all__ = ["run_shard"]
 
 
 def run_shard(args: argparse.Namespace, out: IO[str]) -> int:
@@ -68,9 +34,8 @@ def run_shard(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _run_build(args: argparse.Namespace, out: IO[str]) -> int:
-    from repro.datasets import generate_community, load_epinions_community
+    from repro.datasets import generate_community, load_epinions_community, paper_profile
     from repro.engine import cold_artifacts
-    from repro.experiments import paper_profile
 
     if args.dir:
         community = load_epinions_community(args.dir)

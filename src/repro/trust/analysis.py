@@ -16,13 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.common.rng import spawn_rng
 from repro.common.validation import require_positive
 from repro.matrix import UserPairMatrix
-from repro.trust.graph import to_digraph
 
 __all__ = ["WebAnalysis", "web_analysis", "coverage_comparison"]
 
@@ -63,55 +61,56 @@ def web_analysis(
 ) -> WebAnalysis:
     """Measure the structure of ``web`` (treated as a directed graph).
 
+    Every stored entry is an edge, explicit zeros and self-loops included.
     Reachability and path length are estimated from ``samples`` random
     source users via BFS (exact for graphs smaller than the sample
-    budget).
+    budget).  Hop counts are integers, so the mean path length is exact.
     """
+    from scipy.sparse.csgraph import connected_components, shortest_path
+
     require_positive("samples", samples)
-    graph = to_digraph(web)
     num_users = len(web.users)
     if num_users == 0:
         return WebAnalysis(0, 0, 0.0, 0.0, 0.0, 0.0)
 
-    sources = [u for u in web.users if graph.out_degree(u) > 0]
-    sources_fraction = len(sources) / num_users
+    graph = web.csr()
+    num_edges = web.num_entries()
+    sources = np.flatnonzero(np.diff(graph.indptr) > 0)
+    sources_fraction = sources.size / num_users
 
     rng = spawn_rng(seed, "web-analysis")
-    if sources and samples < len(sources):
-        picked = [sources[int(i)] for i in rng.choice(len(sources), samples, replace=False)]
+    if sources.size and samples < sources.size:
+        picked = sources[rng.choice(sources.size, samples, replace=False)]
     else:
         picked = sources
 
     reachable_total = 0
-    length_sum = 0.0
-    length_count = 0
-    for source in picked:
-        lengths = nx.single_source_shortest_path_length(graph, source)
-        others = len(lengths) - 1  # exclude the source itself
-        reachable_total += others
-        if others > 0:
-            length_sum += sum(d for node, d in lengths.items() if node != source)
-            length_count += others
-    if picked:
+    length_sum = 0
+    if picked.size:
+        hops = shortest_path(graph, unweighted=True, indices=picked)
+        reached = hops[np.isfinite(hops)]
+        # each source reaches itself at 0 hops; it is not a pair
+        reachable_total = int(reached.size) - int(picked.size)
+        length_sum = int(reached.astype(np.int64).sum())
         # scale the sampled sources up to all sources, then over all pairs
-        per_source = reachable_total / len(picked)
-        reachable_pairs = per_source * len(sources)
+        per_source = reachable_total / picked.size
+        reachable_pairs = per_source * sources.size
         reachable_fraction = reachable_pairs / max(num_users * (num_users - 1), 1)
     else:
         reachable_fraction = 0.0
 
-    if num_users > 1 and graph.number_of_edges() > 0:
-        largest_scc = max(nx.strongly_connected_components(graph), key=len)
-        scc_fraction = len(largest_scc) / num_users
+    if num_users > 1 and num_edges > 0:
+        _, labels = connected_components(graph, directed=True, connection="strong")
+        scc_fraction = int(np.bincount(labels).max()) / num_users
     else:
         scc_fraction = 0.0
 
     return WebAnalysis(
         num_users=num_users,
-        num_edges=web.num_entries(),
+        num_edges=num_edges,
         sources_fraction=sources_fraction,
         reachable_pair_fraction=float(reachable_fraction),
-        mean_path_length=(length_sum / length_count) if length_count else 0.0,
+        mean_path_length=(length_sum / reachable_total) if reachable_total else 0.0,
         largest_scc_fraction=scc_fraction,
     )
 

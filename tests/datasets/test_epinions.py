@@ -148,6 +148,23 @@ class TestDirtyData:
         community = load_epinions_community(str(tmp_path))
         assert community.trust_edges() == [("bob", "alice")]
 
+    def test_subject_under_two_categories_rejected(self, tmp_path):
+        # the second review's subject already belongs to c1
+        write(tmp_path / "mc.txt", ["r1|u1|s1|c1", "r2|u2|s1|c2"])
+        write(tmp_path / "rating.txt", ["r1|u2|3"])
+        with pytest.raises(DatasetError, match=r"mc\.txt:2: subject 's1' .* 'c2', but line 1 .* 'c1'"):
+            load_epinions_community(str(tmp_path))
+
+    @pytest.mark.parametrize("value", ["7", "abc"])
+    def test_trust_value_other_than_one_or_minus_one_rejected(self, tmp_path, value):
+        write(tmp_path / "mc.txt", ["r1|alice|t"])
+        write(tmp_path / "rating.txt", ["r1|bob|3"])
+        write(tmp_path / "user_rating.txt", ["bob|alice|1", f"alice|bob|{value}"])
+        with pytest.raises(
+            DatasetError, match=rf"user_rating\.txt:2: trust value must be 1 or -1, got '{value}'"
+        ):
+            load_epinions_community(str(tmp_path))
+
 
 class TestRoundTrip:
     def test_synthetic_community_roundtrips(self, tmp_path):

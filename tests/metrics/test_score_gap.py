@@ -76,8 +76,7 @@ class TestScoreGap:
         # order would differ in the last digit from one process to the next
         src = str(pathlib.Path(repro.__file__).resolve().parents[1])
         code = (
-            "from repro.experiments import run_pipeline, run_score_gap\n"
-            "from repro.experiments.config import paper_profile\n"
+            "from repro.experiments import paper_profile, run_pipeline, run_score_gap\n"
             "print(repr(run_score_gap(run_pipeline(paper_profile(400), seed=7))))\n"
         )
         reports = []

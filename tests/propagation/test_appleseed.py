@@ -1,17 +1,18 @@
 """Tests for Appleseed spreading activation."""
 
-import networkx as nx
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.matrix import UserPairMatrix
 from repro.propagation import appleseed
 
 
 def graph(edges):
-    g = nx.DiGraph()
+    """A web over the users of ``edges``, in first-seen order."""
+    web = UserPairMatrix(dict.fromkeys(u for s, t, _ in edges for u in (s, t)))
     for source, target, weight in edges:
-        g.add_edge(source, target, trust=weight)
-    return g
+        web.set(source, target, weight)
+    return web
 
 
 class TestAppleseed:

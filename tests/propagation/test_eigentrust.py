@@ -1,17 +1,19 @@
 """Tests for EigenTrust."""
 
-import networkx as nx
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.matrix import UserPairMatrix
 from repro.propagation import eigen_trust
 
 
-def graph(edges):
-    g = nx.DiGraph()
+def graph(edges, isolated=()):
+    """A web over the users of ``edges`` in first-seen order, then ``isolated``."""
+    ends = [user for source, target, _ in edges for user in (source, target)]
+    web = UserPairMatrix(dict.fromkeys([*ends, *isolated]))
     for source, target, weight in edges:
-        g.add_edge(source, target, trust=weight)
-    return g
+        web.set(source, target, weight)
+    return web
 
 
 class TestEigenTrust:
@@ -39,11 +41,10 @@ class TestEigenTrust:
         assert scores["hub"] == max(scores.values())
 
     def test_empty_graph(self):
-        assert eigen_trust(nx.DiGraph()) == {}
+        assert eigen_trust(UserPairMatrix([])) == {}
 
     def test_isolated_nodes_handled(self):
-        g = graph([("a", "b", 1.0)])
-        g.add_node("loner")
+        g = graph([("a", "b", 1.0)], isolated=["loner"])
         scores = eigen_trust(g)
         assert "loner" in scores
         assert sum(scores.values()) == pytest.approx(1.0)

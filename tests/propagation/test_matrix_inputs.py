@@ -1,8 +1,4 @@
-"""The propagation models accept UserPairMatrix inputs (cached-CSR path).
-
-Each algorithm must produce the same result whether it is handed a
-networkx digraph (compatibility path) or the matrix directly.
-"""
+"""The propagation models on UserPairMatrix inputs (cached-CSR path)."""
 
 import numpy as np
 import pytest
@@ -10,7 +6,6 @@ import pytest
 from repro.common.errors import ValidationError
 from repro.matrix import UserPairMatrix
 from repro.propagation import appleseed, eigen_trust, tidal_trust
-from repro.trust import to_digraph
 
 
 @pytest.fixture
@@ -26,13 +21,6 @@ def web():
 
 
 class TestEigenTrust:
-    def test_matrix_equals_graph(self, web):
-        from_matrix = eigen_trust(web)
-        from_graph = eigen_trust(to_digraph(web))
-        assert set(from_matrix) == set(from_graph)
-        for node, score in from_graph.items():
-            assert from_matrix[node] == pytest.approx(score, abs=1e-9)
-
     def test_pretrust_on_matrix_input(self, web):
         scores = eigen_trust(web, pretrust={"u0": 1.0})
         assert sum(scores.values()) == pytest.approx(1.0)
@@ -50,14 +38,6 @@ class TestEigenTrust:
 
 
 class TestAppleseed:
-    def test_matrix_equals_graph(self, web):
-        source = "u0"
-        from_matrix = appleseed(web, source)
-        from_graph = appleseed(to_digraph(web), source)
-        assert set(from_matrix) == set(from_graph)
-        for node, rank in from_graph.items():
-            assert from_matrix[node] == pytest.approx(rank, abs=1e-9)
-
     def test_unknown_source_rejected(self, web):
         with pytest.raises(ValidationError):
             appleseed(web, "ghost")
@@ -72,19 +52,6 @@ class TestAppleseed:
 
 
 class TestTidalTrust:
-    def test_matrix_equals_graph(self, web):
-        graph = to_digraph(web)
-        users = list(web.users)
-        rng = np.random.default_rng(9)
-        for _ in range(25):
-            source, sink = (users[int(k)] for k in rng.integers(30, size=2))
-            from_matrix = tidal_trust(web, source, sink)
-            from_graph = tidal_trust(graph, source, sink)
-            if from_graph is None:
-                assert from_matrix is None
-            else:
-                assert from_matrix == pytest.approx(from_graph, abs=1e-9)
-
     def test_direct_edge_and_self_trust(self):
         matrix = UserPairMatrix(["a", "b"])
         matrix.set("a", "b", 0.4)

@@ -1,11 +1,10 @@
 """Tests for the vector-native PropagationScores result type."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.matrix import LabelIndex
+from repro.matrix import LabelIndex, UserPairMatrix
 from repro.propagation import PropagationScores, appleseed, eigen_trust
 
 
@@ -77,11 +76,10 @@ class TestVectorView:
 class TestAlgorithmsReturnScores:
     @pytest.fixture
     def web(self):
-        g = nx.DiGraph()
-        g.add_edge("a", "b", trust=1.0)
-        g.add_edge("b", "c", trust=0.5)
-        g.add_edge("c", "a", trust=0.5)
-        g.add_node("loner")
+        g = UserPairMatrix(["a", "b", "c", "loner"])
+        g.set("a", "b", 1.0)
+        g.set("b", "c", 0.5)
+        g.set("c", "a", 0.5)
         return g
 
     def test_eigen_trust_vector_matches_mapping(self, web):
@@ -100,5 +98,5 @@ class TestAlgorithmsReturnScores:
         assert ranks["b"] > 0.0
 
     def test_empty_graph_equals_empty_dict(self):
-        assert eigen_trust(nx.DiGraph()) == {}
-        assert len(eigen_trust(nx.DiGraph()).scores_array()) == 0
+        assert eigen_trust(UserPairMatrix([])) == {}
+        assert len(eigen_trust(UserPairMatrix([])).scores_array()) == 0

@@ -1,17 +1,18 @@
 """Tests for TidalTrust."""
 
-import networkx as nx
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.matrix import UserPairMatrix
 from repro.propagation import tidal_trust
 
 
 def graph(edges):
-    g = nx.DiGraph()
+    """A web over the users of ``edges``, in first-seen order."""
+    web = UserPairMatrix(dict.fromkeys(u for s, t, _ in edges for u in (s, t)))
     for source, target, weight in edges:
-        g.add_edge(source, target, trust=weight)
-    return g
+        web.set(source, target, weight)
+    return web
 
 
 class TestBaseCases:
@@ -94,11 +95,11 @@ class TestDeeperChains:
         import numpy as np
 
         rng = np.random.default_rng(3)
-        g = nx.DiGraph()
         nodes = [f"n{i}" for i in range(12)]
+        g = UserPairMatrix(nodes)
         for source, target in itertools.permutations(nodes, 2):
             if rng.random() < 0.2:
-                g.add_edge(source, target, trust=float(rng.choice([0.2, 0.5, 0.8, 1.0])))
+                g.set(source, target, float(rng.choice([0.2, 0.5, 0.8, 1.0])))
         checked = 0
         for source, target in itertools.permutations(nodes, 2):
             value = tidal_trust(g, source, target)

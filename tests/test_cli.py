@@ -1,10 +1,32 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+from repro.datasets import (
+    generate_community,
+    load_epinions_community,
+    paper_profile,
+    write_epinions_files,
+)
+from repro.trust import derive_web
 
 ARGS = ["--users", "150", "--seed", "3"]
+
+
+@pytest.fixture(scope="module")
+def epinions_dir(tmp_path_factory):
+    """Epinions-format files of a small synthetic community."""
+    path = tmp_path_factory.mktemp("epinions")
+    write_epinions_files(generate_community(paper_profile(150), 3).community, str(path))
+    return str(path)
 
 
 class TestParser:
@@ -73,3 +95,72 @@ class TestCommands:
     def test_table2_command(self, capsys):
         assert main(["table2", *ARGS]) == 0
         assert "Table 2" in capsys.readouterr().out
+
+
+class TestDerive:
+    @pytest.mark.parametrize("threshold", [0.0, 0.5, -1.0])
+    def test_min_trust_keeps_the_values_above_it(
+        self, epinions_dir, tmp_path, capsys, threshold
+    ):
+        out_file = tmp_path / "trust.txt"
+        argv = ["derive", "--dir", epinions_dir, "--out", str(out_file)]
+        assert main([*argv, "--min-trust", str(threshold)]) == 0
+        _, _, derived = derive_web(load_epinions_community(epinions_dir))
+        expected = "".join(
+            f"{s}|{t}|{v:.6f}\n" for s, t, v in derived.entries() if v > threshold
+        )
+        payload = out_file.read_bytes()
+        assert payload == expected.encode("utf-8")
+        lines = payload.count(b"\n")
+        assert f"wrote {lines} derived trust edges" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_min_trust_rejected_at_parsing(self, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["derive", "--out", "t.txt", f"--min-trust={value}"])
+        assert excinfo.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_loads_no_third_party_package_but_numpy(self, epinions_dir, tmp_path):
+        # a fresh interpreter, because this one has imported every module;
+        # scipy in particular stays unloaded, as nothing here builds a CSR
+        code = (
+            "import json, sys\n"
+            "before = set(sys.modules)\n"
+            "def loaded():\n"
+            "    names = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "    return sorted(names - set(sys.stdlib_module_names))\n"
+            "import repro.cli\n"
+            "after_import = loaded()\n"
+            "status = repro.cli.main(['derive', '--dir', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(json.dumps([status, after_import, loaded()]))\n"
+        )
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code, epinions_dir, str(tmp_path / "trust.txt")],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        status, after_import, after_derive = json.loads(result.stdout.splitlines()[-1])
+        assert status == 0
+        assert after_import == ["numpy", "repro"]
+        assert after_derive == ["numpy", "repro"]
+
+    def test_trace_spans_each_stage_at_top_level(self, epinions_dir, tmp_path):
+        trace = tmp_path / "trace.json"
+        argv = ["derive", "--dir", epinions_dir, "--out", str(tmp_path / "trust.txt")]
+        assert main([*argv, "--trace", str(trace)]) == 0
+        spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
+        assert [span["name"] for span in spans] == [
+            "cli.load",
+            "pipeline.step1.expertise",
+            "pipeline.step2.affinity",
+            "pipeline.step3.derive",
+            "cli.write",
+        ]
+        # times are rounded to the microsecond
+        for before, after in zip(spans, spans[1:]):
+            assert before["start_s"] + before["duration_s"] <= after["start_s"] + 2e-6
