@@ -88,11 +88,6 @@ def evolve_trust(
 
     latent_expertise = latents.interest * latents.writer_skill[:, None]
 
-    future = UserPairMatrix(users)
-    for source, targets in existing.items():
-        for target in targets:
-            future.set(source, target, 1.0)
-
     new_edges: set[tuple[str, str]] = set()
     for source in sorted(connections):
         i = users.position(source)
@@ -115,8 +110,13 @@ def evolve_trust(
             noise=profile.trust_noise,
         )
         for j in picked:
-            target = users.label(int(j))
-            future.set(source, target, 1.0)
-            new_edges.add((source, target))
+            new_edges.add((source, users.label(int(j))))
 
+    edges = [*community.trust_edges(), *new_edges]
+    future = UserPairMatrix.from_arrays(
+        users,
+        users.positions(source for source, _ in edges),
+        users.positions(target for _, target in edges),
+        1.0,
+    )
     return TrustEvolution(future_trust=future, new_edges=new_edges)

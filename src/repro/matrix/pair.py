@@ -1,9 +1,11 @@
 """Sparse user-by-user matrices (``T-hat``, ``B``, ``R``, ``T``).
 
 This module is the repo's sparse kernel layer: every hot path (trust
-derivation, reputation assembly, propagation) reads and writes user-pair
-state through the bulk APIs here, so the per-entry Python overhead of the
-original dict-of-dicts implementation stays off the critical path.
+derivation, reputation assembly, propagation) reads user-pair state
+through the bulk APIs here, so the per-entry Python overhead of the
+original dict-of-dicts implementation stays off the critical path.  A
+matrix is built whole, in one call, and never written afterwards: a new
+version of it (:meth:`UserPairMatrix.patched`) is a new matrix.
 """
 
 # repro: hot-path
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from repro import obs
-from repro.common.arrays import FloatArray, IntArray, concat_ranges
+from repro.common.arrays import AnyArray, FloatArray, IntArray, concat_ranges
 from repro.common.errors import ValidationError
 from repro.matrix.labels import LabelIndex
 
@@ -23,6 +25,16 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from scipy import sparse
 
 __all__ = ["UserPairMatrix", "RegionPatch", "patch_entries"]
+
+
+def _frozen(array: AnyArray) -> AnyArray:
+    """``array`` itself, made read-only."""
+    array.setflags(write=False)
+    return array
+
+
+_EMPTY_KEYS: IntArray = _frozen(np.empty(0, dtype=np.int64))
+_EMPTY_VALS: FloatArray = _frozen(np.empty(0, dtype=np.float64))
 
 
 class RegionPatch(NamedTuple):
@@ -128,17 +140,17 @@ def _read_only_csr(
 
 
 class UserPairMatrix:
-    """A sparse ``U x U`` matrix of user-pair values with named axes.
+    """A sparse ``U x U`` matrix of user-pair values with named axes, built whole.
 
-    Storage is array-backed: the consolidated state is a pair of parallel
-    arrays -- row-major-sorted flat keys ``i * U + j`` and their values --
-    plus an ordered list of *pending* write blocks.  Bulk writes
-    (:meth:`set_block`, :meth:`from_arrays`) append whole numpy blocks in
-    O(1) Python calls; point writes buffer into the same pending queue.
-    Reads consolidate lazily: pending blocks are merged with a single
-    vectorised sort/dedup pass that keeps the **last** write per key,
-    preserving overwrite semantics at O(nnz log nnz) numpy cost instead of
-    O(nnz) interpreted dict operations.
+    A matrix is a value.  Its entries are a pair of parallel arrays --
+    row-major-sorted, unique flat keys ``i * U + j`` and their values --
+    that are read-only from construction.  One call builds them:
+    :meth:`from_arrays` (one sort and dedup, the last value per pair wins),
+    :meth:`from_pairs` and :meth:`from_csr` through it, or
+    :meth:`from_flat_sorted` for entries already sorted.  A new version
+    (:meth:`patched`, :meth:`restrict_to`) is a new matrix, so a matrix
+    handed out never changes under its holder.  ``UserPairMatrix(users)``
+    is the empty matrix.
 
     An explicitly stored zero is allowed (meaning "pair observed, value
     zero"), which matters when distinguishing *observed non-trust* from
@@ -146,122 +158,19 @@ class UserPairMatrix:
     present regardless of value.
 
     Point reads (:meth:`get`, :meth:`contains`) binary-search the sorted
-    consolidated keys in O(log nnz).  No per-key index is kept, so a read
-    right after a write pays no O(nnz) rebuild and a write leaves no index
-    behind to free.
+    keys in O(log nnz); no per-key index is kept.
 
-    A :class:`scipy.sparse.csr_matrix` view of the consolidated state is
-    cached (:meth:`csr`) and invalidated by any write, so repeated sparse
+    A :class:`scipy.sparse.csr_matrix` view (:meth:`csr`) is built on first
+    use and cached, sharing the read-only value array, so repeated sparse
     consumers (propagation, metrics) pay the conversion once.
     """
 
     def __init__(self, users: LabelIndex | Iterable[str]) -> None:
         self.users = users if isinstance(users, LabelIndex) else LabelIndex(users)
         self._n = len(self.users)
-        self._keys = np.empty(0, dtype=np.int64)
-        self._vals = np.empty(0, dtype=np.float64)
-        # pending writes, in order: blocks of (keys, values) arrays plus a
-        # cheap tuple buffer for point writes (flushed into a block whenever
-        # ordering against a bulk write must be preserved)
-        self._pending_blocks: list[tuple[IntArray, FloatArray]] = []
-        self._pending_points: list[tuple[int, float]] = []
-        # pending additive writes onto keys absent from the consolidated
-        # arrays; invariant: non-empty only while the set-write queue above
-        # is empty (set-writes flush it, accumulate drains the queue first),
-        # so consolidation can merge it as plain base-zero sums
-        self._pending_accum: dict[int, float] = {}
+        self._keys: IntArray = _EMPTY_KEYS
+        self._vals: FloatArray = _EMPTY_VALS
         self._csr: sparse.csr_matrix | None = None
-
-    # ------------------------------------------------------------------ writes
-
-    def set(self, source_id: str, target_id: str, value: float) -> None:
-        """Store ``value`` for the (source, target) pair."""
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ValidationError(f"pair value must be a number, got {value!r}")
-        if not np.isfinite(value):
-            raise ValidationError(f"pair value must be finite, got {value!r}")
-        i = self.users.position(source_id)
-        j = self.users.position(target_id)
-        self._flush_accum()
-        self._pending_points.append((i * self._n + j, float(value)))
-        self._invalidate()
-
-    def set_block(
-        self,
-        rows: IntArray | Iterable[int],
-        cols: IntArray | Iterable[int],
-        values: FloatArray | Iterable[float] | float,
-    ) -> None:
-        """Bulk-store ``values`` at integer positions ``(rows, cols)``.
-
-        ``rows`` and ``cols`` are axis positions (see
-        :meth:`LabelIndex.positions` for label conversion); a scalar
-        ``values`` broadcasts across all pairs.  Later writes win over
-        earlier ones, exactly like repeated :meth:`set` calls.
-        """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        if rows.ndim != 1 or cols.ndim != 1 or rows.shape != cols.shape:
-            raise ValidationError(
-                f"rows and cols must be equal-length 1-D arrays, got shapes "
-                f"{rows.shape} and {cols.shape}"
-            )
-        values = np.asarray(values, dtype=np.float64)
-        if values.ndim == 0:
-            values = np.full(rows.shape, float(values))
-        elif values.shape != rows.shape:
-            raise ValidationError(
-                f"values shape {values.shape} does not match {rows.size} pairs"
-            )
-        else:
-            values = values.copy()
-        if values.size and not np.isfinite(values).all():
-            raise ValidationError("pair values must be finite")
-        n = self._n
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
-                raise ValidationError(
-                    f"positions must lie in [0, {n}); got rows in "
-                    f"[{rows.min()}, {rows.max()}], cols in [{cols.min()}, {cols.max()}]"
-                )
-        self._flush_accum()
-        self._flush_points()
-        self._pending_blocks.append((rows * n + cols, values))
-        self._invalidate()
-
-    def accumulate(self, source_id: str, target_id: str, value: float) -> None:
-        """Add ``value`` onto the stored value (treating absent as 0).
-
-        Amortised O(1): existing entries are updated in place (binary
-        search on the sorted keys), new pairs buffer into a pending sum
-        that the next consolidation folds in.
-        """
-        i = self.users.position(source_id)
-        j = self.users.position(target_id)
-        key = i * self._n + j
-        if self._pending_blocks or self._pending_points:
-            self._consolidate()
-        if key in self._pending_accum:
-            self._pending_accum[key] += float(value)
-            return
-        pos = self._find(key)
-        if pos is None:
-            self._pending_accum[key] = float(value)
-        else:
-            self._vals[pos] += float(value)
-        self._invalidate()
-
-    def discard(self, source_id: str, target_id: str) -> None:
-        """Remove a stored pair (no-op when absent)."""
-        i = self.users.position(source_id)
-        j = self.users.position(target_id)
-        key = i * self._n + j
-        self._consolidate()
-        pos = self._find(key)
-        if pos is not None:
-            self._keys = np.delete(self._keys, pos)
-            self._vals = np.delete(self._vals, pos)
-            self._invalidate()
 
     # ------------------------------------------------------------------ reads
 
@@ -269,7 +178,6 @@ class UserPairMatrix:
         """Stored value for the pair, or ``default`` when absent."""
         i = self.users.position(source_id)
         j = self.users.position(target_id)
-        self._consolidate()
         pos = self._find(i * self._n + j)
         return default if pos is None else float(self._vals[pos])
 
@@ -277,7 +185,6 @@ class UserPairMatrix:
         """Whether the pair is explicitly stored (even with value 0)."""
         i = self.users.position(source_id)
         j = self.users.position(target_id)
-        self._consolidate()
         return self._find(i * self._n + j) is not None
 
     def row(self, source_id: str) -> dict[str, float]:
@@ -294,7 +201,6 @@ class UserPairMatrix:
 
     def source_ids(self) -> list[str]:
         """Users with at least one stored outgoing entry (axis order)."""
-        self._consolidate()
         if not self._keys.size:
             return []
         labels = self.users.labels
@@ -302,7 +208,6 @@ class UserPairMatrix:
 
     def entries(self) -> Iterator[tuple[str, str, float]]:
         """Iterate over ``(source_id, target_id, value)`` triples (row-major)."""
-        self._consolidate()
         labels = self.users.labels
         n = self._n
         for key, value in zip(self._keys.tolist(), self._vals.tolist()):
@@ -311,21 +216,18 @@ class UserPairMatrix:
     def entries_arrays(self) -> tuple[IntArray, IntArray, FloatArray]:
         """All stored entries as ``(rows, cols, values)`` position arrays.
 
-        Row-major sorted; this is the zero-interpretation bulk counterpart
-        of :meth:`entries` and the preferred way to feed downstream numpy
-        kernels.
+        Row-major sorted, and fresh arrays the caller may write; this is the
+        zero-interpretation bulk counterpart of :meth:`entries` and the
+        preferred way to feed downstream numpy kernels.
         """
-        self._consolidate()
         return self._keys // self._n, self._keys % self._n, self._vals.copy()
 
     def num_entries(self) -> int:
         """Number of stored pairs (including explicit zeros)."""
-        self._consolidate()
         return int(self._keys.size)
 
     def support(self) -> set[tuple[str, str]]:
         """The set of stored ``(source, target)`` pairs as labels."""
-        self._consolidate()
         return self._keys_to_pairs(self._keys)
 
     def support_keys(self) -> IntArray:
@@ -335,7 +237,6 @@ class UserPairMatrix:
         it joins against another matrix's keys with ``np.intersect1d`` /
         ``np.setdiff1d`` instead of allocating label-tuple sets.
         """
-        self._consolidate()
         return self._keys.copy()
 
     def density(self) -> float:
@@ -346,8 +247,7 @@ class UserPairMatrix:
         return self.num_entries() / possible
 
     def values(self) -> FloatArray:
-        """All stored values as a flat array (row-major order)."""
-        self._consolidate()
+        """All stored values as a flat array (row-major order, copy)."""
         return self._vals.copy()
 
     # ------------------------------------------------------------------ algebra
@@ -356,30 +256,66 @@ class UserPairMatrix:
         """Cached :class:`scipy.sparse.csr_matrix` view (explicit zeros kept).
 
         The returned matrix is shared: its ``data``, ``indices`` and
-        ``indptr`` arrays are read-only, and a :meth:`patched` version that
-        kept this matrix's support shares the ``indices`` and ``indptr``
-        arrays with it.  It is rebuilt only after a write.  Use
+        ``indptr`` arrays are read-only, ``data`` is this matrix's value
+        array, and a :meth:`patched` version that kept this matrix's
+        support shares the ``indices`` and ``indptr`` arrays with it.  Use
         :meth:`to_csr` for a private mutable copy.
         """
-        self._consolidate()
         if self._csr is None:
             n = self._n
+            indptr = np.zeros(n + 1, dtype=np.int64)
             if self._keys.size:
-                rows = self._keys // n
+                np.cumsum(np.bincount(self._keys // n, minlength=n), out=indptr[1:])
                 indices = self._keys % n
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-                data = self._vals.copy()
             else:
-                indices = np.empty(0, dtype=np.int64)
-                indptr = np.zeros(n + 1, dtype=np.int64)
-                data = np.empty(0, dtype=np.float64)
-            self._csr = _read_only_csr(data, indices, indptr, n)
+                indices = _EMPTY_KEYS
+            self._csr = _read_only_csr(self._vals, indices, indptr, n)
         return self._csr
 
     def to_csr(self) -> sparse.csr_matrix:
         """A fresh mutable ``csr_matrix`` copy (explicit zeros kept)."""
         return self.csr().copy()
+
+    # ------------------------------------------------------------ construction
+
+    @classmethod
+    def from_flat_sorted(
+        cls,
+        users: LabelIndex | Iterable[str],
+        keys: IntArray,
+        values: FloatArray | Iterable[float],
+    ) -> "UserPairMatrix":
+        """Build from consolidated flat keys ``i * U + j`` in O(nnz).
+
+        The one validating constructor: ``keys`` must be strictly
+        increasing (sorted, unique) and lie in ``[0, U*U)``, and ``values``
+        must be finite.  :meth:`from_arrays`, and through it
+        :meth:`from_pairs` and :meth:`from_csr`, end here.  Both arrays are
+        copied, so the caller keeps no handle on the new matrix's.  Callers
+        that already hold a row-major-sorted, duplicate-free entry list --
+        the derive kernel, the concatenated shards of a sharded matrix --
+        call it directly and skip :meth:`from_arrays`' sort.
+        """
+        users = users if isinstance(users, LabelIndex) else LabelIndex(users)
+        keys = np.asarray(keys, dtype=np.int64)
+        vals = np.asarray(values, dtype=np.float64)
+        if keys.ndim != 1 or vals.ndim != 1 or keys.shape != vals.shape:
+            raise ValidationError(
+                f"keys and values must be equal-length 1-D arrays, got shapes "
+                f"{keys.shape} and {vals.shape}"
+            )
+        if keys.size:
+            size = len(users) * len(users)
+            if keys[0] < 0 or keys[-1] >= size:
+                raise ValidationError(
+                    f"keys must lie in [0, {size}); got [{keys[0]}, {keys[-1]}]"
+                )
+            if keys.size > 1 and not bool(np.all(keys[1:] > keys[:-1])):
+                raise ValidationError("keys must be strictly increasing (sorted, unique)")
+            if not np.isfinite(vals).all():
+                raise ValidationError("pair values must be finite")
+        # copied after the checks, so their temporaries are freed first
+        return cls._owning(users, keys.copy(), vals.copy())
 
     @classmethod
     def from_arrays(
@@ -389,47 +325,42 @@ class UserPairMatrix:
         cols: IntArray | Iterable[int],
         values: FloatArray | Iterable[float] | float,
     ) -> "UserPairMatrix":
-        """Build from position arrays in one bulk write."""
-        out = cls(users)
-        out.set_block(rows, cols, values)
-        return out
+        """Build from the pairs at integer positions ``(rows, cols)``.
 
-    @classmethod
-    def from_flat_sorted(
-        cls,
-        users: LabelIndex | Iterable[str],
-        keys: IntArray,
-        values: FloatArray | Iterable[float],
-    ) -> "UserPairMatrix":
-        """Build from already-consolidated flat keys ``i * U + j`` in O(nnz).
-
-        The fast-path constructor for callers that hold a row-major-sorted,
-        duplicate-free entry list -- e.g. the concatenated shards of a
-        sharded matrix.  It skips the O(nnz log nnz) sort/dedup
-        pass of :meth:`set_block`; ``keys`` must be strictly increasing and
-        lie in ``[0, U*U)``.
+        ``rows`` and ``cols`` are axis positions (see
+        :meth:`LabelIndex.positions` for label conversion); a scalar
+        ``values`` broadcasts across all pairs.  One sort and dedup keeps
+        the **last** value given for a pair, and an explicit zero is
+        stored like any other value.
         """
-        out = cls(users)
-        keys = np.ascontiguousarray(keys, dtype=np.int64)
-        vals = np.ascontiguousarray(values, dtype=np.float64)
-        if keys.ndim != 1 or vals.ndim != 1 or keys.shape != vals.shape:
+        users = users if isinstance(users, LabelIndex) else LabelIndex(users)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.ndim != 1 or cols.ndim != 1 or rows.shape != cols.shape:
             raise ValidationError(
-                f"keys and values must be equal-length 1-D arrays, got shapes "
-                f"{keys.shape} and {vals.shape}"
+                f"rows and cols must be equal-length 1-D arrays, got shapes "
+                f"{rows.shape} and {cols.shape}"
             )
-        if keys.size:
-            if keys[0] < 0 or keys[-1] >= out._n * out._n:
+        values = np.asarray(values, dtype=np.float64)
+        if values.ndim == 0:
+            values = np.full(rows.shape, float(values))
+        elif values.shape != rows.shape:
+            raise ValidationError(
+                f"values shape {values.shape} does not match {rows.size} pairs"
+            )
+        if values.size and not np.isfinite(values).all():
+            raise ValidationError("pair values must be finite")
+        n = len(users)
+        if rows.size:
+            if rows.min() < 0 or rows.max() >= n or cols.min() < 0 or cols.max() >= n:
                 raise ValidationError(
-                    f"keys must lie in [0, {out._n * out._n}); got "
-                    f"[{keys[0]}, {keys[-1]}]"
+                    f"positions must lie in [0, {n}); got rows in "
+                    f"[{rows.min()}, {rows.max()}], cols in [{cols.min()}, {cols.max()}]"
                 )
-            if keys.size > 1 and not bool(np.all(keys[1:] > keys[:-1])):
-                raise ValidationError("keys must be strictly increasing (sorted, unique)")
-            if not np.isfinite(vals).all():
-                raise ValidationError("pair values must be finite")
-        out._keys = keys.copy()
-        out._vals = vals.copy()
-        return out
+        # keep the LAST value per key: unique over the reversed keys picks
+        # the first occurrence there, i.e. the latest one given
+        keys, last = np.unique((rows * n + cols)[::-1], return_index=True)
+        return cls.from_flat_sorted(users, keys, values[::-1][last])
 
     @classmethod
     def from_csr(
@@ -459,17 +390,30 @@ class UserPairMatrix:
         users: LabelIndex | Iterable[str],
         pairs: Mapping[tuple[str, str], float] | Iterable[tuple[str, str, float]],
     ) -> "UserPairMatrix":
-        """Build from a mapping ``{(source, target): value}`` or triples."""
-        out = cls(users)
+        """Build from a mapping ``{(source, target): value}`` or triples.
+
+        Each value must be an ``int`` or ``float`` (not a ``bool``) and
+        finite; a pair given twice keeps its last value.
+        """
+        users = users if isinstance(users, LabelIndex) else LabelIndex(users)
         if isinstance(pairs, Mapping):
             items: Iterable[tuple[str, str, float]] = (
                 (s, t, v) for (s, t), v in pairs.items()
             )
         else:
             items = pairs
+        sources: list[str] = []
+        targets: list[str] = []
+        values: list[float] = []
         for source, target, value in items:
-            out.set(source, target, value)
-        return out
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValidationError(f"pair value must be a number, got {value!r}")
+            sources.append(source)
+            targets.append(target)
+            values.append(value)
+        return cls.from_arrays(
+            users, users.positions(sources), users.positions(targets), values
+        )
 
     # ------------------------------------------------------------------ patching
 
@@ -494,8 +438,8 @@ class UserPairMatrix:
         rating -- only values change: the new version shares this
         matrix's (read-only) key array, copies its values with the
         region's scattered in, and gets a CSR that shares :meth:`csr`'s
-        ``indices`` / ``indptr`` with the new data, so propagation does not
-        rebuild it.  A support change or a grown axis takes one O(nnz)
+        ``indices`` / ``indptr`` with the new values, so propagation does
+        not rebuild it.  A support change or a grown axis takes one O(nnz)
         masked merge instead (see :func:`patch_entries`); a region entry
         outside the region raises :class:`ValidationError` there.
 
@@ -513,9 +457,7 @@ class UserPairMatrix:
         for name, positions in (("rows", rows), ("cols", cols)):
             if positions.size and (positions.min() < 0 or positions.max() >= n):
                 raise ValidationError(f"{name} positions must lie in [0, {n})")
-        base = self.csr()  # consolidates; the engine's EigenTrust cached it
-        region._consolidate()
-        self._keys.setflags(write=False)
+        base = self.csr()  # the engine's EigenTrust cached it
         patch = patch_entries(
             self._keys,
             self._vals,
@@ -527,12 +469,10 @@ class UserPairMatrix:
             n=n,
             columns=base.indices,
         )
-        out = UserPairMatrix(users)
-        out._keys = patch.keys
-        out._vals = patch.vals
+        out = UserPairMatrix._owning(users, patch.keys, patch.vals)
         if patch.values_only:
             obs.add("matrix.patch.values_only")
-            out._csr = _read_only_csr(patch.vals.copy(), base.indices, base.indptr, n)
+            out._csr = _read_only_csr(out._vals, base.indices, base.indptr, n)
         else:
             obs.add("matrix.patch.merged")
         return out, patch.kept
@@ -542,41 +482,30 @@ class UserPairMatrix:
     def intersect_support(self, other: "UserPairMatrix") -> set[tuple[str, str]]:
         """Pairs stored in both matrices (paper's ``R ∩ T`` etc.)."""
         self._require_same_axis(other)
-        self._consolidate()
-        other._consolidate()
         shared = np.intersect1d(self._keys, other._keys, assume_unique=True)
         return self._keys_to_pairs(shared)
 
     def subtract_support(self, other: "UserPairMatrix") -> set[tuple[str, str]]:
         """Pairs stored here but not in ``other`` (paper's ``T − R`` etc.)."""
         self._require_same_axis(other)
-        self._consolidate()
-        other._consolidate()
         only = np.setdiff1d(self._keys, other._keys, assume_unique=True)
         return self._keys_to_pairs(only)
 
     def restrict_to(self, pairs: set[tuple[str, str]]) -> "UserPairMatrix":
         """A new matrix keeping only the given pairs (values preserved)."""
-        self._consolidate()
-        out = UserPairMatrix(self.users)
-        if pairs and self._keys.size:
-            position = self.users.position
-            users = self.users
-            n = self._n
-            # pairs naming users off this axis cannot be stored here; skip
-            # them rather than failing the whole restriction
-            wanted = np.fromiter(
-                (
-                    position(s) * n + position(t)
-                    for s, t in pairs
-                    if s in users and t in users
-                ),
-                dtype=np.int64,
-            )
-            mask = np.isin(self._keys, wanted, assume_unique=False)
-            out._keys = self._keys[mask].copy()
-            out._vals = self._vals[mask].copy()
-        return out
+        if not (pairs and self._keys.size):
+            return UserPairMatrix(self.users)
+        position = self.users.position
+        users = self.users
+        n = self._n
+        # pairs naming users off this axis cannot be stored here; skip them
+        # rather than failing the whole restriction
+        wanted = np.fromiter(
+            (position(s) * n + position(t) for s, t in pairs if s in users and t in users),
+            dtype=np.int64,
+        )
+        mask = np.isin(self._keys, wanted, assume_unique=False)
+        return UserPairMatrix._owning(self.users, self._keys[mask], self._vals[mask])
 
     def _require_same_axis(self, other: "UserPairMatrix") -> None:
         if self.users != other.users:
@@ -587,8 +516,6 @@ class UserPairMatrix:
             return NotImplemented
         if self.users != other.users:
             return False
-        self._consolidate()
-        other._consolidate()
         return np.array_equal(self._keys, other._keys) and np.array_equal(
             self._vals, other._vals
         )
@@ -598,11 +525,22 @@ class UserPairMatrix:
 
     # ------------------------------------------------------------------ internals
 
-    def _invalidate(self) -> None:
-        self._csr = None
+    @classmethod
+    def _owning(
+        cls, users: LabelIndex, keys: IntArray, vals: FloatArray
+    ) -> "UserPairMatrix":
+        """A matrix over valid entry arrays that nothing else holds.
+
+        Takes the arrays over without a check or a copy and makes them
+        read-only; only the constructors call it.
+        """
+        out = cls(users)
+        out._keys = _frozen(keys)
+        out._vals = _frozen(vals)
+        return out
 
     def _find(self, key: int) -> int | None:
-        """Position of ``key`` in the consolidated arrays (binary search)."""
+        """Position of ``key`` in the sorted keys (binary search)."""
         # the method form skips np.searchsorted's dispatch layer, which
         # costs as much as the search itself on a point read
         pos = int(self._keys.searchsorted(key))
@@ -610,54 +548,7 @@ class UserPairMatrix:
             return pos
         return None
 
-    def _flush_accum(self) -> None:
-        if self._pending_accum:
-            # pending-accum keys are absent from the consolidated arrays and
-            # (by invariant) from the set-write queue, so their sums merge
-            # as ordinary base-zero writes
-            keys = np.fromiter(
-                self._pending_accum.keys(), dtype=np.int64, count=len(self._pending_accum)
-            )
-            vals = np.fromiter(
-                self._pending_accum.values(),
-                dtype=np.float64,
-                count=len(self._pending_accum),
-            )
-            self._pending_blocks.append((keys, vals))
-            self._pending_accum = {}
-
-    def _flush_points(self) -> None:
-        if self._pending_points:
-            keys = np.fromiter(
-                (k for k, _ in self._pending_points),
-                dtype=np.int64,
-                count=len(self._pending_points),
-            )
-            vals = np.fromiter(
-                (v for _, v in self._pending_points),
-                dtype=np.float64,
-                count=len(self._pending_points),
-            )
-            self._pending_blocks.append((keys, vals))
-            self._pending_points = []
-
-    def _consolidate(self) -> None:
-        """Merge pending writes into the sorted, deduplicated arrays."""
-        if not (self._pending_blocks or self._pending_points or self._pending_accum):
-            return
-        self._flush_accum()
-        self._flush_points()
-        keys = np.concatenate([self._keys] + [k for k, _ in self._pending_blocks])
-        vals = np.concatenate([self._vals] + [v for _, v in self._pending_blocks])
-        self._pending_blocks = []
-        # keep the LAST write per key: unique over the reversed array picks
-        # the first occurrence there, i.e. the most recent write
-        uniq, idx = np.unique(keys[::-1], return_index=True)
-        self._keys = uniq
-        self._vals = vals[::-1][idx]
-
     def _row_bounds(self, i: int) -> tuple[int, int]:
-        self._consolidate()
         n = self._n
         lo = int(np.searchsorted(self._keys, i * n, side="left"))
         hi = int(np.searchsorted(self._keys, (i + 1) * n, side="left"))

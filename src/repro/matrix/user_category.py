@@ -6,7 +6,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.common.arrays import FloatArray, IntArray
+from repro.common.arrays import FloatArray
 from repro.common.errors import ValidationError
 from repro.matrix.labels import LabelIndex
 
@@ -67,63 +67,6 @@ class UserCategoryMatrix:
         self._values[
             self.users.position(user_id), self.categories.position(category_id)
         ] = value
-
-    def set_column(
-        self,
-        category_id: str,
-        user_ids: Iterable[str],
-        values: FloatArray | Iterable[float],
-    ) -> None:
-        """Bulk-set one category's column for many users at once.
-
-        The vectorised counterpart of per-entry :meth:`set`: ``values[k]``
-        is stored at ``(user_ids[k], category_id)`` in a single fancy-index
-        write.  All values must lie in ``[0, 1]``.
-        """
-        values = np.asarray(values, dtype=np.float64)
-        rows = self.users.positions(user_ids)
-        if values.shape != rows.shape:
-            raise ValidationError(
-                f"values shape {values.shape} does not match {rows.size} users"
-            )
-        if values.size:
-            if np.isnan(values).any():
-                raise ValidationError("user-category values must not contain NaN")
-            if values.min() < -1e-12 or values.max() > 1 + 1e-12:
-                raise ValidationError("user-category values must lie in [0, 1]")
-        self._values[rows, self.categories.position(category_id)] = values
-
-    def set_entries(
-        self,
-        user_positions: IntArray | Iterable[int],
-        category_positions: IntArray | Iterable[int],
-        values: FloatArray | Iterable[float],
-    ) -> None:
-        """Bulk-set many ``(user, category)`` cells by axis position.
-
-        The scatter counterpart of :meth:`set_column` for callers that
-        already hold integer indices (e.g. the columnar Step-1 assembly):
-        ``values[k]`` is stored at ``(user_positions[k],
-        category_positions[k])``.  All values must lie in ``[0, 1]``.
-        """
-        rows = np.asarray(user_positions, dtype=np.int64)
-        cols = np.asarray(category_positions, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if rows.shape != cols.shape or rows.shape != values.shape:
-            raise ValidationError(
-                f"positions and values must be equal-length, got shapes "
-                f"{rows.shape}, {cols.shape} and {values.shape}"
-            )
-        if values.size:
-            if rows.min() < 0 or rows.max() >= len(self.users):
-                raise ValidationError("user positions out of range")
-            if cols.min() < 0 or cols.max() >= len(self.categories):
-                raise ValidationError("category positions out of range")
-            if np.isnan(values).any():
-                raise ValidationError("user-category values must not contain NaN")
-            if values.min() < -1e-12 or values.max() > 1 + 1e-12:
-                raise ValidationError("user-category values must lie in [0, 1]")
-        self._values[rows, cols] = values
 
     def user_row(self, user_id: str) -> FloatArray:
         """Copy of the row for ``user_id`` (length ``C``)."""

@@ -1,9 +1,12 @@
 """Frozen seed implementations of the pipeline's hot paths.
 
-These are verbatim ports of the pre-kernel-layer code: numerically cheap
-numpy work whose results are materialised through per-entry Python calls
-(``UserPairMatrix.set`` / ``UserCategoryMatrix.set`` per element, label
-lookups per entry, dense edge loops).  They exist for two reasons:
+These are ports of the pre-kernel-layer code: numerically cheap numpy work
+whose results are materialised through per-entry Python work (one
+``(source, target, value)`` triple per ``T-hat`` entry, one
+``UserCategoryMatrix.set`` call per element, label lookups per entry,
+dense edge loops).  ``UserPairMatrix`` has no point writer any more, so
+:func:`reference_derive_trust` collects its triples and builds once with
+``UserPairMatrix.from_pairs``.  They exist for two reasons:
 
 - **equivalence testing** -- the vectorised kernels must produce identical
   results (see ``tests/trust/test_kernel_equivalence.py``).  The dict-based
@@ -49,11 +52,12 @@ def reference_derive_trust(
     include_self: bool = False,
     block_size: int = 512,
 ) -> UserPairMatrix:
-    """Seed implementation of eq. 5: blocked matmul, per-entry stores.
+    """Seed implementation of eq. 5: blocked matmul, per-entry triples.
 
     Uses the same block decomposition as :class:`repro.trust.TrustDeriver`,
     so the floating-point results are bitwise identical -- only the
-    materialisation differs (one interpreted ``set`` call per entry).
+    materialisation differs (one interpreted ``(source, target, value)``
+    triple per entry, built with :meth:`UserPairMatrix.from_pairs`).
     """
     users = affiliation.users
     a_values = affiliation.values_view()
@@ -62,7 +66,7 @@ def reference_derive_trust(
     row_sums = a_values.sum(axis=1)
     active_rows = np.nonzero(row_sums > 0.0)[0]
 
-    result = UserPairMatrix(users)
+    triples: list[tuple[str, str, float]] = []
     for start in range(0, len(active_rows), block_size):
         block_rows = active_rows[start : start + block_size]
         weights = a_values[block_rows, :] / row_sums[block_rows, None]
@@ -76,8 +80,8 @@ def reference_derive_trust(
             for j in targets:
                 if not include_self and int(j) == int(i):
                     continue
-                result.set(source, users.label(int(j)), float(values[j]))
-    return result
+                triples.append((source, users.label(int(j)), float(values[j])))
+    return UserPairMatrix.from_pairs(users, triples)
 
 
 def reference_fit_expertise(

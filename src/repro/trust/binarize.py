@@ -13,6 +13,10 @@ their direct connections they explicitly trust:
 Applying the *same* per-user ``k_i`` to both the model and the baseline
 makes the comparison fair while respecting that some users hand out trust
 freely and others almost never.
+
+:func:`binarize_top_k` cuts every row at once: one sort of the matrix's
+entry arrays ranks each row's entries, and the kept ones build the binary
+matrix in one call.
 """
 
 from __future__ import annotations
@@ -56,12 +60,13 @@ def binarize_top_k(
 ) -> UserPairMatrix:
     """Binarise each row of ``matrix`` at the user's top-``k`` fraction.
 
-    For user *i* with ``n_i`` stored entries, the ``round(k_i * n_i)``
-    highest-valued entries become 1; everything else is dropped.  Ties at
-    the cut are resolved in favour of earlier axis positions (stable), the
-    way a site would cut a ranked list: rows iterate in canonical
-    row-major order, so equal matrices always binarise identically
-    regardless of the order their entries were stored in.
+    For user *i* with ``n_i`` stored entries, the ``floor(k_i * n_i + 0.5
+    + 1e-9)`` highest-valued entries (``k_i * n_i`` rounded half up, with
+    float-noise tolerance) become 1; everything else is dropped.  Ties at
+    the cut are resolved in favour of earlier axis positions, the way a
+    site would cut a ranked list, so equal matrices always binarise
+    identically.  One ``lexsort`` over all entries ranks every row at
+    once: by row, then value descending, then column.
 
     Parameters
     ----------
@@ -69,7 +74,7 @@ def binarize_top_k(
         Continuous trust values (e.g. ``T-hat`` or baseline ``B``).
     k_by_user:
         Per-user fractions in ``[0, 1]`` (missing users fall back to
-        ``default_k``).
+        ``default_k``; users off the matrix's axis are ignored).
 
     Returns
     -------
@@ -82,20 +87,17 @@ def binarize_top_k(
     if not 0.0 <= default_k <= 1.0:
         raise ValidationError(f"default_k must be in [0, 1], got {default_k!r}")
 
-    result = UserPairMatrix(matrix.users)
-    for source in matrix.source_ids():
-        row = matrix.row(source)
-        k = k_by_user.get(source, default_k)
-        keep = _round_half_up(k * len(row))
-        if keep <= 0:
-            continue
-        # stable: sort by value descending, preserving insertion order on ties
-        ranked = sorted(row.items(), key=lambda item: -item[1])
-        for target, _value in ranked[:keep]:
-            result.set(source, target, 1.0)
-    return result
-
-
-def _round_half_up(x: float) -> int:
-    """Round to nearest integer, halves up, with float-noise tolerance."""
-    return int(x + 0.5 + 1e-9)
+    users = matrix.users
+    k = np.full(len(users), float(default_k))
+    for user, k_user in k_by_user.items():
+        if user in users:
+            k[users.position(user)] = k_user
+    rows, cols, vals = matrix.entries_arrays()
+    sizes = np.bincount(rows, minlength=len(users))
+    keep = np.floor(k * sizes + 0.5 + 1e-9)
+    # rows are already sorted, so the order keeps each row's entries where
+    # they were and only ranks them within the row
+    order = np.lexsort((cols, -vals, rows))
+    rank = np.arange(rows.size) - (np.cumsum(sizes) - sizes)[rows]
+    chosen = order[rank < keep[rows]]
+    return UserPairMatrix.from_arrays(users, rows[chosen], cols[chosen], 1.0)

@@ -6,12 +6,10 @@
   reviews -- defined exactly on the support of ``R``;
 - ``T`` (ground truth): the explicit web of trust, binary.
 
-``R`` and ``B`` are assembled from the community's columnar view
-(:meth:`repro.community.Community.columns`): the unique rating pairs with
-their counts and mean values come back as position arrays and land in the
-matrix through one :meth:`repro.matrix.UserPairMatrix.set_block` call.
-The per-pair Python loop survives only for callers that supply a custom
-user axis differing from the community's own.
+Each is built whole, in one :meth:`repro.matrix.UserPairMatrix.from_arrays`
+call over the community's own user axis.  ``R`` and ``B`` come from its
+columnar view (:meth:`repro.community.Community.columns`), whose unique
+rating pairs with their counts and mean values are position arrays.
 """
 
 from __future__ import annotations
@@ -24,54 +22,37 @@ from repro.matrix import LabelIndex, UserPairMatrix
 __all__ = ["direct_connection_matrix", "baseline_matrix", "ground_truth_matrix"]
 
 
-def direct_connection_matrix(
-    community: Community, users: LabelIndex | None = None
-) -> UserPairMatrix:
+def direct_connection_matrix(community: Community) -> UserPairMatrix:
     """Build ``R`` with entry values = number of ratings *i* gave *j*.
 
     The paper treats ``R`` as binary; the stored count is extra diagnostic
     information (any stored entry means ``R_ij = 1``).
     """
     columns = community.columns()
-    if users is None or users == columns.users:
-        matrix = UserPairMatrix(users if users is not None else columns.users)
-        rater, writer, counts, _means = columns.direct_connection_arrays()
-        matrix.set_block(rater, writer, counts.astype(np.float64))
-        return matrix
-    matrix = UserPairMatrix(users)
-    for (rater_id, writer_id), values in community.direct_connections().items():
-        if rater_id == writer_id:
-            continue  # self-connections carry no trust signal
-        matrix.set(rater_id, writer_id, float(len(values)))
-    return matrix
+    rater, writer, counts, _means = columns.direct_connection_arrays()
+    return UserPairMatrix.from_arrays(
+        columns.users, rater, writer, counts.astype(np.float64)
+    )
 
 
-def baseline_matrix(community: Community, users: LabelIndex | None = None) -> UserPairMatrix:
+def baseline_matrix(community: Community) -> UserPairMatrix:
     """Build the paper's baseline ``B``: mean rating per direct connection.
 
     ``B_ij`` is the average of all ratings user *i* gave to user *j*'s
     reviews; it exists only where ``R_ij = 1``.
     """
     columns = community.columns()
-    if users is None or users == columns.users:
-        matrix = UserPairMatrix(users if users is not None else columns.users)
-        rater, writer, _counts, means = columns.direct_connection_arrays()
-        matrix.set_block(rater, writer, means)
-        return matrix
-    matrix = UserPairMatrix(users)
-    for (rater_id, writer_id), values in community.direct_connections().items():
-        if rater_id == writer_id:
-            continue
-        matrix.set(rater_id, writer_id, sum(values) / len(values))
-    return matrix
+    rater, writer, _counts, means = columns.direct_connection_arrays()
+    return UserPairMatrix.from_arrays(columns.users, rater, writer, means)
 
 
-def ground_truth_matrix(community: Community, users: LabelIndex | None = None) -> UserPairMatrix:
+def ground_truth_matrix(community: Community) -> UserPairMatrix:
     """Build the explicit web of trust ``T`` (binary entries of 1.0)."""
-    users = users or LabelIndex(community.user_ids())
-    matrix = UserPairMatrix(users)
+    users = LabelIndex(community.user_ids())
     edges = community.trust_edges()
-    if edges:
-        trusters, trustees = zip(*edges)
-        matrix.set_block(users.positions(trusters), users.positions(trustees), 1.0)
-    return matrix
+    return UserPairMatrix.from_arrays(
+        users,
+        users.positions(source for source, _ in edges),
+        users.positions(target for _, target in edges),
+        1.0,
+    )

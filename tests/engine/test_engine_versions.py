@@ -6,6 +6,7 @@ spills, checkpoint flushes and axis growth; and an update patches
 ``T-hat``'s values when the support held, merging only when it changed.
 """
 
+import numpy as np
 import pytest
 
 from repro import obs
@@ -144,3 +145,29 @@ class TestPatchPaths:
             base.add_rating(rating)
             engine.update()
             assert_matches_cold(engine.artifacts, base)
+
+
+class TestReturnedDerivedIsAValue:
+    """The in-memory ``T-hat`` an update returns cannot be written by its
+    holder, so the engine's next update still equals a cold build."""
+
+    def test_holder_cannot_write_derived(self):
+        community = generate_community(CommunityProfile(num_users=120), seed=3).community
+        base, stream = split_rating_stream(community, 1)
+        engine = Engine(base)
+        derived = engine.update().derived
+        for writer in ("set", "set_block", "accumulate", "discard"):
+            assert not hasattr(derived, writer)
+        csr = derived.csr()
+        for array in (derived._keys, derived._vals, csr.data, csr.indices, csr.indptr):
+            assert array.size and not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        held = derived.support_keys(), derived.values(), csr.toarray()
+        for copy in (derived.support_keys(), derived.values(), *derived.entries_arrays()):
+            copy[...] = 7
+        for got, want in zip((derived.support_keys(), derived.values(), csr.toarray()), held):
+            assert np.array_equal(got, want)
+
+        base.add_rating(stream[0])
+        assert_matches_cold(engine.update(), base)

@@ -8,16 +8,18 @@ from repro.common.errors import ValidationError
 from repro.matrix import LabelIndex, UserPairMatrix
 
 
+USERS = ["u1", "u2", "u3"]
+TRIPLES = [("u1", "u2", 0.8), ("u1", "u3", 0.3), ("u2", "u1", 0.5)]
+
+
 @pytest.fixture
 def matrix():
-    m = UserPairMatrix(["u1", "u2", "u3"])
-    m.set("u1", "u2", 0.8)
-    m.set("u1", "u3", 0.3)
-    m.set("u2", "u1", 0.5)
-    return m
+    return UserPairMatrix.from_pairs(USERS, TRIPLES)
 
 
 class TestWrites:
+    """The values a matrix is built from (:meth:`from_pairs`) read back."""
+
     def test_set_get(self, matrix):
         assert matrix.get("u1", "u2") == pytest.approx(0.8)
 
@@ -25,42 +27,33 @@ class TestWrites:
         assert matrix.get("u3", "u1") == 0.0
         assert matrix.get("u3", "u1", default=-1.0) == -1.0
 
-    def test_overwrite_does_not_double_count(self, matrix):
-        matrix.set("u1", "u2", 0.9)
-        assert matrix.num_entries() == 3
-        assert matrix.get("u1", "u2") == pytest.approx(0.9)
+    def test_overwrite_does_not_double_count(self):
+        m = UserPairMatrix.from_pairs(USERS, TRIPLES + [("u1", "u2", 0.9)])
+        assert m.num_entries() == 3
+        assert m.get("u1", "u2") == pytest.approx(0.9)
 
-    def test_explicit_zero_is_stored(self, matrix):
-        matrix.set("u3", "u1", 0.0)
-        assert matrix.contains("u3", "u1")
-        assert matrix.num_entries() == 4
+    def test_explicit_zero_is_stored(self):
+        m = UserPairMatrix.from_pairs(USERS, TRIPLES + [("u3", "u1", 0.0)])
+        assert m.contains("u3", "u1")
+        assert m.num_entries() == 4
 
-    def test_accumulate(self, matrix):
-        matrix.accumulate("u1", "u2", 0.1)
-        matrix.accumulate("u3", "u2", 1.0)
-        assert matrix.get("u1", "u2") == pytest.approx(0.9)
-        assert matrix.get("u3", "u2") == pytest.approx(1.0)
+    def test_non_finite_rejected(self):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValidationError, match="finite"):
+                UserPairMatrix.from_pairs(USERS, TRIPLES + [("u1", "u2", value)])
 
-    def test_discard(self, matrix):
-        matrix.discard("u1", "u2")
-        assert not matrix.contains("u1", "u2")
-        assert matrix.num_entries() == 2
-        matrix.discard("u1", "u2")  # no-op
-        assert matrix.num_entries() == 2
+    def test_bool_rejected(self):
+        with pytest.raises(ValidationError, match="number"):
+            UserPairMatrix.from_pairs(USERS, [("u1", "u2", True)])
 
-    def test_non_finite_rejected(self, matrix):
-        with pytest.raises(ValidationError):
-            matrix.set("u1", "u2", float("nan"))
-        with pytest.raises(ValidationError):
-            matrix.set("u1", "u2", float("inf"))
+    def test_non_number_rejected(self):
+        for value in ("0.5", None, [0.5]):
+            with pytest.raises(ValidationError, match="number"):
+                UserPairMatrix.from_pairs(USERS, {("u1", "u2"): value})
 
-    def test_bool_rejected(self, matrix):
-        with pytest.raises(ValidationError):
-            matrix.set("u1", "u2", True)
-
-    def test_unknown_user_rejected(self, matrix):
+    def test_unknown_user_rejected(self):
         with pytest.raises(KeyError):
-            matrix.set("ghost", "u1", 0.5)
+            UserPairMatrix.from_pairs(USERS, [("ghost", "u1", 0.5)])
 
 
 class TestReads:
@@ -118,14 +111,11 @@ class TestCsrRoundtrip:
 
 class TestSetOperations:
     def test_intersect_support(self, matrix):
-        other = UserPairMatrix(matrix.users)
-        other.set("u1", "u2", 1.0)
-        other.set("u3", "u1", 1.0)
+        other = UserPairMatrix.from_pairs(matrix.users, [("u1", "u2", 1.0), ("u3", "u1", 1.0)])
         assert matrix.intersect_support(other) == {("u1", "u2")}
 
     def test_subtract_support(self, matrix):
-        other = UserPairMatrix(matrix.users)
-        other.set("u1", "u2", 1.0)
+        other = UserPairMatrix.from_pairs(matrix.users, [("u1", "u2", 1.0)])
         assert matrix.subtract_support(other) == {("u1", "u3"), ("u2", "u1")}
 
     def test_restrict_to(self, matrix):

@@ -13,14 +13,17 @@ def users():
 
 
 class TestSetBlock:
+    """:meth:`from_arrays`: its input checks and its one sort and dedup."""
+
     def test_bulk_equals_pointwise(self, users):
         rows = np.array([0, 1, 3])
         cols = np.array([2, 0, 4])
         values = np.array([0.5, 0.25, 1.0])
         bulk = UserPairMatrix.from_arrays(users, rows, cols, values)
-        pointwise = UserPairMatrix(users)
-        for i, j, v in zip(rows, cols, values):
-            pointwise.set(users.label(int(i)), users.label(int(j)), float(v))
+        labels = users.labels
+        pointwise = UserPairMatrix.from_pairs(
+            users, [(labels[i], labels[j], float(v)) for i, j, v in zip(rows, cols, values)]
+        )
         assert bulk == pointwise
 
     def test_scalar_broadcast(self, users):
@@ -32,18 +35,13 @@ class TestSetBlock:
         m = UserPairMatrix.from_arrays(users, [0, 0], [1, 1], [0.2, 0.9])
         assert m.num_entries() == 1
         assert m.get("u0", "u1") == pytest.approx(0.9)
-
-    def test_block_overwrites_earlier_point_write(self, users):
-        m = UserPairMatrix(users)
-        m.set("u0", "u1", 0.1)
-        m.set_block([0], [1], [0.7])
-        assert m.get("u0", "u1") == pytest.approx(0.7)
-
-    def test_point_write_overwrites_earlier_block(self, users):
-        m = UserPairMatrix(users)
-        m.set_block([0], [1], [0.7])
-        m.set("u0", "u1", 0.1)
-        assert m.get("u0", "u1") == pytest.approx(0.1)
+        # interleaved with other pairs, the last of three still wins
+        m = UserPairMatrix.from_arrays(
+            users, [0, 4, 0, 2, 0], [1, 0, 1, 2, 1], [0.2, 0.5, 0.9, 0.0, 0.4]
+        )
+        assert m.num_entries() == 3
+        assert m.get("u0", "u1") == 0.4
+        assert m.entries_arrays()[2].tolist() == [0.4, 0.0, 0.5]
 
     def test_explicit_zero_kept(self, users):
         m = UserPairMatrix.from_arrays(users, [2], [3], [0.0])
@@ -57,12 +55,20 @@ class TestSetBlock:
             UserPairMatrix.from_arrays(users, [0], [-1], [1.0])
 
     def test_non_finite_rejected(self, users):
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValidationError, match="finite"):
+                UserPairMatrix.from_arrays(users, [0], [1], [value])
+        # also when a later duplicate would replace it
         with pytest.raises(ValidationError, match="finite"):
-            UserPairMatrix.from_arrays(users, [0], [1], [np.nan])
+            UserPairMatrix.from_arrays(users, [0, 0], [1, 1], [np.nan, 0.5])
+        with pytest.raises(ValidationError, match="finite"):
+            UserPairMatrix.from_arrays(users, [0, 1], [1, 2], np.inf)
 
     def test_shape_mismatch_rejected(self, users):
         with pytest.raises(ValidationError, match="equal-length"):
             UserPairMatrix.from_arrays(users, [0, 1], [1], [0.5])
+        with pytest.raises(ValidationError, match="equal-length"):
+            UserPairMatrix.from_arrays(users, [[0, 1]], [[1, 2]], [[0.5, 0.6]])
 
     def test_values_length_mismatch_rejected(self, users):
         with pytest.raises(ValidationError, match="values shape"):
@@ -76,10 +82,9 @@ class TestSetBlock:
 
 class TestEntriesArrays:
     def test_row_major_order(self, users):
-        m = UserPairMatrix(users)
-        m.set("u3", "u0", 0.3)
-        m.set("u0", "u4", 0.4)
-        m.set("u0", "u2", 0.2)
+        m = UserPairMatrix.from_pairs(
+            users, [("u3", "u0", 0.3), ("u0", "u4", 0.4), ("u0", "u2", 0.2)]
+        )
         rows, cols, values = m.entries_arrays()
         assert rows.tolist() == [0, 0, 3]
         assert cols.tolist() == [2, 4, 0]
@@ -125,21 +130,12 @@ class TestCsrCache:
         m = UserPairMatrix.from_arrays(users, [0], [1], [0.5])
         assert m.csr() is m.csr()
 
-    def test_cache_invalidated_by_write(self, users):
-        m = UserPairMatrix.from_arrays(users, [0], [1], [0.5])
-        first = m.csr()
-        m.set("u2", "u3", 0.25)
-        second = m.csr()
-        assert second is not first
-        assert second.nnz == 2
-
-    def test_cache_invalidated_by_accumulate_and_discard(self, users):
-        m = UserPairMatrix.from_arrays(users, [0], [1], [0.5])
-        m.csr()
-        m.accumulate("u0", "u1", 0.25)
-        assert m.csr()[0, 1] == pytest.approx(0.75)
-        m.discard("u0", "u1")
-        assert m.csr().nnz == 0
+    def test_cached_csr_is_read_only(self, users):
+        m = UserPairMatrix.from_arrays(users, [0, 1], [1, 2], [0.5, 0.25])
+        for array in (m.csr().data, m.csr().indices, m.csr().indptr):
+            with pytest.raises(ValueError):
+                array[0] = 9
+        assert np.all(m.to_csr().data == m.csr().data)
 
     def test_to_csr_returns_mutable_copy(self, users):
         m = UserPairMatrix.from_arrays(users, [0], [1], [0.5])
@@ -156,59 +152,34 @@ class TestCsrCache:
         assert (m.csr() != m.to_csr()).nnz == 0
 
 
-class TestAccumulateScaling:
-    def test_many_distinct_accumulates_stay_fast(self):
-        # regression guard: accumulate used to consolidate (O(nnz)) per
-        # call, turning this loop quadratic (~10 s); it must stay well
-        # under a second
-        n = 120
-        users = [f"u{i}" for i in range(n)]
-        m = UserPairMatrix(users)
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    m.accumulate(users[i], users[j], 0.5)
-        assert m.num_entries() == n * (n - 1)
-        for i in range(0, n, 7):  # second pass hits the in-place branch
-            m.accumulate(users[i], users[(i + 1) % n], 0.25)
-            assert m.get(users[i], users[(i + 1) % n]) == pytest.approx(0.75)
+class TestBuiltWhole:
+    """Every constructor hands back a matrix whose arrays nothing can write."""
 
-    def test_accumulate_then_set_then_accumulate(self):
-        m = UserPairMatrix(["a", "b"])
-        m.accumulate("a", "b", 0.3)
-        m.set("a", "b", 0.1)  # set after accumulate overrides the sum
-        m.accumulate("a", "b", 0.2)
-        assert m.get("a", "b") == pytest.approx(0.3)
+    def test_every_constructor_holds_read_only_arrays(self, users):
+        base = UserPairMatrix.from_arrays(users, [0, 1, 3], [2, 0, 4], [0.5, 0.25, 1.0])
+        region = UserPairMatrix.from_arrays(users, [1], [0], [0.75])
+        built = [
+            UserPairMatrix(users),
+            base,
+            UserPairMatrix.from_pairs(users, [("u0", "u1", 0.5)]),
+            UserPairMatrix.from_csr(base.to_csr(), users),
+            UserPairMatrix.from_flat_sorted(users, np.array([1, 7]), np.array([0.5, 0.0])),
+            base.restrict_to({("u0", "u2")}),
+            base.patched(users, region, rows=np.array([1]), cols=np.array([0]))[0],
+        ]
+        for matrix in built:
+            csr = matrix.csr()
+            for array in (matrix._keys, matrix._vals, csr.data, csr.indices, csr.indptr):
+                assert not array.flags.writeable
+            for writer in ("set", "set_block", "accumulate", "discard"):
+                assert not hasattr(matrix, writer)
 
-
-class TestInterleavedWrites:
-    def test_mixed_write_stream_matches_dict_semantics(self, users):
-        rng = np.random.default_rng(7)
-        m = UserPairMatrix(users)
-        shadow: dict[tuple[str, str], float] = {}
-        for step in range(60):
-            kind = step % 4
-            if kind == 0:
-                i, j = int(rng.integers(5)), int(rng.integers(5))
-                v = float(rng.random())
-                m.set(users.label(i), users.label(j), v)
-                shadow[(users.label(i), users.label(j))] = v
-            elif kind == 1:
-                rows = rng.integers(0, 5, 3)
-                cols = rng.integers(0, 5, 3)
-                vals = rng.random(3)
-                m.set_block(rows, cols, vals)
-                for i, j, v in zip(rows, cols, vals):
-                    shadow[(users.label(int(i)), users.label(int(j)))] = float(v)
-            elif kind == 2:
-                i, j = int(rng.integers(5)), int(rng.integers(5))
-                v = float(rng.random())
-                m.accumulate(users.label(i), users.label(j), v)
-                key = (users.label(i), users.label(j))
-                shadow[key] = shadow.get(key, 0.0) + v
-            else:
-                assert m.num_entries() == len(shadow)  # interleave a read
-        assert {(s, t): v for s, t, v in m.entries()} == pytest.approx(shadow)
+    def test_from_flat_sorted_copies_its_input(self, users):
+        keys, values = np.array([1, 7]), np.array([0.5, 0.25])
+        m = UserPairMatrix.from_flat_sorted(users, keys, values)
+        keys[0], values[0] = 3, 9.0
+        assert keys.flags.writeable and values.flags.writeable
+        assert m.support_keys().tolist() == [1, 7] and m.values().tolist() == [0.5, 0.25]
 
 
 class TestFromFlatSorted:
@@ -255,12 +226,11 @@ class TestFromFlatSorted:
 def _region_of(dense, users, rows, cols):
     """All nonzero entries of ``dense`` whose row or col position changed."""
     n = dense.shape[0]
-    region = UserPairMatrix(users)
-    for i in range(n):
-        for j in range(n):
-            if (i in rows or j in cols) and dense[i, j] != 0.0:
-                region.set(users.label(i), users.label(j), float(dense[i, j]))
-    return region
+    in_region = np.zeros((n, n), dtype=bool)
+    in_region[sorted(rows), :] = True
+    in_region[:, sorted(cols)] = True
+    r, c = np.nonzero(in_region & (dense != 0.0))
+    return UserPairMatrix.from_arrays(users, r, c, dense[r, c])
 
 
 class TestPatched:
@@ -296,9 +266,7 @@ class TestPatched:
     def test_patch_with_user_growth(self, users):
         grown = LabelIndex(list(users.labels) + ["u5"])
         old = UserPairMatrix.from_arrays(users, [0, 2], [1, 3], [0.5, 0.25])
-        region = UserPairMatrix(grown)
-        region.set("u5", "u0", 0.75)
-        region.set("u0", "u5", 0.1)
+        region = UserPairMatrix.from_pairs(grown, [("u5", "u0", 0.75), ("u0", "u5", 0.1)])
         patched, kept = old.patched(
             grown, region, rows=np.array([5]), cols=np.array([5])
         )
@@ -339,11 +307,8 @@ class TestPatched:
         assert np.shares_memory(held.indptr, old.csr().indptr)
         assert np.shares_memory(held.indices, old.csr().indices)
         assert not np.shares_memory(held.data, old.csr().data)
-        # an in-place write to the new version reaches neither the CSR it
-        # handed out nor the old version
-        patched.accumulate("u1", "u2", 1.0)
-        assert patched.get("u1", "u2") == 1.9
-        assert held[1, 2] == 0.9
+        # the new values are the new version's alone
+        assert patched.get("u1", "u2") == 0.9 and held[1, 2] == 0.9
         assert old.get("u1", "u2") == 0.4 and old.csr()[1, 2] == 0.4
 
     def test_region_entry_outside_region_rejected(self, users):
@@ -408,8 +373,7 @@ class TestPatchedEdgeCases:
     def test_region_value_wins_over_old_at_same_key(self, users):
         """A key present in both old and region takes the region's value."""
         old = UserPairMatrix.from_arrays(users, [1, 2], [2, 3], [0.5, 0.25])
-        region = UserPairMatrix(users)
-        region.set("u1", "u2", 0.9)
+        region = UserPairMatrix.from_pairs(users, [("u1", "u2", 0.9)])
         patched, kept = old.patched(
             users, region, rows=np.array([1]), cols=np.empty(0, dtype=np.int64)
         )
@@ -418,12 +382,13 @@ class TestPatchedEdgeCases:
         assert kept == 1
 
     def test_overlapping_scatter_keys_within_region_last_write_wins(self, users):
-        """Duplicate pending writes inside the region consolidate before
-        the scatter -- the final value is the region's latest write."""
+        """A region built from a pair given twice holds the later value,
+        and that is the one the patch scatters."""
         old = UserPairMatrix.from_arrays(users, [0], [2], [0.1])
-        region = UserPairMatrix(users)
-        region.set("u1", "u2", 0.3)
-        region.set("u1", "u2", 0.7)  # overwrites the pending write above
+        # the second triple replaces the first
+        region = UserPairMatrix.from_pairs(
+            users, [("u1", "u2", 0.3), ("u1", "u2", 0.7)]
+        )
         patched, _ = old.patched(
             users, region, rows=np.array([1]), cols=np.empty(0, dtype=np.int64)
         )

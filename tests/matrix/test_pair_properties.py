@@ -1,7 +1,6 @@
 """Model-based property tests: UserPairMatrix against a plain-dict model."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,78 +10,77 @@ USERS = [f"u{i}" for i in range(5)]
 #: The axis a ``patched`` merge grows onto (one user appended).
 GROWN = LabelIndex(USERS + ["u5"])
 
-operations = st.lists(
+#: pairs on the 5-user axis, many given more than once; explicit zeros are
+#: stored pairs and must read back as 0.0
+triples = st.lists(
     st.tuples(
-        st.sampled_from(["set", "accumulate", "discard"]),
         st.integers(0, 4),
         st.integers(0, 4),
-        st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32),
-    ),
-    max_size=80,
-)
-
-
-class TestPairMatrixAgainstDictModel:
-    @given(operations)
-    @settings(max_examples=100, deadline=None)
-    def test_matches_reference_model(self, ops):
-        matrix = UserPairMatrix(USERS)
-        model: dict[tuple[str, str], float] = {}
-
-        for op, i, j, value in ops:
-            source, target = USERS[i], USERS[j]
-            if op == "set":
-                matrix.set(source, target, value)
-                model[(source, target)] = float(value)
-            elif op == "accumulate":
-                matrix.accumulate(source, target, value)
-                model[(source, target)] = model.get((source, target), 0.0) + float(value)
-            else:
-                matrix.discard(source, target)
-                model.pop((source, target), None)
-
-        assert matrix.num_entries() == len(model)
-        assert matrix.support() == set(model)
-        for (source, target), expected in model.items():
-            assert matrix.get(source, target) == pytest.approx(expected)
-            assert matrix.contains(source, target)
-        # row views agree
-        for source in USERS:
-            expected_row = {
-                t: v for (s, t), v in model.items() if s == source
-            }
-            actual_row = matrix.row(source)
-            assert set(actual_row) == set(expected_row)
-            for target, v in expected_row.items():
-                assert actual_row[target] == pytest.approx(v)
-        # csr round trip preserves everything stored (zeros kept explicitly)
-        rebuilt = UserPairMatrix.from_csr(matrix.to_csr(), matrix.users, keep_zeros=True)
-        non_zero_support = {pair for pair, v in model.items() if v != 0.0}
-        assert non_zero_support <= rebuilt.support() <= set(model)
-
-    @given(operations)
-    @settings(max_examples=50, deadline=None)
-    def test_density_consistent(self, ops):
-        matrix = UserPairMatrix(USERS)
-        for op, i, j, value in ops:
-            if op == "set":
-                matrix.set(USERS[i], USERS[j], value)
-        assert matrix.density() == pytest.approx(matrix.num_entries() / (5 * 4))
-
-
-writes = st.lists(
-    st.tuples(
-        st.sampled_from(["set", "set_block", "accumulate", "discard"]),
-        st.integers(0, 5),
-        st.integers(0, 5),
-        # explicit zeros are stored pairs and must read back as 0.0
         st.one_of(
             st.just(0.0),
             st.floats(-10, 10, allow_nan=False, allow_infinity=False, width=32),
         ),
     ),
-    max_size=30,
+    max_size=80,
 )
+
+
+def build(axis, cells):
+    """``from_arrays`` over ``(row, col, value)`` cells, in the order given."""
+    return UserPairMatrix.from_arrays(
+        axis, [i for i, _, _ in cells], [j for _, j, _ in cells], [v for _, _, v in cells]
+    )
+
+
+def last_write_wins(labels, cells):
+    """The dict model: each pair holds the last value given for it."""
+    model: dict[tuple[str, str], float] = {}
+    for i, j, value in cells:
+        model[(labels[i], labels[j])] = float(value)
+    return model
+
+
+def assert_point_reads_match(matrix, model):
+    """``get`` / ``contains`` on every pair of the axis agree with ``model``."""
+    sentinel = -12345.0
+    for source in matrix.users.labels:
+        for target in matrix.users.labels:
+            expected = model.get((source, target), sentinel)
+            assert matrix.get(source, target, sentinel) == expected
+            assert matrix.contains(source, target) == ((source, target) in model)
+
+
+class TestPairMatrixAgainstDictModel:
+    @given(triples)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_model(self, cells):
+        matrix = build(USERS, cells)
+        model = last_write_wins(USERS, cells)
+
+        assert matrix.num_entries() == len(model)
+        assert matrix.support() == set(model)
+        assert {(s, t): v for s, t, v in matrix.entries()} == model
+        assert_point_reads_match(matrix, model)
+        # the label constructor keeps the last value too
+        labelled = [(USERS[i], USERS[j], float(v)) for i, j, v in cells]
+        assert UserPairMatrix.from_pairs(USERS, labelled) == matrix
+        # row views agree
+        for source in USERS:
+            expected_row = {t: v for (s, t), v in model.items() if s == source}
+            assert matrix.row(source) == expected_row
+            assert matrix.row_size(source) == len(expected_row)
+        # csr round trip preserves everything stored (zeros kept explicitly)
+        rebuilt = UserPairMatrix.from_csr(matrix.to_csr(), matrix.users, keep_zeros=True)
+        assert rebuilt == matrix
+        rebuilt = UserPairMatrix.from_csr(matrix.to_csr(), matrix.users)
+        assert rebuilt.support() == {pair for pair, v in model.items() if v != 0.0}
+
+    @given(triples)
+    @settings(max_examples=50, deadline=None)
+    def test_density_consistent(self, cells):
+        matrix = build(USERS, cells)
+        assert matrix.density() == len(last_write_wins(USERS, cells)) / (5 * 4)
+
 
 region_entries = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5), st.sampled_from([0.0, 0.5, 2.0])),
@@ -92,51 +90,33 @@ region_entries = st.lists(
 positions = st.lists(st.integers(0, 5), max_size=3, unique=True)
 
 
-def apply_writes(matrix, ops):
-    """Apply ``ops`` with a read after each, so every write follows a read."""
-    labels = matrix.users.labels
-    for op, i, j, value in ops:
-        source, target = labels[i % len(labels)], labels[j % len(labels)]
-        if op == "set":
-            matrix.set(source, target, value)
-        elif op == "set_block":
-            matrix.set_block([i % len(labels)], [j % len(labels)], [value])
-        elif op == "accumulate":
-            matrix.accumulate(source, target, value)
-        else:
-            matrix.discard(source, target)
-        matrix.get(target, source)
-
-
 class TestPointReadsAfterWrites:
-    @given(writes, region_entries, positions, positions, writes)
+    @given(triples, region_entries, positions, positions)
     @settings(max_examples=100, deadline=None)
-    def test_get_and_contains_match_entries(self, before, region, rows, cols, after):
-        matrix = UserPairMatrix(USERS)
-        apply_writes(matrix, before)
+    def test_get_and_contains_match_entries(self, cells, region, rows, cols):
+        base = build(USERS, cells)
+        model = last_write_wins(USERS, cells)
+        assert_point_reads_match(base, model)
 
         # one patched merge onto a grown axis: the region holds only pairs
-        # in the patched rows or columns, as the merge requires
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
+        # in the patched rows or columns, as the merge requires, and may
+        # give a pair twice
         region = [(i, j, v) for i, j, v in region if i in rows or j in cols]
-        patch = UserPairMatrix.from_arrays(
+        labels = GROWN.labels
+        patched, _ = base.patched(
             GROWN,
-            [i for i, _, _ in region],
-            [j for _, j, _ in region],
-            [v for _, _, v in region],
+            build(GROWN, region),
+            rows=np.asarray(rows, dtype=np.int64),
+            cols=np.asarray(cols, dtype=np.int64),
         )
-        matrix.get("u0", "u1")
-        matrix, _ = matrix.patched(GROWN, patch, rows=rows, cols=cols)
-        apply_writes(matrix, after)
-
-        stored = {(s, t): v for s, t, v in matrix.entries()}
-        sentinel = -12345.0
-        for source in GROWN.labels:
-            for target in GROWN.labels:
-                expected = stored.get((source, target), sentinel)
-                assert matrix.get(source, target, sentinel) == expected
-                assert matrix.contains(source, target) == ((source, target) in stored)
+        expected = {
+            (s, t): v
+            for (s, t), v in model.items()
+            if GROWN.position(s) not in rows and GROWN.position(t) not in cols
+        }
+        expected.update(last_write_wins(labels, region))
+        assert_point_reads_match(patched, expected)
+        assert_point_reads_match(base, model)
 
 
 #: A 6-user axis for the patch properties; the dense oracle is 6 x 6.
@@ -149,16 +129,6 @@ cells = st.lists(
     st.tuples(st.integers(0, 5), st.integers(0, 5), patch_values), max_size=24
 )
 patch_positions = st.lists(st.integers(0, 5), max_size=3, unique=True)
-version_writes = st.lists(
-    st.tuples(
-        st.sampled_from(["set", "set_block", "accumulate", "discard"]),
-        st.integers(0, 5),
-        st.integers(0, 5),
-        patch_values,
-    ),
-    min_size=1,
-    max_size=4,
-)
 
 
 def dense_state(matrix):
@@ -182,18 +152,10 @@ def assert_snapshot(matrix, expected):
 
 
 class TestPatchedVersions:
-    @given(
-        cells,
-        patch_positions,
-        patch_positions,
-        st.booleans(),
-        cells,
-        st.booleans(),
-        version_writes,
-    )
+    @given(cells, patch_positions, patch_positions, st.booleans(), cells)
     @settings(max_examples=150, deadline=None)
     def test_patch_matches_dense_oracle_and_versions_stay_apart(
-        self, base_cells, rows, cols, keep_support, changes, write_base, writes
+        self, base_cells, rows, cols, keep_support, changes
     ):
         n = len(PATCH_AXIS)
         base = UserPairMatrix.from_arrays(
@@ -252,13 +214,14 @@ class TestPatchedVersions:
                 assert not shared.flags.writeable
             assert not patched.csr().data.flags.writeable
 
-        # a write to either version leaves the other as it was, and leaves
-        # the CSR the written version handed out before
-        target, other = (base, patched) if write_base else (patched, base)
-        other.csr()
-        held = snapshot(other)
-        handed_out = target.csr()
-        handed_out_dense = handed_out.toarray()
-        apply_writes(target, writes)
-        assert_snapshot(other, held)
-        assert np.array_equal(handed_out.toarray(), handed_out_dense)
+        # whatever a holder is handed is a copy or read-only: writing every
+        # copy leaves both versions, and the CSRs they handed out, as they were
+        held = [snapshot(base), snapshot(patched)]
+        for version in (base, patched):
+            csr = version.csr()
+            for array in (version._keys, version._vals, csr.data, csr.indices, csr.indptr):
+                assert not array.flags.writeable
+            for array in (version.support_keys(), version.values(), *version.entries_arrays()):
+                array[...] = 7
+        assert_snapshot(base, held[0])
+        assert_snapshot(patched, held[1])

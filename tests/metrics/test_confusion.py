@@ -12,10 +12,7 @@ USERS = ["a", "b", "c", "d", "e"]
 
 
 def matrix(pairs):
-    m = UserPairMatrix(USERS)
-    for source, target in pairs:
-        m.set(source, target, 1.0)
-    return m
+    return UserPairMatrix.from_pairs(USERS, [(source, target, 1.0) for source, target in pairs])
 
 
 @pytest.fixture

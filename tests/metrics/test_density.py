@@ -10,10 +10,7 @@ USERS = ["a", "b", "c", "d"]
 
 
 def matrix(pairs):
-    m = UserPairMatrix(USERS)
-    for source, target in pairs:
-        m.set(source, target, 1.0)
-    return m
+    return UserPairMatrix.from_pairs(USERS, [(source, target, 1.0) for source, target in pairs])
 
 
 class TestDensityReport:

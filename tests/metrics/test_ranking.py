@@ -10,17 +10,11 @@ USERS = ["a", "b", "c", "d", "e"]
 
 
 def scores(entries):
-    m = UserPairMatrix(USERS)
-    for source, target, value in entries:
-        m.set(source, target, value)
-    return m
+    return UserPairMatrix.from_pairs(USERS, entries)
 
 
 def binary(pairs):
-    m = UserPairMatrix(USERS)
-    for source, target in pairs:
-        m.set(source, target, 1.0)
-    return m
+    return UserPairMatrix.from_pairs(USERS, [(source, target, 1.0) for source, target in pairs])
 
 
 class TestRankingAuc:

@@ -38,13 +38,10 @@ def span_names(recorder):
 
 @pytest.fixture
 def asymmetric_web():
-    m = UserPairMatrix(["a", "b", "c", "d"])
-    m.set("a", "b", 0.9)
-    m.set("a", "c", 0.2)
-    m.set("b", "c", 0.8)
-    m.set("c", "d", 0.5)
-    m.set("d", "b", 0.3)
-    return m
+    return UserPairMatrix.from_pairs(
+        ["a", "b", "c", "d"],
+        [("a", "b", 0.9), ("a", "c", 0.2), ("b", "c", 0.8), ("c", "d", 0.5), ("d", "b", 0.3)],
+    )
 
 
 class TestPipelineTrace:

@@ -9,10 +9,9 @@ from repro.propagation import appleseed
 
 def graph(edges):
     """A web over the users of ``edges``, in first-seen order."""
-    web = UserPairMatrix(dict.fromkeys(u for s, t, _ in edges for u in (s, t)))
-    for source, target, weight in edges:
-        web.set(source, target, weight)
-    return web
+    return UserPairMatrix.from_pairs(
+        dict.fromkeys(u for s, t, _ in edges for u in (s, t)), edges
+    )
 
 
 class TestAppleseed:

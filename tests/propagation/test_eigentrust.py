@@ -10,10 +10,7 @@ from repro.propagation import eigen_trust
 def graph(edges, isolated=()):
     """A web over the users of ``edges`` in first-seen order, then ``isolated``."""
     ends = [user for source, target, _ in edges for user in (source, target)]
-    web = UserPairMatrix(dict.fromkeys([*ends, *isolated]))
-    for source, target, weight in edges:
-        web.set(source, target, weight)
-    return web
+    return UserPairMatrix.from_pairs(dict.fromkeys([*ends, *isolated]), edges)
 
 
 class TestEigenTrust:

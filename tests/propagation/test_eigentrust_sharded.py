@@ -49,9 +49,9 @@ class TestParity:
     def test_dangling_users_identical(self):
         """Users with no outgoing edges exercise the dangling-mass term."""
         users = LabelIndex(["a", "b", "c", "d"])
-        flat = UserPairMatrix(users)
-        flat.set("a", "b", 1.0)
-        flat.set("b", "c", 0.5)  # c and d dangle
+        flat = UserPairMatrix.from_pairs(
+            users, [("a", "b", 1.0), ("b", "c", 0.5)]  # c and d dangle
+        )
         sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=2)
         reference = eigen_trust(flat)
         assert_scores_identical(reference, eigen_trust(sharded))
@@ -60,9 +60,9 @@ class TestParity:
     def test_empty_shards_identical(self):
         """Shards with no entries at all are skipped, not mis-summed."""
         users = LabelIndex([f"u{i}" for i in range(9)])
-        flat = UserPairMatrix(users)
-        flat.set("u0", "u8", 1.0)
-        flat.set("u8", "u0", 1.0)  # middle shard is empty at 3 shards
+        flat = UserPairMatrix.from_pairs(
+            users, [("u0", "u8", 1.0), ("u8", "u0", 1.0)]  # middle shard is empty at 3 shards
+        )
         sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3)
         assert_scores_identical(eigen_trust(flat), eigen_trust(sharded))
 
@@ -79,8 +79,9 @@ class TestParity:
 class TestValidation:
     def test_negative_weights_rejected(self):
         users = LabelIndex(["a", "b", "c", "d"])
-        flat = UserPairMatrix(users)
-        flat.set("c", "d", -0.5)  # negative entry in the second shard
+        flat = UserPairMatrix.from_pairs(
+            users, [("c", "d", -0.5)]  # negative entry in the second shard
+        )
         sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=2)
         with pytest.raises(ValidationError, match="non-negative"):
             eigen_trust(sharded)

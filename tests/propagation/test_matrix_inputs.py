@@ -12,12 +12,12 @@ from repro.propagation import appleseed, eigen_trust, tidal_trust
 def web():
     rng = np.random.default_rng(5)
     users = [f"u{i}" for i in range(30)]
-    matrix = UserPairMatrix(users)
+    triples = []
     for _ in range(150):
         i, j = rng.integers(30, size=2)
         if i != j:
-            matrix.set(users[int(i)], users[int(j)], float(rng.random()))
-    return matrix
+            triples.append((users[int(i)], users[int(j)], float(rng.random())))
+    return UserPairMatrix.from_pairs(users, triples)
 
 
 class TestEigenTrust:
@@ -28,8 +28,7 @@ class TestEigenTrust:
             eigen_trust(web, pretrust={"ghost": 1.0})
 
     def test_negative_weight_rejected(self):
-        matrix = UserPairMatrix(["a", "b"])
-        matrix.set("a", "b", -0.5)
+        matrix = UserPairMatrix.from_pairs(["a", "b"], [("a", "b", -0.5)])
         with pytest.raises(ValidationError):
             eigen_trust(matrix)
 
@@ -43,9 +42,9 @@ class TestAppleseed:
             appleseed(web, "ghost")
 
     def test_unreachable_nodes_absent_on_matrix_input(self):
-        matrix = UserPairMatrix(["a", "b", "c", "d"])
-        matrix.set("a", "b", 1.0)
-        matrix.set("c", "d", 1.0)
+        matrix = UserPairMatrix.from_pairs(
+            ["a", "b", "c", "d"], [("a", "b", 1.0), ("c", "d", 1.0)]
+        )
         ranks = appleseed(matrix, "a")
         assert "c" not in ranks and "d" not in ranks
         assert ranks["a"] == 0.0
@@ -53,14 +52,12 @@ class TestAppleseed:
 
 class TestTidalTrust:
     def test_direct_edge_and_self_trust(self):
-        matrix = UserPairMatrix(["a", "b"])
-        matrix.set("a", "b", 0.4)
+        matrix = UserPairMatrix.from_pairs(["a", "b"], [("a", "b", 0.4)])
         assert tidal_trust(matrix, "a", "b") == pytest.approx(0.4)
         assert tidal_trust(matrix, "a", "a") == 1.0
 
     def test_no_path_returns_none(self):
-        matrix = UserPairMatrix(["a", "b", "c"])
-        matrix.set("a", "b", 1.0)
+        matrix = UserPairMatrix.from_pairs(["a", "b", "c"], [("a", "b", 1.0)])
         assert tidal_trust(matrix, "b", "c") is None
 
     def test_unknown_nodes_rejected(self):

@@ -76,11 +76,9 @@ class TestVectorView:
 class TestAlgorithmsReturnScores:
     @pytest.fixture
     def web(self):
-        g = UserPairMatrix(["a", "b", "c", "loner"])
-        g.set("a", "b", 1.0)
-        g.set("b", "c", 0.5)
-        g.set("c", "a", 0.5)
-        return g
+        return UserPairMatrix.from_pairs(
+            ["a", "b", "c", "loner"], [("a", "b", 1.0), ("b", "c", 0.5), ("c", "a", 0.5)]
+        )
 
     def test_eigen_trust_vector_matches_mapping(self, web):
         scores = eigen_trust(web)

@@ -9,10 +9,9 @@ from repro.propagation import tidal_trust
 
 def graph(edges):
     """A web over the users of ``edges``, in first-seen order."""
-    web = UserPairMatrix(dict.fromkeys(u for s, t, _ in edges for u in (s, t)))
-    for source, target, weight in edges:
-        web.set(source, target, weight)
-    return web
+    return UserPairMatrix.from_pairs(
+        dict.fromkeys(u for s, t, _ in edges for u in (s, t)), edges
+    )
 
 
 class TestBaseCases:
@@ -96,10 +95,11 @@ class TestDeeperChains:
 
         rng = np.random.default_rng(3)
         nodes = [f"n{i}" for i in range(12)]
-        g = UserPairMatrix(nodes)
+        edges = []
         for source, target in itertools.permutations(nodes, 2):
             if rng.random() < 0.2:
-                g.set(source, target, float(rng.choice([0.2, 0.5, 0.8, 1.0])))
+                edges.append((source, target, float(rng.choice([0.2, 0.5, 0.8, 1.0]))))
+        g = UserPairMatrix.from_pairs(nodes, edges)
         checked = 0
         for source, target in itertools.permutations(nodes, 2):
             value = tidal_trust(g, source, target)

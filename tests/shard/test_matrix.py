@@ -188,8 +188,9 @@ class TestPatchWith:
         )
         sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3)
         rows, cols = np.asarray([1, 6]), np.asarray([2])
-        region = UserPairMatrix(users)
-        region.set_block([1, 6, 0, 1], [3, 2, 2, 2], [0.9, 0.8, 0.7, 0.6])
+        region = UserPairMatrix.from_arrays(
+            users, [1, 6, 0, 1], [3, 2, 2, 2], [0.9, 0.8, 0.7, 0.6]
+        )
 
         expected, expected_kept = flat.patched(users, region, rows=rows, cols=cols)
         patched, kept, patched_shards = sharded.patch_with(region, rows=rows, cols=cols)
@@ -203,8 +204,7 @@ class TestPatchWith:
         sharded = ShardedPairMatrix.from_pair_matrix(
             UserPairMatrix.from_arrays(users, [0, 5], [1, 6], [0.5, 0.25]), layout
         )
-        region = UserPairMatrix(users)
-        region.set("u1", "u3", 0.9)
+        region = UserPairMatrix.from_pairs(users, [("u1", "u3", 0.9)])
         patched, kept, patched_shards = sharded.patch_with(
             region, rows=np.asarray([1]), cols=np.empty(0, dtype=np.int64)
         )

@@ -13,10 +13,7 @@ from repro.trust.analysis import WebAnalysis, coverage_comparison, web_analysis
 
 
 def web(users, pairs):
-    m = UserPairMatrix(users)
-    for source, target in pairs:
-        m.set(source, target, 1.0)
-    return m
+    return UserPairMatrix.from_pairs(users, [(source, target, 1.0) for source, target in pairs])
 
 
 class TestWebAnalysis:
@@ -128,20 +125,19 @@ def random_webs(draw):
     """Up to 12 users; explicit zeros, self-loops and isolated users occur."""
     n = draw(st.integers(0, 12))
     users = [f"u{i}" for i in range(n)]
-    web = UserPairMatrix(users)
-    if n:
-        for i, j, value in draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, n - 1),
-                    st.integers(0, n - 1),
-                    st.sampled_from([0.0, 0.25, 1.0]),
-                ),
-                max_size=3 * n,
-            )
-        ):
-            web.set(users[i], users[j], value)
-    return web
+    if not n:
+        return UserPairMatrix(users)
+    cells = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n - 1),
+                st.integers(0, n - 1),
+                st.sampled_from([0.0, 0.25, 1.0]),
+            ),
+            max_size=3 * n,
+        )
+    )
+    return UserPairMatrix.from_pairs(users, [(users[i], users[j], v) for i, j, v in cells])
 
 
 class TestAgainstBruteForce:

@@ -38,10 +38,8 @@ class TestGenerousness:
             generousness(UserPairMatrix(["a"]), UserPairMatrix(["b"]))
 
     def test_trust_outside_connections_ignored(self):
-        R = UserPairMatrix(["a", "b", "c"])
-        T = UserPairMatrix(["a", "b", "c"])
-        R.set("a", "b", 1.0)
-        T.set("a", "c", 1.0)  # trusted but never rated
+        R = UserPairMatrix.from_pairs(["a", "b", "c"], [("a", "b", 1.0)])
+        T = UserPairMatrix.from_pairs(["a", "b", "c"], [("a", "c", 1.0)])  # never rated
         assert generousness(R, T)["a"] == 0.0
 
 
@@ -72,12 +70,9 @@ class TestGenerousnessAgainstRowScan:
     @given(connection_entries, trust_entries)
     @settings(max_examples=200, deadline=None)
     def test_matches_row_scan_exactly(self, r_entries, t_entries):
-        R = UserPairMatrix(AXIS)
-        for i, j, value in r_entries:
-            R.set(AXIS[i], AXIS[j], value)  # 0.0 stores an explicit zero
-        T = UserPairMatrix(AXIS)
-        for i, j in t_entries:
-            T.set(AXIS[i], AXIS[j], 1.0)
+        # 0.0 stores an explicit zero
+        R = UserPairMatrix.from_pairs(AXIS, [(AXIS[i], AXIS[j], v) for i, j, v in r_entries])
+        T = UserPairMatrix.from_pairs(AXIS, [(AXIS[i], AXIS[j], 1.0) for i, j in t_entries])
 
         expected = generousness_by_row_scan(R, T)
         actual = generousness(R, T)
@@ -90,13 +85,10 @@ class TestGenerousnessAgainstRowScan:
 class TestBinarizeTopK:
     @pytest.fixture
     def scores(self):
-        m = UserPairMatrix(["a", "b", "c", "d", "e"])
-        m.set("a", "b", 0.9)
-        m.set("a", "c", 0.7)
-        m.set("a", "d", 0.5)
-        m.set("a", "e", 0.3)
-        m.set("b", "a", 0.6)
-        return m
+        return UserPairMatrix.from_pairs(
+            ["a", "b", "c", "d", "e"],
+            [("a", "b", 0.9), ("a", "c", 0.7), ("a", "d", 0.5), ("a", "e", 0.3), ("b", "a", 0.6)],
+        )
 
     def test_top_half(self, scores):
         binary = binarize_top_k(scores, {"a": 0.5, "b": 0.0})
@@ -127,10 +119,10 @@ class TestBinarizeTopK:
         assert binary.row("a") == {"b": 1.0}
 
     def test_ties_resolved_stably(self):
-        m = UserPairMatrix(["a", "x", "y", "z"])
-        m.set("a", "x", 0.5)
-        m.set("a", "y", 0.5)
-        m.set("a", "z", 0.5)
+        # stored out of axis order: the tie still goes to the earliest position
+        m = UserPairMatrix.from_pairs(
+            ["a", "x", "y", "z"], [("a", "z", 0.5), ("a", "y", 0.5), ("a", "x", 0.5)]
+        )
         binary = binarize_top_k(m, {"a": 1 / 3})
         assert binary.row("a") == {"x": 1.0}
 
@@ -143,6 +135,61 @@ class TestBinarizeTopK:
             binarize_top_k(scores, {"a": 1.5})
         with pytest.raises(ValidationError):
             binarize_top_k(scores, {}, default_k=-0.1)
+
+
+def binarize_by_row_loop(matrix, k_by_user, default_k=0.0):
+    """The per-row loop ``binarize_top_k`` replaced, as its oracle."""
+    kept = []
+    for source in matrix.source_ids():
+        row = matrix.row(source)
+        keep = int(k_by_user.get(source, default_k) * len(row) + 0.5 + 1e-9)
+        # stable: value descending, axis order on ties
+        ranked = sorted(row.items(), key=lambda item: -item[1])
+        kept.extend((source, target, 1.0) for target, _ in ranked[:keep])
+    return UserPairMatrix.from_pairs(matrix.users, kept)
+
+
+#: fractions whose product with a row size of 2-10 lands on .5 (1/4 * 2,
+#: 3/8 * 4, 1/6 * 3, 0.1 * 5, 5/6 * 3, ...) or on an integer (1/3 * 3),
+#: plus the ends
+K_VALUES = [0.0, 0.1, 1 / 8, 1 / 6, 1 / 4, 0.3, 1 / 3, 3 / 8, 0.5, 2 / 3, 5 / 6, 1.0]
+k_fractions = st.one_of(st.sampled_from(K_VALUES), st.floats(0, 1))
+
+#: few distinct values, so rows tie at the cut; 0.0 is an explicit zero
+score_entries = st.lists(
+    st.tuples(
+        st.integers(0, 9),
+        st.integers(0, 9),
+        st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]), st.floats(-1, 1)),
+    ),
+    max_size=60,
+)
+
+
+class TestBinarizeAgainstRowLoop:
+    @given(
+        score_entries,
+        # u10 and u11 are on the axis but never rated; ghost is off it
+        st.dictionaries(st.sampled_from(AXIS + ["ghost"]), k_fractions),
+        k_fractions,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_loop_exactly(self, entries, k_by_user, default_k):
+        matrix = UserPairMatrix.from_pairs(
+            AXIS, [(AXIS[i], AXIS[j], v) for i, j, v in entries]
+        )
+        expected = binarize_by_row_loop(matrix, k_by_user, default_k)
+        assert binarize_top_k(matrix, k_by_user, default_k=default_k) == expected
+
+    def test_float_noise_below_half_still_rounds_up(self):
+        # 0.7 * 45 is 31.499999999999996 in floats, 31.5 exactly
+        users = [f"u{i}" for i in range(46)]
+        matrix = UserPairMatrix.from_pairs(
+            users, [("u0", target, 1.0 / (j + 1)) for j, target in enumerate(users[1:])]
+        )
+        binary = binarize_top_k(matrix, {"u0": 0.7})
+        assert binary.row_size("u0") == 32
+        assert binary == binarize_by_row_loop(matrix, {"u0": 0.7})
 
 
 class TestPaperPipelineShape:

@@ -66,11 +66,13 @@ class TestDerivationProperties:
 def scored_rows(draw):
     num_users = draw(st.integers(2, 8))
     users = [f"u{i}" for i in range(num_users)]
-    matrix = UserPairMatrix(users)
-    for i, source in enumerate(users):
-        for j, target in enumerate(users):
-            if i != j and draw(st.booleans()):
-                matrix.set(source, target, draw(st.floats(0, 1, allow_nan=False, width=32)))
+    entries = [
+        (source, target, draw(st.floats(0, 1, allow_nan=False, width=32)))
+        for i, source in enumerate(users)
+        for j, target in enumerate(users)
+        if i != j and draw(st.booleans())
+    ]
+    matrix = UserPairMatrix.from_pairs(users, entries)
     k_values = {user: draw(st.floats(0, 1, allow_nan=False, width=16)) for user in users}
     return matrix, k_values
 
