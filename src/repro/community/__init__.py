@@ -11,12 +11,14 @@ integrity rules of an Epinions-style site enforced:
 - every review belongs to an object, every object to a category.
 
 The community is the system of record for its data: it keeps every record
-as append-only integer-coded columns and checks every key and reference
-in its ``add_*`` methods, before anything is stored.
+as append-only integer-coded columns (:class:`RecordColumns` is their
+exchange form) and checks every key and reference before anything is
+stored -- for a whole community at once in ``Community.from_columns``,
+for one record in its ``add_*`` methods.
 """
 
 from repro.community.columnar import CommunityColumns
-from repro.community.community import Community
+from repro.community.community import Community, RecordColumns
 from repro.community.deltas import ChangeLog, Delta, DeltaKind
 from repro.community.model import (
     HELPFULNESS_SCALE,
@@ -31,6 +33,7 @@ from repro.community.model import (
 __all__ = [
     "Community",
     "CommunityColumns",
+    "RecordColumns",
     "ChangeLog",
     "Delta",
     "DeltaKind",

@@ -14,12 +14,15 @@ exposes exactly the access patterns the paper's formulas need:
 from __future__ import annotations
 
 from array import array
-from typing import Iterable, Iterator
+from dataclasses import dataclass, replace
+from itertools import repeat
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Iterator, Literal, NoReturn, Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.common.arrays import FloatArray, IntArray
+from repro.common.arrays import BoolArray, FloatArray, IntArray, first_true, lookup, repeats
 from repro.common.errors import IntegrityError, ValidationError
 from repro.community.columnar import CommunityColumns
 from repro.community.deltas import ChangeLog, DeltaKind
@@ -30,12 +33,102 @@ from repro.community.model import (
     ReviewedObject,
     TrustStatement,
     User,
+    on_scale,
 )
 
-__all__ = ["Community"]
+__all__ = ["Community", "RecordColumns"]
 
 # a pair of positions (a, b) is kept in a key set as the one int a << 32 | b
 _PAIR_SHIFT = 32
+
+#: The record kinds, in the order a community registers them: each kind's
+#: references point only at kinds before it.
+RecordKind = Literal["user", "category", "object", "review", "rating", "trust"]
+
+_KIND_FIELDS: tuple[tuple[RecordKind, tuple[str, ...]], ...] = (
+    ("user", ("users", "user_names")),
+    ("category", ("categories", "category_names")),
+    ("object", ("objects", "object_category", "object_titles")),
+    ("review", ("reviews", "review_writer", "review_object")),
+    ("rating", ("rating_rater", "rating_review", "rating_value")),
+    ("trust", ("trust_truster", "trust_trustee")),
+)
+
+
+@dataclass(frozen=True)
+class RecordColumns:
+    """The records of a community, one column entry per record.
+
+    Reference columns hold positions into the id list of the kind they
+    reference: ``object_category`` into ``categories``, ``review_writer``
+    into ``users``, ``review_object`` into ``objects``, ``rating_rater``
+    and both trust columns into ``users``, ``rating_review`` into
+    ``reviews``.  ``None`` names and titles stand for ``""`` each, what
+    ``add_user("u")`` registers.
+    """
+
+    users: Sequence[str]
+    categories: Sequence[str]
+    objects: Sequence[str]
+    object_category: IntArray
+    reviews: Sequence[str]
+    review_writer: IntArray
+    review_object: IntArray
+    rating_rater: IntArray
+    rating_review: IntArray
+    rating_value: FloatArray
+    trust_truster: IntArray
+    trust_trustee: IntArray
+    user_names: Sequence[str | None] | None = None
+    category_names: Sequence[str | None] | None = None
+    object_titles: Sequence[str | None] | None = None
+
+    def counts(self) -> dict[str, int]:
+        """Records per kind, keyed like :meth:`Community.summary`."""
+        return {
+            "users": len(self.users),
+            "categories": len(self.categories),
+            "objects": len(self.objects),
+            "reviews": len(self.reviews),
+            "ratings": len(self.rating_value),
+            "trust": len(self.trust_truster),
+        }
+
+    def prefix(self, kind: RecordKind, stop: int) -> "RecordColumns":
+        """The records registered before record ``stop`` of ``kind``.
+
+        Every kind before ``kind`` stays whole, ``kind`` keeps its first
+        ``stop`` records and every later kind is empty: what replaying
+        the records through ``add_*`` in kind order has stored when it
+        reaches that record.
+        """
+        changes: dict[str, Any] = {}
+        kinds = [name for name, _ in _KIND_FIELDS]
+        for name, fields in _KIND_FIELDS[kinds.index(kind) :]:
+            for field in fields:
+                column = getattr(self, field)
+                if column is not None:
+                    changes[field] = column[: stop if name == kind else 0]
+        return replace(self, **changes)
+
+    def record(self, kind: RecordKind, index: int) -> Any:
+        """Record ``index`` of ``kind`` as its model object, which checks it."""
+        users, objects, reviews = self.users, self.objects, self.reviews
+        if kind == "user":
+            return User(users[index], _text(self.user_names, index))
+        if kind == "category":
+            return Category(self.categories[index], _text(self.category_names, index))
+        if kind == "object":
+            category = self.categories[int(self.object_category[index])]
+            return ReviewedObject(objects[index], category, _text(self.object_titles, index))
+        if kind == "review":
+            writer, obj = int(self.review_writer[index]), int(self.review_object[index])
+            return Review(reviews[index], users[writer], objects[obj])
+        if kind == "rating":
+            rater, review = int(self.rating_rater[index]), int(self.rating_review[index])
+            return ReviewRating(users[rater], reviews[review], float(self.rating_value[index]))
+        truster, trustee = int(self.trust_truster[index]), int(self.trust_trustee[index])
+        return TrustStatement(users[truster], users[trustee])
 
 
 class Community:
@@ -45,9 +138,14 @@ class Community:
     interned once, in registration order, and every record is stored as
     append-only integer-coded columns of those positions: a review holds
     its writer, object and category; a rating its rater, review and value.
-    All writes go through typed ``add_*`` methods, which check the primary
-    keys, the one-review-per-(writer, object) rule and every reference
-    against integer key sets before anything is appended.
+
+    A community is built whole by :meth:`from_columns` (or
+    :meth:`from_records`, which goes through it), which checks every rule
+    below with array operations and stores each column in one call.  It
+    then grows one record at a time through the typed ``add_*`` methods,
+    which check the primary keys, the one-review-per-(writer, object) rule,
+    no self-rating and every reference against integer key sets before
+    anything is appended.
     """
 
     def __init__(self, name: str = "community") -> None:
@@ -100,12 +198,17 @@ class Community:
 
     @property
     def version(self) -> int:
-        """Mutation counter; bumped by every successful ``add_*`` call."""
+        """Mutation counter: the record count a community was built with,
+        bumped by every successful ``add_*`` and ``touch`` call."""
         return self._version
 
     @property
     def change_log(self) -> ChangeLog:
-        """The per-community delta log every mutator appends to."""
+        """The per-community delta log every mutator appends to.
+
+        It starts at the epoch the community was built at, with nothing
+        to replay.
+        """
         return self._log
 
     def _mutated(self) -> None:
@@ -538,6 +641,37 @@ class Community:
     # ------------------------------------------------------------------ bulk
 
     @classmethod
+    def from_columns(cls, columns: RecordColumns, *, name: str = "community") -> "Community":
+        """Build a community whole from its record columns.
+
+        Every rule ``add_*`` checks is checked with array operations, and a
+        rejected build raises what replaying the records through ``add_*``
+        in kind order (users, categories, objects, reviews, ratings, trust)
+        would, each record's model object built first:
+
+        - :class:`ValidationError` for the first record whose model object
+          cannot be built: an empty or non-string id, a name or title that
+          is neither a string nor ``None``, a value off the helpfulness
+          scale, a truster trusting themselves;
+        - otherwise :class:`IntegrityError` for the first record ``add_*``
+          rejects: a repeated id, a repeated (writer, object),
+          (rater, review) or (truster, trustee) pair, a rater rating their
+          own review.
+
+        A reference column holding a position outside the list it indexes,
+        or a column of the wrong length or dtype, names no record and
+        raises :class:`ValidationError`.
+
+        The community's :attr:`version` is its record count, and its
+        change log starts at that epoch with nothing to replay: no
+        subscriber can hold a cursor into a community not yet built.
+        """
+        community = cls(name)
+        with obs.span("community.build", **columns.counts()):
+            community._build(columns)
+        return community
+
+    @classmethod
     def from_records(
         cls,
         *,
@@ -549,21 +683,82 @@ class Community:
         ratings: Iterable[ReviewRating] = (),
         trust: Iterable[TrustStatement] = (),
     ) -> "Community":
-        """Build a community from record iterables (order-safe)."""
-        community = cls(name)
-        for user in users:
-            community.add_user(user)
-        for cat in categories:
-            community.add_category(cat)
-        for obj in objects:
-            community.add_object(obj)
-        for review in reviews:
-            community.add_review(review)
-        for rating in ratings:
-            community.add_rating(rating)
-        for statement in trust:
-            community.add_trust(statement)
-        return community
+        """Build a community whole from record iterables, through :meth:`from_columns`.
+
+        A bare-string user or category is registered with the name ``""``,
+        as ``add_user`` does.  A rejected build raises what replaying the
+        records through ``add_*`` in kind order would, a bare id's model
+        object built first; a reference to an id no record registers is
+        rejected as ``add_*`` rejects it.
+        """
+        user_ids, user_names = _ids_and_names(users, "user_id")
+        category_ids, category_names = _ids_and_names(categories, "category_id")
+        object_list, review_list = list(objects), list(reviews)
+        rating_list, trust_list = list(ratings), list(trust)
+        object_ids, object_category_ids, object_titles = _fields(
+            object_list, "object_id", "category_id", "title"
+        )
+        review_ids, writer_ids, reviewed_ids = _fields(
+            review_list, "review_id", "writer_id", "object_id"
+        )
+        rater_ids, rated_ids, values = _fields(rating_list, "rater_id", "review_id", "value")
+        truster_ids, trustee_ids = _fields(trust_list, "truster_id", "trustee_id")
+        user_pos, object_pos = _interned(user_ids), _interned(object_ids)
+        columns = RecordColumns(
+            users=user_ids,
+            categories=category_ids,
+            objects=object_ids,
+            object_category=lookup(object_category_ids, _interned(category_ids)),
+            reviews=review_ids,
+            review_writer=lookup(writer_ids, user_pos),
+            review_object=lookup(reviewed_ids, object_pos),
+            rating_rater=lookup(rater_ids, user_pos),
+            rating_review=lookup(rated_ids, _interned(review_ids)),
+            rating_value=np.array(values, dtype=np.float64),
+            trust_truster=lookup(truster_ids, user_pos),
+            trust_trustee=lookup(trustee_ids, user_pos),
+            user_names=user_names,
+            category_names=category_names,
+            object_titles=object_titles,
+        )
+        # an id no record registers has no position (-1): the replay stops
+        # at the first record referencing one, unless it stopped earlier
+        referencing: tuple[tuple[RecordKind, Sequence[Any], tuple[IntArray, ...]], ...] = (
+            ("object", object_list, (columns.object_category,)),
+            ("review", review_list, (columns.review_object, columns.review_writer)),
+            ("rating", rating_list, (columns.rating_review, columns.rating_rater)),
+            ("trust", trust_list, (columns.trust_truster, columns.trust_trustee)),
+        )
+        for kind, records, references in referencing:
+            unknown = np.zeros(len(records), dtype=bool)
+            for positions in references:
+                unknown |= positions < 0
+            if unknown.any():
+                _replay_rejection(name, columns, kind, unknown, records)
+        return cls.from_columns(columns, name=name)
+
+    def record_columns(self) -> RecordColumns:
+        """Every record as id lists and position columns, fresh copies.
+
+        :meth:`from_columns` of the result builds a copy of this community.
+        """
+        return RecordColumns(
+            users=list(self._user_ids),
+            categories=list(self._category_ids),
+            objects=list(self._object_ids),
+            object_category=np.array(self._object_category, dtype=np.int64),
+            reviews=list(self._review_ids),
+            review_writer=np.array(self._review_writer, dtype=np.int64),
+            review_object=np.array(self._review_object, dtype=np.int64),
+            rating_rater=np.array(self._rating_rater, dtype=np.int64),
+            rating_review=np.array(self._rating_review, dtype=np.int64),
+            rating_value=np.array(self._rating_value, dtype=np.float64),
+            trust_truster=np.array(self._trust_truster, dtype=np.int64),
+            trust_trustee=np.array(self._trust_trustee, dtype=np.int64),
+            user_names=list(self._user_names),
+            category_names=list(self._category_names),
+            object_titles=list(self._object_titles),
+        )
 
     def summary(self) -> dict[str, int]:
         """Record counts of every entity kind."""
@@ -577,6 +772,96 @@ class Community:
         }
 
     # ------------------------------------------------------------------ internal
+
+    def _build(self, columns: RecordColumns) -> None:
+        """Check ``columns`` as :meth:`from_columns` documents, then store them."""
+        users, categories = columns.users, columns.categories
+        objects, reviews = columns.objects, columns.reviews
+        num_users, num_categories = len(users), len(categories)
+        num_objects, num_reviews = len(objects), len(reviews)
+        values = _values("rating_value", columns.rating_value)
+        num_ratings, num_trust = values.size, len(columns.trust_truster)
+        object_category = _positions(
+            "object_category", columns.object_category, num_objects, num_categories
+        )
+        writer = _positions("review_writer", columns.review_writer, num_reviews, num_users)
+        obj = _positions("review_object", columns.review_object, num_reviews, num_objects)
+        rater = _positions("rating_rater", columns.rating_rater, num_ratings, num_users)
+        review = _positions("rating_review", columns.rating_review, num_ratings, num_reviews)
+        truster = _positions("trust_truster", columns.trust_truster, num_trust, num_users)
+        trustee = _positions("trust_trustee", columns.trust_trustee, num_trust, num_users)
+        user_names = _texts("user_names", columns.user_names, num_users)
+        category_names = _texts("category_names", columns.category_names, num_categories)
+        object_titles = _texts("object_titles", columns.object_titles, num_objects)
+
+        # the first record whose model object cannot be built raises its
+        # ValidationError, in kind order
+        invalid: tuple[tuple[RecordKind, int | None], ...] = (
+            ("user", _first_invalid(users, user_names)),
+            ("category", _first_invalid(categories, category_names)),
+            ("object", _first_invalid(objects, object_titles)),
+            ("review", _first_invalid(reviews, None)),
+            ("rating", first_true(~on_scale(values))),
+            ("trust", first_true(truster == trustee)),
+        )
+        for kind, bad in invalid:
+            if bad is not None:
+                columns.record(kind, bad)
+
+        # then the first record add_* rejects: a mask is built only when a
+        # count shows a repeated key or there is a self-rating
+        user_pos, category_pos = _interned(users), _interned(categories)
+        object_pos, review_pos = _interned(objects), _interned(reviews)
+        registered: tuple[tuple[RecordKind, Sequence[str], dict[str, int]], ...] = (
+            ("user", users, user_pos),
+            ("category", categories, category_pos),
+            ("object", objects, object_pos),
+        )
+        for kind, ids, positions in registered:
+            if len(positions) < len(ids):
+                _replay_rejection(self.name, columns, kind, repeats(lookup(ids, positions)))
+        reviewed_keys = writer << _PAIR_SHIFT | obj
+        rated_keys = rater << _PAIR_SHIFT | review
+        trusted_keys = truster << _PAIR_SHIFT | trustee
+        reviewed, rated = set(reviewed_keys.tolist()), set(rated_keys.tolist())
+        trusted = set(trusted_keys.tolist())
+        if len(review_pos) < num_reviews or len(reviewed) < num_reviews:
+            repeated = repeats(lookup(reviews, review_pos)) | repeats(reviewed_keys)
+            _replay_rejection(self.name, columns, "review", repeated)
+        own = rater == writer[review]
+        if len(rated) < num_ratings or own.any():
+            _replay_rejection(self.name, columns, "rating", own | repeats(rated_keys))
+        if len(trusted) < num_trust:
+            _replay_rejection(self.name, columns, "trust", repeats(trusted_keys))
+
+        review_category = object_category[obj]
+        self._user_ids, self._user_pos = list(users), user_pos
+        self._user_names = user_names
+        self._category_ids, self._category_pos = list(categories), category_pos
+        self._category_names = category_names
+        self._object_ids, self._object_pos = list(objects), object_pos
+        self._object_titles = object_titles
+        self._review_ids, self._review_pos = list(reviews), review_pos
+        self._object_category = _int_column(object_category)
+        self._review_writer = _int_column(writer)
+        self._review_object = _int_column(obj)
+        self._review_category = _int_column(review_category)
+        self._rating_rater = _int_column(rater)
+        self._rating_review = _int_column(review)
+        self._rating_value.frombytes(values.tobytes())
+        self._trust_truster = _int_column(truster)
+        self._trust_trustee = _int_column(trustee)
+        self._reviewed, self._rated, self._trusted = reviewed, rated, trusted
+        self._category_objects = _groups(object_category, num_categories)
+        self._category_reviews = _groups(review_category, num_categories)
+        self._category_num_ratings = np.bincount(
+            review_category[review], minlength=num_categories
+        ).tolist()
+        self._user_reviews = _groups(writer, num_users)
+        self._user_ratings = _groups(rater, num_users)
+        self._review_ratings = _groups(review, num_reviews)
+        self._version = sum(columns.counts().values())
+        self._log = ChangeLog(self._version)
 
     def _require_category(self, category_id: str) -> None:
         if category_id not in self._category_pos:
@@ -601,3 +886,123 @@ class Community:
             f"Community({self.name!r}: users={s['users']}, reviews={s['reviews']}, "
             f"ratings={s['ratings']}, trust={s['trust']})"
         )
+
+
+# ---------------------------------------------------------------- bulk build
+
+
+def _replay_rejection(
+    name: str,
+    columns: RecordColumns,
+    kind: RecordKind,
+    rejected: BoolArray,
+    records: Sequence[Any] | None = None,
+) -> NoReturn:
+    """Raise what ``add_<kind>`` raises for the first ``rejected`` record.
+
+    Every record before it passes the bulk checks, so a community built
+    whole from those stands where a replay through ``add_*`` stood when
+    it reached the record.  The record is ``records[index]`` when given,
+    else built from ``columns``.
+    """
+    index = int(np.argmax(rejected))
+    record = columns.record(kind, index) if records is None else records[index]
+    community = Community.from_columns(columns.prefix(kind, index), name=name)
+    getattr(community, f"add_{kind}")(record)
+    raise AssertionError(f"add_{kind} accepted {record!r}, which the bulk check rejected")
+
+
+def _ids_and_names(
+    records: Iterable[Any], id_attribute: str
+) -> tuple[list[str], list[str | None]]:
+    """Ids and names of users or categories given as model objects or bare ids.
+
+    A bare id has neither attribute: ``getattr``'s default makes it its
+    own id, named ``""``.
+    """
+    listed = list(records)
+    attribute: Callable[[Any, str, Any], Any] = getattr
+    ids = list(map(attribute, listed, repeat(id_attribute), listed))
+    names = list(map(attribute, listed, repeat("name"), repeat("")))
+    return ids, names
+
+
+def _fields(records: Sequence[Any], *attributes: str) -> list[tuple[Any, ...]]:
+    """The named attributes of every record, one sequence per attribute."""
+    if not records:
+        return [() for _ in attributes]
+    return list(zip(*map(attrgetter(*attributes), records)))
+
+
+def _interned(ids: Sequence[str]) -> dict[str, int]:
+    """``{id: position}``; a repeated id keeps its last position."""
+    return dict(zip(ids, range(len(ids))))
+
+
+def _positions(field: str, values: Any, length: int, bound: int) -> IntArray:
+    """``values`` as ``length`` int64 positions, each in ``[0, bound)``."""
+    array = np.asarray(values)
+    if array.size == 0 and length == 0:
+        return np.empty(0, dtype=np.int64)
+    if array.shape != (length,) or array.dtype.kind not in "iu":
+        raise ValidationError(
+            f"{field} must hold {length} integer positions, "
+            f"got {array.dtype} of shape {array.shape}"
+        )
+    bad = first_true((array < 0) | (array >= bound))
+    if bad is not None:
+        raise ValidationError(f"{field}[{bad}] is {array[bad]}, not a position below {bound}")
+    return array.astype(np.int64, copy=False)
+
+
+def _values(field: str, values: Any) -> FloatArray:
+    """``values`` as a 1-D float64 array."""
+    array = np.asarray(values)
+    if array.ndim != 1 or (array.size and array.dtype.kind not in "fiu"):
+        raise ValidationError(
+            f"{field} must be 1-D numbers, got {array.dtype} of shape {array.shape}"
+        )
+    return array.astype(np.float64)
+
+
+def _texts(field: str, texts: Sequence[str | None] | None, length: int) -> list[str | None]:
+    """Names or titles, ``""`` each when ``texts`` is ``None``."""
+    if texts is None:
+        return [""] * length
+    if len(texts) != length:
+        raise ValidationError(f"{field} must hold {length} entries, got {len(texts)}")
+    return list(texts)
+
+
+def _text(texts: Sequence[str | None] | None, index: int) -> str | None:
+    return "" if texts is None else texts[index]
+
+
+def _first_invalid(ids: Sequence[Any], texts: Sequence[Any] | None) -> int | None:
+    """The first record whose id is empty or not a string, or whose name or
+    title is neither a string nor ``None``."""
+    if (
+        "" not in ids
+        and set(map(type, ids)) <= {str}
+        and (texts is None or set(map(type, texts)) <= {str, type(None)})
+    ):
+        return None
+    for index, record_id in enumerate(ids):
+        text = None if texts is None else texts[index]
+        if not (isinstance(record_id, str) and record_id and isinstance(text, (str, type(None)))):
+            return index
+    return None  # ids or texts of a str subclass
+
+
+def _int_column(values: IntArray) -> array[int]:
+    """An append-only record column holding ``values``."""
+    column = array("q")
+    column.frombytes(values.tobytes())
+    return column
+
+
+def _groups(keys: IntArray, size: int) -> list[list[int]]:
+    """The positions of each key ``0 .. size - 1`` in ``keys``, ascending."""
+    order = np.argsort(keys, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(keys, minlength=size)).tolist()
+    return [order[start:end] for start, end in zip([0, *ends[:-1]], ends)]

@@ -7,10 +7,13 @@ and the staged :class:`repro.engine.Engine` -- subscribe by remembering the
 log's ``epoch`` and asking for :meth:`ChangeLog.since` their cursor, instead
 of reacting to a blind version bump with a full rebuild.
 
-Epochs are monotonically increasing, starting at 1 for the first delta; a
-freshly created community sits at epoch 0.  The log is append-only and
-per-community, so a cursor taken from one community is meaningless on
-another.
+Epochs are monotonically increasing: the first delta after a log's
+starting epoch gets the next one.  An empty community's log starts at
+epoch 0.  A community built whole (:meth:`repro.community.Community.from_columns`)
+has no subscriber that could hold a cursor into its build, so its log
+starts at its record count with nothing to replay: the state of a log
+compacted at build time.  The log is append-only and per-community, so a
+cursor taken from one community is meaningless on another.
 
 Long-running communities would otherwise accumulate one :class:`Delta`
 per mutation forever, so a coordinator that knows every subscriber has
@@ -76,9 +79,11 @@ class ChangeLog:
 
     __slots__ = ("_deltas", "_floor")
 
-    def __init__(self) -> None:
+    def __init__(self, epoch: int = 0) -> None:
+        if epoch < 0:
+            raise ValidationError(f"a log cannot start at epoch {epoch}")
         self._deltas: list[Delta] = []
-        self._floor = 0
+        self._floor = epoch
 
     @property
     def epoch(self) -> int:
@@ -88,7 +93,7 @@ class ChangeLog:
     @property
     def floor(self) -> int:
         """Oldest epoch still replayable: :meth:`since` accepts cursors
-        ``>= floor``.  0 until the first :meth:`compact`."""
+        ``>= floor``.  The starting epoch until the first :meth:`compact`."""
         return self._floor
 
     def record(

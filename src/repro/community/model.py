@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from repro.common.arrays import BoolArray, FloatArray
 from repro.common.errors import ValidationError
 
 __all__ = [
     "HELPFULNESS_SCALE",
     "is_on_scale",
+    "on_scale",
     "User",
     "Category",
     "ReviewedObject",
@@ -35,6 +39,12 @@ def is_on_scale(value: float) -> bool:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         return False
     return any(abs(value - stage) <= _SCALE_TOLERANCE for stage in HELPFULNESS_SCALE)
+
+
+def on_scale(values: FloatArray) -> BoolArray:
+    """:func:`is_on_scale` of every entry of a 1-D float array."""
+    distance = np.abs(values[:, None] - np.asarray(HELPFULNESS_SCALE))
+    return np.asarray((distance <= _SCALE_TOLERANCE).any(axis=1), dtype=bool)
 
 
 def _require_id(name: str, value: str) -> None:

@@ -17,11 +17,16 @@ crawled its data from) ships pipe-separated text files:
   is an error.
 
 A subject listed under two categories in ``mc.txt`` is an error too: each
-reviewed object belongs to one category.  A malformed line raises
-:class:`DatasetError` naming its file and line.
+reviewed object belongs to one category.  So are an empty id where a
+record needs one, a review id used twice and a second review of one
+subject by one author.  Every such line raises :class:`DatasetError`
+naming its file and line.  Lines malformed on their own are found while
+the files are read, in file order (content, rating, trust); the rules
+between records after that, content first.  The first one found raises.
 
-:func:`load_epinions_community` assembles a
-:class:`repro.community.Community` from these files;
+:func:`load_epinions_community` reads each file whole, applies the skip
+rules as array masks and builds the :class:`repro.community.Community`
+whole (:meth:`~repro.community.Community.from_columns`);
 :func:`write_epinions_files` serialises a community back, enabling
 round-trips and fixture creation.
 """
@@ -29,17 +34,16 @@ round-trips and fixture creation.
 from __future__ import annotations
 
 import os
-from typing import Iterable
+from itertools import compress
+from operator import ne
+from typing import Callable, NamedTuple
 
+import numpy as np
+
+from repro import obs
+from repro.common.arrays import FloatArray, first_true, lookup, repeats
 from repro.common.errors import DatasetError
-from repro.community import (
-    Community,
-    HELPFULNESS_SCALE,
-    Review,
-    ReviewRating,
-    ReviewedObject,
-    TrustStatement,
-)
+from repro.community import HELPFULNESS_SCALE, Community, RecordColumns
 
 __all__ = ["load_epinions_community", "write_epinions_files"]
 
@@ -70,14 +74,18 @@ def load_epinions_community(
     skip_self_ratings:
         Epinions dumps occasionally contain authors rating their own
         reviews; the community model forbids that, so they are dropped by
-        default.
+        default, and raised as :class:`DatasetError` otherwise.
 
     Returns
     -------
     Community
-        With one category per distinct category id found (or a single
-        ``"epinions"`` category when the content file has no category
-        column).
+        Users in sorted id order (every author, rater and truster or
+        trustee of a trust line); one category per distinct category id
+        found, sorted (or a single ``"epinions"`` category when the content
+        file has no category column); objects in the order their subject
+        first appears; reviews, ratings and trust statements in file order.
+        Of a repeated (rater, review) or (truster, trustee) pair the first
+        line is kept, as the site would; self-trust is dropped.
     """
     content_path = os.path.join(directory, content_file)
     rating_path = os.path.join(directory, rating_file)
@@ -87,60 +95,80 @@ def load_epinions_community(
     if not os.path.exists(rating_path):
         raise DatasetError(f"rating file not found: {rating_path}")
 
-    reviews = list(_parse_content(content_path, separator))
-    community = Community("epinions")
+    with obs.span("datasets.parse"):
+        content = _parse_content(content_path, separator)
+        ratings = _parse_ratings(rating_path, separator)
+        trust = _parse_trust(trust_path, separator) if os.path.exists(trust_path) else None
 
-    categories = sorted({category for _, _, _, category in reviews})
-    users: set[str] = set()
-    for review_id, author_id, _subject_id, _category in reviews:
-        users.add(author_id)
+    sources, targets = (trust.sources, trust.targets) if trust else ([], [])
+    users = sorted({*content.authors, *ratings.members, *sources, *targets})
+    categories = sorted(set(content.categories))
+    user_pos = dict(zip(users, range(len(users))))
+    # subjects (reviewed objects) may be shared across reviews; parsing
+    # checked that each has one category
+    category_of = dict(zip(content.subjects, content.categories))
+    writer = lookup(content.authors, user_pos)
+    obj = lookup(content.subjects, dict(zip(category_of, range(len(category_of)))))
 
-    ratings = list(_parse_ratings(rating_path, separator))
-    for _review_id, member_id, _value in ratings:
-        users.add(member_id)
+    review_pos = dict(zip(content.reviews, range(len(content.reviews))))
+    repeated_id = repeats(lookup(content.reviews, review_pos))
+    bad = first_true(repeated_id | repeats(writer << 32 | obj))
+    if bad is not None:
+        where = f"{content_path}:{_line_of(content.text, bad)}"
+        if repeated_id[bad]:
+            raise DatasetError(
+                f"{where}: reviews: duplicate primary key {content.reviews[bad]!r}"
+            )
+        raise DatasetError(
+            f"{where}: unique (writer, object) violated: {content.authors[bad]!r} "
+            f"already reviewed {content.subjects[bad]!r}"
+        )
 
-    trust_edges: list[tuple[str, str]] = []
-    if os.path.exists(trust_path):
-        trust_edges = list(_parse_trust(trust_path, separator))
-        for source, target in trust_edges:
-            users.add(source)
-            users.add(target)
+    review = lookup(ratings.reviews, review_pos)
+    rater = lookup(ratings.members, user_pos)
+    known = review >= 0
+    own = np.zeros(known.size, dtype=bool)
+    own[known] = rater[known] == writer[review[known]]
+    rejected = np.zeros(known.size, dtype=bool)
+    if not skip_unknown_reviews:
+        rejected |= ~known
+    if not skip_self_ratings:
+        rejected |= own
+    bad = first_true(rejected)
+    if bad is not None:
+        where = f"{rating_path}:{_line_of(ratings.text, bad)}"
+        review_id = ratings.reviews[bad]
+        if not known[bad]:
+            raise DatasetError(f"{where}: rating references unknown review {review_id!r}")
+        raise DatasetError(
+            f"{where}: user {ratings.members[bad]!r} cannot rate their own review "
+            f"{review_id!r}"
+        )
+    # keep the first line of each (rater, review) pair, as the site would
+    keep = known & ~own & ~repeats(rater << 32 | review)
 
-    for uid in sorted(users):
-        community.add_user(uid)
-    for cid in categories:
-        community.add_category(cid)
+    truster, trustee = lookup(sources, user_pos), lookup(targets, user_pos)
+    keep_trust = (truster != trustee) & ~repeats(truster << 32 | trustee)
 
-    # subjects (reviewed objects) may be shared across reviews
-    seen_objects: set[str] = set()
-    known_reviews: set[str] = set()
-    for review_id, author_id, subject_id, category in reviews:
-        if subject_id not in seen_objects:
-            community.add_object(ReviewedObject(subject_id, category))
-            seen_objects.add(subject_id)
-        community.add_review(Review(review_id, author_id, subject_id))
-        known_reviews.add(review_id)
-
-    seen_pairs: set[tuple[str, str]] = set()
-    for review_id, member_id, value in ratings:
-        if review_id not in known_reviews:
-            if skip_unknown_reviews:
-                continue
-            raise DatasetError(f"rating references unknown review {review_id!r}")
-        if (member_id, review_id) in seen_pairs:
-            continue  # keep the first occurrence, as the site would
-        if skip_self_ratings and community.review_writer(review_id) == member_id:
-            continue
-        seen_pairs.add((member_id, review_id))
-        community.add_rating(ReviewRating(member_id, review_id, value))
-
-    seen_trust: set[tuple[str, str]] = set()
-    for source, target in trust_edges:
-        if source == target or (source, target) in seen_trust:
-            continue
-        seen_trust.add((source, target))
-        community.add_trust(TrustStatement(source, target))
-    return community
+    return Community.from_columns(
+        RecordColumns(
+            users=users,
+            categories=categories,
+            objects=list(category_of),
+            object_category=lookup(
+                list(category_of.values()), dict(zip(categories, range(len(categories))))
+            ),
+            reviews=content.reviews,
+            review_writer=writer,
+            review_object=obj,
+            rating_rater=rater[keep],
+            rating_review=review[keep],
+            rating_value=ratings.values[keep],
+            trust_truster=truster[keep_trust],
+            trust_trustee=trustee[keep_trust],
+        ),
+        name="epinions",
+    )
 
 
 def write_epinions_files(
@@ -152,7 +180,11 @@ def write_epinions_files(
     trust_file: str = "user_rating.txt",
     separator: str = "|",
 ) -> None:
-    """Serialise ``community`` into extended-Epinions-format files."""
+    """Serialise ``community`` into extended-Epinions-format files.
+
+    Raises :class:`DatasetError` for a rating value not within 1e-9 of a
+    helpfulness stage.
+    """
     os.makedirs(directory, exist_ok=True)
     with open(os.path.join(directory, content_file), "w", encoding="utf-8") as f:
         for review in community.iter_reviews():
@@ -163,10 +195,19 @@ def write_epinions_files(
                 )
                 + "\n"
             )
+    raters, reviews, values = community.encoded_ratings()
+    stages = np.abs(values[:, None] - np.asarray(HELPFULNESS_SCALE)) < 1e-9
+    bad = first_true(~stages.any(axis=1))
+    if bad is not None:
+        raise DatasetError(f"value {float(values[bad])!r} is not on the helpfulness scale")
+    users, review_ids = community.user_ids(), community.encoded_reviews()[0]
     with open(os.path.join(directory, rating_file), "w", encoding="utf-8") as f:
-        for rating in community.iter_ratings():
-            stars = _scale_to_stars(rating.value)
-            f.write(separator.join((rating.review_id, rating.rater_id, str(stars))) + "\n")
+        f.writelines(
+            f"{review_ids[j]}{separator}{users[i]}{separator}{stars}\n"
+            for i, j, stars in zip(
+                raters.tolist(), reviews.tolist(), (stages.argmax(axis=1) + 1).tolist()
+            )
+        )
     with open(os.path.join(directory, trust_file), "w", encoding="utf-8") as f:
         for source, target in community.trust_edges():
             f.write(separator.join((source, target, "1")) + "\n")
@@ -175,72 +216,148 @@ def write_epinions_files(
 # ------------------------------------------------------------------- parsing
 
 
-def _parse_content(path: str, separator: str) -> Iterable[tuple[str, str, str, str]]:
-    # a subject belongs to one category: {subject: (category, line_no)}
-    first_seen: dict[str, tuple[str, int]] = {}
-    for line_no, fields in _iter_fields(path, separator):
-        if len(fields) == 3:
-            review_id, author_id, subject_id = fields
-            category = _DEFAULT_CATEGORY
-        elif len(fields) >= 4:
-            review_id, author_id, subject_id, category = fields[:4]
-        else:
-            raise DatasetError(
-                f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}"
-            )
-        known, known_line = first_seen.setdefault(subject_id, (category, line_no))
-        if known != category:
-            raise DatasetError(
-                f"{path}:{line_no}: subject {subject_id!r} listed under category "
-                f"{category!r}, but line {known_line} lists it under {known!r}"
-            )
-        yield review_id, author_id, subject_id, category
+class _Content(NamedTuple):
+    text: list[str]
+    reviews: list[str]
+    authors: list[str]
+    subjects: list[str]
+    categories: list[str]
 
 
-def _parse_ratings(path: str, separator: str) -> Iterable[tuple[str, str, float]]:
-    for line_no, fields in _iter_fields(path, separator):
-        if len(fields) < 3:
-            raise DatasetError(f"{path}:{line_no}: expected 3 fields, got {len(fields)}")
-        review_id, member_id, raw = fields[:3]
-        yield review_id, member_id, _stars_to_scale(raw, path, line_no)
+class _Ratings(NamedTuple):
+    text: list[str]
+    reviews: list[str]
+    members: list[str]
+    values: FloatArray
 
 
-def _parse_trust(path: str, separator: str) -> Iterable[tuple[str, str]]:
-    for line_no, fields in _iter_fields(path, separator):
-        if len(fields) < 2:
-            raise DatasetError(f"{path}:{line_no}: expected >=2 fields, got {len(fields)}")
-        source, target = fields[:2]
-        value = fields[2] if len(fields) >= 3 else "1"
-        if value == "-1":
-            continue  # distrust: outside the paper's model
-        if value != "1":
-            raise DatasetError(
-                f"{path}:{line_no}: trust value must be 1 or -1, got {value!r}"
-            )
-        yield source, target
+class _Trust(NamedTuple):
+    sources: list[str]
+    targets: list[str]
 
 
-def _iter_fields(path: str, separator: str):
+def _parse_content(path: str, separator: str) -> _Content:
+    text, rows = _read_rows(path, separator)
+    short = _first_short(rows, 3)
+    reviews, authors, subjects, categories = _columns(rows[:short], 4, _DEFAULT_CATEGORY)
+    # a subject belongs to the category of its first line
+    first_line = dict(zip(reversed(subjects), range(len(subjects) - 1, -1, -1)))
+    known = list(map(first_line.__getitem__, subjects))
+    moved = np.fromiter(
+        map(ne, categories, map(categories.__getitem__, known)), dtype=bool, count=len(known)
+    )
+    _raise_first(
+        path,
+        text,
+        (short, lambda i: f"expected 3 or 4 fields, got {len(rows[i])}"),
+        (_first_empty(reviews), lambda i: "empty review id"),
+        (_first_empty(authors), lambda i: "empty author id"),
+        (_first_empty(subjects), lambda i: "empty subject id"),
+        (_first_empty(categories), lambda i: "empty category id"),
+        (
+            first_true(moved),
+            lambda i: f"subject {subjects[i]!r} listed under category {categories[i]!r}, "
+            f"but line {_line_of(text, known[i])} lists it under {categories[known[i]]!r}",
+        ),
+    )
+    return _Content(text, reviews, authors, subjects, categories)
+
+
+def _parse_ratings(path: str, separator: str) -> _Ratings:
+    text, rows = _read_rows(path, separator)
+    short = _first_short(rows, 3)
+    reviews, members, raw = _columns(rows[:short], 3)
+    problems = {stars: _stars_problem(stars) for stars in set(raw)}
+    _raise_first(
+        path,
+        text,
+        (short, lambda i: f"expected 3 fields, got {len(rows[i])}"),
+        (
+            min((raw.index(stars) for stars, bad in problems.items() if bad), default=None),
+            lambda i: str(problems[raw[i]]),
+        ),
+        (_first_empty(members), lambda i: "empty member id"),
+    )
+    value_of = {stars: HELPFULNESS_SCALE[int(stars) - 1] for stars in problems}
+    values = np.fromiter(map(value_of.__getitem__, raw), dtype=np.float64, count=len(raw))
+    return _Ratings(text, reviews, members, values)
+
+
+def _parse_trust(path: str, separator: str) -> _Trust:
+    text, rows = _read_rows(path, separator)
+    short = _first_short(rows, 2)
+    sources, targets, values = _columns(rows[:short], 3, "1")
+    # distrust (-1) is outside the paper's model: those lines are dropped
+    trusted = np.fromiter(map("-1".__ne__, values), dtype=bool, count=len(values))
+    kept = np.flatnonzero(trusted)
+    sources, targets = list(compress(sources, trusted)), list(compress(targets, trusted))
+    empty_source, empty_target = _first_empty(sources), _first_empty(targets)
+    _raise_first(
+        path,
+        text,
+        (short, lambda i: f"expected >=2 fields, got {len(rows[i])}"),
+        (
+            min((values.index(v) for v in set(values) - {"1", "-1"}), default=None),
+            lambda i: f"trust value must be 1 or -1, got {values[i]!r}",
+        ),
+        (None if empty_source is None else int(kept[empty_source]), lambda i: "empty truster id"),
+        (None if empty_target is None else int(kept[empty_target]), lambda i: "empty trustee id"),
+    )
+    return _Trust(sources, targets)
+
+
+def _read_rows(path: str, separator: str) -> tuple[list[str], list[list[str]]]:
+    """The file's stripped lines, and the fields of every line that is
+    neither blank nor a comment (a row)."""
     with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield line_no, [field.strip() for field in line.split(separator)]
+        text = list(map(str.strip, f.read().split("\n")))
+    return text, [line.split(separator) for line in text if line and line[0] != "#"]
 
 
-def _stars_to_scale(raw: str, path: str, line_no: int) -> float:
+def _line_of(text: list[str], row: int) -> int:
+    """The line number of a row."""
+    return [n for n, line in enumerate(text, start=1) if line and line[0] != "#"][row]
+
+
+def _first_short(rows: list[list[str]], fields: int) -> int | None:
+    """The first row with fewer than ``fields`` fields."""
+    if min(map(len, rows), default=fields) >= fields:
+        return None
+    return first_true(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < fields)
+
+
+def _columns(rows: list[list[str]], count: int, default: str = "") -> list[list[str]]:
+    """Fields ``0 .. count - 1`` of every row, stripped, one list per field;
+    a row without a field gives ``default`` there."""
+    whole = [list(map(str.strip, column)) for column in list(zip(*rows))[:count]]
+    return whole + [
+        [row[k].strip() if len(row) > k else default for row in rows]
+        for k in range(len(whole), count)
+    ]
+
+
+def _first_empty(ids: list[str]) -> int | None:
+    return ids.index("") if "" in ids else None
+
+
+def _raise_first(
+    path: str, text: list[str], *checks: tuple[int | None, Callable[[int], str]]
+) -> None:
+    """Raise the failed check on the earliest row; on one row, the first listed.
+
+    Each check is the first row it fails on (``None`` if none) and the
+    message for that row.
+    """
+    failed = [(row, order, message) for order, (row, message) in enumerate(checks) if row is not None]
+    if failed:
+        row, _, message = min(failed, key=lambda failure: failure[:2])
+        raise DatasetError(f"{path}:{_line_of(text, row)}: {message(row)}")
+
+
+def _stars_problem(raw: str) -> str | None:
+    """Why ``raw`` is not a 1..5 star rating (``None`` when it is one)."""
     try:
         stars = int(raw)
-    except ValueError as exc:
-        raise DatasetError(f"{path}:{line_no}: bad rating {raw!r}") from exc
-    if not 1 <= stars <= 5:
-        raise DatasetError(f"{path}:{line_no}: rating must be 1..5, got {stars}")
-    return HELPFULNESS_SCALE[stars - 1]
-
-
-def _scale_to_stars(value: float) -> int:
-    for stars, stage in enumerate(HELPFULNESS_SCALE, start=1):
-        if abs(value - stage) < 1e-9:
-            return stars
-    raise DatasetError(f"value {value!r} is not on the helpfulness scale")
+    except ValueError:
+        return f"bad rating {raw!r}"
+    return None if 1 <= stars <= 5 else f"rating must be 1..5, got {stars}"

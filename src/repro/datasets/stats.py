@@ -66,15 +66,16 @@ def dataset_stats(community: Community) -> DatasetStats:
     num_users = summary["users"]
     possible_pairs = max(num_users * (num_users - 1), 1)
 
-    connections = community.direct_connections()
-    direct_pairs = sum(1 for (i, j) in connections if i != j)
+    review_ids, review_writer, _ = community.encoded_reviews()
+    rater, review, _ = community.encoded_ratings()
+    writer = review_writer[review]
+    # distinct (rater, writer) pairs of R, self-pairs excluded
+    direct_pairs = np.unique((rater << 32 | writer)[rater != writer]).size
 
-    ratings_received: dict[str, int] = {}
-    for rating in community.iter_ratings():
-        ratings_received[rating.review_id] = ratings_received.get(rating.review_id, 0) + 1
-    mean_received = (
-        float(np.mean(list(ratings_received.values()))) if ratings_received else 0.0
-    )
+    # the counts are integers, so their mean does not depend on the order
+    received = np.bincount(review, minlength=len(review_ids))
+    received = received[received > 0]
+    mean_received = float(np.mean(received)) if received.size else 0.0
 
     per_category = []
     names = {

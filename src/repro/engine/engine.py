@@ -214,7 +214,9 @@ class Engine:
             shard_config.make_store() if shard_config is not None else None
         )
         self._compact_log = compact_log
-        self._cursor = 0
+        # a community built whole starts its log at its record count with
+        # no delta, so the first update applies only what came after
+        self._cursor = community.change_log.floor
         self._artifacts: EngineArtifacts | None = None
         self._last_stats: UpdateStats | None = None
 

@@ -1,18 +1,22 @@
-"""Record replay helpers for the incremental engine.
+"""Copy helpers for the incremental engine.
 
 The engine's correctness story is "an incremental update is bitwise equal
 to a cold run on the same data".  Checking that honestly needs a *fresh*
-community built from the same records -- comparing against the mutated
+community holding the same records -- comparing against the mutated
 community itself would let a columns-cache bug hide behind its own cached
-state.  :func:`clone_community` rebuilds a replica by replaying every
-record in insertion order; :func:`split_rating_stream` additionally
-withholds a suffix of ratings so tests, benchmarks and the CLI can feed
-them back one batch at a time as the mutation stream.
+state.  :func:`clone_community` builds one whole from a copy of the
+source's record columns (:meth:`repro.community.Community.from_columns`);
+:func:`split_rating_stream` additionally withholds a suffix of ratings so
+tests, benchmarks and the CLI can feed them back one batch at a time as
+the mutation stream.  :func:`extract_records` dumps a community as typed
+model objects, for callers that want records rather than columns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from repro.common.errors import ValidationError
 from repro.community import (
@@ -56,21 +60,15 @@ def extract_records(community: Community) -> CommunityRecords:
 
 
 def clone_community(community: Community, *, name: str | None = None) -> Community:
-    """A fresh community holding the same records, replayed in order.
+    """A fresh community holding the same records, built whole.
 
-    The clone shares no state with the original -- its change log starts
-    at the replayed record count and its columns cache is cold -- which is
-    exactly what a bitwise cold-vs-incremental comparison needs.
+    The clone shares no state with the original: it is built from a copy
+    of the record columns, its change log starts at its record count and
+    its columns cache is cold, which is exactly what a bitwise
+    cold-vs-incremental comparison needs.
     """
-    records = extract_records(community)
-    return Community.from_records(
-        name=name or f"{community.name}_replica",
-        users=records.users,
-        categories=records.categories,
-        objects=records.objects,
-        reviews=records.reviews,
-        ratings=records.ratings,
-        trust=records.trust,
+    return Community.from_columns(
+        community.record_columns(), name=name or f"{community.name}_replica"
     )
 
 
@@ -91,31 +89,34 @@ def split_rating_stream(
     """
     if withhold < 0:
         raise ValidationError(f"withhold must be >= 0, got {withhold}")
-    records = extract_records(community)
+    columns = community.record_columns()
+    rater, review, values = columns.rating_rater, columns.rating_review, columns.rating_value
+    in_stream = np.ones(values.size, dtype=bool)
     if category_id is not None:
-        if category_id not in community.category_ids():
+        if category_id not in columns.categories:
             raise ValidationError(f"unknown category {category_id!r}")
-        eligible = [
-            idx
-            for idx, rating in enumerate(records.ratings)
-            if community.review_category(rating.review_id) == category_id
-        ]
-    else:
-        eligible = list(range(len(records.ratings)))
-    if withhold > len(eligible):
+        category = list(columns.categories).index(category_id)
+        in_stream = columns.object_category[columns.review_object][review] == category
+    eligible = np.flatnonzero(in_stream)
+    if withhold > eligible.size:
         raise ValidationError(
-            f"cannot withhold {withhold} ratings; only {len(eligible)} eligible"
+            f"cannot withhold {withhold} ratings; only {eligible.size} eligible"
         )
-    held = frozenset(eligible[len(eligible) - withhold :])
-    kept = tuple(r for idx, r in enumerate(records.ratings) if idx not in held)
-    stream = tuple(records.ratings[idx] for idx in sorted(held))
-    replica = Community.from_records(
+    held = eligible[eligible.size - withhold :]
+    kept = np.ones(values.size, dtype=bool)
+    kept[held] = False
+    users, reviews = columns.users, columns.reviews
+    stream = tuple(
+        ReviewRating(users[i], reviews[j], value)
+        for i, j, value in zip(rater[held].tolist(), review[held].tolist(), values[held].tolist())
+    )
+    replica = Community.from_columns(
+        replace(
+            columns,
+            rating_rater=rater[kept],
+            rating_review=review[kept],
+            rating_value=values[kept],
+        ),
         name=name or f"{community.name}_base",
-        users=records.users,
-        categories=records.categories,
-        objects=records.objects,
-        reviews=records.reviews,
-        ratings=kept,
-        trust=records.trust,
     )
     return replica, stream

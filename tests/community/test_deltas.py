@@ -21,6 +21,17 @@ class TestChangeLog:
         assert len(log) == 0
         assert log.since(0) == ()
 
+    def test_log_starts_at_a_given_epoch_with_nothing_to_replay(self):
+        log = ChangeLog(5)
+        assert (log.epoch, log.floor, len(log)) == (5, 5, 0)
+        assert log.since(5) == ()
+        with pytest.raises(ValidationError):
+            log.since(4)
+        assert log.record("user", user_id="a").epoch == 6
+        assert [d.epoch for d in log.since(5)] == [6]
+        with pytest.raises(ValidationError):
+            ChangeLog(-1)
+
     def test_record_assigns_monotonic_epochs(self):
         log = ChangeLog()
         first = log.record("user", user_id="alice")

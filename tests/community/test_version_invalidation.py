@@ -2,7 +2,9 @@
 
 Invariant (satellite of the R1 lint rule): every successful ``add_*`` call
 bumps ``Community.version`` exactly once and the next ``columns()`` call
-reflects it; failed adds leave both untouched.  Mutations the snapshot
+reflects it; failed adds leave both untouched.  A community built whole
+starts at its record count, the version the same adds would reach, and
+keeps the invariant.  Mutations the snapshot
 encodes (users, categories, reviews, ratings) produce a new snapshot
 object; object/trust deltas are cache hits, because the columnar view
 does not encode them.  A refreshed snapshot always equals a cold build of
@@ -348,6 +350,7 @@ def assert_same_columns(got, want):
         st.tuples(st.sampled_from(OPS), st.integers(min_value=0, max_value=1000)),
         max_size=24,
     ),
+    whole_at=st.none() | st.integers(min_value=0, max_value=24),
 )
 @settings(max_examples=200, deadline=None)
 # three ratings of existing reviews between two reads, two of them in one
@@ -355,14 +358,28 @@ def assert_same_columns(got, want):
 @example(
     start=INTERLEAVED,
     ops=[("read", 0), ("rating", 1), ("rating", 1), ("rating", 1), ("read", 0)],
+    whole_at=None,
 )
-def test_version_counts_successful_adds_and_columns_never_stale(start, ops):
+# the same on a community built whole from the interleaved start
+@example(
+    start=INTERLEAVED,
+    ops=[("read", 0), ("rating", 1), ("rating", 1), ("rating", 1), ("read", 0)],
+    whole_at=0,
+)
+def test_version_counts_successful_adds_and_columns_never_stale(start, ops, whole_at):
+    """``whole_at``: before that op, the records so far are built whole
+    (``from_columns``) and the ops go on on that community."""
     driver = MutationDriver(start)
     community = driver.community
     read = community.columns()
     read_counts = _encoded_counts(community)
     snapshots = []
-    for op, pick in ops:
+    for step, (op, pick) in enumerate(ops):
+        if step == whole_at:
+            whole = Community.from_columns(community.record_columns(), name="prop")
+            assert whole.version == whole.change_log.epoch == community.version
+            driver.community = community = whole
+            read, read_counts = community.columns(), _encoded_counts(community)
         before = community.version
         adds = driver.apply(op, pick)
         assert community.version == before + adds

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.common.errors import DatasetError
 from repro.datasets import (
     CommunityProfile,
@@ -82,6 +83,14 @@ class TestLoading:
         community = load_epinions_community(str(tmp_path))
         assert community.num_trust_edges() == 0
 
+    def test_trace_splits_parsing_and_the_build(self, epinions_dir):
+        recorder = obs.Recorder()
+        with obs.use_recorder(recorder):
+            community = load_epinions_community(epinions_dir)
+        parse, build = recorder.roots
+        assert (parse.name, build.name) == ("datasets.parse", "community.build")
+        assert build.attributes == community.summary()
+
     def test_blank_lines_and_comments_skipped(self, tmp_path):
         write(tmp_path / "mc.txt", ["# header", "", "r1|alice|thing-1"])
         write(tmp_path / "rating.txt", ["r1|bob|3", ""])
@@ -155,6 +164,73 @@ class TestDirtyData:
         with pytest.raises(DatasetError, match=r"mc\.txt:2: subject 's1' .* 'c2', but line 1 .* 'c1'"):
             load_epinions_community(str(tmp_path))
 
+    def test_unknown_review_names_its_line_when_strict(self, tmp_path):
+        write(tmp_path / "mc.txt", ["r1|alice|t"])
+        write(tmp_path / "rating.txt", ["r1|bob|3", "# note", "ghost|bob|3"])
+        with pytest.raises(
+            DatasetError, match=r"rating\.txt:3: rating references unknown review 'ghost'"
+        ):
+            load_epinions_community(str(tmp_path), skip_unknown_reviews=False)
+
+    def test_self_rating_names_its_line_when_kept(self, tmp_path):
+        write(tmp_path / "mc.txt", ["r1|alice|t"])
+        write(tmp_path / "rating.txt", ["r1|bob|3", "r1|alice|5"])
+        with pytest.raises(
+            DatasetError,
+            match=r"rating\.txt:2: user 'alice' cannot rate their own review 'r1'",
+        ):
+            load_epinions_community(str(tmp_path), skip_self_ratings=False)
+
+    def test_duplicate_review_id_names_its_line(self, tmp_path):
+        write(tmp_path / "mc.txt", ["r1|alice|t", "", "r1|bob|u"])
+        write(tmp_path / "rating.txt", ["r1|carol|3"])
+        with pytest.raises(
+            DatasetError, match=r"mc\.txt:3: reviews: duplicate primary key 'r1'"
+        ):
+            load_epinions_community(str(tmp_path))
+
+    def test_second_review_of_a_subject_names_its_line(self, tmp_path):
+        write(tmp_path / "mc.txt", ["r1|alice|t", "r2|alice|t"])
+        write(tmp_path / "rating.txt", ["r1|bob|3"])
+        with pytest.raises(
+            DatasetError,
+            match=r"mc\.txt:2: unique \(writer, object\) violated: 'alice' already reviewed 't'",
+        ):
+            load_epinions_community(str(tmp_path))
+
+    @pytest.mark.parametrize(
+        "content,ratings,trust,where,field",
+        [
+            (["r1|alice|t", "|bob|t"], ["r1|bob|3"], [], r"mc\.txt:2", "review"),
+            (["r1| |t"], ["r1|bob|3"], [], r"mc\.txt:1", "author"),
+            (["r1|alice||c"], ["r1|bob|3"], [], r"mc\.txt:1", "subject"),
+            (["r1|alice|t|"], ["r1|bob|3"], [], r"mc\.txt:1", "category"),
+            (["r1|alice|t"], ["r1|bob|3", "r1||3"], [], r"rating\.txt:2", "member"),
+            (["r1|alice|t"], ["r1|bob|3"], ["bob|alice|1", "|alice|1"], r"user_rating\.txt:2", "truster"),
+            (["r1|alice|t"], ["r1|bob|3"], ["bob||1"], r"user_rating\.txt:1", "trustee"),
+        ],
+    )
+    def test_empty_id_names_its_line(self, tmp_path, content, ratings, trust, where, field):
+        write(tmp_path / "mc.txt", content)
+        write(tmp_path / "rating.txt", ratings)
+        write(tmp_path / "user_rating.txt", trust)
+        with pytest.raises(DatasetError, match=rf"{where}: empty {field} id"):
+            load_epinions_community(str(tmp_path))
+
+    def test_empty_id_of_a_distrust_line_is_dropped_with_it(self, tmp_path):
+        write(tmp_path / "mc.txt", ["r1|alice|t"])
+        write(tmp_path / "rating.txt", ["r1|bob|3"])
+        write(tmp_path / "user_rating.txt", ["bob||-1", "bob|alice|1"])
+        community = load_epinions_community(str(tmp_path))
+        assert community.trust_edges() == [("bob", "alice")]
+
+    def test_first_bad_line_of_a_file_raises(self, tmp_path):
+        # a short line after a bad star value: the earlier line wins
+        write(tmp_path / "mc.txt", ["r1|alice|t"])
+        write(tmp_path / "rating.txt", ["r1|bob|3", "r1|carol|0", "r1|dave"])
+        with pytest.raises(DatasetError, match=r"rating\.txt:2: rating must be 1\.\.5, got 0"):
+            load_epinions_community(str(tmp_path))
+
     @pytest.mark.parametrize("value", ["7", "abc"])
     def test_trust_value_other_than_one_or_minus_one_rejected(self, tmp_path, value):
         write(tmp_path / "mc.txt", ["r1|alice|t"])
@@ -188,6 +264,15 @@ class TestRoundTrip:
         assert set(reloaded_pairs) == set(original_pairs)
         for pair, values in original_pairs.items():
             assert sorted(reloaded_pairs[pair]) == sorted(values)
+
+    def test_off_scale_value_rejected(self, tmp_path, monkeypatch, two_category_community):
+        raters, reviews, values = two_category_community.encoded_ratings()
+        values[3] += 0.05
+        monkeypatch.setattr(
+            two_category_community, "encoded_ratings", lambda: (raters, reviews, values)
+        )
+        with pytest.raises(DatasetError, match=r"value 0\.45 is not on the helpfulness"):
+            write_epinions_files(two_category_community, str(tmp_path))
 
     def test_files_created(self, tmp_path, epinions_dir):
         community = load_epinions_community(epinions_dir)

@@ -1,9 +1,14 @@
-"""Property test: Epinions file round-trip on randomised communities."""
+"""Property tests: Epinions file round-trips on randomised communities, and
+the loader against the record-by-record loader it replaced, on dirty files."""
+
+import os
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.common.errors import DatasetError, IntegrityError
 from repro.community import (
     Community,
     HELPFULNESS_SCALE,
@@ -82,3 +87,237 @@ class TestEpinionsRoundtripProperty:
             assert reloaded.review_category(
                 review.review_id
             ) == community.review_category(review.review_id)
+
+
+# ------------------------------------------------- the record-by-record oracle
+
+
+def legacy_load(directory, *, skip_unknown_reviews=True, skip_self_ratings=True):
+    """The loader as it was before it built communities whole: every line
+    becomes a model object and one ``add_*`` call.  Kept as the oracle."""
+    content_path = os.path.join(directory, "mc.txt")
+    rating_path = os.path.join(directory, "rating.txt")
+    trust_path = os.path.join(directory, "user_rating.txt")
+    reviews = list(_legacy_content(content_path))
+    community = Community("epinions")
+    categories = sorted({category for _, _, _, category in reviews})
+    users = {author_id for _, author_id, _, _ in reviews}
+    ratings = list(_legacy_ratings(rating_path))
+    users |= {member_id for _, member_id, _ in ratings}
+    trust_edges = []
+    if os.path.exists(trust_path):
+        trust_edges = list(_legacy_trust(trust_path))
+        for source, target in trust_edges:
+            users |= {source, target}
+    for uid in sorted(users):
+        community.add_user(uid)
+    for cid in categories:
+        community.add_category(cid)
+    seen_objects, known_reviews = set(), set()
+    for review_id, author_id, subject_id, category in reviews:
+        if subject_id not in seen_objects:
+            community.add_object(ReviewedObject(subject_id, category))
+            seen_objects.add(subject_id)
+        community.add_review(Review(review_id, author_id, subject_id))
+        known_reviews.add(review_id)
+    seen_pairs = set()
+    for review_id, member_id, value in ratings:
+        if review_id not in known_reviews:
+            if skip_unknown_reviews:
+                continue
+            raise DatasetError(f"rating references unknown review {review_id!r}")
+        if (member_id, review_id) in seen_pairs:
+            continue
+        if skip_self_ratings and community.review_writer(review_id) == member_id:
+            continue
+        seen_pairs.add((member_id, review_id))
+        community.add_rating(ReviewRating(member_id, review_id, value))
+    seen_trust = set()
+    for source, target in trust_edges:
+        if source == target or (source, target) in seen_trust:
+            continue
+        seen_trust.add((source, target))
+        community.add_trust(TrustStatement(source, target))
+    return community
+
+
+def _legacy_fields(path):
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            yield line_no, [field.strip() for field in line.split("|")]
+
+
+def _legacy_content(path):
+    first_seen = {}
+    for line_no, fields in _legacy_fields(path):
+        if len(fields) == 3:
+            review_id, author_id, subject_id = fields
+            category = "epinions"
+        elif len(fields) >= 4:
+            review_id, author_id, subject_id, category = fields[:4]
+        else:
+            raise DatasetError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(fields)}")
+        known, known_line = first_seen.setdefault(subject_id, (category, line_no))
+        if known != category:
+            raise DatasetError(
+                f"{path}:{line_no}: subject {subject_id!r} listed under category "
+                f"{category!r}, but line {known_line} lists it under {known!r}"
+            )
+        yield review_id, author_id, subject_id, category
+
+
+def _legacy_ratings(path):
+    for line_no, fields in _legacy_fields(path):
+        if len(fields) < 3:
+            raise DatasetError(f"{path}:{line_no}: expected 3 fields, got {len(fields)}")
+        review_id, member_id, raw = fields[:3]
+        try:
+            stars = int(raw)
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{line_no}: bad rating {raw!r}") from exc
+        if not 1 <= stars <= 5:
+            raise DatasetError(f"{path}:{line_no}: rating must be 1..5, got {stars}")
+        yield review_id, member_id, HELPFULNESS_SCALE[stars - 1]
+
+
+def _legacy_trust(path):
+    for line_no, fields in _legacy_fields(path):
+        if len(fields) < 2:
+            raise DatasetError(f"{path}:{line_no}: expected >=2 fields, got {len(fields)}")
+        source, target = fields[:2]
+        value = fields[2] if len(fields) >= 3 else "1"
+        if value == "-1":
+            continue
+        if value != "1":
+            raise DatasetError(f"{path}:{line_no}: trust value must be 1 or -1, got {value!r}")
+        yield source, target
+
+
+LOADER_DEFECTS = (
+    "repeated-review-id",
+    "second-review",
+    "moved-subject",
+    "short-content",
+    "bad-stars",
+    "short-rating",
+    "bad-trust-value",
+    "short-trust",
+)
+
+
+@st.composite
+def dirty_files(draw):
+    """Line lists for mc.txt, rating.txt and user_rating.txt.
+
+    Every file set has blank and comment lines and padded fields, and may
+    have 3-column content, unknown, repeated and self ratings, distrust,
+    self and repeated trust; up to two lines are rejected outright.
+    """
+    users = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
+    subjects = {
+        f"s{j}": draw(st.sampled_from(["c0", "c1", "c2"])) for j in range(draw(st.integers(1, 4)))
+    }
+    three_columns = draw(st.booleans())
+    pairs = [(user, subject) for user in users for subject in sorted(subjects)]
+    written = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=6))
+    defects = draw(st.lists(st.sampled_from(LOADER_DEFECTS), max_size=2)) if draw(st.booleans()) else []
+
+    def line(fields):
+        return "|".join(
+            draw(st.sampled_from(["", " ", "\t"])) + field + draw(st.sampled_from(["", " "]))
+            for field in fields
+        )
+
+    def insert(lines, text):
+        lines.insert(draw(st.integers(0, len(lines))), text)
+
+    def review(review_id, author, subject):
+        return line([review_id, author, subject, *([] if three_columns else [subjects[subject]])])
+
+    content = [review(f"r{k}", *pair) for k, pair in enumerate(written)]
+    reviews = [f"r{k}" for k in range(len(written))]
+    subjects["s-new"] = "c0"
+    if "repeated-review-id" in defects and written:
+        insert(content, review(reviews[0], draw(st.sampled_from(users)), "s-new"))
+    if "second-review" in defects and written:
+        insert(content, review("r-second", *written[0]))
+    if "moved-subject" in defects and written:
+        insert(content, line(["r-moved", draw(st.sampled_from(users)), written[0][1], "c9"]))
+    if "short-content" in defects:
+        insert(content, "r-short|u0")
+
+    rated = st.sampled_from([*reviews, *reviews, *reviews, "ghost"])
+    ratings = [
+        line([draw(rated), draw(st.sampled_from(users)), stars])
+        for stars in draw(st.lists(st.sampled_from("12345"), min_size=1, max_size=10))
+    ]
+    if ratings and draw(st.booleans()):
+        repeated = draw(st.sampled_from(ratings)).rsplit("|", 1)[0]
+        insert(ratings, f"{repeated}|{draw(st.sampled_from('12345'))}")
+    if "bad-stars" in defects:
+        insert(ratings, line([draw(rated), "u0", draw(st.sampled_from(["0", "x"]))]))
+    if "short-rating" in defects:
+        insert(ratings, "r0|u0")
+
+    trust = []
+    for _ in range(draw(st.integers(0, 6))):
+        value = draw(st.sampled_from([["1"], ["1"], ["-1"], []]))
+        trust.append(line([draw(st.sampled_from(users)), draw(st.sampled_from(users)), *value]))
+    if "bad-trust-value" in defects:
+        insert(trust, "u0|u1|7")
+    if "short-trust" in defects:
+        insert(trust, "u0")
+
+    for lines in (content, ratings, trust):
+        for _ in range(draw(st.integers(0, 2))):
+            insert(lines, draw(st.sampled_from(["", "# note", "  "])))
+    return content, ratings, trust
+
+
+def _write_lines(path, lines):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("\n".join(lines) + ("\n" if lines else ""))
+
+
+class TestLoaderMatchesTheRecordByRecordOracle:
+    @given(
+        files=dirty_files(),
+        skip_unknown_reviews=st.booleans(),
+        skip_self_ratings=st.booleans(),
+        with_trust=st.booleans(),
+    )
+    @settings(
+        max_examples=300,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    def test_same_community_or_same_error(
+        self, tmp_path_factory, files, skip_unknown_reviews, skip_self_ratings, with_trust
+    ):
+        directory = tmp_path_factory.mktemp("dirty")
+        for name, lines in zip(("mc.txt", "rating.txt", "user_rating.txt"), files):
+            if name != "user_rating.txt" or with_trust:
+                _write_lines(directory / name, lines)
+        flags = dict(skip_unknown_reviews=skip_unknown_reviews, skip_self_ratings=skip_self_ratings)
+        try:
+            want = legacy_load(str(directory), **flags)
+        except (DatasetError, IntegrityError) as error:
+            # every rejection is now a DatasetError naming its file and line
+            with pytest.raises(DatasetError) as raised:
+                load_epinions_community(str(directory), **flags)
+            message = str(raised.value)
+            assert message.endswith(str(error))
+            assert re.match(r".*\.txt:\d+: ", message), message
+            return
+        got = load_epinions_community(str(directory), **flags)
+        assert got.summary() == want.summary()
+        assert (got.version, got.change_log.epoch) == (want.version, want.change_log.epoch)
+        assert list(got.iter_users()) == list(want.iter_users())
+        assert list(got.iter_categories()) == list(want.iter_categories())
+        assert list(got.iter_objects()) == list(want.iter_objects())
+        assert list(got.iter_reviews()) == list(want.iter_reviews())
+        assert list(got.iter_ratings()) == list(want.iter_ratings())
+        assert got.trust_edges() == want.trust_edges()

@@ -1,8 +1,11 @@
 """Tests for dataset statistics."""
 
+from collections import Counter
+
+import numpy as np
 import pytest
 
-from repro.datasets import dataset_stats
+from repro.datasets import CommunityProfile, dataset_stats, generate_community
 
 
 class TestDatasetStats:
@@ -75,3 +78,12 @@ class TestDatasetStats:
                 rater_reliability=np.array([0.5, 0.5]),
                 generosity=np.array([0.5, 0.5]),
             )
+
+    def test_column_counts_equal_a_record_scan(self):
+        community = generate_community(CommunityProfile(num_users=60), seed=11).community
+        stats = dataset_stats(community)
+        n = community.num_users()
+        pairs = [p for p in community.direct_connections() if p[0] != p[1]]
+        assert stats.rating_density == len(pairs) / (n * (n - 1))
+        received = Counter(r.review_id for r in community.iter_ratings())
+        assert stats.ratings_per_review == float(np.mean(list(received.values())))

@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.community import (
+    Community,
     Review,
     ReviewRating,
     ReviewedObject,
@@ -49,6 +50,21 @@ class TestColdBuild:
         epoch = two_category_community.change_log.epoch
         assert artifacts.stamps.columns == epoch
         assert artifacts.stamps.propagation == epoch
+
+    def test_cold_build_counts_only_logged_deltas(self, two_category_community):
+        # built whole: the log starts at the record count with no delta
+        engine = Engine(two_category_community)
+        engine.update()
+        assert engine.last_stats.deltas_applied == 0
+        two_category_community.add_user("zed")
+        replayed = Community("replayed")
+        replayed.add_user("u")
+        replayed.add_user("v")
+        engine, other = Engine(two_category_community), Engine(replayed)
+        engine.update()
+        other.update()
+        assert engine.last_stats.deltas_applied == 1
+        assert other.last_stats.deltas_applied == 2
 
     def test_artifacts_none_before_first_update(self, two_category_community):
         engine = Engine(two_category_community)
@@ -203,13 +219,16 @@ class TestLogCompaction:
         base, stream = split_rating_stream(generated_community, 5)
         engine = Engine(base, compact_log=False)
         engine.update()
-        retained = len(base.change_log)
-        assert retained > 0
+        log = base.change_log
+        floor = log.floor
+        # a base built whole holds no delta: its log starts at its records
+        assert len(log) == 0
+        assert floor == base.version == sum(base.summary().values())
         for rating in stream:
             base.add_rating(rating)
             engine.update()
-        assert len(base.change_log) == retained + len(stream)
-        assert base.change_log.floor == 0
+        assert len(log) == len(stream)
+        assert log.floor == floor
 
     def test_compacted_engine_stays_bitwise_equal(self, generated_community):
         base, stream = split_rating_stream(generated_community, 5)
