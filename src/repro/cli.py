@@ -6,7 +6,8 @@ Subcommands
 - ``stats`` -- describe a dataset (synthetic or loaded from files);
 - ``derive`` -- run Steps 1-3 on an Epinions-format directory (or a
   synthetic community) and write the derived web of trust ``T-hat`` as
-  ``source|target|value`` lines; it computes nothing else;
+  ``source|target|value`` lines, the value as ``{value:.6f}``; it
+  computes nothing else, and builds the file's bytes in numpy arrays;
 - ``update`` -- demonstrate the delta-driven incremental engine: withhold
   a suffix of ratings, replay them in batches through
   :class:`repro.engine.Engine`, print what each update recomputed vs
@@ -27,8 +28,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from typing import BinaryIO, Sequence
+
+import numpy as np
 
 from repro import obs
+from repro.common.arrays import FloatArray, IntArray
 from repro.datasets import (
     EXPERIMENT_SEED,
     dataset_stats,
@@ -53,6 +58,10 @@ _EXPERIMENT_NAMES = (
     "future-trust",
     "all",
 )
+
+#: Lines ``repro derive`` builds and writes as one array of records, so
+#: the writer's memory tracks one block of lines, not the file.
+_CHUNK_LINES = 1 << 16
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -208,17 +217,10 @@ def _run(args: argparse.Namespace) -> int:
         # Steps 1-3 only: T-hat is all this command writes
         _, _, derived = derive_web(_load_community(args))
         with obs.span("cli.write"):
-            # one formatted pass over the entry arrays, streamed to the file
             rows, cols, values = derived.entries_arrays()
             keep = values > args.min_trust
-            labels = derived.users.labels
-            with open(args.out, "w", encoding="utf-8") as f:
-                f.writelines(
-                    f"{labels[i]}|{labels[j]}|{value:.6f}\n"
-                    for i, j, value in zip(
-                        rows[keep].tolist(), cols[keep].tolist(), values[keep].tolist()
-                    )
-                )
+            with open(args.out, "wb") as f:
+                _write_edges(f, derived.users.labels, rows[keep], cols[keep], values[keep])
         print(f"wrote {int(keep.sum())} derived trust edges to {args.out}", file=out)
         return 0
 
@@ -311,7 +313,7 @@ def _run_update(args: argparse.Namespace, out) -> int:
     engine = Engine(base)
     engine.update()
     print(
-        f"cold build at epoch {base.change_log.epoch}: "
+        f"cold build at epoch {base.version}: "
         f"{engine.artifacts.derived.num_entries()} derived pairs",
         file=out,
     )
@@ -326,7 +328,7 @@ def _run_update(args: argparse.Namespace, out) -> int:
         reuse = f"{stats.pairs_reused / total_pairs:.1%}" if total_pairs else "-"
         rows.append(
             [
-                base.change_log.epoch,
+                base.version,
                 stats.deltas_applied,
                 f"{stats.categories_resolved}/{stats.categories_resolved + stats.categories_skipped}",
                 stats.pairs_rederived,
@@ -345,13 +347,104 @@ def _run_update(args: argparse.Namespace, out) -> int:
     )
 
     if not args.skip_verify:
-        cold = cold_artifacts(clone_community(base))
-        diffs = engine.artifacts.differences(cold)
+        with obs.span("cli.verify"):
+            cold = cold_artifacts(clone_community(base))
+            diffs = engine.artifacts.differences(cold)
         if diffs:
             print(f"BITWISE MISMATCH vs cold build: {', '.join(diffs)}", file=out)
             return 1
         print("final state verified bitwise against a cold build", file=out)
     return 0
+
+
+def _write_edges(
+    f: BinaryIO, labels: Sequence[str], rows: IntArray, cols: IntArray, values: FloatArray
+) -> None:
+    """Write ``f"{labels[i]}|{labels[j]}|{value:.6f}\\n"`` per entry, byte for byte.
+
+    Every label is encoded once into a padded ``S<width>`` table.  Each
+    block of :data:`_CHUNK_LINES` lines is one array of fixed-width
+    records -- source label, ``|``, target label, ``|``, value text,
+    newline -- and a boolean mask over its bytes drops the padding only
+    when label or value widths differ.
+    """
+    if not len(values):
+        return
+    encoded = [label.encode("utf-8") for label in labels]
+    label_widths = np.array([len(text) for text in encoded], dtype=np.int64)
+    width = int(label_widths.max())
+    table = np.array(encoded, dtype=f"S{width}")
+    label_keep = None
+    if label_widths.min() < width:
+        label_keep = np.arange(width) < label_widths[:, None]
+
+    for start in range(0, len(values), _CHUNK_LINES):
+        r = rows[start : start + _CHUNK_LINES]
+        c = cols[start : start + _CHUNK_LINES]
+        text, text_widths = _value_text(values[start : start + _CHUNK_LINES])
+        line = np.empty(
+            len(r),
+            dtype=[
+                ("source", f"S{width}"),
+                ("bar1", "S1"),
+                ("target", f"S{width}"),
+                ("bar2", "S1"),
+                ("value", text.dtype),
+                ("newline", "S1"),
+            ],
+        )
+        line["source"] = table[r]
+        line["bar1"] = line["bar2"] = b"|"
+        line["target"] = table[c]
+        line["value"] = text
+        line["newline"] = b"\n"
+        if label_keep is None and text_widths is None:
+            f.write(line)
+            continue
+        keep = np.ones((len(r), line.itemsize), dtype=bool)
+        if label_keep is not None:
+            keep[:, :width] = label_keep[r]
+            keep[:, width + 1 : 2 * width + 1] = label_keep[c]
+        if text_widths is not None:
+            keep[:, 2 * width + 2 : -1] = np.arange(text.itemsize) < text_widths[:, None]
+        f.write(line.view(np.uint8).reshape(len(r), -1)[keep])
+
+
+def _value_text(values: FloatArray) -> tuple[np.ndarray, IntArray | None]:
+    """Each value's ``f"{v:.6f}"`` as an ``S<width>`` array, plus each
+    text's length (``None`` when every text fills the width).
+
+    A value is written from ``m = rint(v * 1e6)`` as one digit, ``.`` and
+    six digits, three at a time from a ``"000".."999"`` table.  Below 1e7,
+    ``v * 1e6`` rounds to within 1e-9 of the exact product, so ``m`` is
+    the correctly rounded count of millionths unless the product lies near
+    a half.  The f-string writes the rest: a value that is not finite, has
+    its sign bit set (``-0.0`` prints ``-0.000000``), rounds to 1e7
+    millionths or more, or has ``v * 1e6`` within 1e-6 of a half.
+    """
+    fixed = np.isfinite(values) & ~np.signbit(values) & (values < 10.0)
+    micro = np.where(fixed, values, 0.0) * 1e6
+    units = np.rint(micro)
+    fixed &= (units < 1e7) & (np.abs(micro - np.floor(micro) - 0.5) > 1e-6)
+    digits = np.arange(1000, dtype=np.uint64)
+    # "000".."999" as the low three bytes of a little-endian word
+    triples = (digits // 100 + 48) | (digits // 10 % 10 + 48) << 8 | (digits % 10 + 48) << 16
+    m = units.astype(np.uint64)
+    thousands, whole = m // 1000, m // 1_000_000
+    high, low = thousands - whole * 1000, m - thousands * 1000
+    # little-endian bytes: digit, ".", three digits, three digits
+    word = (whole + 48) | ord(".") << 8 | triples[high] << 16 | triples[low] << 40
+    text = word.astype("<u8").view("S8")
+    if fixed.all():
+        return text, None
+    slow = np.flatnonzero(~fixed)
+    formatted = [f"{value:.6f}".encode() for value in values[slow].tolist()]
+    widths = np.full(len(values), 8, dtype=np.int64)
+    widths[slow] = [len(value_text) for value_text in formatted]
+    width = int(widths.max())
+    text = text.astype(f"S{width}")
+    text[slow] = formatted
+    return text, None if widths.min() == width else widths
 
 
 def _load_community(args: argparse.Namespace):

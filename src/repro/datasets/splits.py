@@ -8,9 +8,13 @@ prediction / recommendation built on top of the derived trust matrix.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+import numpy as np
+
 from repro.common.errors import ValidationError
 from repro.common.rng import spawn_rng
-from repro.community import Community, ReviewRating, TrustStatement
+from repro.community import Community, ReviewRating
 
 __all__ = ["holdout_ratings"]
 
@@ -46,27 +50,31 @@ def holdout_ratings(
     if not 0.0 < fraction < 1.0:
         raise ValidationError(f"fraction must be in (0, 1), got {fraction!r}")
 
-    ratings = list(community.iter_ratings())
-    if len(ratings) < 2:
+    columns = community.record_columns()
+    rater, review, values = columns.rating_rater, columns.rating_review, columns.rating_value
+    if values.size < 2:
         raise ValidationError("need at least 2 ratings to split")
     rng = spawn_rng(seed, "holdout")
-    count = max(1, int(round(fraction * len(ratings))))
-    held_idx = set(rng.choice(len(ratings), size=count, replace=False).tolist())
+    count = max(1, int(round(fraction * values.size)))
+    held = np.zeros(values.size, dtype=bool)
+    held[rng.choice(values.size, size=count, replace=False)] = True
 
-    held_out = [rating for i, rating in enumerate(ratings) if i in held_idx]
-    kept = [rating for i, rating in enumerate(ratings) if i not in held_idx]
-
-    train = Community.from_records(
-        name=community.name + "_train",
-        users=community.iter_users(),
-        categories=community.iter_categories(),
-        objects=community.iter_objects(),
-        reviews=community.iter_reviews(),
-        ratings=kept,
-        trust=(
-            [TrustStatement(source, target) for source, target in community.trust_edges()]
-            if keep_trust
-            else ()
+    users, reviews = columns.users, columns.reviews
+    held_out = [
+        ReviewRating(users[i], reviews[j], value)
+        for i, j, value in zip(rater[held].tolist(), review[held].tolist(), values[held].tolist())
+    ]
+    kept = ~held
+    no_trust = np.empty(0, dtype=np.int64)
+    train = Community.from_columns(
+        replace(
+            columns,
+            rating_rater=rater[kept],
+            rating_review=review[kept],
+            rating_value=values[kept],
+            trust_truster=columns.trust_truster if keep_trust else no_trust,
+            trust_trustee=columns.trust_trustee if keep_trust else no_trust,
         ),
+        name=community.name + "_train",
     )
     return train, held_out

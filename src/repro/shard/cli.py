@@ -34,13 +34,10 @@ def run_shard(args: argparse.Namespace, out: IO[str]) -> int:
 
 
 def _run_build(args: argparse.Namespace, out: IO[str]) -> int:
-    from repro.datasets import generate_community, load_epinions_community, paper_profile
+    from repro.cli import _load_community
     from repro.engine import cold_artifacts
 
-    if args.dir:
-        community = load_epinions_community(args.dir)
-    else:
-        community = generate_community(paper_profile(args.users), args.seed).community
+    community = _load_community(args)
     artifacts = cold_artifacts(community)
     store = ArtifactStore(args.store)
     manifest = store.save(
@@ -48,7 +45,7 @@ def _run_build(args: argparse.Namespace, out: IO[str]) -> int:
         affiliation=artifacts.affiliation,
         derived=artifacts.derived,
         scores=artifacts.scores,
-        epoch=community.change_log.epoch,
+        epoch=community.version,
         num_shards=args.shards,
     )
     print(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.common.errors import ValidationError
+from repro.common.rng import spawn_rng
 from repro.community import (
     Category,
     Community,
@@ -15,6 +16,45 @@ from repro.community import (
 from repro.datasets import CommunityProfile, generate_community
 from repro.datasets.splits import holdout_ratings
 from repro.engine import clone_community
+
+
+def _holdout_oracle(community, fraction, seed=0, *, keep_trust=True):
+    """``holdout_ratings`` as it was: every rating rebuilt as a model object
+    through ``iter_ratings()``, the train community through ``from_records``."""
+    ratings = list(community.iter_ratings())
+    rng = spawn_rng(seed, "holdout")
+    count = max(1, int(round(fraction * len(ratings))))
+    held_idx = set(rng.choice(len(ratings), size=count, replace=False).tolist())
+    held_out = [rating for i, rating in enumerate(ratings) if i in held_idx]
+    kept = [rating for i, rating in enumerate(ratings) if i not in held_idx]
+    train = Community.from_records(
+        name=community.name + "_train",
+        users=community.iter_users(),
+        categories=community.iter_categories(),
+        objects=community.iter_objects(),
+        reviews=community.iter_reviews(),
+        ratings=kept,
+        trust=(
+            [TrustStatement(source, target) for source, target in community.trust_edges()]
+            if keep_trust
+            else ()
+        ),
+    )
+    return train, held_out
+
+
+def _records(community):
+    """Everything a community holds, names and titles included."""
+    return (
+        community.name,
+        community.version,
+        list(community.iter_users()),
+        list(community.iter_categories()),
+        list(community.iter_objects()),
+        list(community.iter_reviews()),
+        list(community.iter_ratings()),
+        community.trust_edges(),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -65,6 +105,20 @@ class TestHoldoutRatings:
         train, _ = holdout_ratings(dataset.community, 0.2, seed=1, keep_trust=False)
         assert train.num_trust_edges() == 0
 
+    @pytest.mark.parametrize("keep_trust", [True, False])
+    @pytest.mark.parametrize(
+        ("seed", "fraction"), [(0, 0.2), (1, 0.05), (7, 0.5), (11, 0.9), (3, 0.001)]
+    )
+    def test_matches_the_record_by_record_split(self, dataset, seed, fraction, keep_trust):
+        train, held = holdout_ratings(
+            dataset.community, fraction, seed=seed, keep_trust=keep_trust
+        )
+        expected_train, expected_held = _holdout_oracle(
+            dataset.community, fraction, seed=seed, keep_trust=keep_trust
+        )
+        assert held == expected_held
+        assert _records(train) == _records(expected_train)
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.1, 1.5])
     def test_bad_fraction(self, dataset, fraction):
         with pytest.raises(ValidationError):
@@ -108,3 +162,13 @@ class TestHoldoutRecords:
         assert held and not set(held) & set(kept)
         assert sorted(kept + held, key=repr) == sorted(named.iter_ratings(), key=repr)
         assert train.trust_edges() == (named.trust_edges() if keep_trust else [])
+
+    @pytest.mark.parametrize("keep_trust", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_record_by_record_split(self, named, seed, keep_trust):
+        train, held = holdout_ratings(named, 0.5, seed=seed, keep_trust=keep_trust)
+        expected_train, expected_held = _holdout_oracle(
+            named, 0.5, seed=seed, keep_trust=keep_trust
+        )
+        assert held == expected_held
+        assert _records(train) == _records(expected_train)

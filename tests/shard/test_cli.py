@@ -1,9 +1,17 @@
 """Tests for the ``repro shard`` CLI subcommand."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.cli import main
+from repro.datasets import (
+    generate_community,
+    load_epinions_community,
+    paper_profile,
+    write_epinions_files,
+)
 from repro.shard import ShardStore
 from repro.shard.store import FORMAT
 
@@ -46,6 +54,30 @@ class TestBuild:
             == 0
         )
         assert trace.exists()
+
+    def test_trace_spans_each_stage_at_top_level(self, tmp_path, capsys):
+        trace = tmp_path / "trace.json"
+        argv = ["shard", "build", "--store", str(tmp_path / "artifacts"), "--users", "60"]
+        assert main([*argv, "--trace", str(trace)]) == 0
+        spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
+        assert [span["name"] for span in spans] == [
+            "cli.load",
+            "step1.fit",
+            "derive.trust",
+            "propagation.eigentrust",
+            "shard.artifacts.save",
+        ]
+        for before, after in zip(spans, spans[1:]):
+            assert before["start_s"] + before["duration_s"] <= after["start_s"] + 2e-6
+
+    def test_build_from_files_stores_the_loaded_version(self, tmp_path, capsys):
+        data = tmp_path / "epinions"
+        write_epinions_files(generate_community(paper_profile(60), 5).community, str(data))
+        store_dir = tmp_path / "artifacts"
+        argv = ["shard", "build", "--dir", str(data), "--store", str(store_dir)]
+        assert main(argv) == 0
+        manifest = json.loads((store_dir / "artifacts.json").read_text(encoding="utf-8"))
+        assert manifest["epoch"] == load_epinions_community(str(data)).version
 
 
 class TestInspect:

@@ -1,14 +1,21 @@
 """Tests for the command-line interface."""
 
+import io
 import json
+import math
 import os
 import pathlib
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
+from repro import cli
 from repro.cli import build_parser, main
 from repro.datasets import (
     generate_community,
@@ -82,6 +89,32 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "verified bitwise" not in out
 
+    @pytest.mark.parametrize("skip_verify", [False, True])
+    def test_update_trace_spans_each_stage_at_top_level(self, tmp_path, capsys, skip_verify):
+        trace = tmp_path / "trace.json"
+        argv = ["update", *ARGS, "--stream", "6", "--batch", "3", "--trace", str(trace)]
+        assert main([*argv, "--skip-verify"] if skip_verify else argv) == 0
+        spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
+        # the load, the stream split, the cold update and one per batch
+        expected = ["cli.load", "community.build", *["engine.update"] * 3]
+        assert [span["name"] for span in spans] == (
+            expected if skip_verify else [*expected, "cli.verify"]
+        )
+        for before, after in zip(spans, spans[1:]):
+            assert before["start_s"] + before["duration_s"] <= after["start_s"] + 2e-6
+
+    def test_update_prints_the_community_version(self, capsys):
+        from repro.engine import split_rating_stream
+
+        assert main(["update", *ARGS, "--stream", "4", "--batch", "2", "--skip-verify"]) == 0
+        out = capsys.readouterr().out
+        community = generate_community(paper_profile(150), 3).community
+        base, _ = split_rating_stream(community, 4)
+        assert f"cold build at epoch {base.version}: " in out
+        # each batch's row starts with the version after it
+        epochs = [row.split("|")[0].strip() for row in out.splitlines()[-2:]]
+        assert epochs == [str(base.version + 2), str(base.version + 4)]
+
     def test_table4_command(self, capsys):
         assert main(["table4", *ARGS]) == 0
         out = capsys.readouterr().out
@@ -95,6 +128,85 @@ class TestCommands:
     def test_table2_command(self, capsys):
         assert main(["table2", *ARGS]) == 0
         assert "Table 2" in capsys.readouterr().out
+
+
+def _oracle_lines(labels, rows, cols, values):
+    """The f-string ``repro derive`` formatted every line with before."""
+    return "".join(
+        f"{labels[i]}|{labels[j]}|{value:.6f}\n" for i, j, value in zip(rows, cols, values)
+    ).encode("utf-8")
+
+
+def _written(labels, rows, cols, values):
+    buffer = io.BytesIO()
+    cli._write_edges(
+        buffer,
+        labels,
+        np.array(rows, dtype=np.int64),
+        np.array(cols, dtype=np.int64),
+        np.array(values, dtype=np.float64),
+    )
+    return buffer.getvalue()
+
+
+def _nudged(value, steps):
+    """``value`` moved ``steps`` floats up (or down, when negative)."""
+    toward = math.inf if steps > 0 else -math.inf
+    for _ in range(abs(steps)):
+        value = math.nextafter(value, toward)
+    return value
+
+
+_MILLIONTHS = st.integers(min_value=0, max_value=10**7 + 10)
+#: Values at and next to the text's rounding boundaries, special values and
+#: arbitrary floats: every kind the array formatter handles or hands to the
+#: f-string.
+_VALUES = st.one_of(
+    st.builds(_nudged, _MILLIONTHS.map(lambda k: k / 1e6), st.integers(-2, 2)),
+    st.builds(_nudged, _MILLIONTHS.map(lambda k: (k + 0.5) / 1e6), st.integers(-2, 2)),
+    st.sampled_from(
+        [0.0, -0.0, 9.9999995, 9.999999, 10.0, 1e-300, -1e-300, 5e-7, 123.4567895,
+         -0.5, -2.0000005, math.nan, math.inf, -math.inf, 1e300]
+    ),
+    st.floats(min_value=0.0, max_value=10.0),
+    st.floats(),
+)
+
+
+class TestWriteEdges:
+    """``repro derive``'s byte-array writer against the f-string it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        labels=st.lists(st.text(min_size=1, max_size=6), min_size=1, max_size=8),
+        data=st.data(),
+        chunk=st.integers(min_value=1, max_value=6),
+    )
+    def test_matches_the_f_string(self, labels, data, chunk):
+        n = data.draw(st.integers(min_value=0, max_value=20))
+        index = st.integers(min_value=0, max_value=len(labels) - 1)
+        rows = data.draw(st.lists(index, min_size=n, max_size=n))
+        cols = data.draw(st.lists(index, min_size=n, max_size=n))
+        values = data.draw(st.lists(_VALUES, min_size=n, max_size=n))
+        with mock.patch.object(cli, "_CHUNK_LINES", chunk):
+            payload = _written(labels, rows, cols, values)
+        assert payload == _oracle_lines(labels, rows, cols, values)
+
+    def test_an_empty_selection_writes_nothing(self):
+        assert _written(["u1", "u22"], [], [], []) == b""
+
+    def test_lines_beyond_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 7)
+        labels = ["a", "bé", "c\u4e2d\u6587", "dd"]
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, len(labels), 50).tolist()
+        cols = rng.integers(0, len(labels), 50).tolist()
+        values = rng.random(50).tolist()
+        # the f-string writes these; each lands in a chunk of its own
+        values[3], values[20], values[45] = -0.0, 12.5, 0.0000125
+        assert _written(labels, rows, cols, values) == _oracle_lines(
+            labels, rows, cols, values
+        )
 
 
 class TestDerive:
@@ -113,6 +225,30 @@ class TestDerive:
         assert payload == expected.encode("utf-8")
         lines = payload.count(b"\n")
         assert f"wrote {lines} derived trust edges" in capsys.readouterr().out
+
+    def test_min_trust_above_every_value_writes_an_empty_file(
+        self, epinions_dir, tmp_path, capsys
+    ):
+        out_file = tmp_path / "trust.txt"
+        argv = ["derive", "--dir", epinions_dir, "--out", str(out_file)]
+        assert main([*argv, "--min-trust", "1"]) == 0
+        assert out_file.read_bytes() == b""
+        assert f"wrote 0 derived trust edges to {out_file}" in capsys.readouterr().out
+
+    def test_a_file_of_many_chunks_matches_the_f_string(
+        self, epinions_dir, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "_CHUNK_LINES", 100)
+        out_file = tmp_path / "trust.txt"
+        assert main(["derive", "--dir", epinions_dir, "--out", str(out_file)]) == 0
+        _, _, derived = derive_web(load_epinions_community(epinions_dir))
+        rows, cols, values = derived.entries_arrays()
+        keep = values > 0.0
+        assert keep.sum() > 10 * 100
+        expected = _oracle_lines(
+            derived.users.labels, rows[keep].tolist(), cols[keep].tolist(), values[keep].tolist()
+        )
+        assert out_file.read_bytes() == expected
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_min_trust_rejected_at_parsing(self, value, capsys):
