@@ -20,7 +20,9 @@ Subcommands
 
 Each subcommand imports the modules it needs when it runs, so starting
 the CLI -- and a whole ``derive`` -- loads neither scipy nor the
-experiment, engine and shard packages.
+experiment, engine and shard packages; ``update`` and ``shard`` import
+theirs under a ``cli.import`` span.  :func:`main` registers only the
+subcommand its argv names, so parsing a command costs one subparser.
 """
 
 from __future__ import annotations
@@ -59,59 +61,83 @@ _EXPERIMENT_NAMES = (
     "all",
 )
 
+#: Every subcommand, in the order the full parser registers them.
+_COMMANDS = ("generate", "stats", "derive", "update", "shard", *_EXPERIMENT_NAMES, "report")
+
 #: Lines ``repro derive`` builds and writes as one array of records, so
 #: the writer's memory tracks one block of lines, not the file.
 _CHUNK_LINES = 1 << 16
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """Build the argument parser (exposed for testing and docs)."""
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Build the argument parser (exposed for testing and docs).
+
+    ``None`` registers every subcommand.  A name from :data:`_COMMANDS`
+    registers that one alone (the whole ``shard`` tree for ``shard``): it
+    parses that command's argv exactly as the full parser does, because
+    its subcommand list names every command in the usage line.  The full
+    parser leaves that list to argparse, so its errors still name the
+    ``command`` argument.
+    """
     parser = argparse.ArgumentParser(
         prog="repro-trust",
         description="Derive a web of trust from rating data (Kim et al., ICDEW 2008).",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    generate = sub.add_parser("generate", help="generate a synthetic community")
-    _add_dataset_args(generate)
-    generate.add_argument("--out", required=True, help="output directory (Epinions format)")
-
-    stats = sub.add_parser("stats", help="describe a dataset")
-    _add_source_args(stats)
-
-    derive = sub.add_parser("derive", help="derive a web of trust from rating data")
-    _add_source_args(derive)
-    derive.add_argument("--out", required=True, help="output file (source|target|value)")
-    derive.add_argument(
-        "--min-trust", type=_finite_float, default=0.0, help="drop derived values <= this"
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
     )
-
-    update = sub.add_parser(
-        "update", help="replay a rating stream through the incremental engine"
-    )
-    _add_source_args(update)
-    update.add_argument(
-        "--stream", type=int, default=50, help="ratings to withhold and replay"
-    )
-    update.add_argument(
-        "--batch", type=int, default=10, help="ratings applied per engine update"
-    )
-    update.add_argument(
-        "--skip-verify",
-        action="store_true",
-        help="skip the final bitwise comparison against a cold build",
-    )
-
-    _add_shard_parser(sub)
-
-    for name in _EXPERIMENT_NAMES:
-        experiment = sub.add_parser(name, help=f"reproduce {name}")
-        _add_dataset_args(experiment)
-
-    report = sub.add_parser("report", help="write the full markdown report")
-    _add_source_args(report)
-    report.add_argument("--out", required=True, help="output markdown file")
+    for name in _COMMANDS if command is None else (command,):
+        _add_command(sub, name)
     return parser
+
+
+def _add_command(
+    sub: "argparse._SubParsersAction[argparse.ArgumentParser]", name: str
+) -> None:
+    """Register the subcommand ``name`` and its arguments."""
+    if name == "generate":
+        generate = sub.add_parser("generate", help="generate a synthetic community")
+        _add_dataset_args(generate)
+        generate.add_argument(
+            "--out", required=True, help="output directory (Epinions format)"
+        )
+    elif name == "stats":
+        _add_source_args(sub.add_parser("stats", help="describe a dataset"))
+    elif name == "derive":
+        derive = sub.add_parser("derive", help="derive a web of trust from rating data")
+        _add_source_args(derive)
+        derive.add_argument("--out", required=True, help="output file (source|target|value)")
+        derive.add_argument(
+            "--min-trust", type=_finite_float, default=0.0, help="drop derived values <= this"
+        )
+    elif name == "update":
+        update = sub.add_parser(
+            "update", help="replay a rating stream through the incremental engine"
+        )
+        _add_source_args(update)
+        update.add_argument(
+            "--stream", type=int, default=50, help="ratings to withhold and replay"
+        )
+        update.add_argument(
+            "--batch", type=int, default=10, help="ratings applied per engine update"
+        )
+        update.add_argument(
+            "--skip-verify",
+            action="store_true",
+            help="skip the final bitwise comparison against a cold build",
+        )
+    elif name == "shard":
+        _add_shard_parser(sub)
+    elif name == "report":
+        report = sub.add_parser("report", help="write the full markdown report")
+        _add_source_args(report)
+        report.add_argument("--out", required=True, help="output markdown file")
+    elif name in _EXPERIMENT_NAMES:
+        _add_dataset_args(sub.add_parser(name, help=f"reproduce {name}"))
+    else:
+        raise ValueError(f"unknown command {name!r}; expected one of {_COMMANDS}")
 
 
 def _add_shard_parser(
@@ -169,7 +195,11 @@ def _finite_float(text: str) -> float:
 
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = build_parser().parse_args(argv)
+    # only the named command's parser: no argv, -h or an unknown command
+    # get the full one, whose help and errors list every command
+    words = sys.argv[1:] if argv is None else argv
+    command = words[0] if words and words[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     trace_path: str | None = getattr(args, "trace", None)
     if trace_path is None:
         return _run(args)
@@ -228,8 +258,11 @@ def _run(args: argparse.Namespace) -> int:
         return _run_update(args, out)
 
     if args.command == "shard":
-        from repro.shard.cli import run_shard
+        with obs.span("cli.import"):
+            from repro.shard.cli import run_shard
 
+            if args.shard_command == "build":
+                import repro.engine  # noqa: F401  # the build's cold pipeline
         return run_shard(args, out)
 
     if args.command == "report":
@@ -305,8 +338,14 @@ def run_pipeline(*args, **kwargs):
 
 
 def _run_update(args: argparse.Namespace, out) -> int:
-    from repro.engine import Engine, clone_community, cold_artifacts, split_rating_stream
-    from repro.reporting import render_table
+    with obs.span("cli.import"):
+        from repro.engine import (
+            Engine,
+            clone_community,
+            cold_artifacts,
+            split_rating_stream,
+        )
+        from repro.reporting import render_table
 
     community = _load_community(args)
     base, stream = split_rating_stream(community, args.stream)

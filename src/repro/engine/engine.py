@@ -168,8 +168,13 @@ class Engine:
         materialising the whole matrix.  Each patch returns a new matrix
         version that shares the untouched shards with the previous one;
         the previous version stays readable, so artifacts an earlier
-        update returned never change.  Axis growth (new users or
-        categories) falls back to a full sharded re-derive.
+        update returned never change.  A patched shard whose support held
+        also shares its CSR structure and keys file, so propagation
+        rebuilds no index arrays and a checkpoint (``derived.flush``)
+        rewrites only its values; the structures cost 4 B per stored
+        entry plus 4 B per row on the heap, outside the spill budget.
+        Axis growth (new users or categories) falls back to a full sharded
+        re-derive.
     compact_log:
         ``True`` (default): after each update the engine compacts the
         community's change log up to the epoch it just consumed -- its
@@ -444,7 +449,8 @@ class Engine:
         :meth:`repro.shard.ShardedPairMatrix.patch_with` rewrites only the
         shards the region touches, each through the same routine as the
         in-memory path, so the result stays bitwise; untouched shards are
-        shared with the new version without IO.  ``previous_derived``
+        shared with the new version without IO, and a touched shard whose
+        support held keeps its CSR structure and keys file.  ``previous_derived``
         keeps its content and becomes read-only.  Returns the new matrix
         and the number of kept (reused) entries.
         """

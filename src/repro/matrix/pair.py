@@ -24,7 +24,13 @@ from repro.matrix.labels import LabelIndex
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from scipy import sparse
 
-__all__ = ["UserPairMatrix", "RegionPatch", "patch_entries"]
+__all__ = [
+    "UserPairMatrix",
+    "RegionPatch",
+    "patch_entries",
+    "read_only_csr",
+    "row_block_csr",
+]
 
 
 def _frozen(array: AnyArray) -> AnyArray:
@@ -125,13 +131,41 @@ def patch_entries(
     return RegionPatch(merged_keys, merged_vals, int(kept_keys.size), False)
 
 
-def _read_only_csr(
-    data: FloatArray, indices: IntArray, indptr: IntArray, n: int
+def row_block_csr(
+    keys: IntArray, vals: FloatArray, n: int, *, first_row: int = 0, rows: int | None = None
 ) -> sparse.csr_matrix:
-    """A canonical ``n x n`` CSR over the given arrays, all made read-only."""
+    """Rows ``[first_row, first_row + rows)`` of an ``n``-column matrix as CSR.
+
+    ``keys`` are the block's sorted, unique flat keys ``i * n + j`` and
+    ``vals`` their values (``rows`` defaults to ``n``: the whole matrix).
+    The result is read-only and shares ``vals``.  Its ``indptr`` and
+    ``indices`` are the int32 arrays scipy leaves after narrowing the int64
+    ones built here; a holder that keeps them can wrap a later version's
+    values over the same keys with :func:`read_only_csr` and skip this
+    build, as :meth:`UserPairMatrix.patched` and
+    :meth:`repro.shard.ShardedPairMatrix.shard_csr` do.
+    """
+    rows = n if rows is None else rows
+    indptr = np.zeros(rows + 1, dtype=np.int64)
+    if keys.size:
+        np.cumsum(np.bincount(keys // n - first_row, minlength=rows), out=indptr[1:])
+        indices = keys % n
+    else:
+        indices = _EMPTY_KEYS
+    return read_only_csr(vals, indices, indptr, (rows, n))
+
+
+def read_only_csr(
+    data: FloatArray, indices: IntArray, indptr: IntArray, shape: tuple[int, int]
+) -> sparse.csr_matrix:
+    """A canonical CSR of ``shape`` over the given arrays, all made read-only.
+
+    scipy shares ``data`` and int32 ``indices`` / ``indptr``; it copies
+    int64 index arrays into int32 ones on every construction.
+    """
     from scipy import sparse  # here, so a program that builds no CSR never loads scipy
 
-    matrix = sparse.csr_matrix((data, indices, indptr), shape=(n, n))
+    matrix = sparse.csr_matrix((data, indices, indptr), shape=shape)
     matrix.has_sorted_indices = True
     matrix.has_canonical_format = True
     for array in (matrix.data, matrix.indices, matrix.indptr):
@@ -262,14 +296,7 @@ class UserPairMatrix:
         :meth:`to_csr` for a private mutable copy.
         """
         if self._csr is None:
-            n = self._n
-            indptr = np.zeros(n + 1, dtype=np.int64)
-            if self._keys.size:
-                np.cumsum(np.bincount(self._keys // n, minlength=n), out=indptr[1:])
-                indices = self._keys % n
-            else:
-                indices = _EMPTY_KEYS
-            self._csr = _read_only_csr(self._vals, indices, indptr, n)
+            self._csr = row_block_csr(self._keys, self._vals, self._n)
         return self._csr
 
     def to_csr(self) -> sparse.csr_matrix:
@@ -472,7 +499,7 @@ class UserPairMatrix:
         out = UserPairMatrix._owning(users, patch.keys, patch.vals)
         if patch.values_only:
             obs.add("matrix.patch.values_only")
-            out._csr = _read_only_csr(out._vals, base.indices, base.indptr, n)
+            out._csr = read_only_csr(out._vals, base.indices, base.indptr, (n, n))
         else:
             obs.add("matrix.patch.merged")
         return out, patch.kept

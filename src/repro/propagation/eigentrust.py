@@ -24,11 +24,16 @@ cached :meth:`~repro.matrix.UserPairMatrix.csr`), and a
 :class:`repro.shard.ShardedPairMatrix` gives one
 :meth:`~repro.shard.ShardedPairMatrix.shard_csr` block per shard.  Once
 per call each block's data is scaled by its inverse row sums, so a
-sharded input reads each spilled shard's keys and values at most once
-per call and writes nothing.  For the call the heap holds every scaled
-block (float64 data plus the block's own index arrays, at most 16 B per
-stored entry) and the O(U) iteration vectors; the shard payloads stay
-where the spill budget put them.
+sharded input maps each spilled shard's payloads at most once per call
+and writes nothing.  A block's ``indptr`` / ``indices`` are the matrix's
+own cached structure: the in-memory matrix's CSR, and each shard's,
+which the sharded matrix builds from the shard's keys on first use and
+keeps until they change, so a call after a values-only patch reads no
+keys and builds no index arrays.  For the call the heap holds every
+scaled block's float64 data (8 B per stored entry) and the O(U)
+iteration vectors; the structures (4 B per entry plus 4 B per row)
+outlive the call with the matrix, and the shard payloads stay where the
+spill budget put them.
 
 Every sweep runs scipy's ``csc_matvec`` on the untransposed blocks: a
 row block's CSR arrays, read as CSC, describe its transpose, and the

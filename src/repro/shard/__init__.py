@@ -11,7 +11,9 @@ reads each spilled shard once per call:
 - :class:`ShardedPairMatrix` -- the bitwise-identical sharded backend
   for :class:`repro.matrix.UserPairMatrix`, read through the same API;
   each shard's content is written whole (``set_shard_entries``,
-  ``from_pair_matrix``, ``patch_with``);
+  ``from_pair_matrix``, ``patch_with``), and a shard whose patches keep
+  its support keeps its CSR structure and its keys file, so propagation
+  and checkpoints after a values-only patch touch only values;
 - :class:`ShardConfig` -- shard count / spill budget / store location;
 - :class:`ArtifactStore` -- save/load facade for whole pipeline outputs.
 

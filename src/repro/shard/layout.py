@@ -11,6 +11,7 @@ list of the whole matrix.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -81,6 +82,10 @@ class ShardLayout:
         """The shard index of each row position (vectorised)."""
         edges = np.asarray(self.bounds[1:-1], dtype=np.int64)
         return np.searchsorted(edges, np.asarray(rows, dtype=np.int64), side="right")
+
+    def shard_of_row(self, row: int) -> int:
+        """The shard index of one row position (a point read's lookup)."""
+        return bisect_right(self.bounds, row) - 1
 
     def shards_for_rows(self, rows: IntArray) -> IntArray:
         """Sorted unique shard indices containing any of ``rows``."""

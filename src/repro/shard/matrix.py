@@ -28,22 +28,31 @@ the math.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
-from scipy import sparse
 
 from repro import obs
 from repro.common.arrays import FloatArray, IntArray
 from repro.common.errors import ValidationError
 from repro.matrix.labels import LabelIndex
-from repro.matrix.pair import UserPairMatrix, patch_entries
+from repro.matrix.pair import (
+    UserPairMatrix,
+    patch_entries,
+    read_only_csr,
+    row_block_csr,
+)
 from repro.shard.layout import ShardLayout
 from repro.shard.store import FORMAT, USERS_NAME, ShardStore
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from scipy import sparse
+
 __all__ = ["ShardedPairMatrix", "ENTRY_BYTES"]
 
-#: Heap bytes per stored entry: one int64 key plus one float64 value.
+#: Heap bytes per stored entry: one int64 key plus one float64 value.  A
+#: shard's cached CSR structure (see :meth:`ShardedPairMatrix.shard_csr`)
+#: adds 4 B per entry and 4 B per row, which the spill budget does not count.
 ENTRY_BYTES = 16
 
 _EMPTY_KEYS = np.empty(0, dtype=np.int64)
@@ -62,12 +71,20 @@ class ShardedPairMatrix:
     rewritten after that, e.g. by a patch, stays on the heap until the next
     :meth:`flush` rewrites its file.
 
+    Each shard keeps its CSR structure -- the int32 ``indptr`` and
+    ``indices`` of its first :meth:`shard_csr` -- until its keys change, and
+    keeps its keys file's checksum only while that file holds its keys.  A
+    patch that keeps a shard's support keeps both, so the next EigenTrust
+    call and patch skip the structure build and the next checkpoint writes
+    only the values file.  The structure costs 4 B per entry plus 4 B per
+    row on the heap, outside the spill budget.
+
     :meth:`patch_with` returns a new version instead of rewriting this
     one.  The versions share the store, the untouched shards' arrays and,
-    where a patch kept a shard's support, its key array.  Only the newest
-    version may write: an older one stays readable but rejects
-    :meth:`set_shard_entries`, :meth:`patch_with` and :meth:`flush` (see
-    :meth:`supersede`).
+    where a patch kept a shard's support, its key array and CSR
+    structure.  Only the newest version may write: an older one stays
+    readable but rejects :meth:`set_shard_entries`, :meth:`patch_with` and
+    :meth:`flush` (see :meth:`supersede`).
     """
 
     def __init__(
@@ -100,6 +117,10 @@ class ShardedPairMatrix:
         self._vals: list[Any] = [_EMPTY_VALS] * shards
         self._on_disk = [False] * shards
         self._dirty = [False] * shards
+        # each shard's CSR (indptr, indices), kept until its keys change
+        self._structure: list[tuple[IntArray, IntArray] | None] = [None] * shards
+        # payload checksums; a keys file's is kept only while the file
+        # holds the shard's keys, so its absence means "rewrite the keys"
         self._checksums: dict[str, str] = {}
         self._superseded = False
 
@@ -201,12 +222,14 @@ class ShardedPairMatrix:
         cols)`` on the **same** user axis (sharded patching does not grow
         axes; axis growth re-derives from scratch).  Each shard the region
         touches goes through :func:`repro.matrix.pair.patch_entries`, the
-        routine :meth:`repro.matrix.UserPairMatrix.patched` runs: where
-        the shard's support held, its key array is shared and only its
-        values are copied and rewritten; otherwise its entries are merged.
-        Untouched shards are shared with the new version without any IO,
-        and every shard keeps its on-disk flag, so a rewritten shard that
-        already has a file stays on the heap until the next :meth:`flush`.
+        routine :meth:`repro.matrix.UserPairMatrix.patched` runs, with the
+        shard's cached CSR ``indices`` as its columns: where the shard's
+        support held, its key array, CSR structure and keys file are kept
+        and only its values are copied and rewritten; otherwise its entries
+        are merged and the structure and keys file are dropped.  Untouched
+        shards are shared with the new version without any IO, and every
+        shard keeps its on-disk flag, so a rewritten shard that already has
+        a file stays on the heap until the next :meth:`flush`.
 
         This matrix is left unchanged and superseded (:meth:`supersede`).
         Returns ``(patched, kept_entries, shards_patched)``.
@@ -237,7 +260,7 @@ class ShardedPairMatrix:
             self.supersede()
             out = self._successor()
             for s in range(self.num_shards):
-                keys, vals = self._keys[s], self._vals[s]
+                keys, vals = out._keys[s], out._vals[s]
                 if s not in touched_set:
                     kept_total += int(keys.shape[0])
                     continue
@@ -252,12 +275,15 @@ class ShardedPairMatrix:
                     cols=cols,
                     n_old=n,
                     n=n,
+                    columns=out.shard_csr(s).indices,  # EigenTrust cached it
                 )
                 obs.add(
                     "shard.patch.values_only" if patch.values_only else "shard.patch.merged"
                 )
                 kept_total += patch.kept
-                out._replace_shard(s, patch.keys, patch.vals)
+                # decided by the flag: ``patch.keys`` is a new object even when
+                # it views the same memory-mapped keys
+                out._replace_shard(s, patch.keys, patch.vals, same_keys=patch.values_only)
             obs.add("shard.patched_shards", len(touched_set))
         return out, kept_total, len(touched_set)
 
@@ -288,22 +314,27 @@ class ShardedPairMatrix:
         return self._shard_arrays(shard)
 
     def shard_csr(self, shard: int) -> sparse.csr_matrix:
-        """One shard as a ``rows_in_shard x U`` CSR block (local rows)."""
+        """One shard as a read-only ``rows_in_shard x U`` CSR block (local rows).
+
+        The block's values are the shard's own.  Its ``indptr`` and
+        ``indices`` are built from the shard's keys on the first call and
+        kept until the keys change (:meth:`set_shard_entries`, a patch that
+        changes the shard's support, or a new matrix); later calls, and a
+        :meth:`patch_with` version that kept the support, wrap the same
+        arrays.  Flushes, spills and re-mapping keep them: the keys stay.
+        """
         keys, vals = self._shard_arrays(shard)
         lo, hi = self.layout.row_range(shard)
-        n = self._n
-        local_rows = np.asarray(keys) // n - lo
-        indices = np.asarray(keys) % n
-        indptr = np.zeros(hi - lo + 1, dtype=np.int64)
-        if local_rows.size:
-            np.cumsum(np.bincount(local_rows, minlength=hi - lo), out=indptr[1:])
-        matrix = sparse.csr_matrix(
-            (np.asarray(vals, dtype=np.float64), indices, indptr),
-            shape=(hi - lo, n),
+        values = np.asarray(vals, dtype=np.float64)
+        structure = self._structure[shard]
+        if structure is not None:
+            indptr, indices = structure
+            return read_only_csr(values, indices, indptr, (hi - lo, self._n))
+        block = row_block_csr(
+            np.asarray(keys), values, self._n, first_row=lo, rows=hi - lo
         )
-        matrix.has_sorted_indices = True
-        matrix.has_canonical_format = True
-        return matrix
+        self._structure[shard] = (block.indptr, block.indices)
+        return block
 
     def entries_arrays(self) -> tuple[IntArray, IntArray, FloatArray]:
         """All stored entries as ``(rows, cols, values)`` position arrays.
@@ -337,21 +368,12 @@ class ShardedPairMatrix:
 
     def get(self, source_id: str, target_id: str, default: float = 0.0) -> float:
         """Stored value for the pair, or ``default`` when absent."""
-        i = self.users.position(source_id)
-        j = self.users.position(target_id)
-        key = i * self._n + j
-        shard = int(self.layout.shard_of_rows(np.asarray([i], dtype=np.int64))[0])
-        keys, vals = self._shard_arrays(shard)
-        pos = int(np.searchsorted(np.asarray(keys), key))
-        if pos < keys.shape[0] and int(keys[pos]) == key:
-            return float(vals[pos])
-        return default
+        vals, pos = self._find(source_id, target_id)
+        return default if pos is None else float(vals.item(pos))
 
     def contains(self, source_id: str, target_id: str) -> bool:
         """Whether the pair is explicitly stored (even with value 0)."""
-        sentinel = float("nan")
-        value = self.get(source_id, target_id, default=sentinel)
-        return not np.isnan(value)
+        return self._find(source_id, target_id)[1] is not None
 
     def density(self) -> float:
         """Stored pairs divided by the ``U * (U - 1)`` ordered pairs."""
@@ -389,9 +411,14 @@ class ShardedPairMatrix:
     def flush(self, *, epoch: int = 0) -> dict[str, Any]:
         """Write every dirty shard plus the manifest; returns the manifest.
 
-        Requires a store.  After a flush the matrix can be reopened with
-        :meth:`open`; in-memory shard state is dropped so subsequent
-        reads are memory-mapped.
+        Requires a store.  A dirty shard's values file is always rewritten;
+        its keys file only when the shard's keys differ from the file's,
+        i.e. after a merged patch, :meth:`set_shard_entries`, or in a new
+        matrix.  A shard whose patches all kept its support keeps its keys
+        file and its checksum untouched.  After a flush the matrix can be
+        reopened with :meth:`open`; in-memory shard state is dropped so
+        subsequent reads are memory-mapped.  The store has one writer: the
+        keys-file bookkeeping assumes no other matrix rewrites its files.
         """
         self._require_newest()
         store = self._require_store()
@@ -448,6 +475,7 @@ class ShardedPairMatrix:
                 out._keys[s] = None
                 out._vals[s] = None
                 out._on_disk[s] = True
+            # every keys file holds the keys its manifest checksum describes
             out._checksums = dict(manifest.get("checksums", {}))
         return out
 
@@ -469,7 +497,7 @@ class ShardedPairMatrix:
             )
 
     def _successor(self) -> "ShardedPairMatrix":
-        """A new version sharing every shard, on-disk flag and checksum."""
+        """A new version sharing every shard, CSR structure, flag and checksum."""
         out = ShardedPairMatrix(
             self.users, self.layout, store=self._store, spill_bytes=self._spill_bytes
         )
@@ -477,16 +505,26 @@ class ShardedPairMatrix:
         out._vals = list(self._vals)
         out._on_disk = list(self._on_disk)
         out._dirty = list(self._dirty)
+        out._structure = list(self._structure)
         out._checksums = dict(self._checksums)
         return out
 
-    def _replace_shard(self, shard: int, keys: IntArray, vals: FloatArray) -> None:
-        """Install consolidated arrays as the shard's whole content."""
+    def _replace_shard(
+        self, shard: int, keys: IntArray, vals: FloatArray, *, same_keys: bool = False
+    ) -> None:
+        """Install consolidated arrays as the shard's whole content.
+
+        ``same_keys`` says ``keys`` equal the shard's current keys, so its
+        CSR structure and keys file stay valid; otherwise both are dropped.
+        """
         keys.setflags(write=False)
         vals.setflags(write=False)
         self._keys[shard] = keys
         self._vals[shard] = vals
         self._dirty[shard] = True
+        if not same_keys:
+            self._checksums.pop(_shard_files(shard)[0], None)
+            self._structure[shard] = None
         self._maybe_spill(shard)
 
     def _estimated_bytes(self, shard: int) -> int:
@@ -502,18 +540,37 @@ class ShardedPairMatrix:
             self._flush_shard(shard)
 
     def _flush_shard(self, shard: int) -> None:
-        """Write a shard held on the heap to its files and drop the heap copy."""
+        """Write a shard held on the heap to its files and drop the heap copy.
+
+        The keys file is written only when it does not already hold the
+        shard's keys (it has no checksum); an unwritten file keeps its
+        checksum.
+        """
         store = self._require_store()
         keys_name, vals_name = _shard_files(shard)
-        store.write_array(keys_name, np.asarray(self._keys[shard]))
+        if keys_name not in self._checksums:
+            store.write_array(keys_name, np.asarray(self._keys[shard]))
+            self._checksums[keys_name] = store.checksum(keys_name)
         store.write_array(vals_name, np.asarray(self._vals[shard], dtype=np.float64))
-        self._checksums[keys_name] = store.checksum(keys_name)
         self._checksums[vals_name] = store.checksum(vals_name)
         self._on_disk[shard] = True
         self._dirty[shard] = False
         # drop the heap copy: the next read memory-maps the files
         self._keys[shard] = None
         self._vals[shard] = None
+
+    def _find(self, source_id: str, target_id: str) -> tuple[FloatArray, int | None]:
+        """The pair's shard values and its position in them (``None``: absent)."""
+        i = self.users.position(source_id)
+        key = i * self._n + self.users.position(target_id)
+        keys, vals = self._shard_arrays(self.layout.shard_of_row(i))
+        # the method forms skip np.searchsorted's dispatch layer and the
+        # memmap subclass's wrapping of an indexed scalar, which together
+        # cost more than the search itself on a point read
+        pos = int(keys.searchsorted(key))
+        if pos < keys.shape[0] and keys.item(pos) == key:
+            return vals, pos
+        return vals, None
 
     def _shard_arrays(self, shard: int) -> tuple[IntArray, FloatArray]:
         self.layout._require_shard(shard)

@@ -1,10 +1,15 @@
 """Tests for the ``repro shard`` CLI subcommand."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.cli import main
 from repro.datasets import (
     generate_community,
@@ -61,6 +66,7 @@ class TestBuild:
         assert main([*argv, "--trace", str(trace)]) == 0
         spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
         assert [span["name"] for span in spans] == [
+            "cli.import",
             "cli.load",
             "step1.fit",
             "derive.trust",
@@ -78,6 +84,34 @@ class TestBuild:
         assert main(argv) == 0
         manifest = json.loads((store_dir / "artifacts.json").read_text(encoding="utf-8"))
         assert manifest["epoch"] == load_epinions_community(str(data)).version
+
+
+class TestImportSpan:
+    def test_first_imports_are_spanned_in_a_fresh_interpreter(self, tmp_path):
+        # the first import of the engine (and scipy) runs under cli.import
+        code = (
+            "import json, sys\n"
+            "import repro.cli\n"
+            "assert 'repro.engine' not in sys.modules\n"
+            "status = repro.cli.main(sys.argv[1:])\n"
+            "print(json.dumps(status))\n"
+        )
+        trace = tmp_path / "trace.json"
+        argv = ["shard", "build", "--store", str(tmp_path / "a"), "--users", "40"]
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-c", code, *argv, "--trace", str(trace)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
+        names = [span["name"] for span in spans]
+        assert names[:2] == ["cli.import", "cli.load"]
+        # importing the engine and scipy dwarfs the rest of the build's set-up
+        assert spans[0]["duration_s"] > 0.01
 
 
 class TestInspect:

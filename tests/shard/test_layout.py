@@ -76,6 +76,12 @@ class TestQueries:
         shards = layout.shard_of_rows(np.asarray([4, 5], dtype=np.int64))
         assert shards.tolist() == [0, 1]
 
+    @pytest.mark.parametrize("bounds", [(0, 8), (0, 3, 5, 8), (0, 0, 4, 4, 8, 8)])
+    def test_shard_of_row_matches_the_vectorised_lookup(self, bounds):
+        layout = ShardLayout(n_rows=8, bounds=bounds)
+        expected = layout.shard_of_rows(np.arange(8, dtype=np.int64)).tolist()
+        assert [layout.shard_of_row(row) for row in range(8)] == expected
+
     def test_shards_for_rows_unique_sorted(self):
         layout = ShardLayout(n_rows=10, bounds=(0, 3, 7, 10))
         touched = layout.shards_for_rows(np.asarray([9, 0, 1, 8], dtype=np.int64))

@@ -287,3 +287,189 @@ class TestPatchWith:
             sharded.patch_with(
                 region, rows=np.asarray([99]), cols=np.empty(0, dtype=np.int64)
             )
+
+
+def _same_memory(a, b):
+    return a.shape == b.shape and np.shares_memory(a, b)
+
+
+class TestCsrStructure:
+    """Each shard keeps its CSR structure and keys file until its keys change."""
+
+    def _patch(self, sharded, users, *, keep_support):
+        """Patch row 2 and column 5 of ``sharded``; returns (patched, expected)."""
+        n = len(users)
+        flat = sharded.to_pair_matrix()
+        dense = np.full((n, n), np.nan)
+        rows_idx, cols_idx, vals = flat.entries_arrays()
+        dense[rows_idx, cols_idx] = vals
+        rows, cols = np.asarray([2]), np.asarray([5])
+        in_region = np.zeros((n, n), dtype=bool)
+        in_region[rows, :] = True
+        in_region[:, cols] = True
+        new = np.where(in_region, dense * 0.5 + 0.25, dense)
+        if not keep_support:
+            new[2, 2] = np.nan if not np.isnan(dense[2, 2]) else 0.75
+        r, c = np.nonzero(in_region & ~np.isnan(new))
+        region = UserPairMatrix.from_arrays(users, r, c, new[r, c])
+        expected, _ = flat.patched(users, region, rows=rows, cols=cols)
+        patched, _, _ = sharded.patch_with(region, rows=rows, cols=cols)
+        return patched, expected
+
+    @pytest.mark.parametrize("spill_bytes", [None, ENTRY_BYTES])
+    def test_values_only_patch_keeps_the_structure(self, users, tmp_path, spill_bytes):
+        flat, _ = random_pair(users, density=0.6)
+        sharded = ShardedPairMatrix.from_pair_matrix(
+            flat, num_shards=3, store=ShardStore(tmp_path / "s"), spill_bytes=spill_bytes
+        )
+        before = [sharded.shard_csr(s) for s in range(sharded.num_shards)]
+        patched, expected = self._patch(sharded, users, keep_support=True)
+        assert patched == expected
+        for s, base in enumerate(before):
+            block = patched.shard_csr(s)
+            for name in ("indices", "indptr"):
+                array = getattr(block, name)
+                assert array.dtype == np.int32
+                assert not array.flags.writeable
+                assert _same_memory(array, getattr(base, name))
+            assert not block.data.flags.writeable
+            np.testing.assert_array_equal(block.data, patched.shard_entries(s)[1])
+
+    def test_support_change_rebuilds_the_changed_shard(self, users):
+        flat, sharded = random_pair(users, density=0.6)
+        layout = sharded.layout
+        before = [sharded.shard_csr(s) for s in range(sharded.num_shards)]
+        patched, expected = self._patch(sharded, users, keep_support=False)
+        assert patched == expected
+        changed = layout.shard_of_row(2)
+        n = len(users)
+        for s, base in enumerate(before):
+            block = patched.shard_csr(s)
+            lo, hi = layout.row_range(s)
+            keys, vals = patched.shard_entries(s)
+            keys = np.asarray(keys)
+            rebuilt = UserPairMatrix.from_flat_sorted(users, keys, vals).csr()[lo:hi]
+            np.testing.assert_array_equal(block.indptr, rebuilt.indptr)
+            np.testing.assert_array_equal(block.indices, rebuilt.indices)
+            np.testing.assert_array_equal(block.data, rebuilt.data)
+            assert _same_memory(block.indices, base.indices) == (s != changed)
+            assert block.shape == (hi - lo, n)
+
+    def test_structure_survives_flush_and_reopen_starts_without(self, users, tmp_path):
+        flat, _ = random_pair(users, density=0.6)
+        store = ShardStore(tmp_path / "s")
+        sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3, store=store)
+        before = sharded.shard_csr(1)
+        sharded.flush()
+        after = sharded.shard_csr(1)
+        assert isinstance(sharded.shard_entries(1)[0], np.memmap)
+        assert _same_memory(after.indices, before.indices)
+        assert _same_memory(after.indptr, before.indptr)
+        reopened = ShardedPairMatrix.open(store).shard_csr(1)
+        assert not np.shares_memory(reopened.indices, before.indices)
+        np.testing.assert_array_equal(reopened.indices, before.indices)
+
+    def _flush_counters(self, matrix, epoch):
+        recorder = Recorder()
+        with obs.use_recorder(recorder):
+            matrix.flush(epoch=epoch)
+        return recorder.counters
+
+    @pytest.mark.parametrize("spill_bytes", [None, ENTRY_BYTES])
+    def test_a_values_only_checkpoint_writes_only_values(
+        self, users, tmp_path, spill_bytes
+    ):
+        flat, _ = random_pair(users, density=0.6)
+        store = ShardStore(tmp_path / "s")
+        sharded = ShardedPairMatrix.from_pair_matrix(
+            flat, num_shards=3, store=store, spill_bytes=spill_bytes
+        )
+        first = self._flush_counters(sharded, 0)
+        assert first.get("shard.write.files", 0) == (
+            0 if spill_bytes else 2 * sharded.num_shards
+        )
+        keys_files = {
+            name: store.path(name).stat().st_ino
+            for name in (f"shard_{s:05d}.keys.npy" for s in range(3))
+        }
+
+        patched, expected = self._patch(sharded, users, keep_support=True)
+        patched, expected = self._patch(patched, users, keep_support=True)
+        counters = self._flush_counters(patched, 1)
+        # column 5 crosses every shard: one values file each
+        assert counters["shard.write.files"] == patched.num_shards
+        for name, inode in keys_files.items():
+            assert store.path(name).stat().st_ino == inode
+        assert store.verify() == []
+        reopened = ShardedPairMatrix.open(store)
+        assert reopened.support_keys().tobytes() == expected.support_keys().tobytes()
+        assert reopened.values().tobytes() == expected.values().tobytes()
+
+        merged, expected = self._patch(reopened, users, keep_support=False)
+        counters = self._flush_counters(merged, 2)
+        # the changed shard writes both files, the others their values
+        assert counters["shard.write.files"] == merged.num_shards + 1
+        assert store.verify() == []
+        reopened = ShardedPairMatrix.open(store)
+        assert reopened.support_keys().tobytes() == expected.support_keys().tobytes()
+        assert reopened.values().tobytes() == expected.values().tobytes()
+        assert self._flush_counters(reopened, 3).get("shard.write.files", 0) == 0
+
+    def test_set_shard_entries_drops_the_structure_and_keys_file(self, users, tmp_path):
+        flat, _ = random_pair(users, density=0.6)
+        store = ShardStore(tmp_path / "s")
+        sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3, store=store)
+        sharded.flush()
+        before = sharded.shard_csr(0)
+        n = len(users)
+        sharded.set_shard_entries(0, np.asarray([1, n + 2], dtype=np.int64), np.ones(2))
+        block = sharded.shard_csr(0)
+        assert not np.shares_memory(block.indices, before.indices)
+        np.testing.assert_array_equal(block.indices, [1, 2])
+        assert self._flush_counters(sharded, 1)["shard.write.files"] == 2
+        assert store.verify() == []
+        assert ShardedPairMatrix.open(store) == sharded
+
+
+class TestPointReads:
+    """``get`` and ``contains`` agree with the in-memory matrix everywhere."""
+
+    def _check(self, sharded, flat, pairs):
+        for source, target in pairs:
+            assert sharded.contains(source, target) == flat.contains(source, target)
+            assert sharded.get(source, target) == flat.get(source, target)
+            assert sharded.get(source, target, default=-1.0) == flat.get(
+                source, target, default=-1.0
+            )
+
+    def _pairs(self, matrix, layout, seed=0):
+        labels = matrix.users.labels
+        n = len(labels)
+        rng = np.random.default_rng(seed)
+        pairs = [(labels[i], labels[j]) for i, j in rng.integers(0, n, (60, 2))]
+        rows, cols, _ = matrix.entries_arrays()
+        pairs += [(labels[i], labels[j]) for i, j in zip(rows.tolist(), cols.tolist())]
+        for _, lo, hi in layout:
+            for row in {lo, hi - 1} if hi > lo else ():
+                pairs += [(labels[row], labels[j]) for j in range(n)]
+        return pairs
+
+    @pytest.mark.parametrize("bounds", [(0, 8), (0, 3, 5, 8), (0, 0, 4, 4, 8, 8)])
+    def test_matches_in_memory(self, users, tmp_path, bounds):
+        flat, _ = random_pair(users, seed=5, density=0.35)
+        layout = ShardLayout(n_rows=len(users), bounds=bounds)
+        store = ShardStore(tmp_path / "s")
+        sharded = ShardedPairMatrix.from_pair_matrix(flat, layout, store=store)
+        pairs = self._pairs(flat, layout)
+        self._check(sharded, flat, pairs)
+        sharded.flush()
+        self._check(sharded, flat, pairs)  # memory-mapped now
+        self._check(ShardedPairMatrix.open(store), flat, pairs)
+
+    def test_explicit_zero_is_contained(self, users):
+        flat = UserPairMatrix.from_arrays(users, [0, 7], [1, 6], [0.0, 0.5])
+        sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3)
+        assert sharded.contains("u0", "u1")
+        assert sharded.get("u0", "u1", default=9.0) == 0.0
+        assert not sharded.contains("u1", "u0")
+        assert sharded.get("u7", "u6") == 0.5

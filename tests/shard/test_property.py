@@ -4,7 +4,10 @@ Random communities (affiliation/expertise pairs), random shard layouts
 and random spill budgets -- ``derive_sharded`` must equal ``derive``
 entry for entry, eigentrust over the sharded matrix must reproduce the
 dense scores and iteration count exactly, and ``from_pair_matrix`` must
-hold exactly the source matrix's entries.
+hold exactly the source matrix's entries.  Random interleavings of
+patches, flushes, re-derives and reopens must keep every version's
+eigentrust bitwise the dense one, whatever CSR structure and keys files
+the versions share.
 """
 
 import numpy as np
@@ -154,3 +157,86 @@ class TestFromPairMatrix:
         assert reopened.layout == layout
         assert reopened.support_keys().tobytes() == matrix.support_keys().tobytes()
         assert reopened.values().tobytes() == matrix.values().tobytes()
+
+
+#: One step of a sharded matrix's life (see ``TestVersionHistory``).
+_STEPS = ("values", "support", "flush", "supersede", "reopen")
+
+
+class TestVersionHistory:
+    @given(
+        st.integers(2, 10),
+        st.data(),
+        st.sampled_from([None, ENTRY_BYTES, 400]),
+        st.lists(st.tuples(st.sampled_from(_STEPS), st.integers(0, 2**31)), max_size=8),
+        st.integers(0, 2**31),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_eigentrust_stays_bitwise_dense_after_every_step(
+        self, tmp_path_factory, n, data, spill, steps, seed
+    ):
+        # repeated cuts give row-less shards
+        cuts = data.draw(st.lists(st.integers(0, n), max_size=3).map(sorted), label="cuts")
+        layout = ShardLayout(n_rows=n, bounds=(0, *cuts, n))
+        users = [f"u{i}" for i in range(n)]
+        rng = np.random.default_rng(seed)
+        stored = rng.random((n, n)) < 0.5
+        dense = np.where(stored, rng.random((n, n)), np.nan)
+        store = ShardStore(tmp_path_factory.mktemp("history") / "s")
+
+        def as_flat(values):
+            rows, cols = np.nonzero(~np.isnan(values))
+            return UserPairMatrix.from_arrays(users, rows, cols, values[rows, cols])
+
+        sharded = ShardedPairMatrix.from_pair_matrix(
+            as_flat(dense), layout, store=store, spill_bytes=spill
+        )
+        history = [(sharded, dense)]
+        for step, step_seed in steps:
+            step_rng = np.random.default_rng(step_seed)
+            if step in ("values", "support"):
+                rows = np.unique(step_rng.integers(0, n, step_rng.integers(1, 3)))
+                cols = np.unique(step_rng.integers(0, n, step_rng.integers(0, 2)))
+                in_region = np.zeros((n, n), dtype=bool)
+                in_region[rows, :] = True
+                in_region[:, cols] = True
+                new = np.where(in_region, step_rng.random((n, n)), dense)
+                new[in_region & np.isnan(dense)] = np.nan
+                if step == "support":
+                    i, j = step_rng.integers(0, n, 2)
+                    in_region[i, :] = True
+                    rows = np.union1d(rows, [i])
+                    new[i, j] = np.nan if not np.isnan(dense[i, j]) else 0.5
+                r, c = np.nonzero(in_region & ~np.isnan(new))
+                region = UserPairMatrix.from_arrays(users, r, c, new[r, c])
+                sharded, _, _ = sharded.patch_with(region, rows=rows, cols=cols)
+                dense = new
+            elif step == "flush":
+                sharded.flush(epoch=len(history))
+                assert store.verify() == []
+            elif step == "supersede":
+                # a full re-derive into the same store
+                sharded.supersede()
+                sharded = ShardedPairMatrix.from_pair_matrix(
+                    as_flat(dense), layout, store=store, spill_bytes=spill
+                )
+            else:  # reopen a checkpoint
+                sharded.flush(epoch=len(history))
+                sharded.supersede()
+                sharded = ShardedPairMatrix.open(store)
+            history.append((sharded, dense))
+
+            flat = as_flat(dense)
+            assert sharded == flat
+            reference = eigen_trust(flat)
+            streamed = eigen_trust(sharded)
+            assert streamed.scores_array().tobytes() == reference.scores_array().tobytes()
+            assert streamed.iterations == reference.iterations
+            assert streamed.residual == reference.residual
+
+        sharded.flush(epoch=len(history))
+        assert store.verify() == []
+        assert ShardedPairMatrix.open(store) == as_flat(dense)
+        # a version once handed out never changes
+        for version, values in history:
+            assert version == as_flat(values)

@@ -51,6 +51,88 @@ class TestParser:
             build_parser().parse_args(["generate"])
 
 
+def _parse_outcome(parse, argv):
+    """``(exit code, stdout, stderr)`` of parsing ``argv`` with ``parse``."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdout", out), mock.patch.object(sys, "stderr", err):
+        with pytest.raises(SystemExit) as excinfo:
+            parse(argv)
+    return excinfo.value.code, out.getvalue(), err.getvalue()
+
+
+def _parser_cases():
+    """Argument lists that parsing ends: help, and every kind of error."""
+    cases = [[], ["-h"], ["--help"], ["bogus"], ["--bogus"], ["shard"], ["shard", "bogus"]]
+    for command in cli._COMMANDS:
+        cases += [[command, "-h"], [command, "--bogus"], [command, "--users", "many"]]
+    for command in ("generate", "derive", "report"):
+        cases += [[command], [command, "--out", "x", "--bogus"], [command, "--out"]]
+    for action in ("build", "inspect", "verify"):
+        cases += [
+            ["shard", action, "-h"],
+            ["shard", action],
+            ["shard", action, "--store", "x", "--bogus"],
+        ]
+    cases += [
+        ["derive", "--out", "x", "--min-trust", "nan"],
+        ["derive", "--out", "x", "--min-trust", "many"],
+        ["generate", "--out", "x", "extra"],
+        ["stats", "--dir"],
+    ]
+    return cases
+
+
+class TestParserPerCommand:
+    """``main`` registers only the subcommand its argv names, with the same
+    help, errors and exit codes as the full parser."""
+
+    @pytest.mark.parametrize("argv", _parser_cases(), ids=" ".join)
+    def test_main_parses_like_the_full_parser(self, argv):
+        expected = _parse_outcome(lambda a: build_parser().parse_args(a), argv)
+        assert _parse_outcome(main, argv) == expected
+        assert expected[0] in (0, 2)
+
+    @pytest.mark.parametrize(
+        "argv, registered",
+        [
+            (["derive", "--bogus"], ["derive"]),
+            (["shard", "build", "-h"], ["shard"]),
+            (["table4", "--users", "x"], ["table4"]),
+            (["bogus"], list(cli._COMMANDS)),
+            (["-h"], list(cli._COMMANDS)),
+            ([], list(cli._COMMANDS)),
+        ],
+    )
+    def test_registers_only_the_named_command(self, argv, registered):
+        names = []
+        add_command = cli._add_command
+
+        def recording(sub, name):
+            names.append(name)
+            add_command(sub, name)
+
+        with mock.patch.object(cli, "_add_command", recording):
+            _parse_outcome(main, argv)
+        assert names == registered
+
+    def test_reads_sys_argv_when_given_none(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["repro-trust", "derive", "--bogus"])
+        expected = _parse_outcome(
+            lambda a: build_parser().parse_args(a), ["derive", "--bogus"]
+        )
+        assert _parse_outcome(lambda a: main(), None) == expected
+
+    def test_rejects_an_unknown_command_name(self):
+        with pytest.raises(ValueError, match="unknown command"):
+            build_parser("bogus")
+
+    def test_full_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["-h"])
+        out = capsys.readouterr().out
+        assert "{" + ",".join(cli._COMMANDS) + "}" in out
+
+
 class TestCommands:
     def test_stats_synthetic(self, capsys):
         assert main(["stats", *ARGS]) == 0
@@ -95,8 +177,9 @@ class TestCommands:
         argv = ["update", *ARGS, "--stream", "6", "--batch", "3", "--trace", str(trace)]
         assert main([*argv, "--skip-verify"] if skip_verify else argv) == 0
         spans = json.loads(trace.read_text(encoding="utf-8"))["spans"]
-        # the load, the stream split, the cold update and one per batch
-        expected = ["cli.load", "community.build", *["engine.update"] * 3]
+        # the engine's import, the load, the stream split, the cold update
+        # and one per batch
+        expected = ["cli.import", "cli.load", "community.build", *["engine.update"] * 3]
         assert [span["name"] for span in spans] == (
             expected if skip_verify else [*expected, "cli.verify"]
         )
