@@ -146,6 +146,13 @@ class Community:
     which check the primary keys, the one-review-per-(writer, object) rule,
     no self-rating and every reference against integer key sets before
     anything is appended.
+
+    The point reads by key (:meth:`object_ids` and :meth:`num_reviews` of
+    a category, :meth:`reviews_in_category`, :meth:`ratings_of_review`,
+    :meth:`reviews_by_writer`, :meth:`ratings_by_rater`) read lists of
+    record positions grouped per key.  A community built whole builds them
+    from its record columns on the first such read; an empty one starts
+    with them, and ``add_*`` appends to them once they are built.
     """
 
     def __init__(self, name: str = "community") -> None:
@@ -186,7 +193,9 @@ class Community:
         self._rated: set[int] = set()
         self._trusted: set[int] = set()
 
-        # record positions grouped for the point reads below
+        # record positions grouped for the point reads below; a community
+        # built whole groups them on the first read (_group)
+        self._grouped = True
         self._category_objects: list[list[int]] = []
         self._category_reviews: list[list[int]] = []
         self._category_num_ratings: list[int] = []
@@ -237,8 +246,9 @@ class Community:
         self._user_pos[user.user_id] = len(self._user_ids)
         self._user_ids.append(user.user_id)
         self._user_names.append(user.name)
-        self._user_reviews.append([])
-        self._user_ratings.append([])
+        if self._grouped:
+            self._user_reviews.append([])
+            self._user_ratings.append([])
         self._record("user", user_id=user.user_id)
         return user
 
@@ -253,9 +263,10 @@ class Community:
         self._category_pos[category.category_id] = len(self._category_ids)
         self._category_ids.append(category.category_id)
         self._category_names.append(category.name)
-        self._category_objects.append([])
-        self._category_reviews.append([])
         self._category_num_ratings.append(0)
+        if self._grouped:
+            self._category_objects.append([])
+            self._category_reviews.append([])
         self._record("category", category_id=category.category_id)
         return category
 
@@ -273,7 +284,8 @@ class Community:
         self._object_ids.append(obj.object_id)
         self._object_titles.append(obj.title)
         self._object_category.append(category)
-        self._category_objects[category].append(position)
+        if self._grouped:
+            self._category_objects[category].append(position)
         self._record("object", category_id=obj.category_id, target_id=obj.object_id)
         return obj
 
@@ -308,9 +320,10 @@ class Community:
         self._review_object.append(obj)
         self._review_category.append(category)
         self._reviewed.add(key)
-        self._user_reviews[writer].append(position)
-        self._category_reviews[category].append(position)
-        self._review_ratings.append([])
+        if self._grouped:
+            self._user_reviews[writer].append(position)
+            self._category_reviews[category].append(position)
+            self._review_ratings.append([])
         self._record(
             "review",
             user_id=review.writer_id,
@@ -346,9 +359,10 @@ class Community:
         self._rating_review.append(review)
         self._rating_value.append(rating.value)
         self._rated.add(key)
-        self._user_ratings[rater].append(position)
-        self._review_ratings[review].append(position)
         self._category_num_ratings[category] += 1
+        if self._grouped:
+            self._user_ratings[rater].append(position)
+            self._review_ratings[review].append(position)
         self._record(
             "rating",
             user_id=rating.rater_id,
@@ -469,6 +483,7 @@ class Community:
         category = self._category_pos.get(category_id)
         if category is None:
             return []
+        self._group()
         ids = self._object_ids
         return [ids[o] for o in self._category_objects[category]]
 
@@ -489,7 +504,10 @@ class Community:
         if category_id is None:
             return len(self._review_ids)
         category = self._category_pos.get(category_id)
-        return 0 if category is None else len(self._category_reviews[category])
+        if category is None:
+            return 0
+        self._group()
+        return len(self._category_reviews[category])
 
     def num_ratings(self, category_id: str | None = None) -> int:
         """Number of review ratings (optionally within one category)."""
@@ -501,6 +519,7 @@ class Community:
     def reviews_in_category(self, category_id: str) -> list[Review]:
         """All reviews written in ``category_id``."""
         self._require_category(category_id)
+        self._group()
         return [
             self._review_record(r)
             for r in self._category_reviews[self._category_pos[category_id]]
@@ -521,6 +540,7 @@ class Community:
         review = self._review_pos.get(review_id)
         if review is None:
             return []
+        self._group()
         users, raters, values = self._user_ids, self._rating_rater, self._rating_value
         return [(users[raters[k]], values[k]) for k in self._review_ratings[review]]
 
@@ -529,6 +549,7 @@ class Community:
         writer = self._user_pos.get(writer_id)
         if writer is None:
             return []
+        self._group()
         ids, reviews = self._review_ids, self._user_reviews[writer]
         if category_id is None:
             return [ids[r] for r in reviews]
@@ -543,6 +564,7 @@ class Community:
         rater = self._user_pos.get(rater_id)
         if rater is None:
             return []
+        self._group()
         ids, reviews, values = self._review_ids, self._rating_review, self._rating_value
         ratings = self._user_ratings[rater]
         if category_id is None:
@@ -852,16 +874,23 @@ class Community:
         self._trust_truster = _int_column(truster)
         self._trust_trustee = _int_column(trustee)
         self._reviewed, self._rated, self._trusted = reviewed, rated, trusted
-        self._category_objects = _groups(object_category, num_categories)
-        self._category_reviews = _groups(review_category, num_categories)
         self._category_num_ratings = np.bincount(
             review_category[review], minlength=num_categories
         ).tolist()
-        self._user_reviews = _groups(writer, num_users)
-        self._user_ratings = _groups(rater, num_users)
-        self._review_ratings = _groups(review, num_reviews)
+        self._grouped = False
         self._version = sum(columns.counts().values())
         self._log = ChangeLog(self._version)
+
+    def _group(self) -> None:
+        """Build the position lists from the record columns, unless built."""
+        if not self._grouped:
+            num_users, num_categories = len(self._user_ids), len(self._category_ids)
+            self._category_objects = _groups(self._object_category, num_categories)
+            self._category_reviews = _groups(self._review_category, num_categories)
+            self._user_reviews = _groups(self._review_writer, num_users)
+            self._user_ratings = _groups(self._rating_rater, num_users)
+            self._review_ratings = _groups(self._rating_review, len(self._review_ids))
+            self._grouped = True
 
     def _require_category(self, category_id: str) -> None:
         if category_id not in self._category_pos:
@@ -1001,8 +1030,9 @@ def _int_column(values: IntArray) -> array[int]:
     return column
 
 
-def _groups(keys: IntArray, size: int) -> list[list[int]]:
-    """The positions of each key ``0 .. size - 1`` in ``keys``, ascending."""
+def _groups(column: array[int], size: int) -> list[list[int]]:
+    """The positions of each key ``0 .. size - 1`` in ``column``, ascending."""
+    keys = np.array(column, dtype=np.int64)
     order = np.argsort(keys, kind="stable").tolist()
     ends = np.cumsum(np.bincount(keys, minlength=size)).tolist()
     return [order[start:end] for start, end in zip([0, *ends[:-1]], ends)]

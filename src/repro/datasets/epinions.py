@@ -24,11 +24,20 @@ naming its file and line.  Lines malformed on their own are found while
 the files are read, in file order (content, rating, trust); the rules
 between records after that, content first.  The first one found raises.
 
-:func:`load_epinions_community` reads each file whole, applies the skip
-rules as array masks and builds the :class:`repro.community.Community`
+Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``.  Lines and fields
+are stripped of whitespace (what ``str.strip`` removes); a line left blank
+or starting with ``#`` is skipped, and every other line is a row.
+
+:func:`load_epinions_community` splits each file once: one ``|`` split of
+its rows joined by ``|`` cuts every field, a numpy count of the separator
+bytes gives each row's field count, and a column is a slice of the fields
+when every row has the same width.  It strips and looks for comments only
+when the text holds something they would remove.  It then applies the
+skip rules as array masks and builds the :class:`repro.community.Community`
 whole (:meth:`~repro.community.Community.from_columns`);
 :func:`write_epinions_files` serialises a community back, enabling
-round-trips and fixture creation.
+round-trips and fixture creation, and refuses an id the files cannot
+carry.
 """
 
 from __future__ import annotations
@@ -41,7 +50,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from repro import obs
-from repro.common.arrays import FloatArray, first_true, lookup, repeats
+from repro.common.arrays import FloatArray, IntArray, first_true, lookup, repeats
 from repro.common.errors import DatasetError
 from repro.community import HELPFULNESS_SCALE, Community, RecordColumns
 
@@ -56,7 +65,6 @@ def load_epinions_community(
     content_file: str = "mc.txt",
     rating_file: str = "rating.txt",
     trust_file: str = "user_rating.txt",
-    separator: str = "|",
     skip_unknown_reviews: bool = True,
     skip_self_ratings: bool = True,
 ) -> Community:
@@ -96,9 +104,9 @@ def load_epinions_community(
         raise DatasetError(f"rating file not found: {rating_path}")
 
     with obs.span("datasets.parse"):
-        content = _parse_content(content_path, separator)
-        ratings = _parse_ratings(rating_path, separator)
-        trust = _parse_trust(trust_path, separator) if os.path.exists(trust_path) else None
+        content = _parse_content(content_path)
+        ratings = _parse_ratings(rating_path)
+        trust = _parse_trust(trust_path) if os.path.exists(trust_path) else None
 
     sources, targets = (trust.sources, trust.targets) if trust else ([], [])
     users = sorted({*content.authors, *ratings.members, *sources, *targets})
@@ -178,46 +186,101 @@ def write_epinions_files(
     content_file: str = "mc.txt",
     rating_file: str = "rating.txt",
     trust_file: str = "user_rating.txt",
-    separator: str = "|",
 ) -> None:
     """Serialise ``community`` into extended-Epinions-format files.
 
-    Raises :class:`DatasetError` for a rating value not within 1e-9 of a
-    helpfulness stage.
+    Raises :class:`DatasetError`, before opening any file, for a record
+    whose id the files cannot carry: an id holding ``|``, ``\\n`` or
+    ``\\r`` breaks its line, one with leading or trailing whitespace
+    loads back stripped, and a review or truster id starting with ``#``
+    starts a line the loader reads as a comment.  Raises it too for a
+    rating value not within 1e-9 of a helpfulness stage.
     """
-    os.makedirs(directory, exist_ok=True)
-    with open(os.path.join(directory, content_file), "w", encoding="utf-8") as f:
-        for review in community.iter_reviews():
-            category = community.review_category(review.review_id)
-            f.write(
-                separator.join(
-                    (review.review_id, review.writer_id, review.object_id, category)
-                )
-                + "\n"
-            )
+    trust = community.trust_edges()
+    _check_ids(community, trust)
     raters, reviews, values = community.encoded_ratings()
     stages = np.abs(values[:, None] - np.asarray(HELPFULNESS_SCALE)) < 1e-9
     bad = first_true(~stages.any(axis=1))
     if bad is not None:
         raise DatasetError(f"value {float(values[bad])!r} is not on the helpfulness scale")
     users, review_ids = community.user_ids(), community.encoded_reviews()[0]
+    os.makedirs(directory, exist_ok=True)
+    with open(os.path.join(directory, content_file), "w", encoding="utf-8") as f:
+        for review in community.iter_reviews():
+            category = community.review_category(review.review_id)
+            f.write(
+                "|".join(
+                    (review.review_id, review.writer_id, review.object_id, category)
+                )
+                + "\n"
+            )
     with open(os.path.join(directory, rating_file), "w", encoding="utf-8") as f:
         f.writelines(
-            f"{review_ids[j]}{separator}{users[i]}{separator}{stars}\n"
+            f"{review_ids[j]}|{users[i]}|{stars}\n"
             for i, j, stars in zip(
                 raters.tolist(), reviews.tolist(), (stages.argmax(axis=1) + 1).tolist()
             )
         )
     with open(os.path.join(directory, trust_file), "w", encoding="utf-8") as f:
-        for source, target in community.trust_edges():
-            f.write(separator.join((source, target, "1")) + "\n")
+        for source, target in trust:
+            f.write("|".join((source, target, "1")) + "\n")
+
+
+def _check_ids(community: Community, trust: list[tuple[str, str]]) -> None:
+    """Raise :class:`DatasetError` for the first record whose id the files
+    cannot carry; ``trust`` is the community's trust edges."""
+    review_ids = community.encoded_reviews()[0]
+    kinds = (
+        ("user", community.user_ids()),
+        ("category", community.category_ids()),
+        ("object", community.object_ids()),
+        ("review", review_ids),
+    )
+    for kind, ids in kinds:
+        for record_id in ids:
+            if "|" in record_id or "\n" in record_id or "\r" in record_id:
+                raise DatasetError(
+                    f"{kind} {record_id!r}: an id holding '|', '\\n' or '\\r' "
+                    f"cannot be written"
+                )
+            if record_id.strip() != record_id:
+                raise DatasetError(
+                    f"{kind} {record_id!r}: an id with leading or trailing whitespace "
+                    f"cannot be written"
+                )
+    for review_id in review_ids:
+        if review_id.startswith("#"):
+            raise DatasetError(
+                f"review {review_id!r}: an id starting with '#' would start a comment line"
+            )
+    for truster, trustee in trust:
+        if truster.startswith("#"):
+            raise DatasetError(
+                f"trust statement {(truster, trustee)!r}: a truster id starting with '#' "
+                f"would start a comment line"
+            )
 
 
 # ------------------------------------------------------------------- parsing
 
+#: What ``str.strip`` removes from ASCII text, but the line end ``"\n"``.
+_ASCII_BLANKS = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+
+#: Every byte but the separator and the line end, for ``bytes.translate``.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b"|\n")
+
+
+class _Rows(NamedTuple):
+    """A file's rows: its stripped lines that are neither blank nor comments."""
+
+    text: str  # the file's text, for line numbers
+    widths: IntArray  # the fields on each row
+    short: int | None  # the first row with fewer fields than the file needs
+    columns: list[list[str]]  # the leading fields of the rows before ``short``
+
 
 class _Content(NamedTuple):
-    text: list[str]
+    text: str
     reviews: list[str]
     authors: list[str]
     subjects: list[str]
@@ -225,7 +288,7 @@ class _Content(NamedTuple):
 
 
 class _Ratings(NamedTuple):
-    text: list[str]
+    text: str
     reviews: list[str]
     members: list[str]
     values: FloatArray
@@ -236,10 +299,9 @@ class _Trust(NamedTuple):
     targets: list[str]
 
 
-def _parse_content(path: str, separator: str) -> _Content:
-    text, rows = _read_rows(path, separator)
-    short = _first_short(rows, 3)
-    reviews, authors, subjects, categories = _columns(rows[:short], 4, _DEFAULT_CATEGORY)
+def _parse_content(path: str) -> _Content:
+    text, widths, short, columns = _read_rows(path, 3, 4, _DEFAULT_CATEGORY)
+    reviews, authors, subjects, categories = columns
     # a subject belongs to the category of its first line
     first_line = dict(zip(reversed(subjects), range(len(subjects) - 1, -1, -1)))
     known = list(map(first_line.__getitem__, subjects))
@@ -249,7 +311,7 @@ def _parse_content(path: str, separator: str) -> _Content:
     _raise_first(
         path,
         text,
-        (short, lambda i: f"expected 3 or 4 fields, got {len(rows[i])}"),
+        (short, lambda i: f"expected 3 or 4 fields, got {widths[i]}"),
         (_first_empty(reviews), lambda i: "empty review id"),
         (_first_empty(authors), lambda i: "empty author id"),
         (_first_empty(subjects), lambda i: "empty subject id"),
@@ -263,15 +325,14 @@ def _parse_content(path: str, separator: str) -> _Content:
     return _Content(text, reviews, authors, subjects, categories)
 
 
-def _parse_ratings(path: str, separator: str) -> _Ratings:
-    text, rows = _read_rows(path, separator)
-    short = _first_short(rows, 3)
-    reviews, members, raw = _columns(rows[:short], 3)
+def _parse_ratings(path: str) -> _Ratings:
+    text, widths, short, columns = _read_rows(path, 3, 3)
+    reviews, members, raw = columns
     problems = {stars: _stars_problem(stars) for stars in set(raw)}
     _raise_first(
         path,
         text,
-        (short, lambda i: f"expected 3 fields, got {len(rows[i])}"),
+        (short, lambda i: f"expected 3 fields, got {widths[i]}"),
         (
             min((raw.index(stars) for stars, bad in problems.items() if bad), default=None),
             lambda i: str(problems[raw[i]]),
@@ -283,10 +344,9 @@ def _parse_ratings(path: str, separator: str) -> _Ratings:
     return _Ratings(text, reviews, members, values)
 
 
-def _parse_trust(path: str, separator: str) -> _Trust:
-    text, rows = _read_rows(path, separator)
-    short = _first_short(rows, 2)
-    sources, targets, values = _columns(rows[:short], 3, "1")
+def _parse_trust(path: str) -> _Trust:
+    text, widths, short, columns = _read_rows(path, 2, 3, "1")
+    sources, targets, values = columns
     # distrust (-1) is outside the paper's model: those lines are dropped
     trusted = np.fromiter(map("-1".__ne__, values), dtype=bool, count=len(values))
     kept = np.flatnonzero(trusted)
@@ -295,7 +355,7 @@ def _parse_trust(path: str, separator: str) -> _Trust:
     _raise_first(
         path,
         text,
-        (short, lambda i: f"expected >=2 fields, got {len(rows[i])}"),
+        (short, lambda i: f"expected >=2 fields, got {widths[i]}"),
         (
             min((values.index(v) for v in set(values) - {"1", "-1"}), default=None),
             lambda i: f"trust value must be 1 or -1, got {values[i]!r}",
@@ -306,34 +366,64 @@ def _parse_trust(path: str, separator: str) -> _Trust:
     return _Trust(sources, targets)
 
 
-def _read_rows(path: str, separator: str) -> tuple[list[str], list[list[str]]]:
-    """The file's stripped lines, and the fields of every line that is
-    neither blank nor a comment (a row)."""
+def _read_rows(path: str, needed: int, count: int, default: str = "") -> _Rows:
+    """The rows of the file at ``path``, split once.
+
+    The columns hold fields ``0 .. count - 1``, stripped, of every row
+    before the first with fewer than ``needed`` fields; a row without a
+    field gives ``default`` there.
+    """
     with open(path, "r", encoding="utf-8") as f:
-        text = list(map(str.strip, f.read().split("\n")))
-    return text, [line.split(separator) for line in text if line and line[0] != "#"]
+        text = f.read()
+    # strip and look for comments only where that can change something
+    padded = not text.isascii() or any(map(text.__contains__, _ASCII_BLANKS))
+    lines = list(map(str.strip, text.split("\n"))) if padded else text.split("\n")
+    if "#" in text:
+        rows = [line for line in lines if line and line[0] != "#"]
+    else:
+        rows = list(filter(None, lines))
+    widths = _field_counts(rows)
+    short = first_true(widths < needed)
+    if short is not None:
+        rows = rows[:short]
+    columns = _columns(rows, widths[: len(rows)], count, default)
+    if padded:
+        columns = [list(map(str.strip, column)) for column in columns]
+    return _Rows(text, widths, short, columns)
 
 
-def _line_of(text: list[str], row: int) -> int:
-    """The line number of a row."""
-    return [n for n, line in enumerate(text, start=1) if line and line[0] != "#"][row]
+def _field_counts(rows: list[str]) -> IntArray:
+    """Each row's field count: its separators, plus one."""
+    if not rows:
+        return np.zeros(0, dtype=np.int64)
+    # the separators and line ends of the joined rows, in order
+    marks = np.frombuffer("\n".join(rows).encode().translate(None, _NOT_SEPARATORS), np.uint8)
+    ends = np.flatnonzero(marks == ord("\n"))
+    return np.diff(ends, prepend=-1, append=marks.size)
 
 
-def _first_short(rows: list[list[str]], fields: int) -> int | None:
-    """The first row with fewer than ``fields`` fields."""
-    if min(map(len, rows), default=fields) >= fields:
-        return None
-    return first_true(np.fromiter(map(len, rows), dtype=np.int64, count=len(rows)) < fields)
-
-
-def _columns(rows: list[list[str]], count: int, default: str = "") -> list[list[str]]:
-    """Fields ``0 .. count - 1`` of every row, stripped, one list per field;
-    a row without a field gives ``default`` there."""
-    whole = [list(map(str.strip, column)) for column in list(zip(*rows))[:count]]
-    return whole + [
-        [row[k].strip() if len(row) > k else default for row in rows]
-        for k in range(len(whole), count)
+def _columns(rows: list[str], widths: IntArray, count: int, default: str) -> list[list[str]]:
+    """Fields ``0 .. count - 1`` of every row, one list per field, cut by
+    one split; a row without a field gives ``default`` there."""
+    if not rows:
+        return [[] for _ in range(count)]
+    fields = "|".join(rows).split("|")
+    if widths.min() == widths.max():
+        width = int(widths[0])
+        return [fields[k::width] if k < width else [default] * len(rows) for k in range(count)]
+    # gather by row start; a row without field k reads the default appended last
+    starts = np.cumsum(widths) - widths
+    fields.append(default)
+    return [
+        list(map(fields.__getitem__, np.where(widths > k, starts + k, len(fields) - 1).tolist()))
+        for k in range(count)
     ]
+
+
+def _line_of(text: str, row: int) -> int:
+    """The line number of a row."""
+    lines = enumerate(map(str.strip, text.split("\n")), start=1)
+    return [n for n, line in lines if line and line[0] != "#"][row]
 
 
 def _first_empty(ids: list[str]) -> int | None:
@@ -341,7 +431,7 @@ def _first_empty(ids: list[str]) -> int | None:
 
 
 def _raise_first(
-    path: str, text: list[str], *checks: tuple[int | None, Callable[[int], str]]
+    path: str, text: str, *checks: tuple[int | None, Callable[[int], str]]
 ) -> None:
     """Raise the failed check on the earliest row; on one row, the first listed.
 

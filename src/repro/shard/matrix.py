@@ -119,8 +119,9 @@ class ShardedPairMatrix:
         self._dirty = [False] * shards
         # each shard's CSR (indptr, indices), kept until its keys change
         self._structure: list[tuple[IntArray, IntArray] | None] = [None] * shards
-        # payload checksums; a keys file's is kept only while the file
-        # holds the shard's keys, so its absence means "rewrite the keys"
+        # payload and user axis checksums; a keys file's is kept only while
+        # the file holds the shard's keys, so its absence means "rewrite the
+        # keys", and a new matrix has none for the user axis file either
         self._checksums: dict[str, str] = {}
         self._superseded = False
 
@@ -415,10 +416,13 @@ class ShardedPairMatrix:
         its keys file only when the shard's keys differ from the file's,
         i.e. after a merged patch, :meth:`set_shard_entries`, or in a new
         matrix.  A shard whose patches all kept its support keeps its keys
-        file and its checksum untouched.  After a flush the matrix can be
-        reopened with :meth:`open`; in-memory shard state is dropped so
-        subsequent reads are memory-mapped.  The store has one writer: the
-        keys-file bookkeeping assumes no other matrix rewrites its files.
+        file and its checksum untouched.  The user axis file is written only
+        by the first flush of a new matrix: the versions :meth:`patch_with`
+        returns and a matrix :meth:`open` returns keep its checksum.  After
+        a flush the matrix can be reopened with :meth:`open`; in-memory
+        shard state is dropped so subsequent reads are memory-mapped.  The
+        store has one writer: the keys-file and user-axis bookkeeping
+        assumes no other matrix rewrites its files.
         """
         self._require_newest()
         store = self._require_store()
@@ -440,8 +444,12 @@ class ShardedPairMatrix:
                         "files": {"keys": keys_name, "vals": vals_name},
                     }
                 )
-            store.write_labels(self.users.labels)
-            checksums[USERS_NAME] = store.checksum(USERS_NAME)
+            # a patched version keeps its user axis, so the labels file
+            # is written only by a matrix that has no checksum for it
+            if USERS_NAME not in self._checksums:
+                store.write_labels(self.users.labels)
+                self._checksums[USERS_NAME] = store.checksum(USERS_NAME)
+            checksums[USERS_NAME] = self._checksums[USERS_NAME]
             manifest: dict[str, Any] = {
                 "format": FORMAT,
                 "n_users": self._n,

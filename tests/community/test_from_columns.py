@@ -445,3 +445,71 @@ class TestFromColumns:
         (span,) = recorder.roots
         assert span.name == "community.build"
         assert span.attributes == two_category_community.summary()
+
+
+# ------------------------------------------------------- point reads by key
+
+POINT_READS = (
+    "object_ids",
+    "num_reviews",
+    "reviews_in_category",
+    "ratings_of_review",
+    "reviews_by_writer",
+    "ratings_by_rater",
+)
+
+
+def point_reads(community):
+    """Each point read by key, as a call reading every key and an unknown one."""
+    known = community.category_ids()
+    categories, users = [*known, "ghost"], [*community.user_ids(), "ghost"]
+    reviews = [*community.encoded_reviews()[0], "ghost"]
+    return {
+        "object_ids": lambda: [community.object_ids(c) for c in categories],
+        "num_reviews": lambda: [community.num_reviews(c) for c in categories],
+        "reviews_in_category": lambda: [community.reviews_in_category(c) for c in known],
+        "ratings_of_review": lambda: [community.ratings_of_review(r) for r in reviews],
+        "reviews_by_writer": lambda: [
+            community.reviews_by_writer(u, c) for u in users for c in [None, *known]
+        ],
+        "ratings_by_rater": lambda: [
+            community.ratings_by_rater(u, c) for u in users for c in [None, *known]
+        ],
+    }
+
+
+def add_records(community):
+    """A new user, category, object, review and ratings, some on old keys."""
+    community.add_user("zed")
+    community.add_category("music")
+    community.add_object(ReviewedObject("s1", "music"))
+    community.add_object(ReviewedObject("b2", "books"))
+    community.add_review(Review("rz1", "zed", "b1"))
+    community.add_review(Review("re1", "eve", "s1"))
+    community.add_rating(ReviewRating("alice", "rz1", 0.4))
+    community.add_rating(ReviewRating("eve", "ra1", 0.2))
+    community.add_rating(ReviewRating("zed", "re1", 1.0))
+
+
+@pytest.mark.parametrize("adds_first", [True, False], ids=["adds-then-reads", "reads-then-adds"])
+@pytest.mark.parametrize("read", POINT_READS)
+def test_point_reads_of_a_whole_build_match_the_add_replay(
+    two_category_community, read, adds_first
+):
+    """Whichever point read comes first, and whether ``add_*`` ran before it
+    or after, every point read agrees with the add replay's."""
+    records = extract_records(two_category_community)
+    whole = clone_community(two_category_community)
+    want = Community("replay")
+    for kind in KINDS:
+        for record in getattr(records, kind):
+            getattr(want, ADD[kind])(record)
+    if adds_first:
+        add_records(whole)
+        add_records(want)
+    assert point_reads(whole)[read]() == point_reads(want)[read]()
+    if not adds_first:
+        add_records(whole)
+        add_records(want)
+    for name in POINT_READS:
+        assert point_reads(whole)[name]() == point_reads(want)[name](), name

@@ -6,6 +6,7 @@ import pytest
 
 from repro import obs
 from repro.common.errors import DatasetError
+from repro.community import Community, Review, ReviewRating, ReviewedObject, TrustStatement
 from repro.datasets import (
     CommunityProfile,
     generate_community,
@@ -279,3 +280,52 @@ class TestRoundTrip:
         out = tmp_path / "out"
         write_epinions_files(community, str(out))
         assert sorted(os.listdir(out)) == ["mc.txt", "rating.txt", "user_rating.txt"]
+
+
+def community_with(user="bob", category="books", obj="b1", review="r1", truster="carol"):
+    """alice reviews ``obj`` in ``category``; ``user`` rates the review and
+    ``truster`` trusts alice."""
+    return Community.from_records(
+        users=["alice", user, truster],
+        categories=[category],
+        objects=[ReviewedObject(obj, category)],
+        reviews=[Review(review, "alice", obj)],
+        ratings=[ReviewRating(user, review, 0.8)],
+        trust=[TrustStatement(truster, "alice")],
+    )
+
+
+# one case per rule: (rule, the ids that break it, the error they raise)
+UNWRITABLE = [
+    ("separator", {"user": "b|ob"}, r"user 'b\|ob': an id holding '\|', '\\n' or '\\r'"),
+    ("newline", {"obj": "b\n1"}, r"object 'b\\n1': an id holding"),
+    ("carriage-return", {"category": "bo\roks"}, r"category 'bo\\roks': an id holding"),
+    ("leading-space", {"user": " bob"}, r"user ' bob': an id with leading or trailing"),
+    ("trailing-tab", {"review": "r1\t"}, r"review 'r1\\t': an id with leading or trailing"),
+    ("hash-review-id", {"review": "#r1"}, r"review '#r1': an id starting with '#' would start"),
+    (
+        "hash-truster-id",
+        {"truster": "#carol"},
+        r"trust statement \('#carol', 'alice'\): a truster id starting with '#'",
+    ),
+]
+
+
+class TestUnwritableIds:
+    @pytest.mark.parametrize(
+        "ids,match", [case[1:] for case in UNWRITABLE], ids=[case[0] for case in UNWRITABLE]
+    )
+    def test_refused_before_any_file_is_opened(self, tmp_path, ids, match):
+        out = tmp_path / "out"
+        with pytest.raises(DatasetError, match=match):
+            write_epinions_files(community_with(**ids), str(out))
+        assert not out.exists()
+
+    def test_a_hash_after_the_first_character_or_off_a_line_start_round_trips(self, tmp_path):
+        # "#bob" only rates, so it never starts a line
+        original = community_with(user="#bob", category="#books", obj="b#1", review="r#1")
+        write_epinions_files(original, str(tmp_path))
+        reloaded = load_epinions_community(str(tmp_path))
+        assert list(reloaded.iter_reviews()) == list(original.iter_reviews())
+        assert list(reloaded.iter_ratings()) == list(original.iter_ratings())
+        assert reloaded.trust_edges() == original.trust_edges()

@@ -208,26 +208,52 @@ LOADER_DEFECTS = (
 )
 
 
+#: Field padding: none, ASCII blanks, or other characters ``str.strip``
+#: removes, among them ``\x85``, ``\x0b``, ``\x0c`` and ``\x1c``, which
+#: ``str.splitlines`` would take for line ends.
+PADDINGS = (
+    ("",),
+    ("", " ", "\t"),
+    ("", " ", "\xa0", "\u3000", "\x85", "\x0b", "\x0c", "\x1c", "\x1f"),
+)
+
+#: Line ends of one file: each as universal newlines read it, or mixed.
+LINE_ENDS = (("\n",), ("\r\n",), ("\r",), ("\n", "\r\n", "\r"))
+
+#: Lines every file may hold besides its records.
+EXTRA_LINES = ("", "  ", "# note", "\t# note", "\u3000# a|b|c|d|e", "#")
+
+
 @st.composite
 def dirty_files(draw):
-    """Line lists for mc.txt, rating.txt and user_rating.txt.
+    """The text of mc.txt, rating.txt and user_rating.txt.
 
-    Every file set has blank and comment lines and padded fields, and may
-    have 3-column content, unknown, repeated and self ratings, distrust,
-    self and repeated trust; up to two lines are rejected outright.
+    A file set may have blank and comment lines, padded fields, ``\\r\\n``
+    or lone ``\\r`` line ends, no final line end, an empty file, a ``#``
+    inside ids, extra fields, 3-field and 4-field content rows in one file,
+    unknown, repeated and self ratings, distrust, self and repeated trust;
+    up to two lines are rejected outright.  Every id is non-empty.
     """
-    users = [f"u{i}" for i in range(draw(st.integers(1, 5)))]
+    mark = draw(st.sampled_from(["", "#"]))  # inside every id, never first
+    users = [f"u{mark}{i}" for i in range(draw(st.integers(1, 5)))]
     subjects = {
-        f"s{j}": draw(st.sampled_from(["c0", "c1", "c2"])) for j in range(draw(st.integers(1, 4)))
+        f"s{mark}{j}": draw(st.sampled_from(["c0", "c1", "c2"]))
+        for j in range(draw(st.integers(1, 4)))
     }
-    three_columns = draw(st.booleans())
+    # content rows carry 3 fields (category "epinions") or 4, per subject
+    content_widths = draw(st.sampled_from([(3,), (4,), (3, 4)]))
+    width = {subject: draw(st.sampled_from(content_widths)) for subject in subjects}
     pairs = [(user, subject) for user in users for subject in sorted(subjects)]
     written = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=6))
     defects = draw(st.lists(st.sampled_from(LOADER_DEFECTS), max_size=2)) if draw(st.booleans()) else []
+    padding = draw(st.sampled_from(PADDINGS))
+    extra_fields = draw(st.sampled_from([(0,), (0, 1, 2)]))
 
-    def line(fields):
+    def line(fields, *, extra=True):
+        if extra:
+            fields = [*fields, *(f"x{k}" for k in range(draw(st.sampled_from(extra_fields))))]
         return "|".join(
-            draw(st.sampled_from(["", " ", "\t"])) + field + draw(st.sampled_from(["", " "]))
+            draw(st.sampled_from(padding)) + field + draw(st.sampled_from(padding))
             for field in fields
         )
 
@@ -235,10 +261,12 @@ def dirty_files(draw):
         lines.insert(draw(st.integers(0, len(lines))), text)
 
     def review(review_id, author, subject):
-        return line([review_id, author, subject, *([] if three_columns else [subjects[subject]])])
+        if width.get(subject, 4) == 3:
+            return line([review_id, author, subject], extra=False)
+        return line([review_id, author, subject, subjects[subject]])
 
-    content = [review(f"r{k}", *pair) for k, pair in enumerate(written)]
-    reviews = [f"r{k}" for k in range(len(written))]
+    content = [review(f"r{mark}{k}", *pair) for k, pair in enumerate(written)]
+    reviews = [f"r{mark}{k}" for k in range(len(written))]
     subjects["s-new"] = "c0"
     if "repeated-review-id" in defects and written:
         insert(content, review(reviews[0], draw(st.sampled_from(users)), "s-new"))
@@ -250,13 +278,14 @@ def dirty_files(draw):
         insert(content, "r-short|u0")
 
     rated = st.sampled_from([*reviews, *reviews, *reviews, "ghost"])
-    ratings = [
-        line([draw(rated), draw(st.sampled_from(users)), stars])
+    triples = [
+        (draw(rated), draw(st.sampled_from(users)), stars)
         for stars in draw(st.lists(st.sampled_from("12345"), min_size=1, max_size=10))
     ]
-    if ratings and draw(st.booleans()):
-        repeated = draw(st.sampled_from(ratings)).rsplit("|", 1)[0]
-        insert(ratings, f"{repeated}|{draw(st.sampled_from('12345'))}")
+    if draw(st.booleans()):
+        review_id, member, _ = draw(st.sampled_from(triples))
+        insert(triples, (review_id, member, draw(st.sampled_from("12345"))))
+    ratings = [line(list(triple)) for triple in triples]
     if "bad-stars" in defects:
         insert(ratings, line([draw(rated), "u0", draw(st.sampled_from(["0", "x"]))]))
     if "short-rating" in defects:
@@ -265,21 +294,28 @@ def dirty_files(draw):
     trust = []
     for _ in range(draw(st.integers(0, 6))):
         value = draw(st.sampled_from([["1"], ["1"], ["-1"], []]))
-        trust.append(line([draw(st.sampled_from(users)), draw(st.sampled_from(users)), *value]))
+        pair = [draw(st.sampled_from(users)), draw(st.sampled_from(users))]
+        trust.append(line([*pair, *value], extra=bool(value)))
     if "bad-trust-value" in defects:
         insert(trust, "u0|u1|7")
     if "short-trust" in defects:
         insert(trust, "u0")
 
+    texts = []
     for lines in (content, ratings, trust):
+        if draw(st.integers(0, 9)) == 0:
+            lines.clear()  # an empty file
         for _ in range(draw(st.integers(0, 2))):
-            insert(lines, draw(st.sampled_from(["", "# note", "  "])))
-    return content, ratings, trust
-
-
-def _write_lines(path, lines):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + ("\n" if lines else ""))
+            insert(lines, draw(st.sampled_from(EXTRA_LINES)))
+        ends = draw(st.sampled_from(LINE_ENDS))
+        last = draw(st.booleans())  # whether the last line has its line end
+        texts.append(
+            "".join(
+                text + (draw(st.sampled_from(ends)) if k < len(lines) - 1 or last else "")
+                for k, text in enumerate(lines)
+            )
+        )
+    return texts
 
 
 class TestLoaderMatchesTheRecordByRecordOracle:
@@ -290,7 +326,7 @@ class TestLoaderMatchesTheRecordByRecordOracle:
         with_trust=st.booleans(),
     )
     @settings(
-        max_examples=300,
+        max_examples=600,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
@@ -298,9 +334,10 @@ class TestLoaderMatchesTheRecordByRecordOracle:
         self, tmp_path_factory, files, skip_unknown_reviews, skip_self_ratings, with_trust
     ):
         directory = tmp_path_factory.mktemp("dirty")
-        for name, lines in zip(("mc.txt", "rating.txt", "user_rating.txt"), files):
+        for name, text in zip(("mc.txt", "rating.txt", "user_rating.txt"), files):
             if name != "user_rating.txt" or with_trust:
-                _write_lines(directory / name, lines)
+                # bytes, so every line end reaches the loaders as drawn
+                (directory / name).write_bytes(text.encode("utf-8"))
         flags = dict(skip_unknown_reviews=skip_unknown_reviews, skip_self_ratings=skip_self_ratings)
         try:
             want = legacy_load(str(directory), **flags)

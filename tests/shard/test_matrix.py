@@ -415,6 +415,40 @@ class TestCsrStructure:
         assert reopened.values().tobytes() == expected.values().tobytes()
         assert self._flush_counters(reopened, 3).get("shard.write.files", 0) == 0
 
+    def test_only_a_new_matrix_writes_the_user_axis_file(self, users, tmp_path):
+        flat, _ = random_pair(users, density=0.6)
+        store = ShardStore(tmp_path / "s")
+        labels = store.path("users.txt")
+        sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3, store=store)
+        sharded.flush(epoch=0)
+        inode = labels.stat().st_ino
+
+        # values-only patches keep the user axis: the checkpoint leaves the file
+        patched, expected = self._patch(sharded, users, keep_support=True)
+        patched.flush(epoch=1)
+        assert labels.stat().st_ino == inode
+        assert store.verify() == []
+        # a reopened matrix carries the file's checksum over, and round-trips
+        reopened = ShardedPairMatrix.open(store)
+        assert reopened == expected
+        merged, expected = self._patch(reopened, users, keep_support=False)
+        manifest = merged.flush(epoch=2)
+        assert labels.stat().st_ino == inode
+        assert store.verify() == []
+        assert ShardedPairMatrix.open(store) == expected
+        assert manifest["checksums"]["users.txt"] == store.checksum("users.txt")
+
+        # a full re-derive builds a new matrix over the store: it writes the file
+        grown = [*users, "zed"]
+        rebuilt = ShardedPairMatrix.from_pair_matrix(
+            random_pair(grown, seed=5)[0], num_shards=3, store=store
+        )
+        rebuilt.flush(epoch=3)
+        assert labels.stat().st_ino != inode
+        assert store.verify() == []
+        assert store.read_labels() == tuple(grown)
+        assert ShardedPairMatrix.open(store) == rebuilt
+
     def test_set_shard_entries_drops_the_structure_and_keys_file(self, users, tmp_path):
         flat, _ = random_pair(users, density=0.6)
         store = ShardStore(tmp_path / "s")
