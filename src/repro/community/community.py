@@ -208,7 +208,7 @@ class Community:
     @property
     def version(self) -> int:
         """Mutation counter: the record count a community was built with,
-        bumped by every successful ``add_*`` and ``touch`` call."""
+        bumped by every successful ``add_*`` call."""
         return self._version
 
     @property
@@ -392,18 +392,6 @@ class Community:
         )
         return statement
 
-    def touch(self, category_id: str | None = None) -> None:
-        """Publish an explicit recompute request for ``category_id``.
-
-        Adds no data; subscribers (e.g. the incremental Step-1 tracker)
-        treat the named category -- or every category when ``None`` -- as
-        dirty.  This is the change-log replacement for manual
-        dirty-flagging.
-        """
-        if category_id is not None:
-            self._require_category(category_id)
-        self._record("touch", category_id=category_id)
-
     # ------------------------------------------------------------------ reads
 
     def columns(self) -> CommunityColumns:
@@ -411,8 +399,8 @@ class Community:
 
         The snapshot encodes the users, categories, reviews and ratings;
         every record is append-only and written through ``add_*``, so the
-        four record counts the snapshot was built at identify it.  Objects,
-        trust statements and touches leave the cache current.  When the
+        four record counts the snapshot was built at identify it.  Objects
+        and trust statements leave the cache current.  When the
         counts have grown, :meth:`CommunityColumns.refreshed` reads the
         appended tail of the record columns by position.  A snapshot
         already handed out never changes.

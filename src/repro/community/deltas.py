@@ -34,12 +34,11 @@ from repro.common.errors import ValidationError
 
 __all__ = ["Delta", "DeltaKind", "ChangeLog"]
 
-#: What a delta records: one entity added ("user" ... "trust") or an
-#: explicit recompute request for a category ("touch", no entity added).
-DeltaKind = Literal["user", "category", "object", "review", "rating", "trust", "touch"]
+#: What a delta records: the kind of the one entity added.
+DeltaKind = Literal["user", "category", "object", "review", "rating", "trust"]
 
 _KINDS: frozenset[str] = frozenset(
-    {"user", "category", "object", "review", "rating", "trust", "touch"}
+    {"user", "category", "object", "review", "rating", "trust"}
 )
 
 @dataclass(frozen=True, slots=True)
@@ -51,7 +50,7 @@ class Delta:
     epoch:
         Position in the log (1-based, strictly increasing).
     kind:
-        What was added (or ``"touch"`` for an explicit recompute request).
+        What was added.
     user_id:
         The acting user, where one exists: the registered user, the review
         writer, the rater, or the truster.

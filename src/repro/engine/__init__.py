@@ -3,16 +3,15 @@
 The :class:`Engine` subscribes to a community's change log and keeps the
 staged artifacts (columns -> E -> A -> T-hat -> propagation scores)
 synchronous with the mutating community, recomputing only what each batch
-of deltas invalidates.  In exact mode (the default) every update is
-bitwise equal to a cold build of the same records -- see
-``repro/engine/engine.py`` for the contract and ``repro/trust/derive.py``
-for the kernel determinism it rests on.
+of deltas invalidates.  Every update is bitwise equal to a cold build of
+the same records, in memory or sharded -- see ``repro/engine/engine.py``
+for the contract and ``repro/trust/derive.py`` for the kernel determinism
+it rests on.
 """
 
 from repro.engine.engine import (
     Engine,
     EngineArtifacts,
-    StageStamps,
     UpdateStats,
     cold_artifacts,
 )
@@ -26,7 +25,6 @@ from repro.engine.replay import (
 __all__ = [
     "Engine",
     "EngineArtifacts",
-    "StageStamps",
     "UpdateStats",
     "cold_artifacts",
     "CommunityRecords",

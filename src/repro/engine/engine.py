@@ -8,7 +8,7 @@ cursor over the log and recomputes only what the new deltas invalidate:
 - **columns** -- the community's own count-keyed cache splices appended
   ratings into its category segments;
 - **E** (Step 1) -- :class:`repro.reputation.IncrementalExpertise`
-  re-solves only the categories the deltas touched, in one call of the
+  re-solves only the categories the deltas changed, in one call of the
   same batched kernel a cold fit runs;
 - **A** (Step 2) -- rebuilt from the columnar counts (cheap, array-only);
 - **T-hat** (Step 3) -- re-derived only on the changed region
@@ -16,11 +16,11 @@ cursor over the log and recomputes only what the new deltas invalidate:
   (:meth:`repro.trust.TrustDeriver.derive_region`) and patched into a new
   version of the cached matrix, which stays as it was;
 - **propagation** -- reused outright when ``T-hat`` did not move, rerun
-  otherwise (optionally warm-started in approximate mode).
+  cold otherwise.
 
-The contract, property-tested in ``tests/engine``: in the default exact
-mode every update's artifacts are **bitwise equal** to a cold build on a
-fresh replica of the same records.  That works because eq. 5 reads exactly
+The contract, property-tested in ``tests/engine`` on both backends: every
+update's artifacts are **bitwise equal** to a cold build on a fresh
+replica of the same records.  That works because eq. 5 reads exactly
 ``A[i, :]`` and ``E[j, :]`` per entry, the derive kernel's per-element
 reduction order is shape-independent, and the Step-1 kernel gives every
 category the same bits whichever subset of categories it solves -- see
@@ -29,17 +29,17 @@ category the same bits whichever subset of categories it solves -- see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-from repro.affinity import AffinityConfig, AffinityEstimator
+from repro.affinity import AffinityEstimator
 from repro.common.arrays import FloatArray, IntArray
 from repro.community import Community
 from repro.matrix import UserCategoryMatrix, UserPairMatrix
 from repro.propagation import PropagationScores, eigen_trust
-from repro.reputation import ExpertiseResult, RiggsConfig
+from repro.reputation import ExpertiseResult
 from repro.reputation.estimator import ExpertiseEstimator
 from repro.reputation.incremental import IncrementalExpertise
 from repro.shard.config import ShardConfig
@@ -50,26 +50,9 @@ from repro.trust import TrustDeriver
 __all__ = [
     "Engine",
     "EngineArtifacts",
-    "StageStamps",
     "UpdateStats",
     "cold_artifacts",
 ]
-
-
-@dataclass(frozen=True)
-class StageStamps:
-    """Change-log epoch at which each staged artifact was last recomputed.
-
-    A stage that an update *reused* keeps its previous stamp, so
-    ``stamps.derived < stamps.columns`` reads as "the cached ``T-hat`` was
-    proven still valid at the newer epoch without being touched".
-    """
-
-    columns: int
-    expertise: int
-    affiliation: int
-    derived: int
-    propagation: int
 
 
 @dataclass(frozen=True)
@@ -82,12 +65,11 @@ class UpdateStats:
     pairs_rederived: int
     pairs_reused: int
     propagation_rerun: bool
-    iterations_saved: int
 
 
 @dataclass(frozen=True)
 class EngineArtifacts:
-    """The staged pipeline outputs, all consistent at ``stamps``.
+    """The staged pipeline outputs, all of one community state.
 
     ``derived`` is a :class:`repro.shard.ShardedPairMatrix` when the
     engine runs with a :class:`repro.shard.ShardConfig`, an in-memory
@@ -100,7 +82,6 @@ class EngineArtifacts:
     affiliation: UserCategoryMatrix
     derived: UserPairMatrix | ShardedPairMatrix
     scores: PropagationScores
-    stamps: StageStamps
 
     @property
     def expertise(self) -> UserCategoryMatrix:
@@ -151,14 +132,15 @@ class Engine:
         community.add_rating(...)        # mutators log deltas
         artifacts = engine.update()      # incremental: only what changed
 
+    Every update is bitwise equal to a cold build: dirty Step-1 categories
+    are solved cold and propagation reruns cold whenever ``T-hat`` moved.
+    After each update the engine compacts the community's change log up to
+    the epoch it just consumed -- its own subscribers (the columns cache
+    and the Step-1 tracker) are caught up, so a long rating stream does
+    not accumulate deltas without bound.
+
     Parameters
     ----------
-    exact:
-        ``True`` (default): every update is bitwise equal to a cold build
-        -- dirty Step-1 categories are solved cold and propagation reruns
-        cold whenever ``T-hat`` moved.  ``False``: Step-1 and propagation
-        warm-start from the previous state, trading bitwise identity (the
-        results still agree to solver tolerance) for fewer sweeps.
     shard_config:
         When set, ``T-hat`` lives in a :class:`repro.shard.ShardedPairMatrix`
         backed by this config's store: cold builds stream shard by shard
@@ -175,50 +157,19 @@ class Engine:
         entry plus 4 B per row on the heap, outside the spill budget.
         Axis growth (new users or categories) falls back to a full sharded
         re-derive.
-    compact_log:
-        ``True`` (default): after each update the engine compacts the
-        community's change log up to the epoch it just consumed -- its
-        own subscribers (the columns cache and the Step-1 tracker) are
-        guaranteed caught up, so a long rating stream does not accumulate
-        deltas without bound.  Turn off when other consumers hold their
-        own cursors on the same log.
     """
 
     def __init__(
-        self,
-        community: Community,
-        *,
-        riggs_config: RiggsConfig | None = None,
-        affinity_config: AffinityConfig | None = None,
-        deriver: TrustDeriver | None = None,
-        unrated_policy: str = "exclude",
-        alpha: float = 0.15,
-        tolerance: float = 1e-10,
-        max_iterations: int = 1000,
-        pretrust: dict[str, float] | None = None,
-        exact: bool = True,
-        shard_config: ShardConfig | None = None,
-        compact_log: bool = True,
+        self, community: Community, *, shard_config: ShardConfig | None = None
     ) -> None:
         self._community = community
-        self._tracker = IncrementalExpertise(
-            community,
-            riggs_config,
-            unrated_policy=unrated_policy,
-            warm_start=not exact,
-        )
-        self._affinity = AffinityEstimator(affinity_config)
-        self._deriver = deriver or TrustDeriver()
-        self._alpha = alpha
-        self._tolerance = tolerance
-        self._max_iterations = max_iterations
-        self._pretrust = pretrust
-        self._exact = exact
+        self._tracker = IncrementalExpertise(community)
+        self._affinity = AffinityEstimator()
+        self._deriver = TrustDeriver()
         self._shard_config = shard_config
         self._shard_store: ShardStore | None = (
             shard_config.make_store() if shard_config is not None else None
         )
-        self._compact_log = compact_log
         # a community built whole starts its log at its record count with
         # no delta, so the first update applies only what came after
         self._cursor = community.change_log.floor
@@ -255,160 +206,77 @@ class Engine:
             self._community.columns()  # refreshed from the appended records
             expertise_result = self._tracker.refresh()
             resolved = len(self._tracker.last_resolved)
-            skipped = len(expertise_result.expertise.categories) - resolved
             affiliation = self._affinity.fit(self._community)
 
+            expertise = expertise_result.expertise
             previous = self._artifacts
             if previous is None:
-                artifacts, stats = self._cold_stages(
-                    expertise_result, affiliation, epoch, deltas_applied
-                )
+                derived = self._derive_full(affiliation, expertise)
+                pairs_reused = 0
             else:
-                artifacts, stats = self._incremental_stages(
-                    previous, expertise_result, affiliation, epoch, deltas_applied
-                )
-            stats = replace(
-                stats, categories_resolved=resolved, categories_skipped=skipped
+                derived, pairs_reused = self._rederive(previous, affiliation, expertise)
+            if previous is not None and derived is previous.derived:
+                scores, rerun = previous.scores, False
+            else:
+                scores, rerun = eigen_trust(derived), True
+            stats = UpdateStats(
+                deltas_applied=deltas_applied,
+                categories_resolved=resolved,
+                categories_skipped=len(expertise.categories) - resolved,
+                pairs_rederived=derived.num_entries() - pairs_reused if rerun else 0,
+                pairs_reused=pairs_reused,
+                propagation_rerun=rerun,
             )
             obs.add("engine.derive.pairs_rederived", stats.pairs_rederived)
             obs.add("engine.derive.pairs_reused", stats.pairs_reused)
-            obs.add("engine.propagation.iterations_saved", stats.iterations_saved)
+            artifacts = EngineArtifacts(expertise_result, affiliation, derived, scores)
             self._artifacts = artifacts
             self._last_stats = stats
-            if self._compact_log:
-                # every engine subscriber (columns cache, Step-1 tracker,
-                # our own cursor) is now at `epoch`: the consumed prefix
-                # can be forgotten
-                dropped = log.compact(epoch)
-                obs.add("engine.log.deltas_compacted", dropped)
+            # every engine subscriber (columns cache, Step-1 tracker, our
+            # own cursor) is now at `epoch`: the consumed prefix can be
+            # forgotten
+            obs.add("engine.log.deltas_compacted", log.compact(epoch))
             return artifacts
 
     # ------------------------------------------------------------------ stages
 
-    def _cold_stages(
-        self,
-        expertise_result: ExpertiseResult,
-        affiliation: UserCategoryMatrix,
-        epoch: int,
-        deltas_applied: int,
-    ) -> tuple[EngineArtifacts, UpdateStats]:
-        derived = self._derive_full(affiliation, expertise_result.expertise)
-        scores = self._propagate(derived, initial=None)
-        stamps = StageStamps(
-            columns=epoch,
-            expertise=epoch,
-            affiliation=epoch,
-            derived=epoch,
-            propagation=epoch,
-        )
-        stats = UpdateStats(
-            deltas_applied=deltas_applied,
-            categories_resolved=0,
-            categories_skipped=0,
-            pairs_rederived=derived.num_entries(),
-            pairs_reused=0,
-            propagation_rerun=True,
-            iterations_saved=0,
-        )
-        return EngineArtifacts(expertise_result, affiliation, derived, scores, stamps), stats
-
-    def _incremental_stages(
+    def _rederive(
         self,
         previous: EngineArtifacts,
-        expertise_result: ExpertiseResult,
         affiliation: UserCategoryMatrix,
-        epoch: int,
-        deltas_applied: int,
-    ) -> tuple[EngineArtifacts, UpdateStats]:
-        expertise = expertise_result.expertise
+        expertise: UserCategoryMatrix,
+    ) -> tuple[UserPairMatrix | ShardedPairMatrix, int]:
+        """``T-hat`` for the new ``E`` and ``A``, and how many entries it kept.
+
+        Returns ``previous.derived`` itself when neither moved, a patched
+        version when only a small region did, and a full re-derive
+        otherwise.
+        """
         old_a = previous.affiliation.values_view()
         new_a = affiliation.values_view()
         grew_categories = old_a.shape[1] != new_a.shape[1]
         grew_users = old_a.shape[0] != new_a.shape[0]
-
-        sharded = self._shard_config is not None
-        if grew_categories or (sharded and grew_users):
+        if grew_categories or (self._shard_config is not None and grew_users):
             # a new category extends every reduction in eq. 5 (and the
             # sharded patch cannot grow its axis);
             # re-derive in full rather than reason about padded
             # accumulation orders
-            derived: UserPairMatrix | ShardedPairMatrix = self._derive_full(
-                affiliation, expertise, previous=previous.derived
+            return self._derive_full(affiliation, expertise, previous=previous.derived), 0
+        rows = _changed_rows(old_a, new_a)
+        cols = _changed_rows(previous.expertise.values_view(), expertise.values_view())
+        if rows.size == 0 and cols.size == 0 and not grew_users:
+            return previous.derived, previous.derived.num_entries()
+        if (rows.size + cols.size) * 2 >= len(affiliation.users):
+            # the changed region covers most of the matrix: a plain full
+            # derive is cheaper than region + patch and equally bitwise
+            return self._derive_full(affiliation, expertise, previous=previous.derived), 0
+        if isinstance(previous.derived, ShardedPairMatrix):
+            return self._patched_derive_sharded(
+                previous.derived, affiliation, expertise, rows=rows, cols=cols
             )
-            derived_changed = True
-            pairs_rederived = derived.num_entries()
-            pairs_reused = 0
-        else:
-            rows = _changed_rows(old_a, new_a)
-            cols = _changed_rows(
-                previous.expertise.values_view(), expertise.values_view()
-            )
-            n = len(affiliation.users)
-            if rows.size == 0 and cols.size == 0 and not grew_users:
-                derived = previous.derived
-                derived_changed = False
-                pairs_rederived = 0
-                pairs_reused = derived.num_entries()
-            elif (rows.size + cols.size) * 2 >= n:
-                # the changed region covers most of the matrix: a plain full
-                # derive is cheaper than region + patch and equally bitwise
-                derived = self._derive_full(
-                    affiliation, expertise, previous=previous.derived
-                )
-                derived_changed = True
-                pairs_rederived = derived.num_entries()
-                pairs_reused = 0
-            elif isinstance(previous.derived, ShardedPairMatrix):
-                derived, pairs_reused = self._patched_derive_sharded(
-                    previous.derived, affiliation, expertise, rows=rows, cols=cols
-                )
-                derived_changed = True
-                pairs_rederived = derived.num_entries() - pairs_reused
-            else:
-                derived, pairs_reused = self._patched_derive(
-                    previous.derived, affiliation, expertise, rows=rows, cols=cols
-                )
-                derived_changed = True
-                pairs_rederived = derived.num_entries() - pairs_reused
-
-        prev_iterations = previous.scores.iterations or 0
-        if not derived_changed:
-            scores = previous.scores
-            propagation_rerun = False
-            iterations_saved = prev_iterations
-        else:
-            initial: FloatArray | None = None
-            if not self._exact:
-                prev_scores = previous.scores.scores_array()
-                initial = np.zeros(len(affiliation.users))
-                initial[: prev_scores.size] = prev_scores
-            scores = self._propagate(derived, initial=initial)
-            propagation_rerun = True
-            iterations_saved = (
-                max(0, prev_iterations - (scores.iterations or 0))
-                if initial is not None
-                else 0
-            )
-
-        stamps = StageStamps(
-            columns=epoch,
-            expertise=epoch
-            if self._tracker.last_resolved or grew_users or grew_categories
-            else previous.stamps.expertise,
-            affiliation=epoch,
-            derived=epoch if derived_changed else previous.stamps.derived,
-            propagation=epoch if propagation_rerun else previous.stamps.propagation,
+        return self._patched_derive(
+            previous.derived, affiliation, expertise, rows=rows, cols=cols
         )
-        stats = UpdateStats(
-            deltas_applied=deltas_applied,
-            categories_resolved=0,
-            categories_skipped=0,
-            pairs_rederived=pairs_rederived,
-            pairs_reused=pairs_reused,
-            propagation_rerun=propagation_rerun,
-            iterations_saved=iterations_saved,
-        )
-        return EngineArtifacts(expertise_result, affiliation, derived, scores, stamps), stats
 
     def _patched_derive(
         self,
@@ -491,31 +359,8 @@ class Engine:
             spill_bytes=self._shard_config.spill_bytes,
         )
 
-    def _propagate(
-        self, derived: UserPairMatrix | ShardedPairMatrix, *, initial: FloatArray | None
-    ) -> PropagationScores:
-        return eigen_trust(
-            derived,
-            pretrust=self._pretrust,
-            alpha=self._alpha,
-            tolerance=self._tolerance,
-            max_iterations=self._max_iterations,
-            initial=initial,
-        )
 
-
-def cold_artifacts(
-    community: Community,
-    *,
-    riggs_config: RiggsConfig | None = None,
-    affinity_config: AffinityConfig | None = None,
-    deriver: TrustDeriver | None = None,
-    unrated_policy: str = "exclude",
-    alpha: float = 0.15,
-    tolerance: float = 1e-10,
-    max_iterations: int = 1000,
-    pretrust: dict[str, float] | None = None,
-) -> EngineArtifacts:
+def cold_artifacts(community: Community) -> EngineArtifacts:
     """One cold, cache-free pipeline pass -- the engine's reference output.
 
     Deliberately built from the batch estimators rather than the engine's
@@ -523,25 +368,7 @@ def cold_artifacts(
     also re-proves, on the community at hand, that re-solving a subset of
     categories gives the same Step-1 bits as solving all of them.
     """
-    expertise_result = ExpertiseEstimator(
-        riggs_config, unrated_policy=unrated_policy
-    ).fit(community)
-    affiliation = AffinityEstimator(affinity_config).fit(community)
-    trust_deriver = deriver or TrustDeriver()
-    derived = trust_deriver.derive(affiliation, expertise_result.expertise)
-    scores = eigen_trust(
-        derived,
-        pretrust=pretrust,
-        alpha=alpha,
-        tolerance=tolerance,
-        max_iterations=max_iterations,
-    )
-    epoch = community.change_log.epoch
-    stamps = StageStamps(
-        columns=epoch,
-        expertise=epoch,
-        affiliation=epoch,
-        derived=epoch,
-        propagation=epoch,
-    )
-    return EngineArtifacts(expertise_result, affiliation, derived, scores, stamps)
+    expertise_result = ExpertiseEstimator().fit(community)
+    affiliation = AffinityEstimator().fit(community)
+    derived = TrustDeriver().derive(affiliation, expertise_result.expertise)
+    return EngineArtifacts(expertise_result, affiliation, derived, eigen_trust(derived))

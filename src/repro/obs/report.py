@@ -12,8 +12,7 @@ prints, from one trace document:
 - the **counters** and **histogram** summaries;
 - an **incremental engine** section (when engine counters are present):
   deltas applied, Step-1 categories re-solved vs skipped, ``T-hat`` pairs
-  re-derived vs reused, propagation sweeps saved -- each with its reuse
-  ratio;
+  re-derived vs reused -- each with its reuse ratio;
 - a **shard IO** section (when ``shard.*`` counters are present): bytes
   and files written/read, cache hits vs mmap misses, spills, patched
   shards;
@@ -170,14 +169,6 @@ def _engine_table(counters: Mapping[str, Any]) -> str | None:
         total = done + avoided
         ratio = f"{avoided / total:.1%}" if total else "-"
         rows.append([f"{label} recomputed", done, avoided, ratio])
-    rows.append(
-        [
-            "propagation sweeps saved",
-            int(counters.get("engine.propagation.iterations_saved", 0)),
-            "-",
-            "-",
-        ]
-    )
     refreshes = int(counters.get("community.columns.refresh", 0))
     if refreshes:
         rows.append(["columns segment refreshes", refreshes, "-", "-"])

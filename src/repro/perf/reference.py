@@ -26,7 +26,6 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from repro import obs
 from repro.common.arrays import FloatArray, IntArray
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.community import Community
@@ -132,8 +131,6 @@ def reference_fit_expertise(
 def solve_category(
     ratings: Iterable[tuple[str, str, float]],
     config: RiggsConfig | None = None,
-    *,
-    warm_start: Mapping[str, float] | None = None,
 ) -> CategoryFixedPoint:
     """Solve eqs. 1-2 for one category.
 
@@ -145,11 +142,6 @@ def solve_category(
         ``(rater, review)`` pair may appear at most once.
     config:
         Solver configuration (defaults to :class:`RiggsConfig`).
-    warm_start:
-        Optional ``{rater_id: reputation}`` starting point (e.g. the
-        previous fixed point, for incremental recomputation after a few
-        new ratings).  Raters absent from the mapping start at
-        ``config.initial_reputation``; values are clipped to ``[0, 1]``.
 
     Returns
     -------
@@ -182,14 +174,6 @@ def solve_category(
         discount = np.ones(num_raters, dtype=np.float64)
 
     reputation = np.full(num_raters, cfg.initial_reputation, dtype=np.float64)
-    if warm_start:
-        warm_hits = 0
-        for i, rater_id in enumerate(rater_ids):
-            previous = warm_start.get(rater_id)
-            if previous is not None:
-                reputation[i] = min(1.0, max(0.0, float(previous)))
-                warm_hits += 1
-        obs.add("step1.warm_start_hits", warm_hits)
     quality = np.zeros(num_reviews, dtype=np.float64)
 
     iterations = 0

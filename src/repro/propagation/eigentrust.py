@@ -51,7 +51,7 @@ because it changes the additions' parenthesisation.
 from __future__ import annotations
 
 import warnings
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 from scipy import sparse
@@ -77,7 +77,6 @@ def eigen_trust(
     alpha: float = 0.15,
     tolerance: float = 1e-10,
     max_iterations: int = 1000,
-    initial: Mapping[str, float] | FloatArray | None = None,
 ) -> PropagationScores:
     """Compute global EigenTrust values for every node.
 
@@ -93,14 +92,6 @@ def eigen_trust(
     alpha:
         Weight of the pre-trust mixing (0 = pure eigenvector, needs a
         strongly connected graph to be well-defined).
-    initial:
-        Optional warm-start vector -- either a ``{node: score}`` mapping
-        (missing nodes get 0) or a dense array aligned with the matrix's
-        user axis.  It is normalised to sum 1 and replaces the default
-        start ``t = p``.  The fixed point is unique for ``alpha > 0``, so
-        a warm start changes the iteration count, not the limit; the
-        incremental engine feeds the previous scores back in to save
-        sweeps.  Ignored when it has no positive mass.
 
     Returns
     -------
@@ -125,7 +116,7 @@ def eigen_trust(
     with obs.span("propagation.eigentrust", users=n, shards=shards):
         blocks, dangling = _scaled_blocks(_row_blocks(web), n)
         p = _pretrust_vector(pretrust, users)
-        t = _initial_vector(initial, users, p)
+        t = p
         converged = False
         iterations = 0
         residual = float("inf")
@@ -222,34 +213,6 @@ def _spread(blocks: list[_ScaledBlock], t: FloatArray) -> FloatArray:
         rows = indptr.shape[0] - 1
         _sparsetools.csc_matvec(n, rows, indptr, indices, data, t[lo : lo + rows], y)
     return y
-
-
-def _initial_vector(
-    initial: Mapping[str, float] | FloatArray | None,
-    users: LabelIndex,
-    p: FloatArray,
-) -> FloatArray:
-    """Resolve the warm-start vector; fall back to ``p`` (the cold start)."""
-    if initial is None:
-        return p.copy()
-    n = len(users)
-    if isinstance(initial, np.ndarray):
-        if initial.shape != (n,):
-            raise ValidationError(
-                f"initial vector must have shape ({n},), got {initial.shape}"
-            )
-        t = initial.astype(np.float64, copy=True)
-    else:
-        t = np.zeros(n)
-        for node, value in initial.items():
-            if node in users:
-                t[users.position(node)] = value
-    if np.any(t < 0.0):
-        raise ValidationError("initial scores must be non-negative")
-    total = t.sum()
-    if total <= 0.0:
-        return p.copy()
-    return t / total
 
 
 def _pretrust_vector(pretrust: dict[str, float] | None, users: LabelIndex) -> FloatArray:

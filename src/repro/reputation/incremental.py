@@ -2,22 +2,19 @@
 
 A production deployment does not re-run the whole framework on every new
 rating.  Because eqs. 1-3 are computed *per category* and categories are
-independent, only the categories that received new data need re-solving --
-and re-solving can warm-start from the previous fixed point, which after
-a handful of new ratings is already very close to the new one.  A refresh
-makes the same two calls as a cold :class:`ExpertiseEstimator` fit, on the
-stale categories only: one
+independent, only the categories that received new data need re-solving.
+A refresh makes the same two calls as a cold :class:`ExpertiseEstimator`
+fit, on the stale categories only: one
 :func:`repro.reputation.riggs.solve_all_categories` over all of them and
 one :func:`repro.reputation.estimator.scatter_fixed_points` into the cached
-matrices.
+matrices.  Each re-solve starts cold, so a refresh is bitwise equal to a
+full fit.
 
 :class:`IncrementalExpertise` subscribes to the community's
 :class:`repro.community.ChangeLog`: every mutator emits a structured
 delta, and :meth:`IncrementalExpertise.refresh` reads the deltas past its
 cursor to infer exactly which categories went stale.  There is no manual
-dirty-flagging step: for an explicit recompute request use
-:meth:`repro.community.Community.touch`, which records a ``"touch"``
-delta every subscriber sees.
+dirty-flagging step.
 """
 
 from __future__ import annotations
@@ -25,18 +22,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.common.arrays import FloatArray
 from repro.common.errors import ValidationError
 from repro.community import Community, Delta
 from repro.matrix import LabelIndex, UserCategoryMatrix
-from repro.reputation.estimator import ExpertiseResult, scatter_fixed_points
+from repro.reputation.estimator import (
+    ExpertiseEstimator,
+    ExpertiseResult,
+    scatter_fixed_points,
+)
 from repro.reputation.riggs import (
     BatchedFixedPoints,
     LazyFixedPoints,
-    RiggsConfig,
     solve_all_categories,
 )
-from repro.reputation.writer import require_unrated_policy
 
 __all__ = ["IncrementalExpertise"]
 
@@ -56,14 +54,10 @@ class IncrementalExpertise:
         community.add_rating(...)       # new activity arrives (logged)
         result = tracker.refresh()      # re-solves affected categories only
 
-    ``refresh`` is exact up to iteration count: its output equals a fresh
+    ``refresh`` is bitwise equal to a fresh
     :class:`repro.reputation.ExpertiseEstimator` fit of the current
-    community state to solver tolerance (warm starting moves where inside
-    the tolerance ball the iteration stops, not the fixed point).  Pass
-    ``warm_start=False`` for bitwise equality with a cold fit -- the
-    incremental engine's exact mode does.  With ``warm_start=True`` a
-    re-solved category's raters start from their previous reputation in it,
-    and its new raters from ``config.initial_reputation``.
+    community state: every re-solved category starts cold, and a category
+    gets the same bits whichever subset of categories it is solved in.
 
     New users and categories are handled by index growth: both axes are
     append-only, so previously computed columns keep their positions.  A
@@ -72,19 +66,10 @@ class IncrementalExpertise:
     that had last solved it, which no later refresh writes to.
     """
 
-    def __init__(
-        self,
-        community: Community,
-        config: RiggsConfig | None = None,
-        *,
-        unrated_policy: str = "exclude",
-        warm_start: bool = True,
-    ) -> None:
-        require_unrated_policy(unrated_policy)
+    def __init__(self, community: Community) -> None:
         self._community = community
-        self._config = config or RiggsConfig()
-        self._unrated_policy = unrated_policy
-        self._warm_start = warm_start
+        # a refresh solves with the settings of a default cold fit
+        self._estimator = ExpertiseEstimator()
         self._users = LabelIndex(community.user_ids())
         self._categories = LabelIndex(community.category_ids())
         # the batch that last solved each category, in category-axis order
@@ -167,10 +152,7 @@ class IncrementalExpertise:
             if delta.category_id is not None:
                 self._dirty.add(delta.category_id)
             return False
-        if delta.kind == "touch" and delta.category_id is None:
-            self._dirty = set(self._categories)
-            return False
-        # review / rating / targeted touch all carry the affected category
+        # reviews and ratings carry the affected category
         if delta.category_id is not None:
             self._dirty.add(delta.category_id)
         return False
@@ -182,19 +164,17 @@ class IncrementalExpertise:
         columns = self._community.columns()
         self._sync_shapes()
         dirty = [c for c in self._categories if c in self._dirty]
+        config = self._estimator.config
         batch = solve_all_categories(
-            columns,
-            self._config,
-            categories=self._categories.positions(dirty),
-            warm_start=self._warm_start_values(dirty),
+            columns, config, categories=self._categories.positions(dirty)
         )
         scatter_fixed_points(
             columns,
             batch,
             self._e_values,
             self._r_values,
-            experience_discount_enabled=self._config.experience_discount_enabled,
-            unrated_policy=self._unrated_policy,
+            experience_discount_enabled=config.experience_discount_enabled,
+            unrated_policy=self._estimator.unrated_policy,
         )
         self._solved_by.update(dict.fromkeys(dirty, batch))
         self._dirty.clear()
@@ -208,27 +188,6 @@ class IncrementalExpertise:
             ),
             fixed_points=LazyFixedPoints(self._solved_by),
         )
-
-    def _warm_start_values(self, dirty: list[str]) -> FloatArray | None:
-        """Dense warm start: each dirty category's previous rater reputations.
-
-        Every other cell holds ``initial_reputation``, so a category solved
-        for the first time starts cold.
-        """
-        if not self._warm_start:
-            return None
-        warm = np.full(self._r_values.shape, self._config.initial_reputation)
-        hits = 0
-        for category_id in dirty:
-            previous = self._solved_by.get(category_id)
-            if previous is None:
-                continue
-            _k, _reviews, raters = previous.slots(category_id)
-            c = self._categories.position(category_id)
-            warm[previous.rater_slot_user[raters], c] = previous.reputation[raters]
-            hits += raters.stop - raters.start
-        obs.add("step1.warm_start_hits", hits)
-        return warm
 
     # ------------------------------------------------------------------ assembly
 

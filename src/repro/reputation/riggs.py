@@ -34,7 +34,6 @@ import numpy as np
 
 from repro import obs
 from repro.common.arrays import FloatArray, IntArray, concat_ranges
-from repro.common.contracts import array_spec, checked_arrays
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.common.validation import (
     require_fraction,
@@ -285,13 +284,11 @@ class LazyFixedPoints(_Mapping[str, CategoryFixedPoint]):
         return f"LazyFixedPoints({len(self)} categories)"
 
 
-@checked_arrays(warm_start=array_spec(ndim=2, kind="if", finite=True, optional=True))
 def solve_all_categories(
     columns: ColumnarRatings,
     config: RiggsConfig | None = None,
     *,
     categories: IntArray | Sequence[int] | None = None,
-    warm_start: FloatArray | None = None,
 ) -> BatchedFixedPoints:
     """Solve eqs. 1-2 for a set of categories in shared batched sweeps.
 
@@ -307,12 +304,8 @@ def solve_all_categories(
     categories:
         Positions on ``columns.categories`` to solve (any order; repeats
         are ignored).  ``None`` solves every category.  Only these
-        categories' rating rows are read, validated and swept.
-    warm_start:
-        Optional dense ``(users, categories)`` array of starting
-        reputations on ``columns``' axes.  Each rater slot starts from its
-        ``(rater, category)`` cell, clipped to ``[0, 1]``; without it every
-        slot starts at ``config.initial_reputation``.
+        categories' rating rows are read, validated and swept.  Every
+        rater slot starts at ``config.initial_reputation``.
 
     Returns
     -------
@@ -333,8 +326,8 @@ def solve_all_categories(
         If any category fails to reach ``tolerance`` within
         ``config.max_iterations`` sweeps.
     ValidationError
-        On a category position off the axis, a ``warm_start`` of the wrong
-        shape, or malformed ratings (duplicate pairs, out-of-range values).
+        On a category position off the axis, or malformed ratings
+        (duplicate pairs, out-of-range values).
     """
     cfg = config or RiggsConfig()
     labels = tuple(columns.categories)
@@ -346,13 +339,6 @@ def solve_all_categories(
     )
     if solved.size and (solved[0] < 0 or solved[-1] >= len(labels)):
         raise ValidationError(f"category positions must lie in [0, {len(labels)})")
-    if warm_start is not None:
-        warm_start = np.asarray(warm_start, dtype=np.float64)
-        if warm_start.shape != (num_users, len(labels)):
-            raise ValidationError(
-                f"warm_start shape {warm_start.shape} does not match "
-                f"{(num_users, len(labels))} users x categories"
-            )
     starts = np.asarray(columns.rating_cat_starts, dtype=np.int64)
     rows_per_cat = starts[solved + 1] - starts[solved]
     has_rows = rows_per_cat > 0
@@ -416,12 +402,7 @@ def solve_all_categories(
     rater_slot_cat = uniq_keys // num_users
     rater_slot_user = uniq_keys % num_users
 
-    if warm_start is None:
-        reputation = np.full(len(uniq_keys), cfg.initial_reputation, dtype=np.float64)
-    else:
-        reputation = np.clip(
-            warm_start[rater_slot_user, nonempty[rater_slot_cat]], 0.0, 1.0
-        )
+    reputation = np.full(len(uniq_keys), cfg.initial_reputation, dtype=np.float64)
 
     with obs.span(
         "step1.solve_all", categories=len(nonempty), ratings=len(values)

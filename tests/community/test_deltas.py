@@ -112,18 +112,6 @@ class TestMutatorsEmitDeltas:
             two_category_community.add_review(Review("rx", "bob", "ghost"))
         assert two_category_community.change_log.epoch == epoch
 
-    def test_touch_records_explicit_recompute(self, two_category_community):
-        epoch = two_category_community.change_log.epoch
-        two_category_community.touch("movies")
-        two_category_community.touch()
-        targeted, blanket = two_category_community.change_log.since(epoch)
-        assert (targeted.kind, targeted.category_id) == ("touch", "movies")
-        assert (blanket.kind, blanket.category_id) == ("touch", None)
-
-    def test_touch_unknown_category_rejected(self, two_category_community):
-        with pytest.raises(ValidationError):
-            two_category_community.touch("ghost")
-
     def test_logs_are_per_community(self):
         a, b = Community("a"), Community("b")
         a.add_user("u1")

@@ -107,7 +107,6 @@ REJECTED = [
         lambda c: c.add_trust(TrustStatement("alice", "ghost")),
         IntegrityError,
     ),
-    ("touch-no-category", lambda c: c.touch("ghost"), ValidationError),
 ]
 
 

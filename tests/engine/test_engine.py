@@ -1,8 +1,10 @@
 """Tests for the staged incremental engine and its replay helpers."""
 
-import numpy as np
+import inspect
+
 import pytest
 
+from repro import obs
 from repro.common.errors import ValidationError
 from repro.community import (
     Community,
@@ -18,6 +20,13 @@ from repro.engine import (
     cold_artifacts,
     extract_records,
     split_rating_stream,
+)
+from repro.obs.recorder import Recorder
+from repro.shard import ShardConfig
+
+#: the engine's two configurations: in memory and on three shards
+BACKENDS = pytest.mark.parametrize(
+    "shard_config", [None, ShardConfig(num_shards=3)], ids=["memory", "sharded"]
 )
 
 
@@ -47,9 +56,6 @@ class TestColdBuild:
         assert stats.pairs_rederived == artifacts.derived.num_entries()
         assert stats.pairs_reused == 0
         assert stats.propagation_rerun
-        epoch = two_category_community.change_log.epoch
-        assert artifacts.stamps.columns == epoch
-        assert artifacts.stamps.propagation == epoch
 
     def test_cold_build_counts_only_logged_deltas(self, two_category_community):
         # built whole: the log starts at the record count with no delta
@@ -70,6 +76,17 @@ class TestColdBuild:
         engine = Engine(two_category_community)
         assert engine.artifacts is None
         assert engine.last_stats is None
+
+
+class TestEngineSurface:
+    def test_engine_takes_only_a_shard_config(self):
+        parameters = inspect.signature(Engine).parameters
+        assert list(parameters) == ["community", "shard_config"]
+        assert parameters["shard_config"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert parameters["shard_config"].default is None
+
+    def test_cold_artifacts_takes_only_the_community(self):
+        assert list(inspect.signature(cold_artifacts).parameters) == ["community"]
 
 
 class TestIncrementalUpdates:
@@ -122,8 +139,7 @@ class TestIncrementalUpdates:
         second = engine.update()
         assert engine.last_stats.deltas_applied == 1
         assert second.derived is first.derived
-        assert second.stamps.derived == first.stamps.derived
-        assert second.stamps.columns == two_category_community.change_log.epoch
+        assert second.scores is first.scores
         assert_matches_cold(engine, two_category_community)
 
     def test_localised_rating_reuses_pairs(self, generated_community):
@@ -140,32 +156,101 @@ class TestIncrementalUpdates:
         assert stats.categories_skipped >= 1
         assert_matches_cold(engine, base)
 
-    def test_stamps_track_reuse(self, two_category_community):
+    def test_object_only_delta_keeps_derived(self, two_category_community):
+        # an object with no review enters neither E nor A: the cached
+        # T-hat is proven still valid without being recomputed
         engine = Engine(two_category_community)
-        engine.update()
+        first = engine.update()
         two_category_community.add_object(ReviewedObject("m7", "movies"))
-        artifacts = engine.update()
-        stamps = artifacts.stamps
-        epoch = two_category_community.change_log.epoch
-        assert stamps.columns == epoch
-        assert stamps.derived < epoch  # cached T-hat proven valid, untouched
+        second = engine.update()
+        stats = engine.last_stats
+        assert stats.deltas_applied == 1
+        assert stats.categories_resolved == 0
+        assert stats.pairs_rederived == 0
+        assert not stats.propagation_rerun
+        assert second.derived is first.derived
+        assert_matches_cold(engine, two_category_community)
+
+    def test_new_user_rating_patches_the_grown_axis(self, generated_community):
+        # in memory a grown user axis still takes the patch path: the
+        # newcomer's A row and one category's E rows are the whole region
+        base = clone_community(generated_community)
+        engine = Engine(base)
+        first = engine.update()
+        base.add_user("newcomer")
+        review = next(iter(base.reviews_in_category(base.category_ids()[0])))
+        base.add_rating(ReviewRating("newcomer", review.review_id, 0.8))
+        second = engine.update()
+        stats = engine.last_stats
+        assert len(second.derived.users) == len(first.derived.users) + 1
+        assert stats.pairs_reused > 0
+        assert stats.pairs_rederived > 0
+        assert_matches_cold(engine, base)
 
 
-class TestExactVsApproximate:
-    def test_approximate_mode_agrees_to_tolerance(self, generated_community):
-        base, stream = split_rating_stream(generated_community, 4)
-        exact = Engine(clone_community(base))
-        approx = Engine(base, exact=False)
-        exact.update()
-        approx.update()
-        for rating in stream:
-            base.add_rating(rating)
-            exact.community.add_rating(rating)
-            a = approx.update()
-            e = exact.update()
-            np.testing.assert_allclose(
-                a.scores.scores_array(), e.scores.scores_array(), atol=1e-6
-            )
+@BACKENDS
+class TestRederivePaths:
+    """Which of reuse, patch and full re-derive an update takes."""
+
+    def test_inert_deltas_keep_every_artifact(self, shard_config, two_category_community):
+        # objects and trust statements enter neither E nor A
+        engine = Engine(two_category_community, shard_config=shard_config)
+        first = engine.update()
+        two_category_community.add_object(ReviewedObject("m7", "movies"))
+        two_category_community.add_trust(TrustStatement("carol", "dave"))
+        second = engine.update()
+        stats = engine.last_stats
+        assert stats.deltas_applied == 2
+        assert stats.categories_resolved == 0
+        assert not stats.propagation_rerun
+        assert second.derived is first.derived
+        assert second.scores is first.scores
+        assert_matches_cold(engine, two_category_community)
+
+    def test_localised_rating_patches(self, shard_config, generated_community):
+        base, stream = split_rating_stream(generated_community, 1)
+        engine = Engine(base, shard_config=shard_config)
+        first = engine.update()
+        base.add_rating(stream[0])
+        second = engine.update()
+        stats = engine.last_stats
+        assert stats.pairs_reused > 0
+        assert stats.pairs_rederived > 0
+        assert stats.propagation_rerun
+        assert second.derived is not first.derived
+        assert_matches_cold(engine, base)
+
+    def test_wide_change_rederives_in_full(self, shard_config, two_category_community):
+        # one rating in a five-user community moves at least half of the
+        # rows of A and E, so a full derive replaces the patch
+        engine = Engine(two_category_community, shard_config=shard_config)
+        first = engine.update()
+        recorder = Recorder()
+        with obs.use_recorder(recorder):
+            two_category_community.add_rating(ReviewRating("carol", "ra1", 0.6))
+            second = engine.update()
+        assert not [name for name in recorder.counters if ".patch." in name]
+        stats = engine.last_stats
+        assert stats.pairs_reused == 0
+        assert stats.pairs_rederived == second.derived.num_entries()
+        assert_matches_cold(engine, two_category_community)
+        if shard_config is not None:
+            with pytest.raises(ValidationError, match="superseded"):
+                first.derived.flush()
+
+    def test_category_growth_rederives_in_full(self, shard_config, two_category_community):
+        engine = Engine(two_category_community, shard_config=shard_config)
+        engine.update()
+        two_category_community.add_category("music")
+        two_category_community.add_object(ReviewedObject("s1", "music"))
+        two_category_community.add_review(Review("re1", "eve", "s1"))
+        two_category_community.add_rating(ReviewRating("dave", "re1", 0.8))
+        second = engine.update()
+        stats = engine.last_stats
+        assert list(second.expertise.categories) == ["movies", "books", "music"]
+        assert (stats.categories_resolved, stats.categories_skipped) == (1, 2)
+        assert stats.pairs_reused == 0
+        assert_matches_cold(engine, two_category_community)
 
 
 class TestReplayHelpers:
@@ -215,20 +300,26 @@ class TestLogCompaction:
         assert log.epoch >= len(stream)  # epochs keep advancing
         assert log.floor == log.epoch
 
-    def test_compaction_can_be_disabled(self, generated_community):
-        base, stream = split_rating_stream(generated_community, 5)
-        engine = Engine(base, compact_log=False)
-        engine.update()
-        log = base.change_log
-        floor = log.floor
-        # a base built whole holds no delta: its log starts at its records
-        assert len(log) == 0
-        assert floor == base.version == sum(base.summary().values())
+    @BACKENDS
+    def test_second_engine_resyncs_after_compaction(self, shard_config, generated_community):
+        """Each update compacts the log it consumed, so a second engine on
+        the same community finds its deltas gone and re-solves every
+        category: slower, still bitwise."""
+        base, stream = split_rating_stream(generated_community, 4)
+        first = Engine(base, shard_config=shard_config)
+        second = Engine(base, shard_config=shard_config)
+        first.update()
+        second.update()
         for rating in stream:
             base.add_rating(rating)
-            engine.update()
-        assert len(log) == len(stream)
-        assert log.floor == floor
+            first.update()
+        assert len(base.change_log) == 0
+        second.update()
+        stats = second.last_stats
+        assert stats.deltas_applied == len(stream)
+        assert stats.categories_skipped == 0
+        assert_matches_cold(first, base)
+        assert_matches_cold(second, base)
 
     def test_compacted_engine_stays_bitwise_equal(self, generated_community):
         base, stream = split_rating_stream(generated_community, 5)

@@ -30,6 +30,14 @@ class TestColdBuild:
         assert engine.artifacts.derived.num_shards == 2
         assert_matches_cold(engine, two_category_community)
 
+    def test_cold_build_stats(self, two_category_community):
+        engine = Engine(two_category_community, shard_config=ShardConfig(num_shards=2))
+        artifacts = engine.update()
+        stats = engine.last_stats
+        assert stats.pairs_rederived == artifacts.derived.num_entries() > 0
+        assert stats.pairs_reused == 0
+        assert stats.propagation_rerun
+
     def test_store_root_receives_spilled_shards(self, tmp_path, two_category_community):
         config = ShardConfig(num_shards=2, spill_bytes=ENTRY_BYTES, root=tmp_path / "s")
         engine = Engine(two_category_community, shard_config=config)

@@ -80,7 +80,6 @@ class TestRenderTraceReport:
             obs.add("step1.incremental.categories_skipped", 4)
             obs.add("engine.derive.pairs_rederived", 120)
             obs.add("engine.derive.pairs_reused", 880)
-            obs.add("engine.propagation.iterations_saved", 17)
         text = render_trace_report(recorder.to_dict())
         assert "Incremental engine" in text
         lines = text.splitlines()
@@ -89,6 +88,7 @@ class TestRenderTraceReport:
         pairs = next(l for l in lines if l.startswith("derive pairs"))
         assert "120" in pairs and "880" in pairs and "88.0%" in pairs
         assert not any(l.startswith(("T-hat patch", "shard patch")) for l in lines)
+        assert not any(l.startswith("propagation sweeps saved") for l in lines)
 
     def test_engine_section_summarises_patch_paths(self):
         recorder = Recorder()

@@ -19,14 +19,14 @@ from scipy.sparse import _sparsetools
 from repro.matrix import UserPairMatrix
 from repro.matrix.labels import LabelIndex
 from repro.propagation import eigen_trust
-from repro.propagation.eigentrust import _initial_vector, _pretrust_vector
+from repro.propagation.eigentrust import _pretrust_vector
 from repro.shard.layout import ShardLayout
 from repro.shard.matrix import ENTRY_BYTES, ShardedPairMatrix
 
 NUM_WEBS = 200
 
 
-def transposed_oracle(blocks, users, *, pretrust, initial, alpha, tolerance, max_iterations):
+def transposed_oracle(blocks, users, *, pretrust, alpha, tolerance, max_iterations):
     """EigenTrust over per-block transposed operators (the replaced sweep).
 
     ``blocks`` are the web's CSR row blocks in ascending row order.
@@ -61,7 +61,7 @@ def transposed_oracle(blocks, users, *, pretrust, initial, alpha, tolerance, max
         return y
 
     p = _pretrust_vector(pretrust, users)
-    t = _initial_vector(initial, users, p)
+    t = p
     converged = False
     iterations = 0
     residual = float("inf")
@@ -84,8 +84,8 @@ def random_case(seed):
 
     Webs mix dangling rows, empty row bands (so some shards hold
     nothing), explicit zero weights, self-loops, and weights spread over
-    up to 24 orders of magnitude; about half carry a pretrust vector and
-    half a warm start, and some stop at a small iteration cap.
+    up to 24 orders of magnitude; about half carry a pretrust vector, and
+    some stop at a small iteration cap.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, 48))
@@ -102,7 +102,6 @@ def random_case(seed):
     values[rng.random(rows.size) < 0.1] = 0.0  # explicit zeros
     kwargs = {
         "pretrust": None,
-        "initial": None,
         "alpha": float(rng.choice([0.05, 0.15, 0.5])),
         "tolerance": 1e-10,
         "max_iterations": int(rng.choice([3, 1000])),
@@ -112,11 +111,6 @@ def random_case(seed):
         kwargs["pretrust"] = {
             users.labels[i]: float(rng.random()) + 0.01 for i in chosen
         }
-    draw = rng.random()
-    if draw < 0.25:
-        kwargs["initial"] = rng.random(n)
-    elif draw < 0.5:
-        kwargs["initial"] = {users.labels[int(rng.integers(0, n))]: 1.0}
     return users, rows, cols, values, kwargs
 
 
@@ -167,7 +161,7 @@ def test_scores_match_transposed_oracle_bitwise(backend):
 def test_cases_cover_the_edge_shapes():
     """The seeded webs do contain every edge shape the oracle test claims."""
     seen = dict.fromkeys(
-        ["dangling", "empty_shard", "zeros", "orders", "pretrust", "warm", "capped"], 0
+        ["dangling", "empty_shard", "zeros", "orders", "pretrust", "capped"], 0
     )
     for seed in range(NUM_WEBS):
         users, rows, cols, values, kwargs = random_case(seed)
@@ -180,6 +174,5 @@ def test_cases_cover_the_edge_shapes():
         positive = values[values > 0.0]
         seen["orders"] += positive.size > 1 and positive.max() / positive.min() > 1e12
         seen["pretrust"] += kwargs["pretrust"] is not None
-        seen["warm"] += kwargs["initial"] is not None
         seen["capped"] += kwargs["max_iterations"] < 10
     assert min(seen.values()) >= 20, seen

@@ -66,13 +66,12 @@ class TestParity:
         sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3)
         assert_scores_identical(eigen_trust(flat), eigen_trust(sharded))
 
-    def test_warm_start_and_pretrust_identical(self):
+    def test_pretrust_identical(self):
         flat, sharded = matching_webs()
         pretrust = {"u0": 0.5, "u3": 0.5}
-        initial = {"u1": 1.0}
         assert_scores_identical(
-            eigen_trust(flat, pretrust=pretrust, initial=initial),
-            eigen_trust(sharded, pretrust=pretrust, initial=initial),
+            eigen_trust(flat, pretrust=pretrust),
+            eigen_trust(sharded, pretrust=pretrust),
         )
 
 

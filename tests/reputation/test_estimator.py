@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ValidationError
-from repro.engine import Engine
 from repro.reputation import (
     ExpertiseEstimator,
-    IncrementalExpertise,
     RiggsConfig,
     solve_all_categories,
 )
@@ -124,15 +122,6 @@ class TestScatterFixedPoints:
 class TestConstructorValidation:
     """Bad Step-1 settings fail where they are given, not at the first fit."""
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda community: ExpertiseEstimator(unrated_policy="bogus"),
-            lambda community: IncrementalExpertise(community, unrated_policy="bogus"),
-            lambda community: Engine(community, unrated_policy="bogus"),
-        ],
-        ids=["estimator", "incremental", "engine"],
-    )
-    def test_unknown_unrated_policy_rejected(self, two_category_community, build):
+    def test_unknown_unrated_policy_rejected(self):
         with pytest.raises(ValidationError, match="unrated_policy"):
-            build(two_category_community)
+            ExpertiseEstimator(unrated_policy="bogus")

@@ -1,48 +1,19 @@
 """Tests for incremental expertise maintenance."""
 
-import numpy as np
+import inspect
+
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.community import Review, ReviewRating, ReviewedObject
-from repro.perf.reference import solve_category
+from repro.datasets import CommunityProfile, generate_community
+from repro.engine import split_rating_stream
 from repro.reputation import ExpertiseEstimator, IncrementalExpertise, LazyFixedPoints
 
 
-def results_equal(a, b, tol=1e-9):
-    return np.allclose(a.expertise.to_array(), b.expertise.to_array(), atol=tol) and (
-        np.allclose(a.rater_reputation.to_array(), b.rater_reputation.to_array(), atol=tol)
-    )
-
-
-class TestWarmStart:
-    def test_warm_start_reaches_same_fixed_point(self):
-        triples = [
-            ("u1", "r1", 1.0), ("u2", "r1", 0.8), ("u1", "r2", 0.6),
-            ("u3", "r2", 0.2), ("u2", "r2", 0.6),
-        ]
-        cold = solve_category(triples)
-        warm = solve_category(triples, warm_start=cold.rater_reputation)
-        for rater, rep in cold.rater_reputation.items():
-            assert warm.rater_reputation[rater] == pytest.approx(rep, abs=1e-7)
-
-    def test_warm_start_converges_faster(self):
-        triples = [
-            (f"u{i}", f"r{j}", [0.2, 0.6, 1.0][(i + j) % 3])
-            for i in range(6)
-            for j in range(5)
-        ]
-        cold = solve_category(triples)
-        warm = solve_category(triples, warm_start=cold.rater_reputation)
-        assert warm.iterations <= cold.iterations
-
-    def test_warm_start_values_clipped(self):
-        result = solve_category([("u1", "r1", 0.8)], warm_start={"u1": 5.0})
-        assert result.rater_reputation["u1"] == pytest.approx(0.5)
-
-    def test_unknown_raters_in_warm_start_ignored(self):
-        result = solve_category([("u1", "r1", 0.8)], warm_start={"ghost": 0.1})
-        assert result.rater_reputation["u1"] == pytest.approx(0.5)
+def results_equal(a, b):
+    """Bitwise equality of both Step-1 matrices: every refresh starts cold."""
+    return a.expertise == b.expertise and a.rater_reputation == b.rater_reputation
 
 
 class TestIncrementalExpertise:
@@ -76,7 +47,7 @@ class TestIncrementalExpertise:
 
     def test_earlier_results_never_change(self, two_category_community):
         community = two_category_community
-        tracker = IncrementalExpertise(community, warm_start=False)
+        tracker = IncrementalExpertise(community)
         tracker.fit()
         community.add_rating(ReviewRating("carol", "ra1", 0.6))
         kept = tracker.refresh()  # re-solves movies
@@ -93,22 +64,6 @@ class TestIncrementalExpertise:
         # first access of kept's fixed points happens only now
         for category_id in ("movies", "books"):
             assert kept.fixed_points[category_id] == cold.fixed_points[category_id]
-
-    def test_warm_refresh_starts_from_the_previous_fixed_point(
-        self, two_category_community
-    ):
-        # movies' raters start from their previous reputation there and
-        # carol, new to movies, from initial_reputation -- which is what the
-        # oracle does with the previous fixed point as its warm start
-        tracker = IncrementalExpertise(two_category_community, warm_start=True)
-        previous = tracker.fit().fixed_points["movies"]
-        two_category_community.add_rating(ReviewRating("carol", "ra1", 0.6))
-        result = tracker.refresh()
-        oracle = solve_category(
-            two_category_community.rating_triples("movies"),
-            warm_start=previous.rater_reputation,
-        )
-        assert result.fixed_points["movies"] == oracle
 
     def test_fixed_points_are_a_lazy_view_in_axis_order(self, two_category_community):
         tracker = IncrementalExpertise(two_category_community)
@@ -137,26 +92,29 @@ class TestIncrementalExpertise:
         assert result.expertise.shape[0] == n_before + 1
         assert results_equal(result, ExpertiseEstimator().fit(two_category_community))
 
-    def test_touch_marks_one_category_dirty(self, two_category_community):
-        tracker = IncrementalExpertise(two_category_community)
-        tracker.fit()
-        two_category_community.touch("movies")
-        assert tracker.dirty_categories == {"movies"}
-
-    def test_touch_unknown_category(self, two_category_community):
-        with pytest.raises(ValidationError):
-            two_category_community.touch("ghost")
-
     def test_last_iterations_before_solve(self, two_category_community):
         tracker = IncrementalExpertise(two_category_community)
         with pytest.raises(ValidationError):
             tracker.last_iterations("movies")
 
-    def test_touch_all_marks_every_category_dirty(self, two_category_community):
-        tracker = IncrementalExpertise(two_category_community)
-        tracker.fit()
-        two_category_community.touch()
-        assert tracker.dirty_categories == {"movies", "books"}
+    def test_refresh_does_not_depend_on_refresh_history(self):
+        # every refresh starts cold: refreshing after each rating and once
+        # at the end agree bitwise, down to the solver's sweep counts
+        community = generate_community(CommunityProfile(num_users=60), seed=11).community
+        base, stream = split_rating_stream(community, 6)
+        stepwise, once = IncrementalExpertise(base), IncrementalExpertise(base)
+        stepwise.fit()
+        once.fit()
+        for rating in stream:
+            base.add_rating(rating)
+            stepwise.refresh()
+        assert len(stepwise.last_resolved) < len(base.category_ids())
+        assert results_equal(stepwise.refresh(), once.refresh())
+        for category_id in base.category_ids():
+            assert stepwise.last_iterations(category_id) == once.last_iterations(category_id)
+
+    def test_takes_only_the_community(self):
+        assert list(inspect.signature(IncrementalExpertise).parameters) == ["community"]
 
     def test_shims_are_gone(self, two_category_community):
         tracker = IncrementalExpertise(two_category_community)

@@ -63,40 +63,6 @@ class TestBatchedEquivalence:
             oracle = solve_category(community.rating_triples(category_id), config)
             assert_fixed_points_identical(batch.fixed_point(category_id), oracle)
 
-    def test_warm_start_matches_oracle(self):
-        # the dense array built from per-category mappings: mapped raters
-        # start from their (user, category) value -- some outside [0, 1],
-        # so both sides clip -- and everyone else cold
-        community = random_community(5)
-        columns = community.columns()
-        mapped = columns.users.positions(community.user_ids()[::2])
-        values = np.full(
-            (len(columns.users), len(columns.categories)),
-            RiggsConfig().initial_reputation,
-        )
-        rng = np.random.default_rng(5)
-        values[mapped] = rng.uniform(-0.5, 1.5, size=(len(mapped), len(columns.categories)))
-        labels = columns.users.labels
-        # every category, then a subset whose segments are not the positions
-        for categories in (None, np.arange(len(columns.categories))[1::2]):
-            batch = solve_all_categories(
-                columns, categories=categories, warm_start=values
-            )
-            for c in batch.solved_categories.tolist():
-                category_id = columns.categories.label(c)
-                warm = {labels[u]: float(values[u, c]) for u in mapped.tolist()}
-                oracle = solve_category(
-                    community.rating_triples(category_id), warm_start=warm
-                )
-                assert_fixed_points_identical(batch.fixed_point(category_id), oracle)
-
-    def test_warm_start_shape_checked(self, two_category_community):
-        columns = two_category_community.columns()
-        with pytest.raises(ValidationError, match="warm_start"):
-            solve_all_categories(
-                columns, warm_start=np.full((len(columns.users), 1), 0.5)
-            )
-
     def test_slot_arrays_align_with_dict_view(self, two_category_community):
         batch = solve_all_categories(two_category_community.columns())
         labels = batch.users.labels
