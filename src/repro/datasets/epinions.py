@@ -375,42 +375,50 @@ def _read_rows(path: str, needed: int, count: int, default: str = "") -> _Rows:
     """
     with open(path, "r", encoding="utf-8") as f:
         text = f.read()
-    # strip and look for comments only where that can change something
+    # strip and filter lines only where that can change something
     padded = not text.isascii() or any(map(text.__contains__, _ASCII_BLANKS))
-    lines = list(map(str.strip, text.split("\n"))) if padded else text.split("\n")
-    if "#" in text:
-        rows = [line for line in lines if line and line[0] != "#"]
+    if padded or "#" in text or "\n\n" in text or text.startswith("\n"):
+        lines = list(map(str.strip, text.split("\n"))) if padded else text.split("\n")
+        if "#" in text:
+            rows = [line for line in lines if line and line[0] != "#"]
+        else:
+            rows = list(filter(None, lines))
+        body = "\n".join(rows)
     else:
-        rows = list(filter(None, lines))
-    widths = _field_counts(rows)
+        # a clean file: every line is a row, so the text is already its rows
+        body = text[:-1] if text.endswith("\n") else text
+    widths = _field_counts(body)
     short = first_true(widths < needed)
+    # every row's fields in order, cut by one split
+    fields = body.replace("\n", "|").split("|") if body else []
     if short is not None:
-        rows = rows[:short]
-    columns = _columns(rows, widths[: len(rows)], count, default)
+        del fields[int(widths[:short].sum()) :]
+    columns = _columns(fields, widths[:short], count, default)
     if padded:
         columns = [list(map(str.strip, column)) for column in columns]
     return _Rows(text, widths, short, columns)
 
 
-def _field_counts(rows: list[str]) -> IntArray:
-    """Each row's field count: its separators, plus one."""
-    if not rows:
+def _field_counts(body: str) -> IntArray:
+    """The field count of each row of ``body`` (rows joined by ``"\n"``):
+    its separators, plus one."""
+    if not body:
         return np.zeros(0, dtype=np.int64)
-    # the separators and line ends of the joined rows, in order
-    marks = np.frombuffer("\n".join(rows).encode().translate(None, _NOT_SEPARATORS), np.uint8)
+    # the separators and line ends of the rows, in order
+    marks = np.frombuffer(body.encode().translate(None, _NOT_SEPARATORS), np.uint8)
     ends = np.flatnonzero(marks == ord("\n"))
     return np.diff(ends, prepend=-1, append=marks.size)
 
 
-def _columns(rows: list[str], widths: IntArray, count: int, default: str) -> list[list[str]]:
-    """Fields ``0 .. count - 1`` of every row, one list per field, cut by
-    one split; a row without a field gives ``default`` there."""
-    if not rows:
+def _columns(fields: list[str], widths: IntArray, count: int, default: str) -> list[list[str]]:
+    """Fields ``0 .. count - 1`` of the rows whose ``widths`` fields are,
+    in order, ``fields``: one list per field; a row without a field gives
+    ``default`` there."""
+    if not widths.size:
         return [[] for _ in range(count)]
-    fields = "|".join(rows).split("|")
     if widths.min() == widths.max():
         width = int(widths[0])
-        return [fields[k::width] if k < width else [default] * len(rows) for k in range(count)]
+        return [fields[k::width] if k < width else [default] * widths.size for k in range(count)]
     # gather by row start; a row without field k reads the default appended last
     starts = np.cumsum(widths) - widths
     fields.append(default)

@@ -7,13 +7,16 @@ reads each spilled shard once per call:
 
 - :class:`ShardLayout` -- contiguous row-block boundaries;
 - :class:`ShardStore` -- a directory of memory-mappable ``.npy`` payloads
-  with a checksummed JSON manifest;
+  with a checksummed JSON manifest; a writer's checksums are digests of
+  the bytes as written, and ``verify`` re-hashes the files from disk;
 - :class:`ShardedPairMatrix` -- the bitwise-identical sharded backend
   for :class:`repro.matrix.UserPairMatrix`, read through the same API;
   each shard's content is written whole (``set_shard_entries``,
   ``from_pair_matrix``, ``patch_with``), and a shard whose patches keep
   its support keeps its CSR structure and its keys file, so propagation
-  and checkpoints after a values-only patch touch only values;
+  and checkpoints after a values-only patch touch only values, and a
+  shard written by a spill or a flush stays mapped, so nothing is read
+  back;
 - :class:`ShardConfig` -- shard count / spill budget / store location;
 - :class:`ArtifactStore` -- save/load facade for whole pipeline outputs.
 

@@ -75,7 +75,9 @@ class ArtifactStore:
 
         An in-memory ``derived`` matrix is sharded into ``num_shards`` row
         blocks on the way out; a :class:`ShardedPairMatrix` is flushed
-        shard by shard (its own store is left untouched).
+        shard by shard (its own store is left untouched).  Every checksum in
+        both manifests is the digest taken of the bytes as they were
+        written; :meth:`verify` re-hashes the files from disk.
         """
         if expertise.users != derived.users or affiliation.users != derived.users:
             raise ValidationError("artifacts must share one user axis")
@@ -90,10 +92,10 @@ class ArtifactStore:
                 (_AFFILIATION_NAME, affiliation.values_view()),
                 (_SCORES_NAME, scores.scores_array()),
             ):
-                self._flat.write_array(name, np.ascontiguousarray(values))
-                checksums[name] = self._flat.checksum(name)
+                self._flat.write_array(name, values)
+                checksums[name] = self._flat.written_checksum(name)
             self._flat.write_labels(expertise.categories.labels, _CATEGORIES_NAME)
-            checksums[_CATEGORIES_NAME] = self._flat.checksum(_CATEGORIES_NAME)
+            checksums[_CATEGORIES_NAME] = self._flat.written_checksum(_CATEGORIES_NAME)
             manifest: dict[str, Any] = {
                 "format": _FORMAT,
                 "epoch": int(epoch),

@@ -79,6 +79,12 @@ class ShardedPairMatrix:
     only the values file.  The structure costs 4 B per entry plus 4 B per
     row on the heap, outside the spill budget.
 
+    A shard written to the store (a spill or a :meth:`flush`) stays mapped:
+    its heap arrays are replaced by memory maps of the files just written,
+    and a keys file left in place keeps the keys array that maps it.  So
+    neither a checkpoint nor the reads after it load a payload; only the
+    shards of a matrix :meth:`open` returns are loaded, on first read.
+
     :meth:`patch_with` returns a new version instead of rewriting this
     one.  The versions share the store, the untouched shards' arrays and,
     where a patch kept a shard's support, its key array and CSR
@@ -418,11 +424,17 @@ class ShardedPairMatrix:
         matrix.  A shard whose patches all kept its support keeps its keys
         file and its checksum untouched.  The user axis file is written only
         by the first flush of a new matrix: the versions :meth:`patch_with`
-        returns and a matrix :meth:`open` returns keep its checksum.  After
-        a flush the matrix can be reopened with :meth:`open`; in-memory
-        shard state is dropped so subsequent reads are memory-mapped.  The
-        store has one writer: the keys-file and user-axis bookkeeping
-        assumes no other matrix rewrites its files.
+        returns and a matrix :meth:`open` returns keep its checksum.
+
+        Nothing is read back: each written file's checksum is the digest
+        :meth:`ShardStore.write_array` took of its bytes, and the manifest's
+        entry counts come from the arrays in hand.  Afterwards every written
+        file is memory-mapped in place of the heap arrays, which are
+        dropped; a keys file left in place keeps the keys array that maps
+        it, and CSR structures are kept, so the next reads load nothing.
+        The matrix can be reopened with :meth:`open`.  The store has one
+        writer: the keys-file and user-axis bookkeeping assumes no other
+        matrix rewrites its files.
         """
         self._require_newest()
         store = self._require_store()
@@ -440,7 +452,7 @@ class ShardedPairMatrix:
                     {
                         "index": s,
                         "rows": [lo, hi],
-                        "entries": self.shard_nnz(s),
+                        "entries": self.shard_nnz(s),  # in hand unless never read
                         "files": {"keys": keys_name, "vals": vals_name},
                     }
                 )
@@ -448,7 +460,7 @@ class ShardedPairMatrix:
             # is written only by a matrix that has no checksum for it
             if USERS_NAME not in self._checksums:
                 store.write_labels(self.users.labels)
-                self._checksums[USERS_NAME] = store.checksum(USERS_NAME)
+                self._checksums[USERS_NAME] = store.written_checksum(USERS_NAME)
             checksums[USERS_NAME] = self._checksums[USERS_NAME]
             manifest: dict[str, Any] = {
                 "format": FORMAT,
@@ -456,7 +468,7 @@ class ShardedPairMatrix:
                 "epoch": int(epoch),
                 "bounds": list(self.layout.bounds),
                 "dtype": {"keys": "int64", "vals": "float64"},
-                "entries": self.num_entries(),
+                "entries": sum(doc["entries"] for doc in shard_docs),
                 "shards": shard_docs,
                 "checksums": checksums,
             }
@@ -548,24 +560,25 @@ class ShardedPairMatrix:
             self._flush_shard(shard)
 
     def _flush_shard(self, shard: int) -> None:
-        """Write a shard held on the heap to its files and drop the heap copy.
+        """Write a shard held on the heap to its files and map them in its place.
 
         The keys file is written only when it does not already hold the
         shard's keys (it has no checksum); an unwritten file keeps its
-        checksum.
+        checksum, and the shard keeps its keys array, which maps that file.
+        A written file's checksum is the digest taken as it was written,
+        and the heap copy is replaced by a map of the file: nothing is read.
         """
         store = self._require_store()
         keys_name, vals_name = _shard_files(shard)
         if keys_name not in self._checksums:
             store.write_array(keys_name, np.asarray(self._keys[shard]))
-            self._checksums[keys_name] = store.checksum(keys_name)
+            self._checksums[keys_name] = store.written_checksum(keys_name)
+            self._keys[shard] = store.map_written(keys_name)
         store.write_array(vals_name, np.asarray(self._vals[shard], dtype=np.float64))
-        self._checksums[vals_name] = store.checksum(vals_name)
+        self._checksums[vals_name] = store.written_checksum(vals_name)
+        self._vals[shard] = store.map_written(vals_name)
         self._on_disk[shard] = True
         self._dirty[shard] = False
-        # drop the heap copy: the next read memory-maps the files
-        self._keys[shard] = None
-        self._vals[shard] = None
 
     def _find(self, source_id: str, target_id: str) -> tuple[FloatArray, int | None]:
         """The pair's shard values and its position in them (``None``: absent)."""

@@ -5,11 +5,20 @@ A :class:`ShardStore` owns one directory.  Array payloads are plain
 never pulls the whole shard into the heap); the ``manifest.json``
 document records the shard boundaries, dtypes, entry counts, the
 community epoch the artifact corresponds to, and a SHA-256 checksum per
-payload file.  :meth:`ShardStore.verify` re-hashes every payload against
-the manifest -- the integrity gate behind ``repro shard verify`` and the
-CI perf smoke.  Every file is replaced whole: it is written to a staging
+payload file.  Every file is replaced whole: it is written to a staging
 name and renamed onto its own, so a write that fails leaves the previous
 file readable.
+
+Checksums come from two places.  A writer records the digest
+:meth:`ShardStore.written_checksum` returns: :meth:`ShardStore.write_array`
+and :meth:`ShardStore.write_text` hash the bytes they write, in memory, as
+they write them, so recording a checksum reads nothing back.
+:meth:`ShardStore.checksum` hashes a file as it is on disk;
+:meth:`ShardStore.verify` re-hashes every payload that way against the
+manifest -- the integrity gate behind ``repro shard verify`` and the CI
+perf smoke.  A writer can also map a payload it just wrote
+(:meth:`ShardStore.map_written`) at the header length it wrote, without
+parsing the header again.
 
 All IO is surfaced through :mod:`repro.obs`: ``shard.write.bytes`` /
 ``shard.read.bytes`` counters and ``shard.store.flush`` /
@@ -19,13 +28,14 @@ All IO is surfaced through :mod:`repro.obs`: ``shard.write.bytes`` /
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 import shutil
 import tempfile
 import weakref
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -42,12 +52,37 @@ FORMAT = "repro.shard/v1"
 _HASH_CHUNK = 1 << 18  # stream checksums in 256 KiB chunks: bounded memory
 
 
+def _npy_header(values: IntArray | FloatArray) -> bytes:
+    """The header ``np.save`` writes before a C-contiguous array's bytes.
+
+    Format 1.0, which ``np.save`` picks for every header that fits it (any
+    plain numeric array): magic, header length, and the padded header dict.
+    The file's bytes are this header followed by the array's own bytes.
+    """
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        header, np.lib.format.header_data_from_array_1_0(values)
+    )
+    return header.getvalue()
+
+
+class _Written(NamedTuple):
+    """What a write through this store knows of the file it left."""
+
+    checksum: str  # SHA-256 hex digest of the bytes written, taken in memory
+    offset: int = 0  # an array payload's header length: where its values start
+    dtype: np.dtype[Any] | None = None
+    shape: tuple[int, ...] = ()
+
+
 class ShardStore:
     """One directory of ``.npy`` shard payloads plus a JSON manifest."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        # the last write of each file through this object
+        self._written: dict[str, _Written] = {}
 
     @classmethod
     def temporary(cls) -> "ShardStore":
@@ -68,6 +103,11 @@ class ShardStore:
     def write_array(self, name: str, values: IntArray | FloatArray) -> int:
         """Persist one array as the ``.npy`` file ``name``; returns the bytes written.
 
+        The file holds exactly what ``np.save`` writes: :func:`_npy_header`
+        and then the array's bytes.  Those bytes are hashed in memory as
+        they are written (:meth:`written_checksum`), so a checksum costs no
+        read of the file; :meth:`checksum` is the re-read from disk.
+
         The payload goes to a staging file in the store directory first and
         is then renamed onto ``name`` (``os.replace``).  The rename swaps
         the directory entry, not the bytes: a matrix version that
@@ -76,13 +116,48 @@ class ShardStore:
         """
         target = self.path(name)
         staging = target.with_name(target.name + ".staging")
+        values = np.ascontiguousarray(values)
+        header = _npy_header(values)
+        digest = hashlib.sha256(header)
+        digest.update(values)
         with open(staging, "wb") as handle:
-            np.save(handle, np.ascontiguousarray(values))
-        size = staging.stat().st_size
+            handle.write(header)
+            values.tofile(handle)  # as np.save writes the array's bytes
         os.replace(staging, target)
+        self._written[name] = _Written(
+            digest.hexdigest(), len(header), values.dtype, values.shape
+        )
+        size = len(header) + values.nbytes
         obs.add("shard.write.bytes", size)
         obs.add("shard.write.files")
-        return int(size)
+        return size
+
+    def written_checksum(self, name: str) -> str:
+        """SHA-256 (hex digest) of ``name`` as this store last wrote it.
+
+        Taken from the bytes in memory by :meth:`write_array` or
+        :meth:`write_text`, not read back from disk; it describes the file
+        until something else replaces it.
+        """
+        return self._last_write(name).checksum
+
+    def map_written(self, name: str) -> Any:
+        """Memory-map, read-only, the array payload this store last wrote as ``name``.
+
+        The map starts at the header length the write used and has the
+        written array's dtype and shape, so the header is not read or
+        parsed again; :meth:`read_array` is the validated cold read.
+        """
+        written = self._last_write(name)
+        if written.dtype is None:
+            raise ValidationError(f"{name!r} was not written as an array")
+        return np.memmap(
+            self.path(name),
+            dtype=written.dtype,
+            mode="r",
+            offset=written.offset,
+            shape=written.shape,
+        )
 
     def read_array(self, name: str, *, mmap: bool = True) -> Any:
         """Load one array, memory-mapped read-only by default."""
@@ -100,15 +175,19 @@ class ShardStore:
     def write_text(self, name: str, text: str) -> None:
         """Replace the text file ``name`` whole, as :meth:`write_array` does.
 
-        The text goes to a staging file that is then renamed onto ``name``
-        (``os.replace``), so a failure leaves the previous file as it was.
-        The metadata writers below all go through here; unlike
-        :meth:`write_array` it counts no ``shard.write.*`` IO.
+        The UTF-8 bytes go to a staging file that is then renamed onto
+        ``name`` (``os.replace``), so a failure leaves the previous file as
+        it was; they are hashed in memory as they are written
+        (:meth:`written_checksum`).  The metadata writers below all go
+        through here; unlike :meth:`write_array` it counts no
+        ``shard.write.*`` IO.
         """
         target = self.path(name)
         staging = target.with_name(target.name + ".staging")
-        staging.write_text(text, encoding="utf-8")
+        data = text.encode("utf-8")
+        staging.write_bytes(data)
         os.replace(staging, target)
+        self._written[name] = _Written(hashlib.sha256(data).hexdigest())
 
     def read_json(self, name: str, format_tag: str) -> dict[str, Any]:
         """Load the JSON object ``name`` whose ``format`` is ``format_tag``.
@@ -171,7 +250,12 @@ class ShardStore:
     # --------------------------------------------------------------- integrity
 
     def checksum(self, name: str) -> str:
-        """Streamed SHA-256 of one payload file (hex digest)."""
+        """Streamed SHA-256 (hex digest) of one payload file as it is on disk.
+
+        Reads the whole file back: the check :meth:`verify` runs.  A
+        writer records :meth:`written_checksum` instead, the digest taken
+        in memory of the bytes it wrote.
+        """
         digest = hashlib.sha256()
         buffer = bytearray(_HASH_CHUNK)  # one reusable buffer, no per-chunk bytes
         view = memoryview(buffer)
@@ -197,6 +281,12 @@ class ShardStore:
                 if not target.exists() or self.checksum(name) != expected:
                     mismatched.append(name)
         return mismatched
+
+    def _last_write(self, name: str) -> _Written:
+        written = self._written.get(name)
+        if written is None:
+            raise ValidationError(f"{name!r} was not written through this store")
+        return written
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ShardStore({str(self.root)!r})"

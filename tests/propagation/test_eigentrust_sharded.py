@@ -94,20 +94,27 @@ class TestValidation:
 
 class TestShardIO:
     def test_spilled_payloads_read_once_and_nothing_written(self):
-        """One call reads each spilled shard's keys and values at most once."""
-        _, sharded = matching_webs(num_users=40, num_shards=4, spill_bytes=ENTRY_BYTES)
-        spilled = sharded.num_shards
-        recorder = obs.Recorder()
-        with obs.use_recorder(recorder):
-            scores = eigen_trust(sharded)
-        counters = recorder.counters
-        assert scores.iterations > 2
-        assert counters.get("shard.write.files", 0) == 0
-        assert 0 < counters["shard.read.files"] <= 2 * spilled
-        assert (
-            counters["propagation.eigentrust.shard_sweeps"]
-            == scores.iterations * spilled
-        )
+        """One call reads each stored shard's keys and values at most once.
+
+        A spill maps the files it wrote, so the spilled matrix reads
+        nothing; the same store reopened has mapped nothing yet, so there
+        the call reads every payload.
+        """
+        _, spilled = matching_webs(num_users=40, num_shards=4, spill_bytes=ENTRY_BYTES)
+        spilled.flush()
+        reopened = ShardedPairMatrix.open(spilled.store)
+        for sharded, reads in ((spilled, 0), (reopened, 2 * reopened.num_shards)):
+            recorder = obs.Recorder()
+            with obs.use_recorder(recorder):
+                scores = eigen_trust(sharded)
+            counters = recorder.counters
+            assert scores.iterations > 2
+            assert counters.get("shard.write.files", 0) == 0
+            assert counters.get("shard.read.files", 0) == reads
+            assert (
+                counters["propagation.eigentrust.shard_sweeps"]
+                == scores.iterations * sharded.num_shards
+            )
 
     def test_in_memory_input_counts_no_shard_sweeps(self):
         flat, _ = matching_webs()

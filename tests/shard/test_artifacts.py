@@ -183,6 +183,32 @@ class TestVerify:
             handle.write(b"\x42")
         assert store.verify() == ["derived/shard_00000.vals.npy"]
 
+    def test_save_records_digests_without_reading_back(
+        self, tmp_path, pipeline_artifacts, monkeypatch
+    ):
+        """Both manifests' checksums are taken as the bytes are written; a
+        save over an existing store replaces every file and still verifies."""
+        calls = []
+        for name in ("read_array", "checksum"):
+            original = getattr(ShardStore, name)
+
+            def spy(self, *args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(ShardStore, name, spy)
+        store = ArtifactStore(tmp_path / "a")
+        save_all(store, pipeline_artifacts, epoch=1)
+        first = {p.name: p.stat().st_ino for p in (tmp_path / "a").rglob("*") if p.is_file()}
+        manifest = save_all(store, pipeline_artifacts, epoch=2, num_shards=3)
+        assert calls == []
+        monkeypatch.undo()
+        rewritten = {p.name: p.stat().st_ino for p in (tmp_path / "a").rglob("*") if p.is_file()}
+        assert all(rewritten[name] != inode for name, inode in first.items())
+        assert store.verify() == []
+        for name, digest in manifest["checksums"].items():
+            assert ShardStore(tmp_path / "a").checksum(name) == digest
+
 
 class TestInMemoryShardingEquivalence:
     def test_sharded_save_of_flat_matrix_preserves_entries(

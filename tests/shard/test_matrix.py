@@ -1,5 +1,7 @@
 """Tests for the sharded out-of-core pair matrix."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -293,28 +295,31 @@ def _same_memory(a, b):
     return a.shape == b.shape and np.shares_memory(a, b)
 
 
+def patch_row_and_column(sharded, users, *, keep_support):
+    """Patch row 2 and column 5 of ``sharded``; returns (patched, expected)."""
+    n = len(users)
+    flat = sharded.to_pair_matrix()
+    dense = np.full((n, n), np.nan)
+    rows_idx, cols_idx, vals = flat.entries_arrays()
+    dense[rows_idx, cols_idx] = vals
+    rows, cols = np.asarray([2]), np.asarray([5])
+    in_region = np.zeros((n, n), dtype=bool)
+    in_region[rows, :] = True
+    in_region[:, cols] = True
+    new = np.where(in_region, dense * 0.5 + 0.25, dense)
+    if not keep_support:
+        new[2, 2] = np.nan if not np.isnan(dense[2, 2]) else 0.75
+    r, c = np.nonzero(in_region & ~np.isnan(new))
+    region = UserPairMatrix.from_arrays(users, r, c, new[r, c])
+    expected, _ = flat.patched(users, region, rows=rows, cols=cols)
+    patched, _, _ = sharded.patch_with(region, rows=rows, cols=cols)
+    return patched, expected
+
+
 class TestCsrStructure:
     """Each shard keeps its CSR structure and keys file until its keys change."""
 
-    def _patch(self, sharded, users, *, keep_support):
-        """Patch row 2 and column 5 of ``sharded``; returns (patched, expected)."""
-        n = len(users)
-        flat = sharded.to_pair_matrix()
-        dense = np.full((n, n), np.nan)
-        rows_idx, cols_idx, vals = flat.entries_arrays()
-        dense[rows_idx, cols_idx] = vals
-        rows, cols = np.asarray([2]), np.asarray([5])
-        in_region = np.zeros((n, n), dtype=bool)
-        in_region[rows, :] = True
-        in_region[:, cols] = True
-        new = np.where(in_region, dense * 0.5 + 0.25, dense)
-        if not keep_support:
-            new[2, 2] = np.nan if not np.isnan(dense[2, 2]) else 0.75
-        r, c = np.nonzero(in_region & ~np.isnan(new))
-        region = UserPairMatrix.from_arrays(users, r, c, new[r, c])
-        expected, _ = flat.patched(users, region, rows=rows, cols=cols)
-        patched, _, _ = sharded.patch_with(region, rows=rows, cols=cols)
-        return patched, expected
+    _patch = staticmethod(patch_row_and_column)
 
     @pytest.mark.parametrize("spill_bytes", [None, ENTRY_BYTES])
     def test_values_only_patch_keeps_the_structure(self, users, tmp_path, spill_bytes):
@@ -463,6 +468,96 @@ class TestCsrStructure:
         assert self._flush_counters(sharded, 1)["shard.write.files"] == 2
         assert store.verify() == []
         assert ShardedPairMatrix.open(store) == sharded
+
+
+def spy_on_reads(store, monkeypatch):
+    """Record every ``read_array`` and ``checksum`` call on ``store``."""
+    calls = []
+    for name in ("read_array", "checksum"):
+        original = getattr(store, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append((_name, args))
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(store, name, spy)
+    return calls
+
+
+def shard_entry_counts(matrix, layout):
+    keys = matrix.support_keys()
+    n = len(matrix.users)
+    return [int(np.count_nonzero((keys >= lo * n) & (keys < hi * n))) for _, lo, hi in layout]
+
+
+class TestCheckpoint:
+    """A flush hashes what it writes in memory and reads no payload back."""
+
+    @pytest.mark.parametrize("spill_bytes", [None, ENTRY_BYTES], ids=["heap", "spilled"])
+    @pytest.mark.parametrize(
+        "supports",
+        [(True,), (False,), (True, False, True)],
+        ids=["values-only", "merged", "values-only-merged-values-only"],
+    )
+    def test_flush_reads_and_rehashes_nothing(
+        self, users, tmp_path, monkeypatch, spill_bytes, supports
+    ):
+        flat, _ = random_pair(users, density=0.6)
+        store = ShardStore(tmp_path / "s")
+        calls = spy_on_reads(store, monkeypatch)
+        sharded = ShardedPairMatrix.from_pair_matrix(
+            flat, num_shards=3, store=store, spill_bytes=spill_bytes
+        )
+        sharded.flush(epoch=0)
+        expected = flat
+        for epoch, keep_support in enumerate(supports, start=1):
+            sharded, expected = patch_row_and_column(sharded, users, keep_support=keep_support)
+            manifest = sharded.flush(epoch=epoch)
+            assert manifest["entries"] == expected.num_entries()
+            assert [doc["entries"] for doc in manifest["shards"]] == shard_entry_counts(
+                expected, sharded.layout
+            )
+            # what the next arrival reads is mapped already
+            for s in range(sharded.num_shards):
+                sharded.shard_csr(s)
+                sharded.get("u2", f"u{s}")
+        assert calls == []
+        assert store.verify() == []
+        reopened = ShardedPairMatrix.open(store)
+        assert reopened.users == expected.users
+        assert reopened.support_keys().tobytes() == expected.support_keys().tobytes()
+        assert reopened.values().tobytes() == expected.values().tobytes()
+
+    @pytest.mark.parametrize("spill_bytes", [None, ENTRY_BYTES], ids=["heap", "spilled"])
+    def test_a_kept_keys_file_keeps_its_inode_keys_and_structure(
+        self, users, tmp_path, spill_bytes
+    ):
+        flat, _ = random_pair(users, density=0.6)
+        store = ShardStore(tmp_path / "s")
+        sharded = ShardedPairMatrix.from_pair_matrix(
+            flat, num_shards=3, store=store, spill_bytes=spill_bytes
+        )
+        sharded.flush(epoch=0)
+        names = [(f"shard_{s:05d}.keys.npy", f"shard_{s:05d}.vals.npy") for s in range(3)]
+        inodes = [[store.path(name).stat().st_ino for name in pair] for pair in names]
+        patched, expected = patch_row_and_column(sharded, users, keep_support=True)
+        keys = [patched.shard_entries(s)[0] for s in range(3)]
+        blocks = [patched.shard_csr(s) for s in range(3)]
+        patched.flush(epoch=1)
+        for s, (keys_name, vals_name) in enumerate(names):
+            assert store.path(keys_name).stat().st_ino == inodes[s][0]
+            assert patched.shard_entries(s)[0] is keys[s]
+            block = patched.shard_csr(s)
+            assert _same_memory(block.indices, blocks[s].indices)
+            assert _same_memory(block.indptr, blocks[s].indptr)
+            # column 5 crosses every shard: each values file was rewritten
+            # and is mapped in place of the heap copy
+            assert store.path(vals_name).stat().st_ino != inodes[s][1]
+            vals = patched.shard_entries(s)[1]
+            assert isinstance(vals, np.memmap)
+            assert os.path.samefile(vals.filename, store.path(vals_name))
+        assert patched == expected
+        assert store.verify() == []
 
 
 class TestPointReads:

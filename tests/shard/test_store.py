@@ -1,5 +1,6 @@
 """Tests for the directory-backed shard store."""
 
+import io
 import os
 
 import numpy as np
@@ -43,6 +44,64 @@ class TestArrays:
     def test_path_rejects_traversal_and_dotfiles(self, store, name):
         with pytest.raises(ValidationError):
             store.path(name)
+
+
+class TestWrittenBytes:
+    """A write leaves np.save's bytes and knows their digest without a re-read."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    @pytest.mark.parametrize("size", [0, 1, 1000])
+    def test_file_is_np_save_output_and_digest_is_the_files(self, store, dtype, size):
+        values = (np.arange(size) * 7 - 3).astype(dtype)
+        saved = io.BytesIO()
+        np.save(saved, values)
+        written = store.write_array("a.npy", values)
+        assert store.path("a.npy").read_bytes() == saved.getvalue()
+        assert written == len(saved.getvalue())
+        assert store.written_checksum("a.npy") == store.checksum("a.npy")
+
+    def test_two_dimensional_and_non_contiguous_input(self, store):
+        grid = np.arange(12, dtype=np.float64).reshape(3, 4) / 7
+        for name, values in (("grid.npy", grid), ("cols.npy", grid[:, ::2])):
+            saved = io.BytesIO()
+            np.save(saved, np.ascontiguousarray(values))
+            store.write_array(name, values)
+            assert store.path(name).read_bytes() == saved.getvalue()
+            assert store.written_checksum(name) == store.checksum(name)
+            np.testing.assert_array_equal(store.map_written(name), values)
+
+    def test_rewrite_over_an_existing_file(self, store):
+        store.write_array("a.npy", np.arange(5, dtype=np.int64))
+        first = store.written_checksum("a.npy")
+        store.write_array("a.npy", np.arange(1, 6, dtype=np.int64))
+        assert store.written_checksum("a.npy") != first
+        assert store.written_checksum("a.npy") == store.checksum("a.npy")
+        assert not list(store.root.glob("*.staging"))
+
+    @pytest.mark.parametrize("size", [0, 9])
+    def test_map_written_reads_the_written_values(self, store, size):
+        values = np.linspace(0.0, 1.0, size)
+        store.write_array("a.npy", values)
+        mapped = store.map_written("a.npy")
+        assert isinstance(mapped, np.memmap)
+        assert not mapped.flags.writeable
+        assert mapped.dtype == values.dtype and mapped.shape == values.shape
+        np.testing.assert_array_equal(mapped, values)
+        np.testing.assert_array_equal(store.read_array("a.npy"), mapped)
+
+    def test_text_digest_is_the_files(self, store):
+        store.write_labels(("u1", "é", "zed"))
+        assert store.written_checksum("users.txt") == store.checksum("users.txt")
+        assert store.read_labels() == ("u1", "é", "zed")
+
+    def test_only_this_stores_own_writes_are_known(self, store):
+        store.write_array("a.npy", np.arange(3, dtype=np.int64))
+        store.write_labels(("u0",))
+        other = ShardStore(store.root)
+        with pytest.raises(ValidationError, match="not written through this store"):
+            other.written_checksum("a.npy")
+        with pytest.raises(ValidationError, match="not written as an array"):
+            store.map_written("users.txt")
 
 
 class TestManifest:
