@@ -33,12 +33,6 @@ R6  ``span(...)`` calls (the :mod:`repro.obs` timing API) must be entered
     item (or be handed to ``enter_context(...)``).  A bare call leaks an
     un-closed span and skews every ancestor's self-time.  There is no
     ``start_span``/``stop_span`` pair; calling one is reported too.
-R7  Every public ``Community`` mutator (a method that writes backing
-    state) must publish a structured delta: call ``self._record(...)``
-    so the change log sees the mutation.  Invalidation alone
-    (``self._mutated()``) is not enough -- a silent version bump starves
-    every change-log subscriber (the incremental Step-1 tracker and
-    engine) into conservative full rebuilds.
 
 A finding can be waived with a trailing ``repro: allow(<rule>)`` comment
 on the offending line (or a standalone one on the line directly above),
@@ -72,7 +66,6 @@ RULES: dict[str, str] = {
     "R4": "CommunityColumns attributes are write-once outside __init__",
     "R5": "strict-typed packages must fully annotate every function",
     "R6": "obs spans must be context-managed (with-item or enter_context)",
-    "R7": "Community mutators must emit a delta via self._record(...)",
 }
 
 _WAIVER_RE = re.compile(r"#\s*repro:\s*allow\(\s*([A-Z0-9,\s]+?)\s*\)")
@@ -85,7 +78,7 @@ _HOT_PATH_RE = re.compile(r"#\s*repro:\s*hot-path\b")
 #: exempt -- they are only reachable from already-invalidated contexts.
 _CACHE_PROTOCOLS: dict[str, tuple[frozenset[str], frozenset[str]]] = {
     "Community": (
-        frozenset({"_mutated", "_record"}),
+        frozenset({"_mutated"}),
         frozenset({"_version", "_columns"}),
     ),
     "UserPairMatrix": (
@@ -227,15 +220,14 @@ def _module_scopes(path: str) -> tuple[bool, bool]:
 # ------------------------------------------------------------------- small AST
 
 
-def _is_self_attr(node: ast.AST, attr: str | None = None) -> str | None:
+def _is_self_attr(node: ast.AST) -> str | None:
     """The attribute name when ``node`` is ``self.<attr>`` (else None)."""
     if (
         isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id == "self"
     ):
-        if attr is None or node.attr == attr:
-            return node.attr
+        return node.attr
     return None
 
 
@@ -599,42 +591,6 @@ def _check_r6(tree: ast.Module, ctx: _ModuleContext) -> None:
             )
 
 
-# ------------------------------------------------------------------------- R7
-
-#: The change-log publisher every Community mutator must call.
-_DELTA_HOOK = "_record"
-
-
-def _check_r7(tree: ast.Module, ctx: _ModuleContext) -> None:
-    for class_node in ast.walk(tree):
-        if not isinstance(class_node, ast.ClassDef) or class_node.name != "Community":
-            continue
-        hooks, cache_attrs = _CACHE_PROTOCOLS["Community"]
-        for method in class_node.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if method.name.startswith("_"):
-                continue
-            writes, _ = _scan_method_state(method, cache_attrs, hooks)
-            if not writes:
-                continue
-            records = any(
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and _is_self_attr(node.func, _DELTA_HOOK) is not None
-                for node in ast.walk(method)
-            )
-            if not records:
-                ctx.report(
-                    method,
-                    "R7",
-                    f"mutator Community.{method.name}() writes backing state "
-                    f"but never publishes a delta; call "
-                    f"self.{_DELTA_HOOK}(kind, ...) so change-log subscribers "
-                    f"see the mutation",
-                )
-
-
 # ------------------------------------------------------------------ entry points
 
 
@@ -664,7 +620,6 @@ def lint_source(source: str, path: str = "<string>") -> list[Finding]:
     _check_r4(tree, ctx)
     _check_r5(tree, ctx)
     _check_r6(tree, ctx)
-    _check_r7(tree, ctx)
     ctx.findings.sort(key=lambda f: (f.line, f.col, f.rule))
     return ctx.findings
 
@@ -692,7 +647,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """CLI: ``python -m repro.analysis.lint [paths...]``."""
     parser = argparse.ArgumentParser(
         prog="repro.analysis.lint",
-        description="Check the repo-specific invariants R1-R7.",
+        description="Check the repo-specific invariants R1-R6.",
     )
     parser.add_argument(
         "paths", nargs="*", default=["src"], help="files or directories to lint"

@@ -8,7 +8,7 @@ Subcommands
   synthetic community) and write the derived web of trust ``T-hat`` as
   ``source|target|value`` lines, the value as ``{value:.6f}``; it
   computes nothing else, and builds the file's bytes in numpy arrays;
-- ``update`` -- demonstrate the delta-driven incremental engine: withhold
+- ``update`` -- demonstrate the incremental engine: withhold
   a suffix of ratings, replay them in batches through
   :class:`repro.engine.Engine`, print what each update recomputed vs
   reused, and verify the final state bitwise against a cold build;

@@ -19,7 +19,6 @@ for one record in its ``add_*`` methods.
 
 from repro.community.columnar import CommunityColumns
 from repro.community.community import Community, RecordColumns
-from repro.community.deltas import ChangeLog, Delta, DeltaKind
 from repro.community.model import (
     HELPFULNESS_SCALE,
     Category,
@@ -34,9 +33,6 @@ __all__ = [
     "Community",
     "CommunityColumns",
     "RecordColumns",
-    "ChangeLog",
-    "Delta",
-    "DeltaKind",
     "User",
     "Category",
     "ReviewedObject",

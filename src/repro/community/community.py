@@ -17,6 +17,7 @@ from array import array
 from dataclasses import dataclass, replace
 from itertools import repeat
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Any, Callable, Iterable, Iterator, Literal, NoReturn, Sequence
 
 import numpy as np
@@ -25,7 +26,6 @@ from repro import obs
 from repro.common.arrays import BoolArray, FloatArray, IntArray, first_true, lookup, repeats
 from repro.common.errors import IntegrityError, ValidationError
 from repro.community.columnar import CommunityColumns
-from repro.community.deltas import ChangeLog, DeltaKind
 from repro.community.model import (
     Category,
     Review,
@@ -153,6 +153,12 @@ class Community:
     record positions grouped per key.  A community built whole builds them
     from its record columns on the first such read; an empty one starts
     with them, and ``add_*`` appends to them once they are built.
+
+    Every successful ``add_*`` call bumps :attr:`version`, and that is the
+    only record of a change: since the record columns only grow, a
+    consumer that keeps up incrementally compares the record counts of the
+    :meth:`columns` snapshot it last read with the current one, as
+    :class:`repro.reputation.IncrementalExpertise` does per category.
     """
 
     def __init__(self, name: str = "community") -> None:
@@ -160,7 +166,6 @@ class Community:
             raise ValidationError(f"community name {name!r} is not a valid identifier")
         self.name = name
         self._version = 0
-        self._log = ChangeLog()
         self._columns: CommunityColumns | None = None
 
         # interned ids: position -> id and id -> position, per entity kind
@@ -212,30 +217,21 @@ class Community:
         return self._version
 
     @property
-    def change_log(self) -> ChangeLog:
-        """The per-community delta log every mutator appends to.
+    def change_log(self) -> SimpleNamespace:
+        """:attr:`version` as ``change_log.epoch``, and nothing else.
 
-        It starts at the epoch the community was built at, with nothing
-        to replay.
+        The community keeps no change log: its record columns are
+        append-only, so their counts say what changed.  The stream
+        workloads in ``perfbench/workloads.py`` still checkpoint with
+        ``flush(epoch=community.change_log.epoch)``; the next benchmark
+        change (ROADMAP item 1) makes them read :attr:`version` and deletes
+        this property.
         """
-        return self._log
+        return SimpleNamespace(epoch=self._version)
 
     def _mutated(self) -> None:
+        """Bump :attr:`version` (the R1 write hook of every ``add_*``)."""
         self._version += 1
-
-    def _record(
-        self,
-        kind: DeltaKind,
-        *,
-        user_id: str | None = None,
-        category_id: str | None = None,
-        target_id: str | None = None,
-    ) -> None:
-        """Publish one delta and bump the version (the R1/R7 write hook)."""
-        self._log.record(
-            kind, user_id=user_id, category_id=category_id, target_id=target_id
-        )
-        self._mutated()
 
     def add_user(self, user: User | str, name: str = "") -> User:
         """Register a user (accepts a :class:`User` or a bare id)."""
@@ -249,7 +245,7 @@ class Community:
         if self._grouped:
             self._user_reviews.append([])
             self._user_ratings.append([])
-        self._record("user", user_id=user.user_id)
+        self._mutated()
         return user
 
     def add_category(self, category: Category | str, name: str = "") -> Category:
@@ -267,7 +263,7 @@ class Community:
         if self._grouped:
             self._category_objects.append([])
             self._category_reviews.append([])
-        self._record("category", category_id=category.category_id)
+        self._mutated()
         return category
 
     def add_object(self, obj: ReviewedObject) -> ReviewedObject:
@@ -286,7 +282,7 @@ class Community:
         self._object_category.append(category)
         if self._grouped:
             self._category_objects[category].append(position)
-        self._record("object", category_id=obj.category_id, target_id=obj.object_id)
+        self._mutated()
         return obj
 
     def add_review(self, review: Review) -> Review:
@@ -324,12 +320,7 @@ class Community:
             self._user_reviews[writer].append(position)
             self._category_reviews[category].append(position)
             self._review_ratings.append([])
-        self._record(
-            "review",
-            user_id=review.writer_id,
-            category_id=self._category_ids[category],
-            target_id=review.review_id,
-        )
+        self._mutated()
         return review
 
     def add_rating(self, rating: ReviewRating) -> ReviewRating:
@@ -363,12 +354,7 @@ class Community:
         if self._grouped:
             self._user_ratings[rater].append(position)
             self._review_ratings[review].append(position)
-        self._record(
-            "rating",
-            user_id=rating.rater_id,
-            category_id=self._category_ids[category],
-            target_id=rating.review_id,
-        )
+        self._mutated()
         return rating
 
     def add_trust(self, statement: TrustStatement) -> TrustStatement:
@@ -387,9 +373,7 @@ class Community:
         self._trust_truster.append(truster)
         self._trust_trustee.append(trustee)
         self._trusted.add(key)
-        self._record(
-            "trust", user_id=statement.truster_id, target_id=statement.trustee_id
-        )
+        self._mutated()
         return statement
 
     # ------------------------------------------------------------------ reads
@@ -672,9 +656,7 @@ class Community:
         or a column of the wrong length or dtype, names no record and
         raises :class:`ValidationError`.
 
-        The community's :attr:`version` is its record count, and its
-        change log starts at that epoch with nothing to replay: no
-        subscriber can hold a cursor into a community not yet built.
+        The community's :attr:`version` is its record count.
         """
         community = cls(name)
         with obs.span("community.build", **columns.counts()):
@@ -867,7 +849,6 @@ class Community:
         ).tolist()
         self._grouped = False
         self._version = sum(columns.counts().values())
-        self._log = ChangeLog(self._version)
 
     def _group(self) -> None:
         """Build the position lists from the record columns, unless built."""

@@ -1,12 +1,12 @@
-"""Delta-driven incremental pipeline engine.
+"""Incremental pipeline engine over a growing community.
 
-The :class:`Engine` subscribes to a community's change log and keeps the
-staged artifacts (columns -> E -> A -> T-hat -> propagation scores)
-synchronous with the mutating community, recomputing only what each batch
-of deltas invalidates.  Every update is bitwise equal to a cold build of
-the same records, in memory or sharded -- see ``repro/engine/engine.py``
-for the contract and ``repro/trust/derive.py`` for the kernel determinism
-it rests on.
+The :class:`Engine` keeps the staged artifacts (columns -> E -> A -> T-hat
+-> propagation scores) synchronous with a community whose records only
+grow, recomputing only what the records added since its previous update
+invalidate.  Every update is bitwise equal to a cold build of the same
+records, in memory or sharded -- see ``repro/engine/engine.py`` for the
+contract and ``repro/trust/derive.py`` for the kernel determinism it
+rests on.
 """
 
 from repro.engine.engine import (

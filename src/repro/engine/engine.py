@@ -1,15 +1,16 @@
 """The staged incremental engine: columns -> E -> A -> T-hat -> propagation.
 
 :class:`Engine` owns the pipeline's staged artifacts and keeps them in
-sync with a mutating :class:`repro.community.Community` by consuming its
-:class:`repro.community.ChangeLog`.  Each :meth:`Engine.update` advances a
-cursor over the log and recomputes only what the new deltas invalidate:
+sync with a mutating :class:`repro.community.Community`.  The community's
+records only grow, so what changed is read from them: each
+:meth:`Engine.update` recomputes only what the records added since the
+previous update invalidate:
 
 - **columns** -- the community's own count-keyed cache splices appended
   ratings into its category segments;
 - **E** (Step 1) -- :class:`repro.reputation.IncrementalExpertise`
-  re-solves only the categories the deltas changed, in one call of the
-  same batched kernel a cold fit runs;
+  re-solves only the categories whose review or rating count moved, in
+  one call of the same batched kernel a cold fit runs;
 - **A** (Step 2) -- rebuilt from the columnar counts (cheap, array-only);
 - **T-hat** (Step 3) -- re-derived only on the changed region
   ``(changed A rows x all) | (all x changed E rows)``
@@ -57,7 +58,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class UpdateStats:
-    """What one :meth:`Engine.update` actually did."""
+    """What one :meth:`Engine.update` actually did.
+
+    ``deltas_applied`` is the number of records added since the previous
+    update, or since the engine was made.
+    """
 
     deltas_applied: int
     categories_resolved: int
@@ -129,15 +134,13 @@ class Engine:
 
         engine = Engine(community)
         artifacts = engine.update()      # cold build
-        community.add_rating(...)        # mutators log deltas
+        community.add_rating(...)        # the records grow
         artifacts = engine.update()      # incremental: only what changed
 
     Every update is bitwise equal to a cold build: dirty Step-1 categories
     are solved cold and propagation reruns cold whenever ``T-hat`` moved.
-    After each update the engine compacts the community's change log up to
-    the epoch it just consumed -- its own subscribers (the columns cache
-    and the Step-1 tracker) are caught up, so a long rating stream does
-    not accumulate deltas without bound.
+    An update consumes nothing the community holds, so any number of
+    engines and trackers can follow one community.
 
     Parameters
     ----------
@@ -146,7 +149,7 @@ class Engine:
         backed by this config's store: cold builds stream shard by shard
         (:meth:`repro.trust.TrustDeriver.derive_sharded`), propagation
         reads each spilled shard once per call, and incremental updates
-        patch only the shards a delta's derive region touches, without
+        patch only the shards an update's derive region touches, without
         materialising the whole matrix.  Each patch returns a new matrix
         version that shares the untouched shards with the previous one;
         the previous version stays readable, so artifacts an earlier
@@ -170,9 +173,8 @@ class Engine:
         self._shard_store: ShardStore | None = (
             shard_config.make_store() if shard_config is not None else None
         )
-        # a community built whole starts its log at its record count with
-        # no delta, so the first update applies only what came after
-        self._cursor = community.change_log.floor
+        # the version UpdateStats.deltas_applied counts from
+        self._cursor = community.version
         self._artifacts: EngineArtifacts | None = None
         self._last_stats: UpdateStats | None = None
 
@@ -195,9 +197,8 @@ class Engine:
     # ------------------------------------------------------------------ update
 
     def update(self) -> EngineArtifacts:
-        """Bring every staged artifact up to the community's current epoch."""
-        log = self._community.change_log
-        epoch = log.epoch
+        """Bring every staged artifact up to the community's current version."""
+        epoch = self._community.version
         deltas_applied = epoch - self._cursor
         with obs.span("engine.update", epoch=epoch, deltas=deltas_applied):
             obs.add("engine.deltas_applied", deltas_applied)
@@ -232,10 +233,6 @@ class Engine:
             artifacts = EngineArtifacts(expertise_result, affiliation, derived, scores)
             self._artifacts = artifacts
             self._last_stats = stats
-            # every engine subscriber (columns cache, Step-1 tracker, our
-            # own cursor) is now at `epoch`: the consumed prefix can be
-            # forgotten
-            obs.add("engine.log.deltas_compacted", log.compact(epoch))
             return artifacts
 
     # ------------------------------------------------------------------ stages
@@ -250,7 +247,14 @@ class Engine:
 
         Returns ``previous.derived`` itself when neither moved, a patched
         version when only a small region did, and a full re-derive
-        otherwise.
+        otherwise.  A patch derives the changed region once and hands it
+        to the previous matrix, which stays as it was:
+        :meth:`repro.matrix.UserPairMatrix.patched` in memory,
+        :meth:`repro.shard.ShardedPairMatrix.patch_with` on shards, which
+        rewrites only the shards the region touches and shares the rest
+        without IO.  Where the region kept the support (almost every
+        arriving rating), both share the previous keys and CSR structure
+        and copy only the values.
         """
         old_a = previous.affiliation.values_view()
         new_a = affiliation.values_view()
@@ -270,69 +274,13 @@ class Engine:
             # the changed region covers most of the matrix: a plain full
             # derive is cheaper than region + patch and equally bitwise
             return self._derive_full(affiliation, expertise, previous=previous.derived), 0
+        region = self._deriver.derive_region(affiliation, expertise, rows=rows, cols=cols)
         if isinstance(previous.derived, ShardedPairMatrix):
-            return self._patched_derive_sharded(
-                previous.derived, affiliation, expertise, rows=rows, cols=cols
-            )
-        return self._patched_derive(
-            previous.derived, affiliation, expertise, rows=rows, cols=cols
-        )
-
-    def _patched_derive(
-        self,
-        previous_derived: UserPairMatrix,
-        affiliation: UserCategoryMatrix,
-        expertise: UserCategoryMatrix,
-        *,
-        rows: IntArray,
-        cols: IntArray,
-    ) -> tuple[UserPairMatrix, int]:
-        """Recompute the changed region and patch it into a new ``T-hat``.
-
-        Delegates to :meth:`repro.matrix.UserPairMatrix.patched`: when the
-        region kept the support (almost every arriving rating) the new
-        matrix shares the previous one's keys and CSR structure and only
-        its values are copied; otherwise one O(nnz) masked merge rebuilds
-        them.  ``previous_derived`` is left unchanged.  Returns the patched
-        matrix and the number of kept (reused) entries.
-        """
-        region = self._deriver.derive_region(
-            affiliation, expertise, rows=rows, cols=cols
-        )
-        return previous_derived.patched(
-            affiliation.users, region, rows=rows, cols=cols
-        )
-
-    def _patched_derive_sharded(
-        self,
-        previous_derived: ShardedPairMatrix,
-        affiliation: UserCategoryMatrix,
-        expertise: UserCategoryMatrix,
-        *,
-        rows: IntArray,
-        cols: IntArray,
-    ) -> tuple[ShardedPairMatrix, int]:
-        """Recompute the changed region and patch it into a new sharded version.
-
-        :meth:`repro.shard.ShardedPairMatrix.patch_with` rewrites only the
-        shards the region touches, each through the same routine as the
-        in-memory path, so the result stays bitwise; untouched shards are
-        shared with the new version without IO, and a touched shard whose
-        support held keeps its CSR structure and keys file.  ``previous_derived``
-        keeps its content and becomes read-only.  Returns the new matrix
-        and the number of kept (reused) entries.
-        """
-        region = self._deriver.derive_region(
-            affiliation, expertise, rows=rows, cols=cols
-        )
-        derived, kept, touched = previous_derived.patch_with(
-            region, rows=rows, cols=cols
-        )
-        obs.add("engine.shard.shards_patched", touched)
-        obs.add(
-            "engine.shard.shards_untouched", previous_derived.num_shards - touched
-        )
-        return derived, kept
+            derived, kept, touched = previous.derived.patch_with(region, rows=rows, cols=cols)
+            obs.add("engine.shard.shards_patched", touched)
+            obs.add("engine.shard.shards_untouched", previous.derived.num_shards - touched)
+            return derived, kept
+        return previous.derived.patched(affiliation.users, region, rows=rows, cols=cols)
 
     def _derive_full(
         self,

@@ -63,9 +63,9 @@ def clone_community(community: Community, *, name: str | None = None) -> Communi
     """A fresh community holding the same records, built whole.
 
     The clone shares no state with the original: it is built from a copy
-    of the record columns, its change log starts at its record count and
-    its columns cache is cold, which is exactly what a bitwise
-    cold-vs-incremental comparison needs.
+    of the record columns, its :attr:`~repro.community.Community.version`
+    is its record count and its columns cache is cold, which is exactly
+    what a bitwise cold-vs-incremental comparison needs.
     """
     return Community.from_columns(
         community.record_columns(), name=name or f"{community.name}_replica"

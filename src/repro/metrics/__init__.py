@@ -10,8 +10,8 @@
   ``R``, ``T`` and their overlaps);
 - :func:`score_gap_analysis` -- §IV.C's comparison of predicted trust
   values on ``R ∩ T`` vs ``R - T``;
-- :func:`ranking_auc` / :func:`precision_at_k` -- threshold-free extension
-  metrics used by the ablation experiments;
+- :func:`ranking_auc` -- a threshold-free extension metric used by the
+  ablation experiments;
 - :func:`spearman_rank_correlation` / :func:`top_k_overlap` -- vector
   agreement metrics for comparing propagation score vectors.
 """
@@ -24,7 +24,6 @@ from repro.metrics.quartiles import (
     quartile_distribution,
 )
 from repro.metrics.ranking import (
-    precision_at_k,
     ranking_auc,
     spearman_rank_correlation,
     top_k_overlap,
@@ -42,7 +41,6 @@ __all__ = [
     "ScoreGapReport",
     "score_gap_analysis",
     "ranking_auc",
-    "precision_at_k",
     "spearman_rank_correlation",
     "top_k_overlap",
 ]

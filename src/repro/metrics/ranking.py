@@ -6,8 +6,6 @@ comparisons insensitive to the binarisation rule:
 
 - :func:`ranking_auc` -- probability that a random trusted pair in ``R``
   outscores a random untrusted pair in ``R``;
-- :func:`precision_at_k` -- fraction of each user's top-``k`` scored
-  connections that are truly trusted, averaged over users;
 - :func:`spearman_rank_correlation` / :func:`top_k_overlap` -- agreement
   between two aligned score vectors (e.g. propagation results over the
   explicit vs the derived web), consumed directly from
@@ -25,7 +23,6 @@ from repro.matrix import UserPairMatrix
 
 __all__ = [
     "ranking_auc",
-    "precision_at_k",
     "spearman_rank_correlation",
     "top_k_overlap",
 ]
@@ -58,30 +55,6 @@ def ranking_auc(
     ranks = _average_ranks(np.concatenate([pos, neg]))
     u_statistic = ranks[: len(pos)].sum() - len(pos) * (len(pos) + 1) / 2
     return float(u_statistic / (len(pos) * len(neg)))
-
-
-def precision_at_k(
-    scores: UserPairMatrix,
-    connections: UserPairMatrix,
-    ground_truth: UserPairMatrix,
-    k: int = 1,
-) -> float:
-    """Mean per-user precision of the top-``k`` scored direct connections.
-
-    Users with fewer than ``k`` connections contribute their full
-    connection list; users with no connections are skipped.
-    """
-    require_positive("k", k)
-    _require_axis(scores, connections, ground_truth)
-    precisions: list[float] = []
-    for source in connections.source_ids():
-        targets = list(connections.row(source))
-        if not targets:
-            continue
-        ranked = sorted(targets, key=lambda t: -scores.get(source, t))[:k]
-        hits = sum(1 for t in ranked if ground_truth.contains(source, t))
-        precisions.append(hits / len(ranked))
-    return float(np.mean(precisions)) if precisions else 0.0
 
 
 def spearman_rank_correlation(a: np.ndarray, b: np.ndarray) -> float:

@@ -10,7 +10,7 @@ Times the vectorised hot paths against the frozen seed implementations in
   (the steady-state cost when anything else has touched the community's
   columns first), best-of ``repeats``;
 - **propagation_eigentrust** -- one global propagation pass over ``R``;
-- **incremental** -- the delta-driven :class:`repro.engine.Engine`: the
+- **incremental** -- the incremental :class:`repro.engine.Engine`: the
   newest ratings of a typical (median-size) category arrive one at a
   time -- the steady-state workload the engine exists for -- and each
   ``Engine.update()`` is timed against a full cold build of the same

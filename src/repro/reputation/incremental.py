@@ -10,10 +10,11 @@ one :func:`repro.reputation.estimator.scatter_fixed_points` into the cached
 matrices.  Each re-solve starts cold, so a refresh is bitwise equal to a
 full fit.
 
-:class:`IncrementalExpertise` subscribes to the community's
-:class:`repro.community.ChangeLog`: every mutator emits a structured
-delta, and :meth:`IncrementalExpertise.refresh` reads the deltas past its
-cursor to infer exactly which categories went stale.  There is no manual
+:class:`IncrementalExpertise` reads which categories went stale from the
+community's record columns: they only grow, so a category whose review or
+rating count moved since the :meth:`repro.community.Community.columns`
+snapshot the tracker last absorbed, or that lies beyond that snapshot's
+category axis, is stale, and no other is.  There is no manual
 dirty-flagging step.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 
 from repro import obs
 from repro.common.errors import ValidationError
-from repro.community import Community, Delta
+from repro.community import Community, CommunityColumns
 from repro.matrix import LabelIndex, UserCategoryMatrix
 from repro.reputation.estimator import (
     ExpertiseEstimator,
@@ -38,11 +39,6 @@ from repro.reputation.riggs import (
 
 __all__ = ["IncrementalExpertise"]
 
-#: Delta kinds that leave every category's fixed point unchanged: objects
-#: and trust statements never enter eqs. 1-3, and a new user has no
-#: activity until a later review/rating delta arrives.
-_INERT_KINDS = frozenset({"object", "trust"})
-
 
 class IncrementalExpertise:
     """Maintains expertise/rater reputation under community mutations.
@@ -51,7 +47,7 @@ class IncrementalExpertise:
 
         tracker = IncrementalExpertise(community)
         result = tracker.fit()          # full initial solve
-        community.add_rating(...)       # new activity arrives (logged)
+        community.add_rating(...)       # new activity arrives
         result = tracker.refresh()      # re-solves affected categories only
 
     ``refresh`` is bitwise equal to a fresh
@@ -60,33 +56,38 @@ class IncrementalExpertise:
     gets the same bits whichever subset of categories it is solved in.
 
     New users and categories are handled by index growth: both axes are
-    append-only, so previously computed columns keep their positions.  A
-    returned result never changes afterwards: its matrices are copies of
-    the caches, and its ``fixed_points`` map each category to the batch
-    that had last solved it, which no later refresh writes to.
+    append-only, so previously computed columns keep their positions.
+    Objects and trust statements never enter eqs. 1-3, and a new user has
+    no activity until a review or rating of theirs arrives, so none of
+    these makes a category stale.  A returned result never changes
+    afterwards: its matrices are copies of the caches, and its
+    ``fixed_points`` map each category to the batch that had last solved
+    it, which no later refresh writes to.
     """
 
     def __init__(self, community: Community) -> None:
         self._community = community
         # a refresh solves with the settings of a default cold fit
         self._estimator = ExpertiseEstimator()
-        self._users = LabelIndex(community.user_ids())
-        self._categories = LabelIndex(community.category_ids())
+        # the axes and per-category record counts (reviews plus ratings)
+        # of the columns() snapshot last absorbed; nothing is absorbed yet
+        self._users = LabelIndex(())
+        self._categories = LabelIndex(())
+        self._record_counts = np.zeros(0, dtype=np.int64)
         # the batch that last solved each category, in category-axis order
         self._solved_by: dict[str, BatchedFixedPoints] = {}
         # dense column caches of E and the rater-reputation matrix; a
         # refresh rewrites only the re-solved categories' columns
-        self._e_values = np.zeros((len(self._users), len(self._categories)))
-        self._r_values = np.zeros((len(self._users), len(self._categories)))
-        self._dirty: set[str] = set(self._categories)
-        self._cursor = community.change_log.epoch
+        self._e_values = np.zeros((0, 0))
+        self._r_values = np.zeros((0, 0))
+        self._dirty: set[str] = set()
         self._last_resolved: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------ status
 
     @property
     def dirty_categories(self) -> set[str]:
-        """Categories whose reputation data is stale (change log absorbed)."""
+        """Categories whose reputation data is stale, as of the current records."""
         self._absorb()
         return set(self._dirty)
 
@@ -104,10 +105,9 @@ class IncrementalExpertise:
         return self.refresh()
 
     def refresh(self) -> ExpertiseResult:
-        """Absorb new deltas, re-solve affected categories, return the result."""
+        """Absorb new records, re-solve the stale categories, return the result."""
         with obs.span("step1.refresh", users=self._community.num_users()):
-            self._absorb()
-            return self._resolve_dirty()
+            return self._resolve_dirty(self._absorb())
 
     def last_iterations(self, category_id: str) -> int:
         """Solver sweeps used at the last refresh of ``category_id``."""
@@ -117,51 +117,32 @@ class IncrementalExpertise:
         k, _reviews, _raters = batch.slots(category_id)
         return int(batch.iterations[k])
 
-    # ------------------------------------------------------------------ deltas
+    # ------------------------------------------------------------------ records
 
-    def _absorb(self) -> None:
-        """Advance the cursor, growing axes and inferring dirty categories."""
-        log = self._community.change_log
-        if self._cursor < log.floor:
-            # deltas this tracker never saw were compacted away: the only
-            # safe move is a full resynchronisation
-            self._users = LabelIndex(self._community.user_ids())
-            self._categories = LabelIndex(self._community.category_ids())
-            self._dirty = set(self._categories)
-            self._cursor = log.epoch
-            return
-        deltas = log.since(self._cursor)
-        if not deltas:
-            return
-        self._cursor = self._community.change_log.epoch
-        grow_users = False
-        for delta in deltas:
-            grow_users |= self._apply_delta(delta)
-        if grow_users:
-            self._users = LabelIndex(self._community.user_ids())
+    def _absorb(self) -> CommunityColumns:
+        """Mark stale what the records added since the last absorb touched.
 
-    def _apply_delta(self, delta: Delta) -> bool:
-        """Mark dirtiness implied by one delta; return True on user growth."""
-        if delta.kind in _INERT_KINDS:
-            return False
-        if delta.kind == "user":
-            return True
-        if delta.kind == "category":
-            # append-only growth: existing columns keep their positions
-            self._categories = LabelIndex(self._community.category_ids())
-            if delta.category_id is not None:
-                self._dirty.add(delta.category_id)
-            return False
-        # reviews and ratings carry the affected category
-        if delta.category_id is not None:
-            self._dirty.add(delta.category_id)
-        return False
+        A category is stale when its review or rating count moved, or when
+        it lies beyond the category axis last absorbed (a new category is
+        solved even before it holds a record).  Both axes come from the
+        current snapshot, which is returned.
+        """
+        columns = self._community.columns()
+        # records only grow, so the sum moves exactly when a category
+        # gained a review or a rating
+        counts = np.diff(columns.review_cat_starts) + np.diff(columns.rating_cat_starts)
+        known = len(self._categories)
+        moved = np.flatnonzero(counts[:known] != self._record_counts).tolist()
+        for k in [*moved, *range(known, counts.size)]:
+            self._dirty.add(columns.categories.label(k))
+        self._users, self._categories = columns.users, columns.categories
+        self._record_counts = counts
+        return columns
 
     # ------------------------------------------------------------------ refresh
 
-    def _resolve_dirty(self) -> ExpertiseResult:
+    def _resolve_dirty(self, columns: CommunityColumns) -> ExpertiseResult:
         """One kernel call for every dirty category, scattered into the caches."""
-        columns = self._community.columns()
         self._sync_shapes()
         dirty = [c for c in self._categories if c in self._dirty]
         config = self._estimator.config

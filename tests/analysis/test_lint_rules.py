@@ -5,6 +5,7 @@ minimal bad source (the rule fires) and its fixed counterpart (no
 findings), plus the waiver and scope mechanics the CI gate relies on.
 """
 
+import ast
 import pathlib
 import textwrap
 
@@ -14,6 +15,16 @@ from repro.analysis import RULES, lint_source
 from repro.analysis.lint import lint_paths, main
 
 TYPED_PATH = "src/repro/matrix/example.py"
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+COMMUNITY_PATH = "src/repro/community/community.py"
+COMMUNITY_MUTATORS = (
+    "add_user",
+    "add_category",
+    "add_object",
+    "add_review",
+    "add_rating",
+    "add_trust",
+)
 
 
 def rules_of(findings):
@@ -69,8 +80,22 @@ class TestR1CacheInvalidation:
                     self._rows.append(user)
             """
         )
-        assert rules_of(bad) == ["R1", "R7"]
+        assert rules_of(bad) == ["R1"]
+        assert "self._mutated()" in bad[0].message
         good = lint(
+            """
+            class Community:
+                def add_user(self, user):
+                    self._rows.append(user)
+                    self._mutated()
+            """
+        )
+        assert good == []
+
+    def test_community_hook_is_only_mutated(self):
+        # a Community mutator that calls any other private method, such as
+        # a change-log publisher, has not invalidated anything
+        findings = lint(
             """
             class Community:
                 def add_user(self, user):
@@ -78,7 +103,43 @@ class TestR1CacheInvalidation:
                     self._record("user", user_id=user)
             """
         )
-        assert good == []
+        assert rules_of(findings) == ["R1"]
+        assert "Community.add_user()" in findings[0].message
+
+    def test_community_cache_attr_assignment_invalidates(self):
+        findings = lint(
+            """
+            class Community:
+                def add_user(self, user):
+                    self._rows.append(user)
+                    self._columns = None
+            """
+        )
+        assert findings == []
+
+    @pytest.mark.parametrize("method", COMMUNITY_MUTATORS)
+    def test_real_community_mutator_without_hook_is_flagged(self, method):
+        source = (SRC / "repro" / "community" / "community.py").read_text()
+        assert lint_source(source, COMMUNITY_PATH) == []
+        # drop the one self._mutated() call of `method`
+        (community,) = [
+            node
+            for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name == "Community"
+        ]
+        (body,) = [
+            node for node in community.body
+            if isinstance(node, ast.FunctionDef) and node.name == method
+        ]
+        lines = source.splitlines(keepends=True)
+        (hook,) = [
+            i for i in range(body.lineno, body.end_lineno)
+            if lines[i].strip() == "self._mutated()"
+        ]
+        del lines[hook]
+        findings = lint_source("".join(lines), COMMUNITY_PATH)
+        assert rules_of(findings) == ["R1"]
+        assert f"Community.{method}()" in findings[0].message
 
     def test_private_methods_are_exempt(self):
         findings = lint(
@@ -98,7 +159,7 @@ class TestR1CacheInvalidation:
                     self._db.insert("trust", statement)
             """
         )
-        assert rules_of(findings) == ["R1", "R7"]
+        assert rules_of(findings) == ["R1"]
 
     def test_read_only_methods_are_clean(self):
         findings = lint(
@@ -438,82 +499,6 @@ class TestR6ContextManagedSpans:
         assert findings == []
 
 
-# --------------------------------------------------------------------------- R7
-
-
-class TestR7MutatorsEmitDeltas:
-    def test_fires_when_mutator_only_invalidates(self):
-        findings = lint(
-            """
-            class Community:
-                def add_user(self, user):
-                    self._rows.append(user)
-                    self._mutated()
-            """
-        )
-        assert rules_of(findings) == ["R7"]
-        assert "self._record" in findings[0].message
-
-    def test_passes_when_mutator_records_a_delta(self):
-        findings = lint(
-            """
-            class Community:
-                def add_user(self, user):
-                    self._rows.append(user)
-                    self._record("user", user_id=user)
-            """
-        )
-        assert findings == []
-
-    def test_read_only_methods_are_exempt(self):
-        findings = lint(
-            """
-            class Community:
-                def user_ids(self):
-                    return list(self._rows)
-            """
-        )
-        assert findings == []
-
-    def test_private_helpers_are_exempt(self):
-        findings = lint(
-            """
-            class Community:
-                def _rebuild(self):
-                    self._rows.append(None)
-                    self._mutated()
-            """
-        )
-        assert findings == []
-
-    def test_other_classes_are_exempt(self):
-        findings = lint(
-            """
-            class UserPairMatrix:
-                def set(self, key, value):
-                    self._store[key] = value
-                    self._invalidate()
-            """
-        )
-        assert findings == []
-
-    def test_waivable(self):
-        findings = lint(
-            """
-            class Community:
-                def bulk_import(self, rows):  # repro: allow(R7): log elsewhere
-                    self._rows.extend(rows)
-                    self._mutated()
-            """
-        )
-        assert findings == []
-
-    def test_real_community_module_is_clean(self):
-        source = pathlib.Path("src/repro/community/community.py").read_text()
-        findings = lint_source(source, "src/repro/community/community.py")
-        assert findings == []
-
-
 # ----------------------------------------------------------------- waivers etc.
 
 
@@ -619,5 +604,4 @@ class TestEntryPoints:
     def test_repo_source_tree_is_clean(self):
         # the self-check the CI gate runs; every finding must be fixed or
         # carry an explicit waiver
-        src = pathlib.Path(__file__).resolve().parents[2] / "src"
-        assert [f.render() for f in lint_paths([str(src)])] == []
+        assert [f.render() for f in lint_paths([str(SRC)])] == []

@@ -252,8 +252,6 @@ def assert_same_community(got, want):
     """``got`` and ``want`` agree on every public read."""
     assert got.summary() == want.summary()
     assert got.version == want.version == sum(want.summary().values())
-    assert got.change_log.epoch == want.change_log.epoch
-    assert len(got.change_log) == 0  # built whole: nothing to replay
     assert got.user_ids() == want.user_ids()
     assert got.category_ids() == want.category_ids()
     assert got.object_ids() == want.object_ids()
@@ -403,17 +401,14 @@ def test_rejected_record_raises_as_its_add_does(two_category_community, kind, re
 class TestFromColumns:
     def test_state_is_the_add_replays(self, two_category_community):
         replica = Community.from_columns(two_category_community.record_columns(), name="c")
-        assert replica.version == replica.change_log.epoch == 5 + 2 + 3 + 4 + 6 + 3
-        assert replica.change_log.floor == replica.version
-        assert len(replica.change_log) == 0
-        assert replica.change_log.since(replica.version) == ()
+        assert replica.version == 5 + 2 + 3 + 4 + 6 + 3
         assert_same_community(replica, clone_community(two_category_community))
 
     def test_empty_columns_build_an_empty_community(self):
         empty = Community().record_columns()
         community = Community.from_columns(empty)
         assert community.summary() == Community().summary()
-        assert community.version == community.change_log.epoch == 0
+        assert community.version == 0
 
     def test_record_columns_are_copies(self, two_category_community):
         columns = two_category_community.record_columns()

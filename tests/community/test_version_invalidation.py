@@ -6,7 +6,7 @@ reflects it; failed adds leave both untouched.  A community built whole
 starts at its record count, the version the same adds would reach, and
 keeps the invariant.  Mutations the snapshot
 encodes (users, categories, reviews, ratings) produce a new snapshot
-object; object/trust deltas are cache hits, because the columnar view
+object; object/trust adds are cache hits, because the columnar view
 does not encode them.  A refreshed snapshot always equals a cold build of
 the same records.
 """
@@ -128,7 +128,7 @@ class TestSingleMutators:
         if name in self.ENCODED:
             assert rebuilt is not cached
         else:
-            # object/trust deltas are cache hits: the snapshot encodes
+            # object/trust adds are cache hits: the snapshot encodes
             # neither, so the cached view is still the current one
             assert rebuilt is cached
         assert two_category_community.columns() is rebuilt
@@ -154,6 +154,26 @@ class TestSingleMutators:
         with pytest.raises(ValidationError):
             Community("not an identifier")
 
+    def test_versions_are_per_community(self, two_category_community):
+        community = two_category_community
+        replica = clone_community(community)
+        assert replica.version == community.version
+        replica.add_user("frank")
+        assert community.version == replica.version - 1
+        assert "frank" not in community.user_ids()
+        fresh = Community("fresh")
+        fresh.add_user("u1")
+        assert (fresh.version, Community("other").version) == (1, 0)
+
+    def test_change_log_is_a_read_only_view_of_the_version(self, two_category_community):
+        community = two_category_community
+        view = community.change_log
+        assert vars(view) == {"epoch": community.version}
+        view.epoch = 0  # a copy: the community does not see this
+        assert community.change_log.epoch == community.version
+        with pytest.raises(AttributeError):
+            community.change_log = view
+
 
 # ----------------------------------------------------------------- property test
 
@@ -169,7 +189,6 @@ OPS = (
     "rating",
     "trust",
     "read",
-    "compact",
 )
 
 
@@ -286,9 +305,6 @@ class MutationDriver:
         if op == "read":
             community.columns()
             return 0
-        if op == "compact":
-            community.change_log.compact()
-            return 0
         raise AssertionError(op)
 
 
@@ -388,7 +404,7 @@ def test_version_counts_successful_adds_and_columns_never_stale(start, ops, whol
         if _encoded_counts(community) != read_counts:
             assert current is not read
         else:
-            # pure object/trust growth or a compaction: cache hit
+            # pure object/trust growth: cache hit
             assert current is read
         assert len(current.users) == community.num_users()
         assert current.num_reviews == community.num_reviews()

@@ -5,7 +5,7 @@ import inspect
 import pytest
 
 from repro import obs
-from repro.common.errors import ValidationError
+from repro.common.errors import IntegrityError, ValidationError
 from repro.community import (
     Community,
     Review,
@@ -35,6 +35,17 @@ def generated_community():
     return generate_community(CommunityProfile(num_users=60), seed=11).community
 
 
+#: one add of each kind on the ``two_category_community`` fixture
+EVERY_KIND_OF_ADD = (
+    lambda c: c.add_user("frank"),
+    lambda c: c.add_category("music"),
+    lambda c: c.add_object(ReviewedObject("s1", "music")),
+    lambda c: c.add_review(Review("rf1", "frank", "s1")),
+    lambda c: c.add_rating(ReviewRating("eve", "rf1", 0.8)),
+    lambda c: c.add_trust(TrustStatement("eve", "frank")),
+)
+
+
 def assert_matches_cold(engine, community):
     """The engine's artifacts are bitwise equal to a cold run on a replica."""
     artifacts = engine.artifacts
@@ -57,20 +68,26 @@ class TestColdBuild:
         assert stats.pairs_reused == 0
         assert stats.propagation_rerun
 
-    def test_cold_build_counts_only_logged_deltas(self, two_category_community):
-        # built whole: the log starts at the record count with no delta
+    def test_cold_build_counts_only_records_added_since_the_engine_was_made(
+        self, two_category_community
+    ):
+        # built whole: the first update applies nothing
         engine = Engine(two_category_community)
         engine.update()
         assert engine.last_stats.deltas_applied == 0
         two_category_community.add_user("zed")
+        later = Engine(two_category_community)
+        engine.update()
+        later.update()
+        assert engine.last_stats.deltas_applied == 1
+        assert later.last_stats.deltas_applied == 0
+        # replayed record by record: only the adds after the engine count
         replayed = Community("replayed")
         replayed.add_user("u")
+        other = Engine(replayed)
         replayed.add_user("v")
-        engine, other = Engine(two_category_community), Engine(replayed)
-        engine.update()
         other.update()
-        assert engine.last_stats.deltas_applied == 1
-        assert other.last_stats.deltas_applied == 2
+        assert other.last_stats.deltas_applied == 1
 
     def test_artifacts_none_before_first_update(self, two_category_community):
         engine = Engine(two_category_community)
@@ -220,6 +237,27 @@ class TestRederivePaths:
         assert second.derived is not first.derived
         assert_matches_cold(engine, base)
 
+    def test_patch_goes_through_the_backends_patch(self, shard_config, generated_community):
+        base, stream = split_rating_stream(generated_community, 1)
+        engine = Engine(base, shard_config=shard_config)
+        engine.update()
+        recorder = Recorder()
+        with obs.use_recorder(recorder):
+            base.add_rating(stream[0])
+            engine.update()
+        assert engine.last_stats.pairs_reused > 0
+        in_memory = [name for name in recorder.counters if name.startswith("matrix.patch.")]
+        patched = recorder.counters.get("engine.shard.shards_patched", 0)
+        untouched = recorder.counters.get("engine.shard.shards_untouched", 0)
+        if shard_config is None:
+            assert len(in_memory) == 1
+            assert (patched, untouched) == (0, 0)
+        else:
+            assert in_memory == []
+            assert patched >= 1
+            assert patched + untouched == shard_config.num_shards
+        assert_matches_cold(engine, base)
+
     def test_wide_change_rederives_in_full(self, shard_config, two_category_community):
         # one rating in a five-user community moves at least half of the
         # rows of A and E, so a full derive replaces the patch
@@ -257,7 +295,6 @@ class TestReplayHelpers:
     def test_clone_preserves_records_and_shares_nothing(self, two_category_community):
         replica = clone_community(two_category_community)
         assert extract_records(replica) == extract_records(two_category_community)
-        assert replica.change_log is not two_category_community.change_log
         replica.add_user("zed")
         assert "zed" not in two_category_community.user_ids()
 
@@ -285,27 +322,15 @@ class TestReplayHelpers:
             split_rating_stream(two_category_community, 1, category_id="ghost")
 
 
-class TestLogCompaction:
-    def test_update_compacts_consumed_deltas(self, generated_community):
-        """The retained log stays bounded over a long rating stream."""
-        base, stream = split_rating_stream(generated_community, 12)
-        engine = Engine(base)
-        engine.update()
-        log = base.change_log
-        assert len(log) == 0  # cold build consumed and compacted everything
-        for rating in stream:
-            base.add_rating(rating)
-            engine.update()
-            assert len(log) == 0
-        assert log.epoch >= len(stream)  # epochs keep advancing
-        assert log.floor == log.epoch
+class TestVersionCursor:
+    """The engine counts from the community's version and consumes nothing."""
 
     @BACKENDS
-    def test_second_engine_resyncs_after_compaction(self, shard_config, generated_community):
-        """Each update compacts the log it consumed, so a second engine on
-        the same community finds its deltas gone and re-solves every
-        category: slower, still bitwise."""
+    def test_two_engines_follow_one_community(self, shard_config, generated_community):
+        """An update consumes nothing the community holds: an engine that sat
+        out a rating stream re-solves only the categories the stream touched."""
         base, stream = split_rating_stream(generated_community, 4)
+        touched = {base.review_category(rating.review_id) for rating in stream}
         first = Engine(base, shard_config=shard_config)
         second = Engine(base, shard_config=shard_config)
         first.update()
@@ -313,19 +338,48 @@ class TestLogCompaction:
         for rating in stream:
             base.add_rating(rating)
             first.update()
-        assert len(base.change_log) == 0
         second.update()
         stats = second.last_stats
         assert stats.deltas_applied == len(stream)
-        assert stats.categories_skipped == 0
+        assert stats.categories_resolved == len(touched)
+        assert stats.categories_skipped > 0
         assert_matches_cold(first, base)
         assert_matches_cold(second, base)
 
-    def test_compacted_engine_stays_bitwise_equal(self, generated_community):
-        base, stream = split_rating_stream(generated_community, 5)
-        engine = Engine(base)
+    @BACKENDS
+    def test_counts_one_add_of_every_kind(self, shard_config, two_category_community):
+        community = two_category_community
+        engine = Engine(community, shard_config=shard_config)
         engine.update()
-        for rating in stream:
-            base.add_rating(rating)
-            engine.update()
-        assert_matches_cold(engine, base)
+        for add in EVERY_KIND_OF_ADD:
+            add(community)
+        engine.update()
+        stats = engine.last_stats
+        assert stats.deltas_applied == len(EVERY_KIND_OF_ADD)
+        # only the new category holds new records
+        assert (stats.categories_resolved, stats.categories_skipped) == (1, 2)
+        assert_matches_cold(engine, community)
+
+    @BACKENDS
+    def test_rejected_add_applies_nothing(self, shard_config, two_category_community):
+        community = two_category_community
+        engine = Engine(community, shard_config=shard_config)
+        first = engine.update()
+        with pytest.raises(IntegrityError):
+            community.add_rating(ReviewRating("bob", "ra1", 0.2))
+        second = engine.update()
+        stats = engine.last_stats
+        assert (stats.deltas_applied, stats.categories_resolved) == (0, 0)
+        assert not stats.propagation_rerun
+        assert second.derived is first.derived
+        assert second.scores is first.scores
+
+    def test_change_log_epoch_is_the_version(self, two_category_community):
+        """The stream workloads in ``perfbench/workloads.py`` checkpoint with
+        ``flush(epoch=community.change_log.epoch)``."""
+        community = two_category_community
+        assert community.change_log.epoch == community.version == 5 + 2 + 3 + 4 + 6 + 3
+        for add in EVERY_KIND_OF_ADD:
+            version = community.version
+            add(community)
+            assert community.change_log.epoch == community.version == version + 1

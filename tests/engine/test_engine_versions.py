@@ -76,7 +76,7 @@ class TestReturnedArtifactsNeverChange:
             if backend == "sharded" and i % 3 == 2:
                 # a checkpoint, also right before the axis grows: the
                 # re-derive then replaces the files a flushed version reads
-                artifacts.derived.flush(epoch=base.change_log.epoch)
+                artifacts.derived.flush(epoch=base.version)
             held.append((artifacts, clone_community(base)))
             if i == 5:
                 base.add_user("newcomer")
@@ -103,7 +103,7 @@ class TestSupersededShardedVersion:
         ):
             with pytest.raises(ValidationError, match="superseded"):
                 write(first.derived)
-        second.derived.flush(epoch=base.change_log.epoch)
+        second.derived.flush(epoch=base.version)
         assert second.derived.store.verify() == []
         assert first.derived.num_entries() > 0  # still readable
         # a full re-derive into the same store supersedes its base too
@@ -112,7 +112,7 @@ class TestSupersededShardedVersion:
         assert len(third.derived.users) == len(second.derived.users) + 1
         with pytest.raises(ValidationError, match="superseded"):
             second.derived.flush()
-        third.derived.flush(epoch=base.change_log.epoch)
+        third.derived.flush(epoch=base.version)
         assert third.derived.store.verify() == []
 
 

@@ -1,10 +1,10 @@
-"""Tests for ranking metrics (AUC, precision@k)."""
+"""Tests for the ranking AUC metric."""
 
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.matrix import UserPairMatrix
-from repro.metrics import precision_at_k, ranking_auc
+from repro.metrics import ranking_auc
 
 USERS = ["a", "b", "c", "d", "e"]
 
@@ -52,35 +52,3 @@ class TestRankingAuc:
         with pytest.raises(ValidationError):
             ranking_auc(UserPairMatrix(["x"]), binary([]), binary([]))
 
-
-class TestPrecisionAtK:
-    def test_top1_hit(self):
-        s = scores([("a", "b", 0.9), ("a", "c", 0.2)])
-        R = binary([("a", "b"), ("a", "c")])
-        T = binary([("a", "b")])
-        assert precision_at_k(s, R, T, k=1) == 1.0
-
-    def test_top1_miss(self):
-        s = scores([("a", "b", 0.2), ("a", "c", 0.9)])
-        R = binary([("a", "b"), ("a", "c")])
-        T = binary([("a", "b")])
-        assert precision_at_k(s, R, T, k=1) == 0.0
-
-    def test_averaged_over_users(self):
-        s = scores([("a", "b", 0.9), ("b", "c", 0.1)])
-        R = binary([("a", "b"), ("b", "c")])
-        T = binary([("a", "b")])  # a hits, b misses
-        assert precision_at_k(s, R, T, k=1) == pytest.approx(0.5)
-
-    def test_k_larger_than_row(self):
-        s = scores([("a", "b", 0.9)])
-        R = binary([("a", "b")])
-        T = binary([("a", "b")])
-        assert precision_at_k(s, R, T, k=10) == 1.0
-
-    def test_k_validation(self):
-        with pytest.raises(ValidationError):
-            precision_at_k(scores([]), binary([]), binary([]), k=0)
-
-    def test_no_connections(self):
-        assert precision_at_k(scores([]), binary([]), binary([]), k=1) == 0.0

@@ -198,6 +198,12 @@ class TestCommands:
         epochs = [row.split("|")[0].strip() for row in out.splitlines()[-2:]]
         assert epochs == [str(base.version + 2), str(base.version + 4)]
 
+    def test_update_rows_count_each_batchs_ratings(self, capsys):
+        assert main(["update", *ARGS, "--stream", "5", "--batch", "2", "--skip-verify"]) == 0
+        rows = capsys.readouterr().out.splitlines()[-3:]
+        # the deltas column counts the records added since the previous update
+        assert [row.split("|")[1].strip() for row in rows] == ["2", "2", "1"]
+
     def test_table4_command(self, capsys):
         assert main(["table4", *ARGS]) == 0
         out = capsys.readouterr().out
