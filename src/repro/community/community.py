@@ -925,11 +925,12 @@ def _ids_and_names(
     return ids, names
 
 
-def _fields(records: Sequence[Any], *attributes: str) -> list[tuple[Any, ...]]:
-    """The named attributes of every record, one sequence per attribute."""
-    if not records:
-        return [() for _ in attributes]
-    return list(zip(*map(attrgetter(*attributes), records)))
+def _fields(records: Sequence[Any], *attributes: str) -> list[list[Any]]:
+    """The named attributes of every record, one list per attribute.
+
+    One pass per attribute: no per-record tuple is built.
+    """
+    return [list(map(attrgetter(name), records)) for name in attributes]
 
 
 def _interned(ids: Sequence[str]) -> dict[str, int]:

@@ -14,8 +14,10 @@ previous update invalidate:
 - **A** (Step 2) -- rebuilt from the columnar counts (cheap, array-only);
 - **T-hat** (Step 3) -- re-derived only on the changed region
   ``(changed A rows x all) | (all x changed E rows)``
-  (:meth:`repro.trust.TrustDeriver.derive_region`) and patched into a new
-  version of the cached matrix, which stays as it was;
+  (:meth:`repro.trust.TrustDeriver.derive_region`, which returns the
+  changed rows' entries and the changed columns' stored mask and values
+  as its dense blocks give them) and patched into a new version of the
+  cached matrix, which stays as it was;
 - **propagation** -- reused outright when ``T-hat`` did not move, rerun
   cold otherwise.
 
@@ -247,14 +249,17 @@ class Engine:
 
         Returns ``previous.derived`` itself when neither moved, a patched
         version when only a small region did, and a full re-derive
-        otherwise.  A patch derives the changed region once and hands it
-        to the previous matrix, which stays as it was:
+        otherwise.  A patch derives the changed region once, as a
+        :class:`repro.matrix.pair.PairRegion`, and hands it to the previous
+        matrix, which stays as it was:
         :meth:`repro.matrix.UserPairMatrix.patched` in memory,
         :meth:`repro.shard.ShardedPairMatrix.patch_with` on shards, which
-        rewrites only the shards the region touches and shares the rest
-        without IO.  Where the region kept the support (almost every
-        arriving rating), both share the previous keys and CSR structure
-        and copy only the values.
+        slices it per touched shard and shares the other shards without IO.
+        Both run :func:`repro.matrix.pair.patch_entries`.  Where the region
+        kept the support (almost every arriving rating), found by comparing
+        the base's CSR structure with the region's changed-row keys and
+        column mask, both share the previous keys and CSR structure and
+        copy only the values; no sorted key array of the region is built.
         """
         old_a = previous.affiliation.values_view()
         new_a = affiliation.values_view()
@@ -276,11 +281,11 @@ class Engine:
             return self._derive_full(affiliation, expertise, previous=previous.derived), 0
         region = self._deriver.derive_region(affiliation, expertise, rows=rows, cols=cols)
         if isinstance(previous.derived, ShardedPairMatrix):
-            derived, kept, touched = previous.derived.patch_with(region, rows=rows, cols=cols)
+            derived, kept, touched = previous.derived.patch_with(region)
             obs.add("engine.shard.shards_patched", touched)
             obs.add("engine.shard.shards_untouched", previous.derived.num_shards - touched)
             return derived, kept
-        return previous.derived.patched(affiliation.users, region, rows=rows, cols=cols)
+        return previous.derived.patched(affiliation.users, region)
 
     def _derive_full(
         self,

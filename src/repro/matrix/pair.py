@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 import numpy as np
 
 from repro import obs
-from repro.common.arrays import AnyArray, FloatArray, IntArray, concat_ranges
+from repro.common.arrays import AnyArray, BoolArray, FloatArray, IntArray, concat_ranges
 from repro.common.errors import ValidationError
 from repro.matrix.labels import LabelIndex
 
@@ -26,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = [
     "UserPairMatrix",
+    "PairRegion",
     "RegionPatch",
     "patch_entries",
     "read_only_csr",
@@ -54,62 +55,195 @@ class RegionPatch(NamedTuple):
     values_only: bool
 
 
+class PairRegion:
+    """The stored entries of a matrix on ``(rows x all) | (all x cols)``.
+
+    The form :meth:`repro.trust.TrustDeriver.derive_region` computes a
+    region in, kept as it comes out of the dense blocks:
+
+    - ``rows`` and ``cols``: sorted, unique positions on the ``users`` axis;
+    - ``row_keys`` / ``row_vals``: the stored entries of the ``rows``, full
+      width, as sorted flat keys ``i * U + j`` and their values;
+    - ``block_rows``: sorted rows outside ``rows`` that the column block
+      covers.  A row in neither stores nothing in ``cols``;
+    - ``mask``: the column block's stored entries, a ``block_rows x cols``
+      boolean array, and ``block_vals`` their values in row-major order.
+
+    :meth:`from_entries` is the validating constructor; the plain
+    constructor trusts its arrays.
+    """
+
+    __slots__ = (
+        "users", "rows", "cols", "row_keys", "row_vals", "block_rows", "mask", "block_vals"
+    )
+
+    def __init__(
+        self,
+        users: LabelIndex,
+        rows: IntArray,
+        cols: IntArray,
+        row_keys: IntArray,
+        row_vals: FloatArray,
+        block_rows: IntArray,
+        mask: BoolArray,
+        block_vals: FloatArray,
+    ) -> None:
+        self.users = users
+        self.rows, self.cols = rows, cols
+        self.row_keys, self.row_vals = row_keys, row_vals
+        self.block_rows, self.mask, self.block_vals = block_rows, mask, block_vals
+
+    @classmethod
+    def from_entries(
+        cls,
+        users: LabelIndex,
+        *,
+        rows: IntArray | Iterable[int],
+        cols: IntArray | Iterable[int],
+        sources: IntArray | Iterable[int],
+        targets: IntArray | Iterable[int],
+        values: FloatArray | Iterable[float],
+    ) -> "PairRegion":
+        """The region holding the entries at positions ``(sources, targets)``.
+
+        Entries are checked as :meth:`UserPairMatrix.from_arrays` checks
+        them (a pair given twice keeps its last value), and each must lie
+        in ``(rows x all) | (all x cols)``: :class:`ValidationError`
+        otherwise.  The column block covers every row outside ``rows``.
+        """
+        n = len(users)
+        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        cols = np.unique(np.asarray(cols, dtype=np.int64))
+        for name, positions in (("rows", rows), ("cols", cols)):
+            if positions.size and (positions[0] < 0 or positions[-1] >= n):
+                raise ValidationError(f"{name} positions must lie in [0, {n})")
+        entries = UserPairMatrix.from_arrays(users, sources, targets, values)
+        entry_rows, entry_cols = np.divmod(entries._keys, n)
+        row_changed = np.zeros(n, dtype=bool)
+        row_changed[rows] = True
+        col_changed = np.zeros(n, dtype=bool)
+        col_changed[cols] = True
+        in_rows = row_changed[entry_rows]
+        in_block = ~in_rows
+        if not bool(np.all(col_changed[entry_cols[in_block]])):
+            raise ValidationError("region entries must lie in the changed rows or columns")
+        block_rows = np.flatnonzero(~row_changed) if cols.size else _EMPTY_KEYS
+        mask = np.zeros((block_rows.size, cols.size), dtype=bool)
+        mask[
+            block_rows.searchsorted(entry_rows[in_block]),
+            cols.searchsorted(entry_cols[in_block]),
+        ] = True
+        return cls(
+            users,
+            rows,
+            cols,
+            entries._keys[in_rows],
+            entries._vals[in_rows],
+            block_rows,
+            mask,
+            entries._vals[in_block],
+        )
+
+    def num_entries(self) -> int:
+        """Stored entries in the region."""
+        return int(self.row_keys.size + self.block_vals.size)
+
+    def row_slice(self, lo: int, hi: int) -> "PairRegion":
+        """The part of this region on rows ``[lo, hi)``, e.g. one shard's."""
+        n = len(self.users)
+        r_lo, r_hi = self.rows.searchsorted([lo, hi])
+        k_lo, k_hi = self.row_keys.searchsorted([lo * n, hi * n])
+        b_lo, b_hi = self.block_rows.searchsorted([lo, hi])
+        v_lo = np.count_nonzero(self.mask[:b_lo])
+        v_hi = v_lo + np.count_nonzero(self.mask[b_lo:b_hi])
+        return PairRegion(
+            self.users,
+            self.rows[r_lo:r_hi],
+            self.cols,
+            self.row_keys[k_lo:k_hi],
+            self.row_vals[k_lo:k_hi],
+            self.block_rows[b_lo:b_hi],
+            self.mask[b_lo:b_hi],
+            self.block_vals[v_lo:v_hi],
+        )
+
+    def keys_and_values(self) -> tuple[IntArray, FloatArray]:
+        """Every stored entry as sorted flat keys and their values (new arrays)."""
+        n = len(self.users)
+        local, col_idx = np.divmod(np.flatnonzero(self.mask), self.cols.size)
+        keys = np.concatenate([self.row_keys, self.block_rows[local] * n + self.cols[col_idx]])
+        vals = np.concatenate([self.row_vals, self.block_vals])
+        # each part is increasing on rows the other does not hold, so a
+        # stable sort merges the two runs
+        order = np.argsort(keys, kind="stable")
+        return keys[order], vals[order]
+
+
 def patch_entries(
     keys: IntArray,
     vals: FloatArray,
-    region_keys: IntArray,
-    region_vals: FloatArray,
+    region: PairRegion,
     *,
-    rows: IntArray,
-    cols: IntArray,
     n_old: int,
-    n: int,
-    columns: IntArray | None = None,
+    indices: IntArray,
+    indptr: IntArray,
+    first_row: int = 0,
 ) -> RegionPatch:
     """Merge a recomputed region's entries over consolidated base entries.
 
     ``keys`` / ``vals`` are sorted, unique flat keys on an ``n_old``-user
-    axis and their values; ``columns``, when given, holds each key's column
-    (``keys % n_old``), e.g. a cached CSR's ``indices``.  The region holds
-    every stored entry of ``(rows x all) | (all x cols)`` on the ``n``-user
-    axis (``n >= n_old``, append-only growth), as sorted unique keys.
+    axis and their values, the rows ``[first_row, first_row + len(indptr)
+    - 1)`` of a matrix whose CSR structure is ``indptr`` / ``indices``
+    (a cached :meth:`UserPairMatrix.csr` or shard block).  ``region`` is
+    on the ``n``-user axis (``n >= n_old``, append-only growth) and holds
+    rows of this block only (:meth:`PairRegion.row_slice`).
 
-    The base keys inside the region are found from their columns plus one
-    binary search per changed row.  When they equal the region's keys --
-    the support held, which proves every region key lies in the region --
-    the result shares ``keys`` and copies ``vals`` with the region's values
-    scattered in at those positions (``values_only``).  Otherwise (a
-    support change or a grown axis) the base entries outside the region
-    and the region's entries merge in one masked scatter; a region key
-    outside the region raises :class:`ValidationError` there, because it
-    would collide with a kept key.
+    The base positions inside the region are the changed rows' CSR
+    segments plus every entry whose column changed.  The support held when
+    the changed rows' keys equal the region's, and the base entries in
+    changed columns outside the changed rows all lie in block rows (counted
+    per row by one binary search of ``indptr``), as many as the mask
+    stores, each in a stored cell of the mask.  Then the result shares
+    ``keys`` and copies ``vals`` with the region's values scattered in at
+    those positions (``values_only``).  Otherwise (a support change or a
+    grown axis) the region's sorted keys are built from its mask, and the
+    base entries outside the region and the region's entries merge in one
+    masked scatter.
     """
     keys = np.asarray(keys)
+    n = len(region.users)
+    rows, cols = region.rows, region.cols
     col_changed = np.zeros(n, dtype=bool)
     col_changed[cols] = True
     if cols.size:
-        inside = col_changed.take(columns if columns is not None else keys % n_old)
+        inside = col_changed.take(indices)
     else:
         inside = np.zeros(keys.shape[0], dtype=bool)
-    old_rows = rows[rows < n_old]
-    starts = keys.searchsorted(old_rows * n_old)
-    ends = keys.searchsorted((old_rows + 1) * n_old)
-    inside[concat_ranges(starts, ends - starts)] = True
-    positions = np.flatnonzero(inside)
-    if (
-        n == n_old
-        and positions.size == region_keys.size
-        and np.array_equal(keys[positions], region_keys)
-    ):
-        new_vals = np.array(vals, dtype=np.float64)
-        new_vals[positions] = region_vals
-        return RegionPatch(keys, new_vals, keys.shape[0] - positions.size, True)
+    local_rows = rows[rows < n_old] - first_row
+    starts = indptr[local_rows]
+    row_positions = concat_ranges(starts, indptr[local_rows + 1] - starts)
+    # the base entries in changed columns outside the changed rows
+    inside[row_positions] = False
+    block_positions = np.flatnonzero(inside)
+    if n == n_old and np.array_equal(keys[row_positions], region.row_keys):
+        # each block row's count of them, between its two ``indptr`` bounds
+        counts = np.diff(block_positions.searchsorted(indptr))[region.block_rows - first_row]
+        # all of them lie in block rows, as many as the mask stores, each
+        # in a stored cell of the mask (row-major, as the values are)
+        if int(counts.sum()) == block_positions.size == region.block_vals.size:
+            col_slot = np.zeros(n, dtype=np.int64)
+            col_slot[cols] = np.arange(cols.size)
+            cells = np.repeat(np.arange(counts.size) * cols.size, counts)
+            cells += col_slot.take(indices.take(block_positions))
+            if region.mask.ravel().take(cells).all():
+                new_vals = np.array(vals, dtype=np.float64)
+                new_vals[row_positions] = region.row_vals
+                new_vals[block_positions] = region.block_vals
+                kept = keys.shape[0] - row_positions.size - block_positions.size
+                return RegionPatch(keys, new_vals, kept, True)
 
-    row_changed = np.zeros(n, dtype=bool)
-    row_changed[rows] = True
-    region_rows, region_cols = np.divmod(region_keys, n)
-    if not bool(np.all(row_changed[region_rows] | col_changed[region_cols])):
-        raise ValidationError("region entries must lie in the changed rows or columns")
+    inside[row_positions] = True
+    region_keys, region_vals = region.keys_and_values()
     keep = ~inside
     kept_keys = keys[keep]
     if n != n_old:
@@ -444,31 +578,23 @@ class UserPairMatrix:
 
     # ------------------------------------------------------------------ patching
 
-    def patched(
-        self,
-        users: LabelIndex,
-        region: "UserPairMatrix",
-        *,
-        rows: IntArray,
-        cols: IntArray,
-    ) -> tuple["UserPairMatrix", int]:
+    def patched(self, users: LabelIndex, region: PairRegion) -> tuple["UserPairMatrix", int]:
         """A new version of this matrix with a recomputed ``region`` merged in.
 
-        ``region`` holds every stored entry of ``(rows x all) | (all x
-        cols)`` on the (possibly grown) ``users`` axis; this matrix's
-        entries outside that region are carried over unchanged, and this
-        matrix itself is left as it is.  Returns ``(patched,
+        ``region`` holds every stored entry of ``(region.rows x all) |
+        (all x region.cols)`` on the (possibly grown) ``users`` axis; this
+        matrix's entries outside that region are carried over unchanged,
+        and this matrix itself is left as it is.  Returns ``(patched,
         kept_entries)``.
 
-        When the region's keys are exactly this matrix's keys inside the
-        region -- the support held, as it does for almost every arriving
-        rating -- only values change: the new version shares this
-        matrix's (read-only) key array, copies its values with the
-        region's scattered in, and gets a CSR that shares :meth:`csr`'s
-        ``indices`` / ``indptr`` with the new values, so propagation does
-        not rebuild it.  A support change or a grown axis takes one O(nnz)
-        masked merge instead (see :func:`patch_entries`); a region entry
-        outside the region raises :class:`ValidationError` there.
+        One :func:`patch_entries` call over this matrix's cached
+        :meth:`csr` structure does the work.  When the support held -- as
+        it does for almost every arriving rating -- only values change: the
+        new version shares this matrix's (read-only) key array, copies its
+        values with the region's scattered in, and gets a CSR that shares
+        :meth:`csr`'s ``indices`` / ``indptr`` with the new values, so
+        propagation does not rebuild it.  A support change or a grown axis
+        takes one O(nnz) masked merge instead.
 
         This axis must be a prefix of ``users`` (append-only growth keeps
         flat keys in row-major order: ``j < n_old <= n``).
@@ -479,22 +605,14 @@ class UserPairMatrix:
         n_old = self._n
         if n_old > n or self.users.labels != users.labels[:n_old]:
             raise ValidationError("patched axis must extend this matrix's user axis")
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        for name, positions in (("rows", rows), ("cols", cols)):
-            if positions.size and (positions.min() < 0 or positions.max() >= n):
-                raise ValidationError(f"{name} positions must lie in [0, {n})")
         base = self.csr()  # the engine's EigenTrust cached it
         patch = patch_entries(
             self._keys,
             self._vals,
-            region._keys,
-            region._vals,
-            rows=rows,
-            cols=cols,
+            region,
             n_old=n_old,
-            n=n,
-            columns=base.indices,
+            indices=base.indices,
+            indptr=base.indptr,
         )
         out = UserPairMatrix._owning(users, patch.keys, patch.vals)
         if patch.values_only:

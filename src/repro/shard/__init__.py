@@ -16,7 +16,9 @@ reads each spilled shard once per call:
   its support keeps its CSR structure and its keys file, so propagation
   and checkpoints after a values-only patch touch only values, and a
   shard written by a spill or a flush stays mapped, so nothing is read
-  back;
+  back.  ``patch_with`` takes the derived region as it comes
+  (:class:`repro.matrix.pair.PairRegion`) and hands each touched shard its
+  rows' slice of it, found by binary search; untouched shards are shared;
 - :class:`ShardConfig` -- shard count / spill budget / store location;
 - :class:`ArtifactStore` -- save/load facade for whole pipeline outputs.
 

@@ -37,6 +37,7 @@ from repro.common.arrays import FloatArray, IntArray
 from repro.common.errors import ValidationError
 from repro.matrix.labels import LabelIndex
 from repro.matrix.pair import (
+    PairRegion,
     UserPairMatrix,
     patch_entries,
     read_only_csr,
@@ -216,27 +217,24 @@ class ShardedPairMatrix:
 
     # ---------------------------------------------------------------- patching
 
-    def patch_with(
-        self,
-        region: UserPairMatrix,
-        *,
-        rows: IntArray,
-        cols: IntArray,
-    ) -> tuple["ShardedPairMatrix", int, int]:
+    def patch_with(self, region: PairRegion) -> tuple["ShardedPairMatrix", int, int]:
         """A new version with a recomputed ``region`` merged in, shard by shard.
 
-        ``region`` holds every stored entry of ``(rows x all) | (all x
-        cols)`` on the **same** user axis (sharded patching does not grow
-        axes; axis growth re-derives from scratch).  Each shard the region
-        touches goes through :func:`repro.matrix.pair.patch_entries`, the
-        routine :meth:`repro.matrix.UserPairMatrix.patched` runs, with the
-        shard's cached CSR ``indices`` as its columns: where the shard's
-        support held, its key array, CSR structure and keys file are kept
-        and only its values are copied and rewritten; otherwise its entries
-        are merged and the structure and keys file are dropped.  Untouched
-        shards are shared with the new version without any IO, and every
-        shard keeps its on-disk flag, so a rewritten shard that already has
-        a file stays on the heap until the next :meth:`flush`.
+        ``region`` holds every stored entry of ``(region.rows x all) | (all
+        x region.cols)`` on the **same** user axis (sharded patching does
+        not grow axes; axis growth re-derives from scratch).  Each shard
+        the region touches takes its rows' slice of the region
+        (:meth:`repro.matrix.pair.PairRegion.row_slice`, binary searches on
+        the region's sorted arrays, no copy of its entries) and goes
+        through :func:`repro.matrix.pair.patch_entries`, the routine
+        :meth:`repro.matrix.UserPairMatrix.patched` runs, over the shard's
+        cached CSR structure: where the shard's support held, its key
+        array, CSR structure and keys file are kept and only its values are
+        copied and rewritten; otherwise its entries are merged and the
+        structure and keys file are dropped.  Untouched shards are shared
+        with the new version without any IO, and every shard keeps its
+        on-disk flag, so a rewritten shard that already has a file stays on
+        the heap until the next :meth:`flush`.
 
         This matrix is left unchanged and superseded (:meth:`supersede`).
         Returns ``(patched, kept_entries, shards_patched)``.
@@ -244,25 +242,18 @@ class ShardedPairMatrix:
         self._require_newest()
         if region.users != self.users:
             raise ValidationError("region must be indexed by this matrix's user axis")
-        rows = np.unique(np.asarray(rows, dtype=np.int64))
-        cols = np.unique(np.asarray(cols, dtype=np.int64))
         n = self._n
-        for name, positions in (("rows", rows), ("cols", cols)):
-            if positions.size and (positions[0] < 0 or positions[-1] >= n):
-                raise ValidationError(f"{name} positions must lie in [0, {n})")
-        region_keys = region.support_keys()
-        region_vals = region.values()
-        if cols.size:
+        if region.cols.size:
             # a changed column crosses every row block
             touched = np.arange(self.num_shards, dtype=np.int64)
         else:
-            touched = self.layout.shards_for_rows(rows)
+            touched = self.layout.shards_for_rows(region.rows)
         touched_set = set(touched.tolist())
         kept_total = 0
         with obs.span(
             "shard.patch",
             shards=len(touched_set),
-            region_entries=int(region_keys.size),
+            region_entries=region.num_entries(),
         ):
             self.supersede()
             out = self._successor()
@@ -271,18 +262,16 @@ class ShardedPairMatrix:
                 if s not in touched_set:
                     kept_total += int(keys.shape[0])
                     continue
-                lo_key, hi_key = self.layout.key_range(s, n)
-                r_lo, r_hi = np.searchsorted(region_keys, [lo_key, hi_key])
+                lo, hi = self.layout.row_range(s)
+                block = out.shard_csr(s)  # EigenTrust cached its structure
                 patch = patch_entries(
                     keys,
                     vals,
-                    region_keys[r_lo:r_hi],
-                    region_vals[r_lo:r_hi],
-                    rows=rows,
-                    cols=cols,
+                    region.row_slice(lo, hi),
                     n_old=n,
-                    n=n,
-                    columns=out.shard_csr(s).indices,  # EigenTrust cached it
+                    indices=block.indices,
+                    indptr=block.indptr,
+                    first_row=lo,
                 )
                 obs.add(
                     "shard.patch.values_only" if patch.values_only else "shard.patch.merged"

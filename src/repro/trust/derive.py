@@ -18,7 +18,10 @@ only entries above ``min_value``, as strictly increasing flat keys
 ``i * U + j`` with their values, so memory stays proportional to the
 stored result rather than ``U^2``.  :meth:`TrustDeriver.derive` runs it
 over every active row, :meth:`TrustDeriver.derive_sharded` once per
-shard, and :meth:`TrustDeriver.derive_region` over the changed rows.
+shard, and :meth:`TrustDeriver.derive_region` over the changed rows; the
+region's changed columns come as one column block per ``block_size``
+chunk of the other active rows, kept as a stored mask and values
+(:class:`repro.matrix.pair.PairRegion`), never as keys.
 
 Every block product goes through :func:`_block_product`, a non-BLAS einsum
 whose reduction order per output element is the fixed category sweep
@@ -47,6 +50,7 @@ from repro.common.arrays import FloatArray, IntArray
 from repro.common.errors import ValidationError
 from repro.common.validation import require_non_negative, require_positive
 from repro.matrix import UserCategoryMatrix, UserPairMatrix
+from repro.matrix.pair import PairRegion
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.shard.layout import ShardLayout
@@ -195,7 +199,7 @@ class TrustDeriver:
         *,
         rows: IntArray,
         cols: IntArray,
-    ) -> UserPairMatrix:
+    ) -> PairRegion:
         """Recompute ``T-hat`` on ``(rows x all) | (all x cols)`` only.
 
         ``rows`` are source positions whose affinity row changed, ``cols``
@@ -206,6 +210,14 @@ class TrustDeriver:
         fixed-reduction-order :func:`_block_product` per element -- which
         is what lets :class:`repro.engine.Engine` patch its cached matrix
         instead of rebuilding it.
+
+        The result is a :class:`repro.matrix.pair.PairRegion` in the form
+        the blocks produce it: the changed rows' full-width entries from
+        :meth:`_row_entries`, and one column block over the other active
+        rows, kept as its stored mask and its stored values in row-major
+        order.  That block is computed one ``block_size`` chunk at a time,
+        so no dense ``rows x cols`` block is held whole, and no key of it
+        is built or sorted here.
         """
         _require_aligned(affiliation, expertise)
         users = affiliation.users
@@ -222,53 +234,51 @@ class TrustDeriver:
             a_values, row_sums, e_transposed = _operands(affiliation, expertise)
             active = row_sums > 0.0
 
-            # pass 1: changed source rows, full width (inactive rows store
-            # nothing in a full derive either)
+            # changed source rows, full width (inactive rows store nothing
+            # in a full derive either)
             source_rows = rows[active[rows]]
-            keys, vals = self._row_entries(
+            row_keys, row_vals = self._row_entries(
                 a_values, row_sums, e_transposed, source_rows, self.block_size
             )
-            key_parts, val_parts = [keys], [vals]
-            # pass 2: changed target columns, on the active rows pass 1
-            # did not already cover
-            if cols.size:
-                rest = np.setdiff1d(
-                    np.nonzero(active)[0], source_rows, assume_unique=True
-                )
-                col_block = cols
-                padded = False
-                if col_block.size == 1 and n >= 2:
-                    # a one-column product dispatches a different numpy
-                    # inner loop than a multi-column one; compute a second
-                    # column and drop it
-                    col_block = np.asarray(
-                        [col_block[0], (col_block[0] + 1) % n], dtype=np.int64
+            # changed target columns, on the active rows not covered above
+            active[rows] = False
+            block_rows = np.flatnonzero(active) if cols.size else np.empty(0, dtype=np.int64)
+            mask = np.empty((block_rows.size, cols.size), dtype=bool)
+            col_block = cols
+            if cols.size == 1 and n >= 2:
+                # a one-column product dispatches a different numpy inner
+                # loop than a multi-column one; compute a second column and
+                # drop it
+                col_block = np.asarray([cols[0], (cols[0] + 1) % n], dtype=np.int64)
+            e_cols = np.ascontiguousarray(e_transposed[:, col_block])
+            val_parts = [np.empty(0, dtype=np.float64)]
+            for start in range(0, block_rows.size, self.block_size):
+                chunk_rows = block_rows[start : start + self.block_size]
+                weights = a_values[chunk_rows, :] / row_sums[chunk_rows, None]
+                block = _block_product(weights, e_cols)[:, : cols.size]
+                stored = mask[start : start + chunk_rows.size]
+                np.greater(block, self.min_value, out=stored)
+                if not self.include_self:
+                    # the diagonal cells: changed columns that are chunk rows
+                    _, own_rows, own_cols = np.intersect1d(
+                        chunk_rows, cols, assume_unique=True, return_indices=True
                     )
-                    padded = True
-                e_cols = np.ascontiguousarray(e_transposed[:, col_block])
-                for start in range(0, len(rest), self.block_size):
-                    block_rows = rest[start : start + self.block_size]
-                    weights = a_values[block_rows, :] / row_sums[block_rows, None]
-                    block = _block_product(weights, e_cols)
-                    if padded:
-                        block = block[:, :1]
-                    mask = block > self.min_value
-                    if not self.include_self:
-                        mask &= block_rows[:, None] != cols[None, :]
-                    local, col_idx = np.nonzero(mask)
-                    key_parts.append(block_rows[local] * n + cols[col_idx])
-                    val_parts.append(block[local, col_idx])
-            keys = np.concatenate(key_parts)
-            vals = np.concatenate(val_parts)
-            # each pass yields increasing keys on rows the other pass skips,
-            # so a stable sort merges the two runs; every intermediate is
-            # dropped once consumed, to keep the transient heap small
-            del key_parts, val_parts
-            order = np.argsort(keys, kind="stable")
-            keys, vals = keys[order], vals[order]
-            del order
-            obs.add("derive.entries_stored", int(keys.size))
-            return UserPairMatrix.from_flat_sorted(users, keys, vals)
+                    stored[own_rows, own_cols] = False
+                # row-major, as the mask reads; compress is several times
+                # faster than boolean indexing on a scattered mask
+                val_parts.append(np.compress(stored.ravel(), block.ravel()))
+            region = PairRegion(
+                users,
+                rows,
+                cols,
+                row_keys,
+                row_vals,
+                block_rows,
+                mask,
+                np.concatenate(val_parts),
+            )
+            obs.add("derive.entries_stored", region.num_entries())
+            return region
 
     def _row_entries(
         self,

@@ -3,8 +3,26 @@
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.common.errors import ValidationError
 from repro.matrix import LabelIndex, UserPairMatrix
+from repro.matrix.pair import PairRegion
+from repro.obs.recorder import Recorder
+
+NO_POSITIONS = np.empty(0, dtype=np.int64)
+
+
+def region_from(users, rows, cols, entries=()):
+    """A region through the validating constructor, from ``(i, j, value)``."""
+    entries = list(entries)
+    return PairRegion.from_entries(
+        users,
+        rows=np.asarray(rows, dtype=np.int64),
+        cols=np.asarray(cols, dtype=np.int64),
+        sources=[i for i, _, _ in entries],
+        targets=[j for _, j, _ in entries],
+        values=[v for _, _, v in entries],
+    )
 
 
 @pytest.fixture
@@ -157,7 +175,7 @@ class TestBuiltWhole:
 
     def test_every_constructor_holds_read_only_arrays(self, users):
         base = UserPairMatrix.from_arrays(users, [0, 1, 3], [2, 0, 4], [0.5, 0.25, 1.0])
-        region = UserPairMatrix.from_arrays(users, [1], [0], [0.75])
+        region = region_from(users, [1], [0], [(1, 0, 0.75)])
         built = [
             UserPairMatrix(users),
             base,
@@ -165,7 +183,7 @@ class TestBuiltWhole:
             UserPairMatrix.from_csr(base.to_csr(), users),
             UserPairMatrix.from_flat_sorted(users, np.array([1, 7]), np.array([0.5, 0.0])),
             base.restrict_to({("u0", "u2")}),
-            base.patched(users, region, rows=np.array([1]), cols=np.array([0]))[0],
+            base.patched(users, region)[0],
         ]
         for matrix in built:
             csr = matrix.csr()
@@ -230,7 +248,66 @@ def _region_of(dense, users, rows, cols):
     in_region[sorted(rows), :] = True
     in_region[:, sorted(cols)] = True
     r, c = np.nonzero(in_region & (dense != 0.0))
-    return UserPairMatrix.from_arrays(users, r, c, dense[r, c])
+    return PairRegion.from_entries(
+        users,
+        rows=np.array(sorted(rows), dtype=np.int64),
+        cols=np.array(sorted(cols), dtype=np.int64),
+        sources=r,
+        targets=c,
+        values=dense[r, c],
+    )
+
+
+class TestPairRegion:
+    """:meth:`PairRegion.from_entries`, the one validating constructor."""
+
+    def test_splits_entries_into_rows_and_a_column_block(self, users):
+        n = len(users)
+        region = region_from(
+            users, [3, 1], [2], [(1, 4, 0.5), (0, 2, 0.25), (3, 2, 0.75), (4, 2, 1.0)]
+        )
+        assert region.rows.tolist() == [1, 3] and region.cols.tolist() == [2]
+        assert region.row_keys.tolist() == [1 * n + 4, 3 * n + 2]
+        assert region.row_vals.tolist() == [0.5, 0.75]
+        # the block covers every row outside ``rows``
+        assert region.block_rows.tolist() == [0, 2, 4]
+        assert region.mask.tolist() == [[True], [False], [True]]
+        assert region.block_vals.tolist() == [0.25, 1.0]
+        assert region.num_entries() == 4
+        keys, vals = region.keys_and_values()
+        assert keys.tolist() == [0 * n + 2, 1 * n + 4, 3 * n + 2, 4 * n + 2]
+        assert vals.tolist() == [0.25, 0.5, 0.75, 1.0]
+
+    def test_a_pair_given_twice_keeps_its_last_value(self, users):
+        region = region_from(users, [1], [0], [(1, 2, 0.3), (2, 0, 0.1), (1, 2, 0.7)])
+        assert region.row_vals.tolist() == [0.7]
+        assert region.block_vals.tolist() == [0.1]
+
+    def test_row_slice_keeps_the_rows_of_a_block(self, users):
+        n = len(users)
+        region = region_from(
+            users, [1, 3], [0, 4], [(1, 2, 0.5), (3, 0, 0.2), (2, 4, 0.25), (4, 0, 1.0)]
+        )
+        lower, upper = region.row_slice(0, 3), region.row_slice(3, 5)
+        assert lower.rows.tolist() == [1] and upper.rows.tolist() == [3]
+        assert lower.row_keys.tolist() == [1 * n + 2]
+        assert upper.row_keys.tolist() == [3 * n + 0]
+        assert lower.block_rows.tolist() == [0, 2] and upper.block_rows.tolist() == [4]
+        assert lower.block_vals.tolist() == [0.25] and upper.block_vals.tolist() == [1.0]
+        assert lower.mask.tolist() == [[False, False], [False, True]]
+        assert upper.mask.tolist() == [[True, False]]
+        for part in (lower, upper):
+            assert part.cols.tolist() == [0, 4]
+        whole = np.concatenate([lower.keys_and_values()[0], upper.keys_and_values()[0]])
+        assert whole.tolist() == region.keys_and_values()[0].tolist()
+
+    def test_entries_checked_as_from_arrays_checks_them(self, users):
+        with pytest.raises(ValidationError, match="finite"):
+            region_from(users, [1], NO_POSITIONS, [(1, 2, np.inf)])
+        with pytest.raises(ValidationError, match="equal-length"):
+            PairRegion.from_entries(
+                users, rows=[1], cols=[], sources=[1, 1], targets=[2], values=[0.5]
+            )
 
 
 class TestPatched:
@@ -252,9 +329,7 @@ class TestPatched:
         for j in cols:
             new_dense[:, j] = (rng.random(n) * (rng.random(n) < 0.7)).round(3)
         region = _region_of(new_dense, users, rows, cols)
-        patched, kept = old.patched(
-            users, region, rows=np.array(sorted(rows)), cols=np.array(sorted(cols))
-        )
+        patched, kept = old.patched(users, region)
         np.testing.assert_array_equal(self._dense(patched, n), new_dense)
         # kept = old entries outside the changed region
         outside = sum(
@@ -266,10 +341,8 @@ class TestPatched:
     def test_patch_with_user_growth(self, users):
         grown = LabelIndex(list(users.labels) + ["u5"])
         old = UserPairMatrix.from_arrays(users, [0, 2], [1, 3], [0.5, 0.25])
-        region = UserPairMatrix.from_pairs(grown, [("u5", "u0", 0.75), ("u0", "u5", 0.1)])
-        patched, kept = old.patched(
-            grown, region, rows=np.array([5]), cols=np.array([5])
-        )
+        region = region_from(grown, [5], [5], [(5, 0, 0.75), (0, 5, 0.1)])
+        patched, kept = old.patched(grown, region)
         assert kept == 2
         assert patched.users is grown
         assert patched.get("u0", "u1") == 0.5
@@ -279,29 +352,21 @@ class TestPatched:
     def test_region_on_wrong_axis_rejected(self, users):
         other = LabelIndex(["a", "b", "c", "d", "e"])
         old = UserPairMatrix.from_arrays(users, [0], [1], [0.5])
-        region = UserPairMatrix(other)
+        region = region_from(other, [0], [0])
         with pytest.raises(ValidationError, match="region"):
-            old.patched(users, region, rows=np.array([0]), cols=np.array([0]))
+            old.patched(users, region)
 
     def test_non_extension_axis_rejected(self, users):
         shrunk = LabelIndex(["u0", "u1"])
         old = UserPairMatrix.from_arrays(users, [0], [1], [0.5])
-        region = UserPairMatrix(shrunk)
+        region = region_from(shrunk, [0], [0])
         with pytest.raises(ValidationError, match="extend"):
-            old.patched(shrunk, region, rows=np.array([0]), cols=np.array([0]))
-
-    def test_out_of_range_positions_rejected(self, users):
-        old = UserPairMatrix.from_arrays(users, [0], [1], [0.5])
-        region = UserPairMatrix(users)
-        with pytest.raises(ValidationError, match="rows positions"):
-            old.patched(users, region, rows=np.array([9]), cols=np.array([], dtype=np.int64))
+            old.patched(shrunk, region)
 
     def test_values_only_version_shares_structure_not_values(self, users):
         old = UserPairMatrix.from_arrays(users, [0, 1, 2], [1, 2, 3], [0.5, 0.4, 0.25])
-        region = UserPairMatrix.from_arrays(users, [1], [2], [0.9])
-        patched, kept = old.patched(
-            users, region, rows=np.array([1]), cols=np.empty(0, dtype=np.int64)
-        )
+        region = region_from(users, [1], NO_POSITIONS, [(1, 2, 0.9)])
+        patched, kept = old.patched(users, region)
         assert kept == 2
         held = patched.csr()
         assert np.shares_memory(held.indptr, old.csr().indptr)
@@ -313,17 +378,23 @@ class TestPatched:
 
     def test_region_entry_outside_region_rejected(self, users):
         """A region key with neither its row nor its column changed would
-        collide with a kept key and break the sorted-unique keys."""
-        old = UserPairMatrix.from_arrays(users, [0, 1, 2], [1, 2, 3], [0.5, 0.4, 0.25])
-        no_cols = np.empty(0, dtype=np.int64)
-        # one stray entry beside the changed row's: the merge path
-        region = UserPairMatrix.from_arrays(users, [1, 2], [2, 3], [0.9, 0.8])
+        collide with a kept key; the region's constructor rejects it, so no
+        patch ever sees one."""
         with pytest.raises(ValidationError, match="changed rows or columns"):
-            old.patched(users, region, rows=np.array([1]), cols=no_cols)
-        # as many entries as the changed row holds, one of them stray
-        region = UserPairMatrix.from_arrays(users, [2], [3], [0.8])
+            region_from(users, [1], NO_POSITIONS, [(1, 2, 0.9), (2, 3, 0.8)])
         with pytest.raises(ValidationError, match="changed rows or columns"):
-            old.patched(users, region, rows=np.array([1]), cols=no_cols)
+            region_from(users, [1], NO_POSITIONS, [(2, 3, 0.8)])
+        with pytest.raises(ValidationError, match="changed rows or columns"):
+            region_from(users, [1], [0], [(1, 2, 0.9), (2, 3, 0.8)])
+
+    def test_out_of_range_positions_rejected(self, users):
+        """The region's constructor holds its rows and cols to its axis."""
+        with pytest.raises(ValidationError, match="rows positions"):
+            region_from(users, [9], NO_POSITIONS)
+        with pytest.raises(ValidationError, match="cols positions"):
+            region_from(users, NO_POSITIONS, [-1])
+        with pytest.raises(ValidationError, match="positions must lie"):
+            region_from(users, [1], NO_POSITIONS, [(1, 5, 0.5)])
 
 
 class TestPatchedEdgeCases:
@@ -335,22 +406,14 @@ class TestPatchedEdgeCases:
 
     def test_empty_patch_is_identity(self, users):
         old = UserPairMatrix.from_arrays(users, [0, 2], [1, 3], [0.5, 0.25])
-        empty = np.empty(0, dtype=np.int64)
-        patched, kept = old.patched(
-            users, UserPairMatrix(users), rows=empty, cols=empty
-        )
+        patched, kept = old.patched(users, region_from(users, NO_POSITIONS, NO_POSITIONS))
         assert patched == old
         assert kept == old.num_entries()
 
     def test_empty_region_with_changed_rows_clears_them(self, users):
         """A region with no entries means the changed rows became zero."""
         old = UserPairMatrix.from_arrays(users, [0, 2], [1, 3], [0.5, 0.25])
-        patched, kept = old.patched(
-            users,
-            UserPairMatrix(users),
-            rows=np.array([0]),
-            cols=np.empty(0, dtype=np.int64),
-        )
+        patched, kept = old.patched(users, region_from(users, [0], NO_POSITIONS))
         assert not patched.contains("u0", "u1")
         assert patched.get("u2", "u3") == 0.25
         assert kept == 1
@@ -362,21 +425,39 @@ class TestPatchedEdgeCases:
         new_dense = (rng.random((n, n)) * (rng.random((n, n)) < 0.6)).round(3)
         idx = np.nonzero(old_dense)
         old = UserPairMatrix.from_arrays(users, *idx, old_dense[idx])
-        all_positions = np.arange(n, dtype=np.int64)
         region = _region_of(new_dense, users, set(range(n)), set(range(n)))
-        patched, kept = old.patched(
-            users, region, rows=all_positions, cols=all_positions
-        )
+        patched, kept = old.patched(users, region)
         np.testing.assert_array_equal(self._dense(patched, n), new_dense)
         assert kept == 0  # nothing survives a whole-matrix patch
+
+    def test_row_outside_rows_and_block_stores_nothing_in_the_columns(self, users):
+        """A derived region's block covers the active rows only; a base entry
+        of another row in a changed column is dropped, through the merge,
+        even when the block stores as many entries as the base holds there."""
+        n = len(users)
+        old = UserPairMatrix.from_arrays(users, [4, 4], [0, 1], [0.25, 0.75])
+        region = PairRegion(
+            users,
+            rows=np.array([1]),
+            cols=np.array([0]),
+            row_keys=NO_POSITIONS,
+            row_vals=np.empty(0),
+            block_rows=np.array([0, 2, 3]),
+            mask=np.array([[True], [False], [False]]),
+            block_vals=np.array([0.5]),
+        )
+        recorder = Recorder()
+        with obs.use_recorder(recorder):
+            patched, kept = old.patched(users, region)
+        assert recorder.counters == {"matrix.patch.merged": 1}
+        assert patched.support_keys().tolist() == [0, 4 * n + 1]
+        assert kept == 1
 
     def test_region_value_wins_over_old_at_same_key(self, users):
         """A key present in both old and region takes the region's value."""
         old = UserPairMatrix.from_arrays(users, [1, 2], [2, 3], [0.5, 0.25])
-        region = UserPairMatrix.from_pairs(users, [("u1", "u2", 0.9)])
-        patched, kept = old.patched(
-            users, region, rows=np.array([1]), cols=np.empty(0, dtype=np.int64)
-        )
+        region = region_from(users, [1], NO_POSITIONS, [(1, 2, 0.9)])
+        patched, kept = old.patched(users, region)
         assert patched.get("u1", "u2") == 0.9
         assert patched.get("u2", "u3") == 0.25
         assert kept == 1
@@ -386,11 +467,7 @@ class TestPatchedEdgeCases:
         and that is the one the patch scatters."""
         old = UserPairMatrix.from_arrays(users, [0], [2], [0.1])
         # the second triple replaces the first
-        region = UserPairMatrix.from_pairs(
-            users, [("u1", "u2", 0.3), ("u1", "u2", 0.7)]
-        )
-        patched, _ = old.patched(
-            users, region, rows=np.array([1]), cols=np.empty(0, dtype=np.int64)
-        )
+        region = region_from(users, [1], NO_POSITIONS, [(1, 2, 0.3), (1, 2, 0.7)])
+        patched, _ = old.patched(users, region)
         assert patched.get("u1", "u2") == 0.7
         assert patched.num_entries() == 2

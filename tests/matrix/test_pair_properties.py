@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.matrix import LabelIndex, UserPairMatrix
+from repro.matrix.pair import PairRegion
 
 USERS = [f"u{i}" for i in range(5)]
 #: The axis a ``patched`` merge grows onto (one user appended).
@@ -105,9 +106,14 @@ class TestPointReadsAfterWrites:
         labels = GROWN.labels
         patched, _ = base.patched(
             GROWN,
-            build(GROWN, region),
-            rows=np.asarray(rows, dtype=np.int64),
-            cols=np.asarray(cols, dtype=np.int64),
+            PairRegion.from_entries(
+                GROWN,
+                rows=np.asarray(rows, dtype=np.int64),
+                cols=np.asarray(cols, dtype=np.int64),
+                sources=[i for i, _, _ in region],
+                targets=[j for _, j, _ in region],
+                values=[v for _, _, v in region],
+            ),
         )
         expected = {
             (s, t): v
@@ -184,15 +190,17 @@ class TestPatchedVersions:
                 new_values[i, j] = v
         new_values[~new_stored] = 0.0
         r, c = np.nonzero(new_stored & in_region)
-        region = UserPairMatrix.from_arrays(PATCH_AXIS, r, c, new_values[r, c])
-
-        before = snapshot(base)
-        patched, kept = base.patched(
+        region = PairRegion.from_entries(
             PATCH_AXIS,
-            region,
             rows=np.asarray(rows, dtype=np.int64),
             cols=np.asarray(cols, dtype=np.int64),
+            sources=r,
+            targets=c,
+            values=new_values[r, c],
         )
+
+        before = snapshot(base)
+        patched, kept = base.patched(PATCH_AXIS, region)
 
         # the dense scatter oracle, bitwise
         got_stored, got_values = dense_state(patched)

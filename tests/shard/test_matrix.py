@@ -9,6 +9,7 @@ from repro import obs
 from repro.common.errors import ValidationError
 from repro.matrix import UserPairMatrix
 from repro.matrix.labels import LabelIndex
+from repro.matrix.pair import PairRegion
 from repro.obs.recorder import Recorder
 from repro.shard import ShardLayout, ShardStore
 from repro.shard.matrix import ENTRY_BYTES, ShardedPairMatrix
@@ -17,6 +18,13 @@ from repro.shard.matrix import ENTRY_BYTES, ShardedPairMatrix
 @pytest.fixture
 def users():
     return LabelIndex([f"u{i}" for i in range(8)])
+
+
+def region_from(users, rows, cols, sources=(), targets=(), values=()):
+    """A region through the validating constructor."""
+    return PairRegion.from_entries(
+        users, rows=rows, cols=cols, sources=sources, targets=targets, values=values
+    )
 
 
 def random_pair(users, seed=3, density=0.4):
@@ -190,12 +198,10 @@ class TestPatchWith:
         )
         sharded = ShardedPairMatrix.from_pair_matrix(flat, num_shards=3)
         rows, cols = np.asarray([1, 6]), np.asarray([2])
-        region = UserPairMatrix.from_arrays(
-            users, [1, 6, 0, 1], [3, 2, 2, 2], [0.9, 0.8, 0.7, 0.6]
-        )
+        region = region_from(users, rows, cols, [1, 6, 0, 1], [3, 2, 2, 2], [0.9, 0.8, 0.7, 0.6])
 
-        expected, expected_kept = flat.patched(users, region, rows=rows, cols=cols)
-        patched, kept, patched_shards = sharded.patch_with(region, rows=rows, cols=cols)
+        expected, expected_kept = flat.patched(users, region)
+        patched, kept, patched_shards = sharded.patch_with(region)
         assert kept == expected_kept
         assert patched_shards == sharded.num_shards  # cols touch every shard
         assert patched == expected
@@ -206,10 +212,8 @@ class TestPatchWith:
         sharded = ShardedPairMatrix.from_pair_matrix(
             UserPairMatrix.from_arrays(users, [0, 5], [1, 6], [0.5, 0.25]), layout
         )
-        region = UserPairMatrix.from_pairs(users, [("u1", "u3", 0.9)])
-        patched, kept, patched_shards = sharded.patch_with(
-            region, rows=np.asarray([1]), cols=np.empty(0, dtype=np.int64)
-        )
+        region = region_from(users, [1], [], [1], [3], [0.9])
+        patched, kept, patched_shards = sharded.patch_with(region)
         assert patched_shards == 1
         assert kept == 2  # both old entries outside the changed row survive
         assert patched.get("u1", "u3") == 0.9
@@ -239,12 +243,12 @@ class TestPatchWith:
         if not keep_support:
             new_dense[2, 2] = 0.0 if old_dense[2, 2] else 0.75  # one key in or out
         r, c = np.nonzero(new_dense * in_region)
-        region = UserPairMatrix.from_arrays(users, r, c, new_dense[r, c])
+        region = region_from(users, rows, cols, r, c, new_dense[r, c])
 
-        expected, expected_kept = flat.patched(users, region, rows=rows, cols=cols)
+        expected, expected_kept = flat.patched(users, region)
         recorder = Recorder()
         with obs.use_recorder(recorder):
-            patched, kept, touched = sharded.patch_with(region, rows=rows, cols=cols)
+            patched, kept, touched = sharded.patch_with(region)
         assert patched is not sharded
         assert patched == expected
         assert kept == expected_kept
@@ -264,31 +268,20 @@ class TestPatchWith:
             sharded.flush()
 
     def test_patch_rejects_region_entry_outside_region(self, users):
-        sharded = ShardedPairMatrix.from_pair_matrix(
-            UserPairMatrix.from_arrays(users, [0, 1, 5], [1, 2, 6], [0.5, 0.4, 0.25]),
-            num_shards=2,
-        )
-        region = UserPairMatrix.from_arrays(users, [1, 0], [2, 3], [0.9, 0.8])
+        """Such a region cannot be built: its constructor rejects the entry."""
         with pytest.raises(ValidationError, match="changed rows or columns"):
-            sharded.patch_with(
-                region, rows=np.asarray([1]), cols=np.empty(0, dtype=np.int64)
-            )
+            region_from(users, [1], [], [1, 0], [2, 3], [0.9, 0.8])
 
     def test_patch_rejects_foreign_axis(self, users):
         sharded = ShardedPairMatrix(users, num_shards=2)
-        region = UserPairMatrix(LabelIndex(["a", "b"]))
+        region = region_from(LabelIndex(["a", "b"]), [0], [])
         with pytest.raises(ValidationError, match="user axis"):
-            sharded.patch_with(
-                region, rows=np.asarray([0]), cols=np.empty(0, dtype=np.int64)
-            )
+            sharded.patch_with(region)
 
     def test_patch_rejects_out_of_range_positions(self, users):
-        sharded = ShardedPairMatrix(users, num_shards=2)
-        region = UserPairMatrix(users)
+        """Such a region cannot be built: its constructor rejects the rows."""
         with pytest.raises(ValidationError, match="rows positions"):
-            sharded.patch_with(
-                region, rows=np.asarray([99]), cols=np.empty(0, dtype=np.int64)
-            )
+            region_from(users, [99], [])
 
 
 def _same_memory(a, b):
@@ -310,9 +303,9 @@ def patch_row_and_column(sharded, users, *, keep_support):
     if not keep_support:
         new[2, 2] = np.nan if not np.isnan(dense[2, 2]) else 0.75
     r, c = np.nonzero(in_region & ~np.isnan(new))
-    region = UserPairMatrix.from_arrays(users, r, c, new[r, c])
-    expected, _ = flat.patched(users, region, rows=rows, cols=cols)
-    patched, _, _ = sharded.patch_with(region, rows=rows, cols=cols)
+    region = region_from(users, rows, cols, r, c, new[r, c])
+    expected, _ = flat.patched(users, region)
+    patched, _, _ = sharded.patch_with(region)
     return patched, expected
 
 

@@ -14,7 +14,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.matrix import UserCategoryMatrix, UserPairMatrix
+from repro.matrix import LabelIndex, UserCategoryMatrix, UserPairMatrix
+from repro.matrix.pair import PairRegion
 from repro.propagation import eigen_trust
 from repro.shard import ShardLayout, ShardStore
 from repro.shard.matrix import ENTRY_BYTES, ShardedPairMatrix
@@ -208,8 +209,11 @@ class TestVersionHistory:
                     rows = np.union1d(rows, [i])
                     new[i, j] = np.nan if not np.isnan(dense[i, j]) else 0.5
                 r, c = np.nonzero(in_region & ~np.isnan(new))
-                region = UserPairMatrix.from_arrays(users, r, c, new[r, c])
-                sharded, _, _ = sharded.patch_with(region, rows=rows, cols=cols)
+                region = PairRegion.from_entries(
+                    LabelIndex(users), rows=rows, cols=cols, sources=r, targets=c,
+                    values=new[r, c],
+                )
+                sharded, _, _ = sharded.patch_with(region)
                 dense = new
             elif step == "flush":
                 sharded.flush(epoch=len(history))

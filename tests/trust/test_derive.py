@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import ValidationError
-from repro.matrix import UserCategoryMatrix
+from repro.matrix import UserCategoryMatrix, UserPairMatrix
 from repro.trust import TrustDeriver, derive_trust
 
 
@@ -152,6 +152,10 @@ class TestDeriveRegion:
         }
         return full.restrict_to(keep)
 
+    @staticmethod
+    def _as_matrix(region):
+        return UserPairMatrix.from_flat_sorted(region.users, *region.keys_and_values())
+
     @pytest.mark.parametrize(
         "rows,cols",
         [
@@ -165,14 +169,31 @@ class TestDeriveRegion:
         A, E = self._random_matrices(23)
         deriver = TrustDeriver()
         full = deriver.derive(A, E)
-        region = deriver.derive_region(
-            A, E, rows=np.asarray(rows, dtype=np.int64), cols=np.asarray(cols, dtype=np.int64)
+        region = self._as_matrix(
+            deriver.derive_region(
+                A, E, rows=np.asarray(rows, dtype=np.int64), cols=np.asarray(cols, dtype=np.int64)
+            )
         )
         expected = self._region_support(full, set(rows), set(cols))
         assert region.support() == expected.support()
         for s, t, v in region.entries():
             # bitwise: exact float equality, no tolerance
             assert v == full.get(s, t)
+
+    def test_column_block_covers_the_other_active_rows(self):
+        A, E = self._random_matrices(23)
+        rows = np.array([2, 7], dtype=np.int64)
+        cols = np.array([4, 7, 9], dtype=np.int64)
+        region = TrustDeriver().derive_region(A, E, rows=rows, cols=cols)
+        active = np.flatnonzero(A.values_view().sum(axis=1) > 0.0)
+        assert region.rows.tolist() == [2, 7] and region.cols.tolist() == [4, 7, 9]
+        assert region.block_rows.tolist() == sorted(set(active.tolist()) - {2, 7})
+        assert region.mask.shape == (region.block_rows.size, 3)
+        assert region.block_vals.size == np.count_nonzero(region.mask)
+        # the diagonal is never stored: a block row that is a changed column
+        for k, row in enumerate(region.block_rows.tolist()):
+            if row in (4, 9):
+                assert not region.mask[k, [4, 7, 9].index(row)]
 
     def test_empty_region_is_empty(self):
         A, E = self._random_matrices(3)
@@ -187,7 +208,8 @@ class TestDeriveRegion:
         cols = np.array([0, 2], dtype=np.int64)
         small = TrustDeriver(block_size=2).derive_region(A, E, rows=rows, cols=cols)
         large = TrustDeriver(block_size=1000).derive_region(A, E, rows=rows, cols=cols)
-        assert small == large
+        for name in ("row_keys", "row_vals", "block_rows", "mask", "block_vals"):
+            assert np.array_equal(getattr(small, name), getattr(large, name))
 
     def test_out_of_range_positions_rejected(self):
         A, E = self._random_matrices(1, n=4)
