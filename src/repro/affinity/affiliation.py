@@ -6,8 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common.arrays import IntArray
 from repro.common.errors import ValidationError
-from repro.community import Community
+from repro.community import Community, CommunityColumns
 from repro.matrix import UserCategoryMatrix
 
 __all__ = ["AffinityConfig", "AffinityEstimator", "affiliation_matrix"]
@@ -60,6 +61,28 @@ class AffinityEstimator:
         writing_counts = columns.writing_counts_matrix().astype(np.float64)
         values = _combine(rating_counts, writing_counts, self.config.mode)
         return UserCategoryMatrix(columns.users, columns.categories, values)
+
+    def refit(
+        self, previous: UserCategoryMatrix, columns: CommunityColumns, rows: IntArray
+    ) -> UserCategoryMatrix:
+        """``previous`` with the rows ``rows`` recomputed from ``columns``.
+
+        ``previous`` is this estimator's :meth:`fit` of an earlier state of
+        the community ``columns`` snapshots, with the same categories;
+        ``rows`` must hold every user whose counts moved since then and
+        every user added since.  Eq. 4 divides each row by its own maximum,
+        so a recomputed row gets exactly the bits :meth:`fit` gives it,
+        every other row keeps its bits, and the result equals a :meth:`fit`
+        of the current community.  ``previous`` is left as it was.
+        """
+        if previous.categories != columns.categories:
+            raise ValidationError("refit needs the categories previous was fitted on")
+        values = _combine(
+            columns.rating_counts_matrix()[rows].astype(np.float64),
+            columns.writing_counts_matrix()[rows].astype(np.float64),
+            self.config.mode,
+        )
+        return previous.with_rows(columns.users, rows, values)
 
 
 def affiliation_matrix(

@@ -12,14 +12,19 @@ Layout
 Reviews live on a **category-major global axis**: all reviews of category 0
 first (in insertion order), then category 1, and so on.  Ratings are kept
 twice -- once in community insertion order (for order-sensitive consumers
-such as :meth:`CommunityColumns.direct_connections`) and once category-major
-(``srt_*``), so a category's ratings are one contiguous slice.  Within a
-category both views preserve insertion order, which keeps every accumulation
-bitwise identical to the row-scan code it replaces.
+such as :meth:`CommunityColumns.direct_connections`) and once category-major,
+as one segment of ``(rater, review, value)`` arrays per category
+(:meth:`CommunityColumns.category_ratings`; the ``srt_*`` columns are their
+concatenation).  Within a category both views preserve insertion order,
+which keeps every accumulation bitwise identical to the row-scan code it
+replaces.
 
 The view is immutable; :meth:`repro.community.Community.columns` caches one
 per record count and refreshes it from the appended records when the
-community grows.
+community grows.  A ratings-only refresh costs what arrived: it appends to
+the insertion-order columns in place (:class:`_RatingLog`), copies only the
+segments of the categories that gained a rating, and carries the review
+axis, its rank and both count matrices forward.
 """
 
 # repro: hot-path
@@ -30,7 +35,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.common.arrays import AnyArray, FloatArray, IntArray
+from repro.common.arrays import AnyArray, FloatArray, IntArray, concat_ranges
 from repro.common.contracts import array_spec, checked_arrays
 from repro.common.errors import ValidationError
 from repro.matrix.labels import LabelIndex
@@ -43,6 +48,51 @@ __all__ = ["CommunityColumns"]
 # ratings grouped by (rater, writer) pair: (pair_rater_idx, pair_writer_idx,
 # starts, counts, sums, order, first_seen) -- see _grouped_pairs
 _PairGroups = tuple[AnyArray, AnyArray, AnyArray, AnyArray, AnyArray, AnyArray, AnyArray]
+# one category's ratings, category-major: (rater_idx, review_idx, values)
+_Segment = tuple[IntArray, IntArray, FloatArray]
+
+
+class _RatingLog:
+    """Rating columns with room to append in place.
+
+    The successive snapshots of one community share their logs (one in
+    insertion order, one per category): each snapshot holds read-only
+    views of a log's first rows.  A successor appends in place only when
+    its predecessor holds every row written so far, so the rows of a
+    snapshot already handed out are never written again; otherwise the
+    rows are copied to a new log with slack for later appends.
+    """
+
+    __slots__ = ("columns", "size")
+
+    def __init__(self, columns: tuple[AnyArray, ...], size: int) -> None:
+        self.columns = columns
+        self.size = size
+
+    def appended(self, held: int, rows: tuple[AnyArray, ...]) -> "_RatingLog":
+        """The log holding this log's first ``held`` rows, then ``rows``."""
+        total = held + rows[0].size
+        if total == held:
+            return self
+        log = self
+        if held != self.size or total > self.columns[0].size:
+            capacity = total + total // 8 + 16
+            log = _RatingLog(
+                tuple(np.empty(capacity, dtype=column.dtype) for column in self.columns), held
+            )
+            for column, old in zip(log.columns, self.columns):
+                column[:held] = old[:held]
+        for column, new in zip(log.columns, rows):
+            column[held:total] = new
+        log.size = total
+        return log
+
+    def views(self, size: int) -> tuple[AnyArray, ...]:
+        """Read-only views of the first ``size`` rows."""
+        views = tuple(column[:size] for column in self.columns)
+        for view in views:
+            view.setflags(write=False)
+        return views
 
 
 class CommunityColumns:
@@ -62,11 +112,10 @@ class CommunityColumns:
     rater_idx, rating_review_idx, rating_category_idx, rating_values:
         Per-rating columns in community insertion order
         (``rating_review_idx`` points into the global review axis).
-    srt_rater_idx, srt_review_idx, srt_values:
-        The same ratings category-major (insertion order within a category).
     rating_cat_starts:
-        ``(C + 1,)`` boundaries of each category's slice of the ``srt_*``
-        columns.
+        ``(C + 1,)`` boundaries of each category's ratings in the
+        category-major order of :meth:`category_ratings` and the
+        ``srt_*`` columns.
     """
 
     __slots__ = (
@@ -80,10 +129,11 @@ class CommunityColumns:
         "rating_review_idx",
         "rating_category_idx",
         "rating_values",
-        "srt_rater_idx",
-        "srt_review_idx",
-        "srt_values",
         "rating_cat_starts",
+        "_review_rank",
+        "_log",
+        "_segments",
+        "_sorted",
         "_writing_counts",
         "_rating_counts",
         "_pair_groups",
@@ -99,10 +149,11 @@ class CommunityColumns:
     rating_review_idx: IntArray
     rating_category_idx: IntArray
     rating_values: FloatArray
-    srt_rater_idx: IntArray
-    srt_review_idx: IntArray
-    srt_values: FloatArray
     rating_cat_starts: IntArray
+    _review_rank: IntArray | None
+    _log: _RatingLog
+    _segments: tuple[_RatingLog, ...]
+    _sorted: _Segment | None
     _writing_counts: IntArray | None
     _rating_counts: IntArray | None
     _pair_groups: _PairGroups | None
@@ -129,50 +180,85 @@ class CommunityColumns:
         rater_idx: IntArray,
         rating_review_idx: IntArray,
         rating_values: FloatArray,
-        sorted_columns: tuple[IntArray, IntArray, IntArray, FloatArray, IntArray]
-        | None = None,
+        review_rank: IntArray | None = None,
+        appended_to: "CommunityColumns | None" = None,
     ) -> None:
+        """Build a snapshot from its columns.
+
+        ``review_rank`` maps a review's insertion position in the
+        community to its place on the review axis; :meth:`refreshed` needs
+        it to place appended ratings, and falls back to a cold build
+        without it.  With ``appended_to`` (see :meth:`refreshed`) the
+        rating arrays hold only the ratings appended since that snapshot,
+        which has the same review axis, and only they are checked and
+        placed; the rest is carried over.
+        """
         self.users = users
         self.categories = categories
         self.review_ids = review_ids
         self.review_writer_idx = review_writer_idx
         self.review_category_idx = review_category_idx
-        self.rater_idx = rater_idx
-        self.rating_review_idx = rating_review_idx
-        self.rating_values = rating_values
-
         num_categories = len(categories)
-        self.review_cat_starts = np.asarray(
-            np.searchsorted(review_category_idx, np.arange(num_categories + 1)),
-            dtype=np.int64,
+        new_cat_idx = (
+            review_category_idx[rating_review_idx]
+            if len(rating_review_idx)
+            else np.empty(0, dtype=np.int64)
         )
-        if sorted_columns is not None:
-            # a builder (see :meth:`refreshed`) already holds the
-            # category-major view; it must equal what the stable sort below
-            # would produce, bit for bit
-            (
-                self.rating_category_idx,
-                self.srt_rater_idx,
-                self.srt_review_idx,
-                self.srt_values,
-                self.rating_cat_starts,
-            ) = sorted_columns
-        else:
-            self.rating_category_idx = (
-                review_category_idx[rating_review_idx]
-                if len(rating_review_idx)
-                else np.empty(0, dtype=np.int64)
-            )
-            order = np.argsort(self.rating_category_idx, kind="stable")
-            self.srt_rater_idx = rater_idx[order]
-            self.srt_review_idx = rating_review_idx[order]
-            self.srt_values = rating_values[order]
-            self.rating_cat_starts = np.asarray(
-                np.searchsorted(
-                    self.rating_category_idx[order], np.arange(num_categories + 1)
-                ),
+        appended = (rater_idx, rating_review_idx, new_cat_idx, rating_values)
+        if appended_to is None:
+            self.review_cat_starts = np.asarray(
+                np.searchsorted(review_category_idx, np.arange(num_categories + 1)),
                 dtype=np.int64,
             )
+            order = np.argsort(new_cat_idx, kind="stable")
+            self._sorted = (rater_idx[order], rating_review_idx[order], rating_values[order])
+            self.rating_cat_starts = np.asarray(
+                np.searchsorted(new_cat_idx[order], np.arange(num_categories + 1)),
+                dtype=np.int64,
+            )
+            # the caller's arrays become the insertion-order log's, and
+            # each category's log holds its slice of the sorted columns;
+            # no log has room left, so no later snapshot writes to them
+            for column in (*appended, *self._sorted):
+                column.setflags(write=False)
+            self._log = _RatingLog(appended, rating_values.size)
+            bounds = self.rating_cat_starts.tolist()
+            self._segments = tuple(
+                _RatingLog(tuple(column[lo:hi] for column in self._sorted), hi - lo)
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            )
+            self._review_rank = review_rank
+            self._writing_counts = None
+            self._rating_counts = None
+        else:
+            old = appended_to
+            self.review_cat_starts = old.review_cat_starts
+            self._log = old._log.appended(old.num_ratings, appended)
+            gained = np.bincount(new_cat_idx, minlength=num_categories)
+            self.rating_cat_starts = old.rating_cat_starts.copy()
+            self.rating_cat_starts[1:] += np.cumsum(gained)
+            # each appended rating goes to the end of its category's log,
+            # after its same-category predecessors: where the stable
+            # category sort of a cold build puts it
+            segments = list(old._segments)
+            starts = old.rating_cat_starts
+            for c in np.flatnonzero(gained).tolist():
+                rows = (rater_idx, rating_review_idx, rating_values)
+                if gained[c] != rating_values.size:
+                    rows = tuple(column[new_cat_idx == c] for column in rows)
+                segments[c] = segments[c].appended(int(starts[c + 1] - starts[c]), rows)
+            self._segments = tuple(segments)
+            self._sorted = None
+            self._review_rank = old._review_rank
+            self._writing_counts, self._rating_counts = _carried_counts(
+                old, len(users), rater_idx, new_cat_idx
+            )
+        (
+            self.rater_idx,
+            self.rating_review_idx,
+            self.rating_category_idx,
+            self.rating_values,
+        ) = self._log.views(int(self.rating_cat_starts[-1]))
         # the snapshot is shared through the Community.columns() cache, so
         # every column is frozen; consumers get copies via astype / fancy
         # indexing, never writable aliases of cached state
@@ -180,18 +266,9 @@ class CommunityColumns:
             self.review_writer_idx,
             self.review_category_idx,
             self.review_cat_starts,
-            self.rater_idx,
-            self.rating_review_idx,
-            self.rating_category_idx,
-            self.rating_values,
-            self.srt_rater_idx,
-            self.srt_review_idx,
-            self.srt_values,
             self.rating_cat_starts,
         ):
             column.setflags(write=False)
-        self._writing_counts = None
-        self._rating_counts = None
         self._pair_groups = None
 
     # ------------------------------------------------------------------ build
@@ -216,6 +293,7 @@ class CommunityColumns:
             rater_idx=rater_idx,
             rating_review_idx=rank[review_idx],
             rating_values=values,
+            review_rank=rank,
         )
 
     @classmethod
@@ -224,16 +302,20 @@ class CommunityColumns:
 
         Records are append-only, so the entries beyond ``old``'s
         :attr:`counts` are exactly the new ones.  When only ratings (and
-        possibly users) were appended, the review axis carries over and
-        each new rating is spliced into the end of its category's ``srt_*``
-        segment, which is exactly where the stable category sort of
-        :meth:`from_community` would land it.  New reviews or categories
-        reorder the review axis, so the snapshot is re-encoded from the
-        community's integer columns.  Either way the result is **bitwise
-        identical** to a cold :meth:`from_community` build.
+        possibly users) were appended, the review axis and its rank carry
+        over, the new ratings are appended to the insertion-order columns
+        and each to the end of its category's segment, which is exactly
+        where the stable category sort of :meth:`from_community` would land
+        it, and computed count matrices are carried forward.  New reviews
+        or categories reorder the review axis, so the snapshot is
+        re-encoded from the community's integer columns.  Either way the
+        result is **bitwise identical** to a cold :meth:`from_community`
+        build, and ``old`` is left as it was.
         """
+        rank = old._review_rank
         if (
-            community.num_reviews() != old.num_reviews
+            rank is None
+            or community.num_reviews() != old.num_reviews
             or community.num_categories() != len(old.categories)
         ):
             return cls.from_community(community)
@@ -242,54 +324,17 @@ class CommunityColumns:
             if community.num_users() > len(old.users)
             else old.users
         )
-        _ids, _writers, category_idx = community.encoded_reviews()
-        _order, review_rank = _review_axis(category_idx)
-        new_rater_idx, new_review_pos, new_values = community.encoded_ratings(
-            old.num_ratings
-        )
-        new_review_idx = review_rank[new_review_pos]
-        num_new = new_values.size
-        new_cat_idx = old.review_category_idx[new_review_idx]
-
-        num_categories = len(old.categories)
-        counts = np.bincount(new_cat_idx, minlength=num_categories)
-        shift = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(counts)])
-        starts = np.asarray(old.rating_cat_starts + shift, dtype=np.int64)
-        # each appended rating lands at the end of its category's segment,
-        # after its same-category predecessors (insertion order preserved)
-        order = np.argsort(new_cat_idx, kind="stable")
-        sorted_cats = new_cat_idx[order]
-        rank = np.arange(num_new, dtype=np.int64) - shift[sorted_cats]
-        positions = old.rating_cat_starts[sorted_cats + 1] + shift[sorted_cats] + rank
-        total = old.srt_values.size + num_new
-        keep = np.ones(total, dtype=bool)
-        keep[positions] = False
-        srt_rater_idx = np.empty(total, dtype=np.int64)
-        srt_review_idx = np.empty(total, dtype=np.int64)
-        srt_values = np.empty(total, dtype=np.float64)
-        srt_rater_idx[keep] = old.srt_rater_idx
-        srt_review_idx[keep] = old.srt_review_idx
-        srt_values[keep] = old.srt_values
-        srt_rater_idx[positions] = new_rater_idx[order]
-        srt_review_idx[positions] = new_review_idx[order]
-        srt_values[positions] = new_values[order]
-
+        rater_idx, review_pos, values = community.encoded_ratings(old.num_ratings)
         return cls(
             users=users,
             categories=old.categories,
             review_ids=old.review_ids,
             review_writer_idx=old.review_writer_idx,
             review_category_idx=old.review_category_idx,
-            rater_idx=np.concatenate([old.rater_idx, new_rater_idx]),
-            rating_review_idx=np.concatenate([old.rating_review_idx, new_review_idx]),
-            rating_values=np.concatenate([old.rating_values, new_values]),
-            sorted_columns=(
-                np.concatenate([old.rating_category_idx, new_cat_idx]),
-                srt_rater_idx,
-                srt_review_idx,
-                srt_values,
-                starts,
-            ),
+            rater_idx=rater_idx,
+            rating_review_idx=rank[review_pos],
+            rating_values=values,
+            appended_to=old,
         )
 
     # ------------------------------------------------------------------ shape
@@ -319,20 +364,71 @@ class CommunityColumns:
         c = self.categories.position(category_id)
         return slice(int(self.rating_cat_starts[c]), int(self.rating_cat_starts[c + 1]))
 
+    # ------------------------------------------------------- category-major view
+
+    def category_ratings(self, categories: IntArray) -> _Segment:
+        """``(rater_idx, review_idx, values)`` of the ratings of ``categories``.
+
+        ``categories`` are ascending category-axis positions; the ratings
+        come category-major, insertion order within a category, as the
+        ``srt_*`` columns hold them.  The arrays are read-only views when
+        they are one category's, or a run of categories of a snapshot built
+        cold; otherwise they are gathered into new arrays.
+        """
+        categories = np.asarray(categories, dtype=np.int64)
+        if categories.size == 1:
+            return self._segment(int(categories[0]))
+        if self._sorted is None:
+            return _joined([self._segment(c) for c in categories.tolist()])
+        lo = self.rating_cat_starts[categories]
+        hi = self.rating_cat_starts[categories + 1]
+        rows: slice | IntArray = (
+            slice(int(lo[0]), int(hi[-1]))
+            if categories.size and bool((lo[1:] == hi[:-1]).all())
+            else concat_ranges(lo, hi - lo)
+        )
+        return self._sorted[0][rows], self._sorted[1][rows], self._sorted[2][rows]
+
+    @property
+    def srt_rater_idx(self) -> IntArray:
+        """Per-rating rater positions, category-major."""
+        return self._category_major()[0]
+
+    @property
+    def srt_review_idx(self) -> IntArray:
+        """Per-rating review-axis positions, category-major."""
+        return self._category_major()[1]
+
+    @property
+    def srt_values(self) -> FloatArray:
+        """Per-rating values, category-major."""
+        return self._category_major()[2]
+
+    def _segment(self, c: int) -> _Segment:
+        """Category ``c``'s ratings: read-only views of its log."""
+        size = int(self.rating_cat_starts[c + 1] - self.rating_cat_starts[c])
+        rater_idx, review_idx, values = self._segments[c].views(size)
+        return rater_idx, review_idx, values
+
+    def _category_major(self) -> _Segment:
+        """Every category's segment joined, built once on the first read."""
+        if self._sorted is None:
+            joined = _joined([self._segment(c) for c in range(len(self.categories))])
+            for column in joined:
+                column.setflags(write=False)
+            self._sorted = joined
+        return self._sorted
+
     # ------------------------------------------------------------------ readers
 
     def rating_triples(self, category_id: str) -> list[tuple[str, str, float]]:
         """``(rater_id, review_id, value)`` triples, insertion order."""
-        sl = self.ratings_slice(category_id)
+        raters, reviews, values = self._segment(self.categories.position(category_id))
         ulabels = self.users.labels
         rlabels = self.review_ids
         return [
             (ulabels[i], rlabels[j], v)
-            for i, j, v in zip(
-                self.srt_rater_idx[sl].tolist(),
-                self.srt_review_idx[sl].tolist(),
-                self.srt_values[sl].tolist(),
-            )
+            for i, j, v in zip(raters.tolist(), reviews.tolist(), values.tolist())
         ]
 
     def writing_counts_matrix(self) -> IntArray:
@@ -378,8 +474,7 @@ class CommunityColumns:
 
     def rating_counts(self, category_id: str) -> dict[str, int]:
         """Per-rater rating count in one category, first-seen order."""
-        sl = self.ratings_slice(category_id)
-        raters = self.srt_rater_idx[sl]
+        raters = self._segment(self.categories.position(category_id))[0]
         uniq, first, counts = np.unique(raters, return_index=True, return_counts=True)
         order = np.argsort(first, kind="stable")
         labels = self.users.labels
@@ -474,6 +569,47 @@ class CommunityColumns:
             f"categories={len(self.categories)}, reviews={self.num_reviews}, "
             f"ratings={self.num_ratings})"
         )
+
+
+def _joined(segments: list[_Segment]) -> _Segment:
+    """The segments' columns concatenated in order (new arrays)."""
+    if not segments:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty.copy(), np.empty(0, dtype=np.float64)
+    return (
+        np.concatenate([segment[0] for segment in segments]),
+        np.concatenate([segment[1] for segment in segments]),
+        np.concatenate([segment[2] for segment in segments]),
+    )
+
+
+def _carried_counts(
+    old: CommunityColumns, num_users: int, rater_idx: IntArray, category_idx: IntArray
+) -> tuple[IntArray | None, IntArray | None]:
+    """``old``'s computed count matrices on ``num_users`` rows, with the
+    appended ratings at ``(rater_idx, category_idx)`` counted in.
+
+    A matrix ``old`` never computed stays uncomputed.  New users get zero
+    rows; ratings leave the writing counts as they are.
+    """
+    writing, rating = old._writing_counts, old._rating_counts
+    if writing is not None and writing.shape[0] != num_users:
+        writing = _grown(writing, num_users)
+        writing.setflags(write=False)
+    if rating is not None:
+        rating = _grown(rating, num_users)
+        np.add.at(rating, (rater_idx, category_idx), 1)
+        rating.setflags(write=False)
+    return writing, rating
+
+
+def _grown(counts: IntArray, num_users: int) -> IntArray:
+    """A writable copy of ``counts`` with zero rows up to ``num_users``."""
+    if counts.shape[0] == num_users:
+        return counts.copy()
+    out = np.zeros((num_users, counts.shape[1]), dtype=np.int64)
+    out[: counts.shape[0]] = counts
+    return out
 
 
 def _review_axis(category_idx: IntArray) -> tuple[AnyArray, IntArray]:

@@ -386,8 +386,13 @@ class Community:
         four record counts the snapshot was built at identify it.  Objects
         and trust statements leave the cache current.  When the
         counts have grown, :meth:`CommunityColumns.refreshed` reads the
-        appended tail of the record columns by position.  A snapshot
-        already handed out never changes.
+        appended tail of the record columns by position.  After ratings
+        and users alone it costs what arrived: the new snapshot shares the
+        review axis and the rating columns with the last one, appends each
+        new rating to them and to its category's ratings, and carries
+        computed count matrices forward.  A new review or category
+        re-encodes the snapshot.  A snapshot already handed out never
+        changes.
         """
         counts = (
             len(self._user_ids),

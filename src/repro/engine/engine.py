@@ -11,13 +11,17 @@ previous update invalidate:
 - **E** (Step 1) -- :class:`repro.reputation.IncrementalExpertise`
   re-solves only the categories whose review or rating count moved, in
   one call of the same batched kernel a cold fit runs;
-- **A** (Step 2) -- rebuilt from the columnar counts (cheap, array-only);
+- **A** (Step 2) -- only the rows of the users whose counts moved (the
+  raters of new ratings, and new users) are recomputed
+  (:meth:`repro.affinity.AffinityEstimator.refit`; eq. 4 is row-local);
+  a new review or category refits every row;
 - **T-hat** (Step 3) -- re-derived only on the changed region
-  ``(changed A rows x all) | (all x changed E rows)``
-  (:meth:`repro.trust.TrustDeriver.derive_region`, which returns the
-  changed rows' entries and the changed columns' stored mask and values
-  as its dense blocks give them) and patched into a new version of the
-  cached matrix, which stays as it was;
+  ``(changed A rows x all) | (reached rows x changed E rows)``, where the
+  reached rows are the active rows with affinity in a category whose
+  ``E`` column moved (:meth:`repro.trust.TrustDeriver.derive_region`,
+  which returns the changed rows' entries and the column block's stored
+  mask and values as its dense blocks give them), and patched into a new
+  version of the cached matrix, which stays as it was;
 - **propagation** -- reused outright when ``T-hat`` did not move, rerun
   cold otherwise.
 
@@ -38,8 +42,8 @@ import numpy as np
 
 from repro import obs
 from repro.affinity import AffinityEstimator
-from repro.common.arrays import FloatArray, IntArray
-from repro.community import Community
+from repro.common.arrays import BoolArray, FloatArray, IntArray
+from repro.community import Community, CommunityColumns
 from repro.matrix import UserCategoryMatrix, UserPairMatrix
 from repro.propagation import PropagationScores, eigen_trust
 from repro.reputation import ExpertiseResult
@@ -114,19 +118,16 @@ class EngineArtifacts:
         return not self.differences(other)
 
 
-def _changed_rows(old: FloatArray, new: FloatArray) -> IntArray:
-    """Row positions of ``new`` that differ from ``old``, zero-padded.
+def _moved(old: FloatArray, new: FloatArray) -> BoolArray:
+    """Which cells of ``new`` differ from ``old``'s.
 
-    ``old`` may be smaller on either axis (append-only growth); absent
-    entries compare as 0, matching what a user/category with no activity
-    contributes.
+    ``old`` holds the first rows of ``new``'s shape or fewer (append-only
+    user growth); its absent rows compare as 0, which is what a user with
+    no activity holds.
     """
-    if old.shape == new.shape:
-        padded = old
-    else:
-        padded = np.zeros_like(new)
-        padded[: old.shape[0], : old.shape[1]] = old
-    return np.nonzero((padded != new).any(axis=1))[0].astype(np.int64)
+    moved = new != 0.0
+    moved[: old.shape[0]] = old != new[: old.shape[0]]
+    return moved
 
 
 class Engine:
@@ -177,6 +178,8 @@ class Engine:
         )
         # the version UpdateStats.deltas_applied counts from
         self._cursor = community.version
+        # the columns() snapshot the artifacts were built from
+        self._columns: CommunityColumns | None = None
         self._artifacts: EngineArtifacts | None = None
         self._last_stats: UpdateStats | None = None
 
@@ -206,18 +209,20 @@ class Engine:
             obs.add("engine.deltas_applied", deltas_applied)
             self._cursor = epoch
 
-            self._community.columns()  # refreshed from the appended records
+            columns = self._community.columns()  # refreshed from the appended records
             expertise_result = self._tracker.refresh()
             resolved = len(self._tracker.last_resolved)
-            affiliation = self._affinity.fit(self._community)
+            previous = self._artifacts
+            affiliation, moved = self._affiliation(previous, columns)
 
             expertise = expertise_result.expertise
-            previous = self._artifacts
             if previous is None:
                 derived = self._derive_full(affiliation, expertise)
                 pairs_reused = 0
             else:
-                derived, pairs_reused = self._rederive(previous, affiliation, expertise)
+                derived, pairs_reused = self._rederive(
+                    previous, affiliation, expertise, moved
+                )
             if previous is not None and derived is previous.derived:
                 scores, rerun = previous.scores, False
             else:
@@ -233,25 +238,52 @@ class Engine:
             obs.add("engine.derive.pairs_rederived", stats.pairs_rederived)
             obs.add("engine.derive.pairs_reused", stats.pairs_reused)
             artifacts = EngineArtifacts(expertise_result, affiliation, derived, scores)
-            self._artifacts = artifacts
+            self._artifacts, self._columns = artifacts, columns
             self._last_stats = stats
             return artifacts
 
     # ------------------------------------------------------------------ stages
+
+    def _affiliation(
+        self, previous: EngineArtifacts | None, columns: CommunityColumns
+    ) -> tuple[UserCategoryMatrix, IntArray]:
+        """``A`` for ``columns``, and the rows that may differ from ``previous``'s.
+
+        After ratings and new users, only the rows of the users whose
+        counts moved are recomputed: the raters of the ratings appended
+        since the last update, and the new users.  A new review or
+        category, or a first update, fits every row.
+        """
+        last = self._columns
+        if previous is None or last is None or columns.counts[1:3] != last.counts[1:3]:
+            affiliation = self._affinity.fit(self._community)
+            rows = np.arange(len(affiliation.users), dtype=np.int64)
+        else:
+            rows = np.union1d(
+                columns.rater_idx[last.num_ratings :],
+                np.arange(len(last.users), len(columns.users), dtype=np.int64),
+            )
+            affiliation = self._affinity.refit(previous.affiliation, columns, rows)
+        obs.add("engine.affinity.rows_refit", int(rows.size))
+        return affiliation, rows
 
     def _rederive(
         self,
         previous: EngineArtifacts,
         affiliation: UserCategoryMatrix,
         expertise: UserCategoryMatrix,
+        moved: IntArray,
     ) -> tuple[UserPairMatrix | ShardedPairMatrix, int]:
         """``T-hat`` for the new ``E`` and ``A``, and how many entries it kept.
 
-        Returns ``previous.derived`` itself when neither moved, a patched
-        version when only a small region did, and a full re-derive
-        otherwise.  A patch derives the changed region once, as a
-        :class:`repro.matrix.pair.PairRegion`, and hands it to the previous
-        matrix, which stays as it was:
+        ``moved`` holds every row of ``A`` that may differ from
+        ``previous``'s, and ``E`` may differ only in the columns of the
+        categories the Step-1 tracker re-solved, so only those rows and
+        columns are compared.  Returns ``previous.derived`` itself when
+        neither moved, a patched version when only a small region did, and
+        a full re-derive otherwise.  A patch derives the changed region
+        once, as a :class:`repro.matrix.pair.PairRegion`, and hands it to
+        the previous matrix, which stays as it was:
         :meth:`repro.matrix.UserPairMatrix.patched` in memory,
         :meth:`repro.shard.ShardedPairMatrix.patch_with` on shards, which
         slices it per touched shard and shares the other shards without IO.
@@ -271,15 +303,28 @@ class Engine:
             # re-derive in full rather than reason about padded
             # accumulation orders
             return self._derive_full(affiliation, expertise, previous=previous.derived), 0
-        rows = _changed_rows(old_a, new_a)
-        cols = _changed_rows(previous.expertise.values_view(), expertise.values_view())
+        # ``moved`` is sorted, so the rows ``old_a`` holds come first
+        present = moved[: moved.searchsorted(old_a.shape[0])]
+        rows = moved[_moved(old_a[present], new_a[moved]).any(axis=1)]
+        resolved = expertise.categories.positions(self._tracker.last_resolved)
+        e_moved = _moved(
+            previous.expertise.values_view()[:, resolved],
+            expertise.values_view()[:, resolved],
+        )
+        cols = np.flatnonzero(e_moved.any(axis=1))
         if rows.size == 0 and cols.size == 0 and not grew_users:
             return previous.derived, previous.derived.num_entries()
         if (rows.size + cols.size) * 2 >= len(affiliation.users):
             # the changed region covers most of the matrix: a plain full
             # derive is cheaper than region + patch and equally bitwise
             return self._derive_full(affiliation, expertise, previous=previous.derived), 0
-        region = self._deriver.derive_region(affiliation, expertise, rows=rows, cols=cols)
+        region = self._deriver.derive_region(
+            affiliation,
+            expertise,
+            rows=rows,
+            cols=cols,
+            categories=resolved[e_moved.any(axis=0)],
+        )
         if isinstance(previous.derived, ShardedPairMatrix):
             derived, kept, touched = previous.derived.patch_with(region)
             obs.add("engine.shard.shards_patched", touched)

@@ -56,7 +56,7 @@ class RegionPatch(NamedTuple):
 
 
 class PairRegion:
-    """The stored entries of a matrix on ``(rows x all) | (all x cols)``.
+    """The stored entries of a matrix on ``(rows x all) | (block_rows x cols)``.
 
     The form :meth:`repro.trust.TrustDeriver.derive_region` computes a
     region in, kept as it comes out of the dense blocks:
@@ -65,7 +65,8 @@ class PairRegion:
     - ``row_keys`` / ``row_vals``: the stored entries of the ``rows``, full
       width, as sorted flat keys ``i * U + j`` and their values;
     - ``block_rows``: sorted rows outside ``rows`` that the column block
-      covers.  A row in neither stores nothing in ``cols``;
+      covers.  The region says nothing about a row in neither: a patch
+      keeps its base entries, in ``cols`` too;
     - ``mask``: the column block's stored entries, a ``block_rows x cols``
       boolean array, and ``block_vals`` their values in row-major order.
 
@@ -199,38 +200,44 @@ def patch_entries(
     rows of this block only (:meth:`PairRegion.row_slice`).
 
     The base positions inside the region are the changed rows' CSR
-    segments plus every entry whose column changed.  The support held when
-    the changed rows' keys equal the region's, and the base entries in
-    changed columns outside the changed rows all lie in block rows (counted
-    per row by one binary search of ``indptr``), as many as the mask
-    stores, each in a stored cell of the mask.  Then the result shares
-    ``keys`` and copies ``vals`` with the region's values scattered in at
-    those positions (``values_only``).  Otherwise (a support change or a
-    grown axis) the region's sorted keys are built from its mask, and the
-    base entries outside the region and the region's entries merge in one
-    masked scatter.
+    segments plus the block rows' entries in changed columns, found in the
+    block rows' CSR segments alone; every other base entry is kept, in a
+    changed column too.  The support held when the changed rows' keys equal
+    the region's, and the block rows hold as many entries in the changed
+    columns as the mask stores, each in a stored cell of the mask.  Then
+    the result shares ``keys`` and copies ``vals`` with the region's
+    values scattered in at those positions (``values_only``).  Otherwise
+    (a support change or a grown axis) the region's sorted keys are built
+    from its mask, and the base entries outside the region and the
+    region's entries merge in one masked scatter.
     """
     keys = np.asarray(keys)
     n = len(region.users)
     rows, cols = region.rows, region.cols
-    col_changed = np.zeros(n, dtype=bool)
-    col_changed[cols] = True
-    if cols.size:
-        inside = col_changed.take(indices)
-    else:
-        inside = np.zeros(keys.shape[0], dtype=bool)
     local_rows = rows[rows < n_old] - first_row
     starts = indptr[local_rows]
     row_positions = concat_ranges(starts, indptr[local_rows + 1] - starts)
-    # the base entries in changed columns outside the changed rows
-    inside[row_positions] = False
-    block_positions = np.flatnonzero(inside)
+    # the block rows' entries in changed columns; a row beyond the old axis
+    # has none.  Flags over every entry cost less than gathering the block
+    # rows' segments when, as for an arriving rating, they hold a good part
+    # of the matrix
+    block_local = region.block_rows[: region.block_rows.searchsorted(n_old)] - first_row
+    if cols.size and block_local.size:
+        col_changed = np.zeros(n, dtype=bool)
+        col_changed[cols] = True
+        row_in_block = np.zeros(indptr.size - 1, dtype=bool)
+        row_in_block[block_local] = True
+        inside = col_changed.take(indices)
+        inside &= np.repeat(row_in_block, np.diff(indptr))
+        block_positions = np.flatnonzero(inside)
+    else:
+        block_positions = _EMPTY_KEYS
     if n == n_old and np.array_equal(keys[row_positions], region.row_keys):
-        # each block row's count of them, between its two ``indptr`` bounds
-        counts = np.diff(block_positions.searchsorted(indptr))[region.block_rows - first_row]
-        # all of them lie in block rows, as many as the mask stores, each
-        # in a stored cell of the mask (row-major, as the values are)
-        if int(counts.sum()) == block_positions.size == region.block_vals.size:
+        # as many as the mask stores, each in a stored cell of the mask
+        # (row-major, as the values are); each block row's count lies
+        # between its two ``indptr`` bounds
+        if block_positions.size == region.block_vals.size:
+            counts = np.diff(block_positions.searchsorted(indptr))[block_local]
             col_slot = np.zeros(n, dtype=np.int64)
             col_slot[cols] = np.arange(cols.size)
             cells = np.repeat(np.arange(counts.size) * cols.size, counts)
@@ -242,7 +249,9 @@ def patch_entries(
                 kept = keys.shape[0] - row_positions.size - block_positions.size
                 return RegionPatch(keys, new_vals, kept, True)
 
+    inside = np.zeros(keys.shape[0], dtype=bool)
     inside[row_positions] = True
+    inside[block_positions] = True
     region_keys, region_vals = region.keys_and_values()
     keep = ~inside
     kept_keys = keys[keep]
@@ -582,10 +591,10 @@ class UserPairMatrix:
         """A new version of this matrix with a recomputed ``region`` merged in.
 
         ``region`` holds every stored entry of ``(region.rows x all) |
-        (all x region.cols)`` on the (possibly grown) ``users`` axis; this
-        matrix's entries outside that region are carried over unchanged,
-        and this matrix itself is left as it is.  Returns ``(patched,
-        kept_entries)``.
+        (region.block_rows x region.cols)`` on the (possibly grown)
+        ``users`` axis; this matrix's entries outside that region, in
+        ``region.cols`` too, are carried over unchanged, and this matrix
+        itself is left as it is.  Returns ``(patched, kept_entries)``.
 
         One :func:`patch_entries` call over this matrix's cached
         :meth:`csr` structure does the work.  When the support held -- as

@@ -6,7 +6,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.common.arrays import FloatArray
+from repro.common.arrays import FloatArray, IntArray
 from repro.common.errors import ValidationError
 from repro.matrix.labels import LabelIndex
 
@@ -35,16 +35,7 @@ class UserCategoryMatrix:
         if values is None:
             self._values = np.zeros(shape, dtype=np.float64)
         else:
-            values = np.asarray(values, dtype=np.float64)
-            if values.shape != shape:
-                raise ValidationError(
-                    f"values shape {values.shape} does not match axes {shape}"
-                )
-            if np.isnan(values).any():
-                raise ValidationError("user-category values must not contain NaN")
-            if values.size and (values.min() < -1e-12 or values.max() > 1 + 1e-12):
-                raise ValidationError("user-category values must lie in [0, 1]")
-            self._values = values.copy()
+            self._values = _checked(np.asarray(values, dtype=np.float64), shape).copy()
 
     # ------------------------------------------------------------------ access
 
@@ -75,6 +66,24 @@ class UserCategoryMatrix:
     def category_column(self, category_id: str) -> FloatArray:
         """Copy of the column for ``category_id`` (length ``U``)."""
         return self._values[:, self.categories.position(category_id)].copy()
+
+    def with_rows(
+        self, users: LabelIndex, rows: IntArray, values: FloatArray
+    ) -> "UserCategoryMatrix":
+        """A copy on ``users`` with the rows ``rows`` set to ``values``.
+
+        ``users`` extends this matrix's user axis (append-only growth); a
+        new user's row is zero unless ``rows`` sets it.  Only ``values`` is
+        checked, as the constructor checks its values; this matrix is left
+        as it is.
+        """
+        if users is not self.users and users.labels[: len(self.users)] != self.users.labels:
+            raise ValidationError("users must extend this matrix's user axis")
+        values = _checked(np.asarray(values, dtype=np.float64), (len(rows), len(self.categories)))
+        out = UserCategoryMatrix(users, self.categories)
+        out._values[: self._values.shape[0]] = self._values
+        out._values[rows] = values
+        return out
 
     def to_array(self) -> FloatArray:
         """Copy of the underlying dense array."""
@@ -136,3 +145,14 @@ class UserCategoryMatrix:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"UserCategoryMatrix(users={len(self.users)}, categories={len(self.categories)})"
+
+
+def _checked(values: FloatArray, shape: tuple[int, int]) -> FloatArray:
+    """``values`` when they have ``shape``, no NaN and lie in ``[0, 1]``."""
+    if values.shape != shape:
+        raise ValidationError(f"values shape {values.shape} does not match axes {shape}")
+    if np.isnan(values).any():
+        raise ValidationError("user-category values must not contain NaN")
+    if values.size and (values.min() < -1e-12 or values.max() > 1 + 1e-12):
+        raise ValidationError("user-category values must lie in [0, 1]")
+    return values

@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Protocol, Sequence, overloa
 import numpy as np
 
 from repro import obs
-from repro.common.arrays import FloatArray, IntArray, concat_ranges
+from repro.common.arrays import FloatArray, IntArray
 from repro.common.errors import ConvergenceError, ValidationError
 from repro.common.validation import (
     require_fraction,
@@ -60,19 +60,22 @@ class ColumnarRatings(Protocol):
     """Structural input of :func:`solve_all_categories`.
 
     Anything shaped like :class:`repro.community.CommunityColumns`
-    qualifies: label axes, a category-major global review axis and
-    category-major rating columns.  Declared as a protocol so this module
-    stays import-independent of the community layer.
+    qualifies: label axes, a category-major global review axis, each
+    category's rating count and its ratings by category.  Declared as a
+    protocol so this module stays import-independent of the community
+    layer.
     """
 
     users: LabelIndex
     categories: LabelIndex
     review_ids: tuple[str, ...]
     review_category_idx: IntArray
-    srt_rater_idx: IntArray
-    srt_review_idx: IntArray
-    srt_values: FloatArray
     rating_cat_starts: IntArray
+
+    def category_ratings(self, categories: IntArray) -> tuple[IntArray, IntArray, FloatArray]:
+        """``(rater, review, value)`` positions of ``categories``' ratings,
+        category-major, insertion order within a category."""
+        ...
 
 
 @overload
@@ -298,9 +301,9 @@ def solve_all_categories(
         A columnar ratings view -- anything shaped like
         :class:`repro.community.CommunityColumns`: ``users`` /
         ``categories`` label axes, a category-major global review axis
-        (``review_ids``, ``review_category_idx``) and category-major rating
-        columns (``srt_rater_idx``, ``srt_review_idx``, ``srt_values``,
-        ``rating_cat_starts``).
+        (``review_ids``, ``review_category_idx``), each category's rating
+        count (``rating_cat_starts``) and its ratings
+        (``category_ratings``).
     categories:
         Positions on ``columns.categories`` to solve (any order; repeats
         are ignored).  ``None`` solves every category.  Only these
@@ -364,17 +367,12 @@ def solve_all_categories(
             residuals=residuals,
         )
 
-    # the solved categories' rating rows, category-major: views when they
-    # form one run (a full solve, or one category), gathered otherwise
+    # the solved categories' rating rows, category-major: views where the
+    # snapshot holds them in one piece, gathered otherwise
     lo, hi = starts[nonempty], starts[nonempty + 1]
-    rows: slice | IntArray = (
-        slice(int(lo[0]), int(hi[-1]))
-        if bool((lo[1:] == hi[:-1]).all())
-        else concat_ranges(lo, hi - lo)
+    rater_pos, review_pos, values = (
+        np.asarray(column) for column in columns.category_ratings(nonempty)
     )
-    rater_pos = np.asarray(columns.srt_rater_idx[rows], dtype=np.int64)
-    review_pos = np.asarray(columns.srt_review_idx[rows], dtype=np.int64)
-    values = np.asarray(columns.srt_values[rows], dtype=np.float64)
     _validate_rating_arrays(rater_pos, review_pos, values, len(columns.review_ids))
 
     # compact segment index per category (nonempty solved categories only)

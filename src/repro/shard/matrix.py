@@ -220,10 +220,11 @@ class ShardedPairMatrix:
     def patch_with(self, region: PairRegion) -> tuple["ShardedPairMatrix", int, int]:
         """A new version with a recomputed ``region`` merged in, shard by shard.
 
-        ``region`` holds every stored entry of ``(region.rows x all) | (all
-        x region.cols)`` on the **same** user axis (sharded patching does
-        not grow axes; axis growth re-derives from scratch).  Each shard
-        the region touches takes its rows' slice of the region
+        ``region`` holds every stored entry of ``(region.rows x all) |
+        (region.block_rows x region.cols)`` on the **same** user axis
+        (sharded patching does not grow axes; axis growth re-derives from
+        scratch).  The region touches the shards that hold one of its
+        ``rows`` or ``block_rows``; each takes its rows' slice of the region
         (:meth:`repro.matrix.pair.PairRegion.row_slice`, binary searches on
         the region's sorted arrays, no copy of its entries) and goes
         through :func:`repro.matrix.pair.patch_entries`, the routine
@@ -231,8 +232,9 @@ class ShardedPairMatrix:
         cached CSR structure: where the shard's support held, its key
         array, CSR structure and keys file are kept and only its values are
         copied and rewritten; otherwise its entries are merged and the
-        structure and keys file are dropped.  Untouched shards are shared
-        with the new version without any IO, and every shard keeps its
+        structure and keys file are dropped.  Untouched shards, with their
+        entries in ``region.cols``, are shared with the new version without
+        any IO, and every shard keeps its
         on-disk flag, so a rewritten shard that already has a file stays on
         the heap until the next :meth:`flush`.
 
@@ -243,11 +245,7 @@ class ShardedPairMatrix:
         if region.users != self.users:
             raise ValidationError("region must be indexed by this matrix's user axis")
         n = self._n
-        if region.cols.size:
-            # a changed column crosses every row block
-            touched = np.arange(self.num_shards, dtype=np.int64)
-        else:
-            touched = self.layout.shards_for_rows(region.rows)
+        touched = self.layout.shards_for_rows(np.union1d(region.rows, region.block_rows))
         touched_set = set(touched.tolist())
         kept_total = 0
         with obs.span(

@@ -20,7 +20,8 @@ stored result rather than ``U^2``.  :meth:`TrustDeriver.derive` runs it
 over every active row, :meth:`TrustDeriver.derive_sharded` once per
 shard, and :meth:`TrustDeriver.derive_region` over the changed rows; the
 region's changed columns come as one column block per ``block_size``
-chunk of the other active rows, kept as a stored mask and values
+chunk of the other rows they can move in (the active rows with affinity
+in a category whose expertise moved), kept as a stored mask and values
 (:class:`repro.matrix.pair.PairRegion`), never as keys.
 
 Every block product goes through :func:`_block_product`, a non-BLAS einsum
@@ -199,35 +200,50 @@ class TrustDeriver:
         *,
         rows: IntArray,
         cols: IntArray,
+        categories: IntArray,
     ) -> PairRegion:
-        """Recompute ``T-hat`` on ``(rows x all) | (all x cols)`` only.
+        """Recompute ``T-hat`` where it can have moved since a base derive.
 
         ``rows`` are source positions whose affinity row changed, ``cols``
-        target positions whose expertise row changed; entries outside the
-        union region cannot have moved (eq. 5 reads exactly ``A[i, :]`` and
-        ``E[j, :]``).  Every stored entry is **bitwise identical** to what
-        a full :meth:`derive` of the same inputs stores -- both run the
-        fixed-reduction-order :func:`_block_product` per element -- which
-        is what lets :class:`repro.engine.Engine` patch its cached matrix
-        instead of rebuilding it.
+        target positions whose expertise row changed, and ``categories``
+        the category positions of every expertise value that changed.
+        Eq. 5 reads exactly ``A[i, :]`` and ``E[j, :]``, so an entry outside
+        ``rows`` and ``cols`` cannot have moved.  Nor can one in ``cols``
+        whose row ``i`` has ``A[i, c] = 0`` for every changed category
+        ``c``: its weights there are ``+0.0``, so those terms of
+        :func:`_block_product`'s fixed-order sum add ``+0.0`` before and
+        after, and the entry keeps its bits.  The region is therefore
+        ``(rows x all) | (block_rows x cols)``, where ``block_rows`` are the
+        active rows outside ``rows`` with affinity in one of
+        ``categories``.  Every stored entry of it is **bitwise identical**
+        to what a full :meth:`derive` of the same inputs stores -- both run
+        the fixed-reduction-order :func:`_block_product` per element --
+        which is what lets :class:`repro.engine.Engine` patch its cached
+        matrix instead of rebuilding it.
 
         The result is a :class:`repro.matrix.pair.PairRegion` in the form
         the blocks produce it: the changed rows' full-width entries from
-        :meth:`_row_entries`, and one column block over the other active
-        rows, kept as its stored mask and its stored values in row-major
-        order.  That block is computed one ``block_size`` chunk at a time,
-        so no dense ``rows x cols`` block is held whole, and no key of it
-        is built or sorted here.
+        :meth:`_row_entries`, and the column block over ``block_rows``,
+        kept as its stored mask and its stored values in row-major order.
+        That block is computed one ``block_size`` chunk at a time, so no
+        dense ``block_rows x cols`` block is held whole, and no key of it
+        is built or sorted here.  The ``derive.region.block_rows`` counter
+        records how many rows it covers.
         """
         _require_aligned(affiliation, expertise)
         users = affiliation.users
         n = len(users)
         rows = np.unique(np.asarray(rows, dtype=np.int64))
         cols = np.unique(np.asarray(cols, dtype=np.int64))
-        for name, positions in (("rows", rows), ("cols", cols)):
-            if positions.size and (positions[0] < 0 or positions[-1] >= n):
+        categories = np.unique(np.asarray(categories, dtype=np.int64))
+        for name, positions, bound in (
+            ("rows", rows, n),
+            ("cols", cols, n),
+            ("categories", categories, len(affiliation.categories)),
+        ):
+            if positions.size and (positions[0] < 0 or positions[-1] >= bound):
                 raise ValidationError(
-                    f"{name} positions must lie in [0, {n}); got "
+                    f"{name} positions must lie in [0, {bound}); got "
                     f"[{positions[0]}, {positions[-1]}]"
                 )
         with obs.span("derive.region", users=n, rows=rows.size, cols=cols.size):
@@ -241,8 +257,14 @@ class TrustDeriver:
                 a_values, row_sums, e_transposed, source_rows, self.block_size
             )
             # changed target columns, on the active rows not covered above
-            active[rows] = False
-            block_rows = np.flatnonzero(active) if cols.size else np.empty(0, dtype=np.int64)
+            # that have affinity in a changed category
+            if cols.size and categories.size:
+                reached = active & (a_values[:, categories] > 0.0).any(axis=1)
+                reached[rows] = False
+                block_rows = np.flatnonzero(reached)
+            else:
+                block_rows = np.empty(0, dtype=np.int64)
+            obs.add("derive.region.block_rows", int(block_rows.size))
             mask = np.empty((block_rows.size, cols.size), dtype=bool)
             col_block = cols
             if cols.size == 1 and n >= 2:
@@ -305,10 +327,12 @@ class TrustDeriver:
             mask = block > self.min_value
             if not self.include_self:
                 mask[np.arange(block_rows.size), block_rows] = False
-            # np.nonzero is row-major, so keys come out strictly increasing
-            local, cols = np.nonzero(mask)
+            # flat positions are row-major, so keys come out strictly
+            # increasing; the flat forms are several times faster than a
+            # 2-D np.nonzero and boolean indexing on a scattered mask
+            local, cols = np.divmod(np.flatnonzero(mask), n)
             key_parts.append(block_rows[local] * n + cols)
-            val_parts.append(block[local, cols])
+            val_parts.append(np.compress(mask.ravel(), block.ravel()))
             # free this block's scratch before the next block (or the
             # concatenation below) allocates its own
             del block, mask, local, cols

@@ -318,10 +318,12 @@ def _encoded_counts(community):
 
 
 def _column_arrays(columns):
+    names = [name for name in CommunityColumns.__slots__ if not name.startswith("_")]
+    names += ["srt_rater_idx", "srt_review_idx", "srt_values"]
     return {
         name: getattr(columns, name)
-        for name in CommunityColumns.__slots__
-        if not name.startswith("_") and isinstance(getattr(columns, name), np.ndarray)
+        for name in names
+        if isinstance(getattr(columns, name), np.ndarray)
     }
 
 

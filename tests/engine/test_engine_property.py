@@ -31,6 +31,7 @@ from repro.community import (
     ReviewedObject,
     TrustStatement,
 )
+from repro.affinity import AffinityEstimator
 from repro.datasets import CommunityProfile, generate_community
 from repro.engine import Engine, clone_community, cold_artifacts, split_rating_stream
 from repro.shard import ShardConfig
@@ -77,7 +78,11 @@ class StreamDriver:
 
     def apply(self, op, index, value):
         if op == "update":
-            self.engine.update()
+            artifacts = self.engine.update()
+            # the engine refits only the rows of A whose counts moved; A
+            # must still be what a cold fit gives, bit for bit
+            cold = AffinityEstimator().fit(clone_community(self.community))
+            assert artifacts.affiliation.values_view().tobytes() == cold.values_view().tobytes()
             return
         if op == "user":
             user_id = self._next("u")
@@ -181,5 +186,8 @@ def test_random_rating_arrivals_are_bitwise_cold(shard_config, order, updates):
         base.add_rating(stream[position])
         if update:
             artifacts = engine.update()
-            diffs = artifacts.differences(cold_artifacts(clone_community(base)))
+            cold = cold_artifacts(clone_community(base))
+            diffs = artifacts.differences(cold)
             assert not diffs, f"arrivals {order!r} diverged: {diffs}"
+            affinity = artifacts.affiliation.values_view()
+            assert affinity.tobytes() == cold.affiliation.values_view().tobytes()

@@ -14,7 +14,7 @@ import pytest
 from repro import obs
 from repro.community import Review
 from repro.datasets import CommunityProfile, generate_community
-from repro.engine import Engine, clone_community, cold_artifacts
+from repro.engine import Engine, clone_community, cold_artifacts, split_rating_stream
 from repro.matrix import UserCategoryMatrix
 from repro.obs.recorder import Recorder
 from repro.shard import ShardConfig
@@ -33,12 +33,19 @@ def state(affinity, expertise):
 
 
 def patch_both(before, after, *, rows, cols):
-    """The patch counters of each backend; both results must be a full derive's."""
+    """The patch counters of each backend; both results must be a full derive's.
+
+    The region is derived for the categories whose expertise moved.
+    """
     deriver = TrustDeriver()
     base = deriver.derive(*before)
     expected = deriver.derive(*after)
+    moved = before[1].values_view() != after[1].values_view()
     region = deriver.derive_region(
-        *after, rows=np.asarray(rows, dtype=np.int64), cols=np.asarray(cols, dtype=np.int64)
+        *after,
+        rows=np.asarray(rows, dtype=np.int64),
+        cols=np.asarray(cols, dtype=np.int64),
+        categories=np.flatnonzero(moved.any(axis=0)),
     )
     counters = {}
     recorder = Recorder()
@@ -103,6 +110,26 @@ class TestValuesOnlyCheck:
         assert counts(counters, "matrix.patch") == (0, 1)
         assert counts(counters, "shard.patch") == (0, 1)
 
+    def test_rows_without_affinity_in_the_moved_category_keep_their_entries(self):
+        # only c1's expertise moves; u0 cares about c0 only, so its entries
+        # in the changed columns keep their bits and the block skips it
+        after = [list(row) for row in EXPERTISE]
+        after[1], after[5] = [0.3, 0.2], [0.1, 0.7]
+        region = TrustDeriver().derive_region(
+            *state(AFFINITY, after),
+            rows=np.empty(0, dtype=np.int64),
+            cols=np.array([1, 5]),
+            categories=np.array([1]),
+        )
+        assert region.block_rows.tolist() == [1, 2, 3, 4, 5]
+        base = TrustDeriver().derive(*state(AFFINITY, EXPERTISE))
+        assert base.contains("u0", "u1") and base.contains("u0", "u5")
+        counters = patch_both(
+            state(AFFINITY, EXPERTISE), state(AFFINITY, after), rows=[], cols=[1, 5]
+        )
+        assert counts(counters, "matrix.patch") == (1, 0)
+        assert counts(counters, "shard.patch") == (2, 0)
+
     def test_column_gaining_entries_merges(self):
         # u2 had no expertise, so nobody trusted u2; now everybody does
         before = [list(row) for row in EXPERTISE]
@@ -142,3 +169,35 @@ def test_row_only_region_leaves_the_other_shards_shared(generated_community):
     reference = cold_artifacts(clone_community(base))
     assert engine.artifacts.differences(reference) == []
 
+
+
+@pytest.mark.parametrize(
+    "shard_config", [None, ShardConfig(num_shards=4)], ids=["memory", "sharded"]
+)
+def test_arrival_leaves_rows_without_affinity_in_its_category_as_they_were(
+    generated_community, shard_config, monkeypatch
+):
+    """A rating re-solves its review's category; active users with no
+    affinity there keep their entries in the changed columns untouched,
+    and the patched ``T-hat`` is still a full derive's, bit for bit."""
+    base, stream = split_rating_stream(generated_community, 1)
+    engine = Engine(base, shard_config=shard_config)
+    rows, cols, _ = engine.update().derived.entries_arrays()
+    regions = []
+    derive_region = TrustDeriver.derive_region
+
+    def keep(self, *args, **kwargs):
+        regions.append(derive_region(self, *args, **kwargs))
+        return regions[-1]
+
+    monkeypatch.setattr(TrustDeriver, "derive_region", keep)
+    base.add_rating(stream[0])
+    artifacts = engine.update()
+    (region,) = regions
+    a = artifacts.affiliation.values_view()
+    active = np.flatnonzero(a.sum(axis=1) > 0.0)
+    skipped = np.setdiff1d(active, np.union1d(region.rows, region.block_rows))
+    held = np.isin(rows, skipped) & np.isin(cols, region.cols)
+    assert skipped.size and held.any()
+    reference = cold_artifacts(clone_community(base))
+    assert artifacts.differences(reference) == []

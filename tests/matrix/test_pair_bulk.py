@@ -430,28 +430,41 @@ class TestPatchedEdgeCases:
         np.testing.assert_array_equal(self._dense(patched, n), new_dense)
         assert kept == 0  # nothing survives a whole-matrix patch
 
-    def test_row_outside_rows_and_block_stores_nothing_in_the_columns(self, users):
-        """A derived region's block covers the active rows only; a base entry
-        of another row in a changed column is dropped, through the merge,
-        even when the block stores as many entries as the base holds there."""
+    def test_row_outside_rows_and_block_keeps_its_entries_in_the_columns(self, users):
+        """The region says nothing about a row outside ``rows`` and
+        ``block_rows``: its base entries in a changed column are kept, both
+        when the support held (values only) and through the merge."""
         n = len(users)
-        old = UserPairMatrix.from_arrays(users, [4, 4], [0, 1], [0.25, 0.75])
-        region = PairRegion(
-            users,
-            rows=np.array([1]),
-            cols=np.array([0]),
-            row_keys=NO_POSITIONS,
-            row_vals=np.empty(0),
-            block_rows=np.array([0, 2, 3]),
-            mask=np.array([[True], [False], [False]]),
-            block_vals=np.array([0.5]),
-        )
-        recorder = Recorder()
-        with obs.use_recorder(recorder):
-            patched, kept = old.patched(users, region)
-        assert recorder.counters == {"matrix.patch.merged": 1}
-        assert patched.support_keys().tolist() == [0, 4 * n + 1]
-        assert kept == 1
+        old = UserPairMatrix.from_arrays(users, [0, 4, 4], [0, 0, 1], [0.5, 0.25, 0.75])
+
+        def patch(mask, block_vals):
+            region = PairRegion(
+                users,
+                rows=np.array([1]),
+                cols=np.array([0]),
+                row_keys=NO_POSITIONS,
+                row_vals=np.empty(0),
+                block_rows=np.array([0, 2, 3]),
+                mask=np.array(mask),
+                block_vals=np.array(block_vals),
+            )
+            recorder = Recorder()
+            with obs.use_recorder(recorder):
+                patched, kept = old.patched(users, region)
+            return patched, kept, recorder.counters
+
+        # u0's entry in column 0 takes a new value; u4's two entries stay
+        patched, kept, counters = patch([[True], [False], [False]], [0.6])
+        assert counters == {"matrix.patch.values_only": 1}
+        assert patched.support_keys().tolist() == [0, 4 * n, 4 * n + 1]
+        assert patched.values().tolist() == [0.6, 0.25, 0.75]
+        assert kept == 2
+        # u2 gains an entry in column 0: the merge keeps u4's entries too
+        patched, kept, counters = patch([[True], [True], [False]], [0.6, 0.125])
+        assert counters == {"matrix.patch.merged": 1}
+        assert patched.support_keys().tolist() == [0, 2 * n, 4 * n, 4 * n + 1]
+        assert patched.values().tolist() == [0.6, 0.125, 0.25, 0.75]
+        assert kept == 2
 
     def test_region_value_wins_over_old_at_same_key(self, users):
         """A key present in both old and region takes the region's value."""

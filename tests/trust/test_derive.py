@@ -129,6 +129,54 @@ class TestDerivationProperties:
             assert 0.0 <= value <= 1.0 + 1e-9
 
 
+def row_entries_oracle(deriver, a_values, row_sums, e_transposed, rows, block_size):
+    """``TrustDeriver._row_entries`` as first written: each block's stored
+    entries from a 2-D ``np.nonzero`` and a boolean-indexed gather."""
+    n = e_transposed.shape[1]
+    key_parts = [np.empty(0, dtype=np.int64)]
+    val_parts = [np.empty(0, dtype=np.float64)]
+    for start in range(0, rows.size, block_size):
+        block_rows = rows[start : start + block_size]
+        weights = a_values[block_rows, :] / row_sums[block_rows, None]
+        block = np.einsum("mc,cn->mn", weights, e_transposed, optimize=False)
+        mask = block > deriver.min_value
+        if not deriver.include_self:
+            mask[np.arange(block_rows.size), block_rows] = False
+        local, cols = np.nonzero(mask)
+        key_parts.append(block_rows[local] * n + cols)
+        val_parts.append(block[local, cols])
+    return np.concatenate(key_parts), np.concatenate(val_parts)
+
+
+class TestRowEntries:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=40),
+        c=st.integers(min_value=1, max_value=6),
+        min_value=st.sampled_from([0.0, 0.05, 0.3, 0.7, 1.0]),
+        include_self=st.booleans(),
+        block_size=st.integers(min_value=1, max_value=45),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_matches_the_nonzero_formulation_bit_for_bit(
+        self, seed, n, c, min_value, include_self, block_size
+    ):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, c)) * (rng.random((n, c)) < 0.6)
+        e = rng.random((n, c)) * (rng.random((n, c)) < 0.6)
+        row_sums = a.sum(axis=1)
+        active = np.flatnonzero(row_sums > 0.0)
+        rows = np.sort(rng.choice(active, size=rng.integers(0, active.size + 1), replace=False))
+        deriver = TrustDeriver(min_value=min_value, include_self=include_self)
+        keys, vals = deriver._row_entries(a, row_sums, e.T.copy(), rows, block_size)
+        want_keys, want_vals = row_entries_oracle(
+            deriver, a, row_sums, e.T.copy(), rows, block_size
+        )
+        assert keys.dtype == want_keys.dtype and vals.dtype == want_vals.dtype
+        assert keys.tobytes() == want_keys.tobytes()
+        assert vals.tobytes() == want_vals.tobytes()
+
+
 class TestDeriveRegion:
     """derive_region must store bitwise what a full derive stores there."""
 
@@ -143,12 +191,16 @@ class TestDeriveRegion:
             UserCategoryMatrix(users, cats, e),
         )
 
-    def _region_support(self, full, rows, cols):
+    def _region_support(self, full, A, rows, cols, categories):
+        """The full derive's entries in ``(rows x all) | (reached x cols)``,
+        reached rows having affinity in one of ``categories``."""
         users = full.users
+        reached = (A.values_view()[:, list(categories)] > 0.0).any(axis=1)
         keep = {
             (s, t)
             for s, t in full.support()
-            if users.position(s) in rows or users.position(t) in cols
+            if users.position(s) in rows
+            or (users.position(t) in cols and reached[users.position(s)])
         }
         return full.restrict_to(keep)
 
@@ -157,24 +209,31 @@ class TestDeriveRegion:
         return UserPairMatrix.from_flat_sorted(region.users, *region.keys_and_values())
 
     @pytest.mark.parametrize(
-        "rows,cols",
+        "rows,cols,categories",
         [
-            ((2, 7), (4,)),          # single col exercises the padded path
-            ((0,), ()),              # rows only
-            ((), (3, 8, 11)),        # cols only
-            ((1, 2, 3, 4), (1, 2)),  # overlapping rows and cols
+            ((2, 7), (4,), (0, 1, 2)),          # single col exercises the padded path
+            ((0,), (), (0, 1, 2)),              # rows only
+            ((), (3, 8, 11), (0, 1, 2)),        # cols only
+            ((1, 2, 3, 4), (1, 2), (0, 1, 2)),  # overlapping rows and cols
+            ((2, 7), (4, 5, 9), (1,)),          # a block over one category's rows
+            ((), (3, 8), (0, 2)),
+            ((5,), (3, 8), ()),                 # no category moved: no block
         ],
     )
-    def test_bitwise_equals_full_derive_on_region(self, rows, cols):
+    def test_bitwise_equals_full_derive_on_region(self, rows, cols, categories):
         A, E = self._random_matrices(23)
         deriver = TrustDeriver()
         full = deriver.derive(A, E)
         region = self._as_matrix(
             deriver.derive_region(
-                A, E, rows=np.asarray(rows, dtype=np.int64), cols=np.asarray(cols, dtype=np.int64)
+                A,
+                E,
+                rows=np.asarray(rows, dtype=np.int64),
+                cols=np.asarray(cols, dtype=np.int64),
+                categories=np.asarray(categories, dtype=np.int64),
             )
         )
-        expected = self._region_support(full, set(rows), set(cols))
+        expected = self._region_support(full, A, set(rows), set(cols), categories)
         assert region.support() == expected.support()
         for s, t, v in region.entries():
             # bitwise: exact float equality, no tolerance
@@ -184,7 +243,9 @@ class TestDeriveRegion:
         A, E = self._random_matrices(23)
         rows = np.array([2, 7], dtype=np.int64)
         cols = np.array([4, 7, 9], dtype=np.int64)
-        region = TrustDeriver().derive_region(A, E, rows=rows, cols=cols)
+        region = TrustDeriver().derive_region(
+            A, E, rows=rows, cols=cols, categories=np.arange(3)
+        )
         active = np.flatnonzero(A.values_view().sum(axis=1) > 0.0)
         assert region.rows.tolist() == [2, 7] and region.cols.tolist() == [4, 7, 9]
         assert region.block_rows.tolist() == sorted(set(active.tolist()) - {2, 7})
@@ -195,10 +256,43 @@ class TestDeriveRegion:
             if row in (4, 9):
                 assert not region.mask[k, [4, 7, 9].index(row)]
 
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        num_rows=st.integers(min_value=0, max_value=5),
+        num_cols=st.integers(min_value=0, max_value=6),
+        categories=st.sets(st.integers(min_value=0, max_value=3)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_rows_are_the_reached_active_rows(self, seed, num_rows, num_cols, categories):
+        """``block_rows`` is exactly the active rows outside ``rows`` with
+        affinity in one of ``categories`` (none when ``cols`` is empty)."""
+        A, E = self._random_matrices(seed % 1000, n=17, c=4)
+        rng = np.random.default_rng(seed)
+        rows = rng.choice(17, size=num_rows, replace=False)
+        cols = rng.choice(17, size=num_cols, replace=False)
+        region = TrustDeriver().derive_region(
+            A, E, rows=rows, cols=cols, categories=np.array(sorted(categories), dtype=np.int64)
+        )
+        a = A.values_view()
+        expected = [
+            i
+            for i in range(17)
+            if num_cols
+            and i not in rows
+            and a[i].sum() > 0.0
+            and any(a[i, c] > 0.0 for c in categories)
+        ]
+        assert region.block_rows.tolist() == expected
+        assert region.mask.shape == (len(expected), num_cols)
+
     def test_empty_region_is_empty(self):
         A, E = self._random_matrices(3)
         region = TrustDeriver().derive_region(
-            A, E, rows=np.array([], dtype=np.int64), cols=np.array([], dtype=np.int64)
+            A,
+            E,
+            rows=np.array([], dtype=np.int64),
+            cols=np.array([], dtype=np.int64),
+            categories=np.array([], dtype=np.int64),
         )
         assert region.num_entries() == 0
 
@@ -206,18 +300,22 @@ class TestDeriveRegion:
         A, E = self._random_matrices(9)
         rows = np.array([1, 5, 6], dtype=np.int64)
         cols = np.array([0, 2], dtype=np.int64)
-        small = TrustDeriver(block_size=2).derive_region(A, E, rows=rows, cols=cols)
-        large = TrustDeriver(block_size=1000).derive_region(A, E, rows=rows, cols=cols)
+        every = np.arange(3)
+        small = TrustDeriver(block_size=2).derive_region(
+            A, E, rows=rows, cols=cols, categories=every
+        )
+        large = TrustDeriver(block_size=1000).derive_region(
+            A, E, rows=rows, cols=cols, categories=every
+        )
         for name in ("row_keys", "row_vals", "block_rows", "mask", "block_vals"):
             assert np.array_equal(getattr(small, name), getattr(large, name))
 
     def test_out_of_range_positions_rejected(self):
         A, E = self._random_matrices(1, n=4)
+        none = np.array([], dtype=np.int64)
         with pytest.raises(ValidationError, match="rows positions"):
-            TrustDeriver().derive_region(
-                A, E, rows=np.array([4]), cols=np.array([], dtype=np.int64)
-            )
+            TrustDeriver().derive_region(A, E, rows=np.array([4]), cols=none, categories=none)
         with pytest.raises(ValidationError, match="cols positions"):
-            TrustDeriver().derive_region(
-                A, E, rows=np.array([], dtype=np.int64), cols=np.array([-1])
-            )
+            TrustDeriver().derive_region(A, E, rows=none, cols=np.array([-1]), categories=none)
+        with pytest.raises(ValidationError, match="categories positions"):
+            TrustDeriver().derive_region(A, E, rows=none, cols=none, categories=np.array([3]))
